@@ -2,9 +2,8 @@
  * @file
  * Host-side simulator-throughput benchmark: simulated ticks per host
  * second and transactions per host second, per workload, for one run
- * (serial engine), one run on the domained engine with 2/4/8 worker
- * threads (modes par2/par4/par8 — intra-run scaling), and a
- * multi-run experiment batch.
+ * and for a multi-run experiment batch spread across host threads
+ * (the methodology's parallel axis: independent perturbed runs).
  *
  * This is the harness behind the perf trajectory of the repository:
  * the paper's methodology multiplies simulation cost by ~20x (runs x
@@ -21,7 +20,6 @@
  */
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -59,11 +57,8 @@ struct WorkloadSpec
 core::SystemConfig
 benchSystem()
 {
-    // A 16-processor directory target: the configuration the
-    // intra-run scaling bar is set on. Sixteen CPU domains give the
-    // domained engine real width, and the directory fabric is the
-    // protocol whose per-hop latencies the adaptive horizons are
-    // derived from.
+    // A 16-processor directory target: the largest system the
+    // campaigns simulate, so the rows bound their per-run cost.
     core::SystemConfig sys;
     sys.mem.numNodes = 16;
     sys.mem.protocol = mem::CoherenceProtocol::Directory;
@@ -98,38 +93,6 @@ singleRun(const WorkloadSpec &spec, int repeat)
     }
 
     return {workload::kindName(spec.kind), "single", 1,
-            r.runtimeTicks, r.txns, wall};
-}
-
-Row
-parRun(const WorkloadSpec &spec, std::size_t threads, int repeat)
-{
-    workload::WorkloadParams wl;
-    wl.kind = spec.kind;
-
-    core::RunConfig rc;
-    rc.warmupTxns = 0;
-    rc.measureTxns = bench::scaleTxns(spec.measureTxns);
-    rc.perturbSeed = 1;
-    rc.par.threads = threads;
-
-    const auto sys = benchSystem();
-
-    double wall = 0;
-    core::RunResult r;
-    for (int rep = 0; rep < repeat; ++rep) {
-        core::Simulation simn(sys, wl, rc.par);
-        simn.seedPerturbation(rc.perturbSeed);
-        bench::Stopwatch sw;
-        r = core::measure(simn, rc, sys.numCpus());
-        const double w = sw.seconds();
-        if (rep == 0 || w < wall)
-            wall = w;
-    }
-
-    std::ostringstream mode;
-    mode << "par" << threads;
-    return {workload::kindName(spec.kind), mode.str(), threads,
             r.runtimeTicks, r.txns, wall};
 }
 
@@ -192,52 +155,6 @@ emitJson(std::ostream &os, const std::vector<Row> &rows)
     os << "  ]\n}\n";
 }
 
-/**
- * The intra-run scaling gate: geomean of par8 over single ticks/s
- * across every measured workload must reach @p floor. Only enforced
- * when the host can actually run 8 workers — on smaller hosts the
- * clamped par8 row measures engine overhead, not scaling, and the
- * gate prints the geomean without judging it.
- */
-int
-gatePar8(const std::vector<Row> &rows, double floor)
-{
-    double logSum = 0.0;
-    int matched = 0;
-    for (const Row &r : rows) {
-        if (r.mode != "par8")
-            continue;
-        for (const Row &s : rows) {
-            if (s.mode == "single" && s.workload == r.workload) {
-                logSum += std::log(r.ticksPerSec() /
-                                   s.ticksPerSec());
-                ++matched;
-            }
-        }
-    }
-    if (matched == 0)
-        return 0;
-    const double geomean =
-        std::exp(logSum / static_cast<double>(matched));
-    const unsigned hw = std::thread::hardware_concurrency();
-    std::printf("par8 vs single geomean: %.2fx "
-                "(host concurrency %u)\n",
-                geomean, hw);
-    if (hw < 8) {
-        std::printf("par8 gate skipped: host has %u hardware "
-                    "threads, scaling not measurable\n",
-                    hw);
-        return 0;
-    }
-    if (geomean < floor) {
-        std::printf("FAIL: par8 geomean %.2fx below the %.2fx "
-                    "floor\n",
-                    geomean, floor);
-        return 1;
-    }
-    return 0;
-}
-
 } // anonymous namespace
 
 int
@@ -282,21 +199,6 @@ main(int argc, char **argv)
                     s.workload.c_str(), s.mode.c_str(),
                     s.ticksPerSec() / 1e6, s.txnsPerSec(),
                     s.wallSeconds);
-        // Intra-run scaling: one simulation on the domained engine
-        // with 1/2/4/8 workers (par1 isolates the engine's own
-        // overhead from the scaling). The domained engine is a
-        // slightly different timing model (the lookahead becomes a
-        // hop latency), so parN's sim_ticks differ from single's —
-        // the honest scaling metric is ticks/s.
-        for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-            rows.push_back(parRun(spec, threads, repeat));
-            const Row &p = rows.back();
-            std::printf("%-10s %-8s %12.3fM ticks/s %10.0f txns/s "
-                        "(%.2fs wall)\n",
-                        p.workload.c_str(), p.mode.c_str(),
-                        p.ticksPerSec() / 1e6, p.txnsPerSec(),
-                        p.wallSeconds);
-        }
         rows.push_back(
             multiRun(spec, bench::scaleRuns(8), repeat));
         const Row &m = rows.back();
@@ -314,5 +216,5 @@ main(int argc, char **argv)
     } else {
         emitJson(std::cout, rows);
     }
-    return gatePar8(rows, 2.0);
+    return 0;
 }

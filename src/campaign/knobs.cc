@@ -188,10 +188,6 @@ buildSpec(const SpecFields &fields, CampaignSpec &out,
 
     spec.run.warmupTxns = fields.warmupTxns;
     spec.run.measureTxns = fields.measureTxns;
-    spec.run.par.threads = fields.intraThreads;
-    if (fields.lookahead >= 0)
-        spec.run.par.lookahead =
-            static_cast<sim::Tick>(fields.lookahead);
     if (!fields.sample.empty() &&
         !core::SampleConfig::parse(fields.sample, spec.run.sample))
         return fail(err, "bad sample spec '" + fields.sample +

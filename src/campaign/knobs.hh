@@ -81,12 +81,6 @@ struct SpecFields
     std::uint64_t warmupTxns = 100;
     std::uint64_t measureTxns = 0; ///< 0 = workload default
 
-    /** Intra-run domained-engine workers (0 = serial engine). */
-    std::uint64_t intraThreads = 0;
-
-    /** Conservative lookahead in ticks; negative = derived. */
-    std::int64_t lookahead = -1;
-
     /** Sampling spec "design:U:W:M[:conf]"; empty = full detail. */
     std::string sample;
     std::uint64_t sampleOffsetSeed = 12345;

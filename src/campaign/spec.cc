@@ -97,17 +97,9 @@ CampaignSpec::fingerprint() const
     field(canon, "conf", sim::format("%.9g", stop.confidence));
     field(canon, "budget",
           static_cast<unsigned long long>(budgetTxns));
-    // The domained engine changes results (+Λ cross-domain skew), so
-    // it is part of the identity — but only when actually enabled,
-    // keeping every historical fingerprint stable. The thread count
-    // is deliberately excluded: results are identical for any N.
-    if (run.par.enabled()) {
-        field(canon, "intra", 1);
-        field(canon, "la",
-              static_cast<unsigned long long>(run.par.lookahead));
-    }
     // Sampled runs measure an estimate, not the full population — a
-    // different experiment. Same only-when-enabled rule as above.
+    // different experiment, so part of the identity. Appended only
+    // when enabled, keeping every full-detail fingerprint stable.
     if (run.sample.enabled()) {
         field(canon, "sdesign",
               static_cast<int>(run.sample.design));

@@ -12,78 +12,11 @@
 #include "cpu/base_cpu.hh"
 #include "mem/config.hh"
 #include "os/kernel.hh"
-#include "sim/types.hh"
 
 namespace varsim
 {
 namespace core
 {
-
-/**
- * The conservative lookahead Λ derived from the memory-system
- * latency constants: the fastest cross-domain interaction is an L1
- * miss answered by an L2 hit, which takes l2HitLatency ticks end to
- * end and crosses the domain boundary exactly twice (CPU→fabric
- * request, fabric→CPU response). Half of it is therefore the tightest
- * uniform per-hop latency that leaves the total unchanged.
- */
-inline sim::Tick
-derivedLookahead(const mem::MemConfig &m)
-{
-    const sim::Tick half = m.l2HitLatency / 2;
-    return half > 0 ? half : 1;
-}
-
-/**
- * Intra-run parallelism knobs. Default-constructed means "off":
- * the simulation runs on the legacy single event queue, bit-exact
- * with every historical golden.
- */
-struct ParallelConfig
-{
-    /** Sentinel: derive lookahead from the memory config. */
-    static constexpr sim::Tick lookaheadAuto =
-        static_cast<sim::Tick>(-1);
-
-    /**
-     * Host worker threads for the domained engine; 0 = legacy
-     * single-queue engine. 1 runs the domained engine inline (the
-     * determinism pin for higher counts).
-     */
-    std::size_t threads = 0;
-
-    /** Conservative horizon Λ in ticks; lookaheadAuto derives it. */
-    sim::Tick lookahead = lookaheadAuto;
-
-    /**
-     * Cap the worker count at the host's hardware concurrency.
-     * Extra workers can never raise throughput (and results are
-     * identical for every count), so the cap is on by default;
-     * tests turn it off to exercise the real barrier machinery —
-     * notably under ThreadSanitizer — even on small hosts.
-     */
-    bool clampThreadsToHost = true;
-
-    /**
-     * True if the domained engine is in play. An explicit
-     * lookahead of 0 disables it even when threads were requested —
-     * a zero horizon cannot make progress, so it falls back to the
-     * legacy serial engine (see tests/core/test_parallel_golden.cc).
-     */
-    bool
-    enabled() const
-    {
-        return threads > 0 && lookahead != 0;
-    }
-
-    /** The Λ actually used: explicit value or the derived one. */
-    sim::Tick
-    effectiveLookahead(const mem::MemConfig &m) const
-    {
-        return lookahead == lookaheadAuto ? derivedLookahead(m)
-                                          : lookahead;
-    }
-};
 
 struct SystemConfig
 {

@@ -106,7 +106,7 @@ RunResult
 runOnce(const SystemConfig &sys, const workload::WorkloadParams &wl,
         const RunConfig &run)
 {
-    Simulation simn(sys, wl, run.par);
+    Simulation simn(sys, wl);
     simn.seedPerturbation(run.perturbSeed);
     return measure(simn, run, sys.numCpus());
 }
@@ -116,7 +116,7 @@ runFromCheckpoint(const SystemConfig &sys,
                   const workload::WorkloadParams &wl,
                   const Checkpoint &cp, const RunConfig &run)
 {
-    auto simn = Simulation::restore(sys, wl, cp, run.par);
+    auto simn = Simulation::restore(sys, wl, cp);
     simn->seedPerturbation(run.perturbSeed);
     return measure(*simn, run, sys.numCpus());
 }

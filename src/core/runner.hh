@@ -46,13 +46,6 @@ struct RunConfig
     std::uint64_t windowTxns = 0;
 
     /**
-     * Intra-run parallelism (default: off, legacy serial engine).
-     * Results on the domained engine are identical for every
-     * par.threads >= 1 — only wall-clock time changes.
-     */
-    ParallelConfig par;
-
-    /**
      * Intra-run statistical sampling (default: off, full detail).
      * When enabled, drive the measure phase through
      * sample::measure() — core::measure() ignores this field.

@@ -1,8 +1,5 @@
 #include "core/simulation.hh"
 
-#include <algorithm>
-#include <thread>
-
 #include "cpu/ooo_cpu.hh"
 #include "cpu/simple_cpu.hh"
 #include "sim/logging.hh"
@@ -13,73 +10,22 @@ namespace core
 {
 
 Simulation::Simulation(const SystemConfig &sys,
-                       const workload::WorkloadParams &wl,
-                       const ParallelConfig &par)
-    : sys_(sys), wlParams(wl), par_(par)
+                       const workload::WorkloadParams &wl)
+    : sys_(sys), wlParams(wl)
 {
-    // The domained engine: the shared queue (eq) becomes domain 0
-    // (bus/L2/DRAM fabric + kernel) and each CPU with its L1 pair
-    // gets a private queue in domain 1+n, stitched together by the
-    // mailbox router. par.enabled() false leaves everything on eq,
-    // the legacy engine, bit-exact with the historical goldens.
-    std::vector<sim::EventQueue *> l1Queues;
-    if (par_.enabled()) {
-        const sim::Tick la = par_.effectiveLookahead(sys_.mem);
-        std::vector<sim::EventQueue *> queues;
-        queues.push_back(&eq);
-        for (std::size_t n = 0; n < sys_.numCpus(); ++n) {
-            cpuQueues_.push_back(
-                std::make_unique<sim::EventQueue>());
-            queues.push_back(cpuQueues_.back().get());
-            l1Queues.push_back(cpuQueues_.back().get());
-        }
-        router_ = std::make_unique<sim::DomainRouter>(queues, la);
-        // Worker threads beyond the host's cores only add barrier
-        // contention — they can never raise throughput, and results
-        // are identical for every count — so clamp silently. The
-        // scheduler itself honors any explicit count (its unit
-        // tests oversubscribe on purpose).
-        std::size_t workers = par_.threads;
-        if (par_.clampThreadsToHost) {
-            workers = std::min(
-                workers,
-                std::max<std::size_t>(
-                    1, std::thread::hardware_concurrency()));
-        }
-        scheduler_ = std::make_unique<sim::DomainScheduler>(
-            queues, *router_, workers);
-        // All cross-CPU traffic flows through the shared domain
-        // (bus/directory + kernel); CPU↔CPU lanes never carry a
-        // message. Declaring them unused frees every CPU domain's
-        // round horizon from its siblings' positions — CPUs are
-        // coupled only through the shared fabric's pending work.
-        const std::size_t nd = router_->numDomains();
-        for (std::size_t i = 1; i < nd; ++i) {
-            for (std::size_t j = 1; j < nd; ++j) {
-                if (i != j)
-                    router_->markLaneUnused(
-                        static_cast<sim::DomainId>(i),
-                        static_cast<sim::DomainId>(j));
-            }
-        }
-    }
-
-    mem_ = std::make_unique<mem::MemSystem>(
-        "system.mem", eq, sys_.mem,
-        l1Queues.empty() ? nullptr : &l1Queues);
+    mem_ = std::make_unique<mem::MemSystem>("system.mem", eq,
+                                            sys_.mem);
     std::vector<cpu::BaseCpu *> cpuPtrs;
     for (std::size_t n = 0; n < sys_.numCpus(); ++n) {
         const std::string cname = sim::format("system.cpu%zu", n);
-        sim::EventQueue &cq =
-            cpuQueues_.empty() ? eq : *cpuQueues_[n];
         std::unique_ptr<cpu::BaseCpu> c;
         if (sys_.cpu.model == cpu::CpuConfig::Model::OutOfOrder) {
             c = std::make_unique<cpu::OoOCpu>(
-                cname, cq, sys_.cpu, mem_->icache(n),
+                cname, eq, sys_.cpu, mem_->icache(n),
                 mem_->dcache(n), static_cast<sim::CpuId>(n));
         } else {
             c = std::make_unique<cpu::SimpleCpu>(
-                cname, cq, sys_.cpu, mem_->icache(n),
+                cname, eq, sys_.cpu, mem_->icache(n),
                 mem_->dcache(n), static_cast<sim::CpuId>(n));
         }
         cpuPtrs.push_back(c.get());
@@ -88,10 +34,6 @@ Simulation::Simulation(const SystemConfig &sys,
     kernel_ = std::make_unique<os::Kernel>("system.kernel", eq,
                                            sys_.os, cpuPtrs);
     kernel_->setTxnSink(this);
-    if (router_) {
-        mem_->bindDomains(*router_);
-        kernel_->bindDomains(*router_);
-    }
     wl_ = workload::Workload::build(wlParams, *kernel_,
                                     sys_.numCpus(),
                                     sys_.mem.blockBytes);
@@ -108,66 +50,12 @@ Simulation::Simulation(const SystemConfig &sys,
         "simulated time");
     statsReg.regFormula(
         "sim.events_dispatched",
-        [this] {
-            return static_cast<double>(eventsDispatched());
-        },
+        [this] { return static_cast<double>(eq.numDispatched()); },
         "host-side event dispatch count");
     statsReg.regFormula(
         "sim.txns",
         [this] { return static_cast<double>(txnCount); },
         "transactions completed");
-
-    // Intra-run parallel engine health. The round and message
-    // counters are pure functions of simulated state — identical
-    // for every --threads value — so they live in the default dump.
-    // The wall-clock breakdowns depend on the host and are
-    // registered as host metrics, excluded from the default dump so
-    // recorded per-run stats stay bit-identical across hosts and
-    // thread counts.
-    statsReg.regFormula(
-        "sim.par.rounds",
-        [this] {
-            return static_cast<double>(
-                scheduler_ ? scheduler_->rounds() : 0);
-        },
-        "synchronization rounds executed by the domain scheduler");
-    statsReg.regFormula(
-        "sim.par.serial_rounds",
-        [this] {
-            return static_cast<double>(
-                scheduler_ ? scheduler_->serialRoundCount() : 0);
-        },
-        "rounds whose runnable set had at most one domain");
-    statsReg.regFormula(
-        "sim.par.messages_routed",
-        [this] {
-            return static_cast<double>(
-                router_ ? router_->delivered() : 0);
-        },
-        "cross-domain messages delivered");
-    if (scheduler_) {
-        statsReg.regDistribution(
-            "sim.par.events_per_round",
-            &scheduler_->eventsPerRound(),
-            "events dispatched per synchronization round");
-        statsReg.regHostFormula(
-            "sim.par.host.barrier_wait_ns",
-            [this] {
-                return static_cast<double>(
-                    scheduler_->barrierWaitNs());
-            },
-            "host wall-ns parties spent waiting at the rendezvous");
-        for (std::size_t d = 0; d < router_->numDomains(); ++d) {
-            statsReg.regHostFormula(
-                sim::format("sim.par.host.domain%zu.wall_ns", d),
-                [this, d] {
-                    return static_cast<double>(
-                        scheduler_->domainWallNs(
-                            static_cast<sim::DomainId>(d)));
-                },
-                "host wall-ns draining and dispatching this domain");
-        }
-    }
 
     // Sampled-estimate exports. Registered unconditionally so every
     // run (sampled or not) emits the same metric schema; the slots
@@ -258,16 +146,8 @@ Simulation::transactionCompleted(sim::ThreadId tid, int type,
     ++txnCount;
     if (recording)
         txns.push_back({when, type, tid});
-    if (txnTarget != 0 && txnCount >= txnTarget) {
-        // The domained engine never halts a queue mid-round — that
-        // would leave the domains at different horizons. The stop
-        // lands at the next round boundary instead: a deterministic
-        // overshoot of at most one round past the target.
-        if (scheduler_)
-            scheduler_->requestStop();
-        else
-            eq.requestStop();
-    }
+    if (txnTarget != 0 && txnCount >= txnTarget)
+        eq.requestStop();
 }
 
 Simulation::Progress
@@ -277,24 +157,15 @@ Simulation::runTransactions(std::uint64_t n)
     const std::uint64_t startTxns = txnCount;
     const sim::Tick startTick = eq.curTick();
     txnTarget = txnCount + n;
+    eq.clearStop();
+    eq.run();
+    txnTarget = 0;
+    eq.clearStop();
 
     Progress p;
-    if (scheduler_) {
-        scheduler_->clearStop();
-        scheduler_->run();
-        txnTarget = 0;
-        scheduler_->clearStop();
-        p.workloadEnded = scheduler_->idle();
-    } else {
-        eq.clearStop();
-        eq.run();
-        txnTarget = 0;
-        eq.clearStop();
-        p.workloadEnded = eq.empty();
-    }
-
     p.txns = txnCount - startTxns;
     p.elapsed = eq.curTick() - startTick;
+    p.workloadEnded = eq.empty();
     return p;
 }
 
@@ -305,13 +176,11 @@ Simulation::setFastMode(bool on)
     if (fastMode_ == on)
         return;
     // Drain to a quiescent op boundary: every CPU parked with debts
-    // settled and no misses in flight, every queue and mailbox
-    // empty. The engines then swap with no timing residue.
+    // settled, no misses in flight and the queue empty. The engines
+    // then swap with no timing residue.
     quiesce();
     for (const auto &c : cpus_)
         c->setFastMode(on);
-    if (scheduler_)
-        scheduler_->setSerialRounds(on);
     fastMode_ = on;
     kernel_->endDrain();
 }
@@ -320,22 +189,8 @@ void
 Simulation::quiesce()
 {
     kernel_->beginDrain();
-    if (scheduler_) {
-        // Rounds run until global quiescence: every domain queue
-        // empty AND every mailbox drained (a lone in-flight message
-        // keeps the rounds going until its effects settle).
-        scheduler_->clearStop();
-        scheduler_->run();
-        VARSIM_ASSERT(scheduler_->idle(),
-                      "quiesce: domains not quiescent");
-        for (const auto &q : cpuQueues_)
-            VARSIM_ASSERT(q->empty(),
-                          "quiesce: CPU queue still has %zu events",
-                          q->size());
-    } else {
-        eq.clearStop();
-        eq.run();
-    }
+    eq.clearStop();
+    eq.run();
     VARSIM_ASSERT(eq.empty(),
                   "quiesce: event queue still has %zu events",
                   eq.size());
@@ -353,33 +208,14 @@ Simulation::checkpoint()
     bootIfNeeded();
     quiesce();
 
-    // Drained queues may sit at slightly different ticks (each
-    // stops at its last dispatched event); serialize the global
-    // max so restore starts every domain at one common time. The
-    // byte format is identical to the legacy engine's, so
-    // checkpoints are portable across engines and thread counts.
-    sim::Tick globalTick = eq.curTick();
-    for (const auto &q : cpuQueues_)
-        globalTick = std::max(globalTick, q->curTick());
-
     sim::CheckpointOut cp;
-    cp.put(globalTick);
+    cp.put(eq.curTick());
     cp.put(txnCount);
     mem_->serialize(cp);
     for (const auto &c : cpus_)
         c->serialize(cp);
     kernel_->serialize(cp);
     wl_->serialize(cp);
-
-    // Align the live queues to the serialized tick before resuming,
-    // so continuing this simulation is bitwise identical to
-    // restoring the checkpoint (a restored sim starts every domain
-    // at globalTick; the queues are empty here, so this only moves
-    // their clocks forward). Legacy mode: globalTick == eq.curTick()
-    // and this is a no-op.
-    eq.restoreTick(globalTick);
-    for (const auto &q : cpuQueues_)
-        q->restoreTick(globalTick);
 
     // Resume execution; checkpointing is non-destructive.
     kernel_->endDrain();
@@ -392,17 +228,15 @@ Simulation::checkpoint()
 std::unique_ptr<Simulation>
 Simulation::restore(const SystemConfig &sys,
                     const workload::WorkloadParams &wl,
-                    const Checkpoint &cp, const ParallelConfig &par)
+                    const Checkpoint &cp)
 {
     VARSIM_ASSERT(!cp.empty(), "restore from an empty checkpoint");
-    auto simn = std::make_unique<Simulation>(sys, wl, par);
+    auto simn = std::make_unique<Simulation>(sys, wl);
     sim::CheckpointIn in(cp.bytes);
 
     sim::Tick when = 0;
     in.get(when);
     simn->eq.restoreTick(when);
-    for (const auto &q : simn->cpuQueues_)
-        q->restoreTick(when);
     in.get(simn->txnCount);
     simn->mem_->unserialize(in);
     for (const auto &c : simn->cpus_)

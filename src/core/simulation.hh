@@ -22,7 +22,6 @@
 #include "core/config.hh"
 #include "core/sample_config.hh"
 #include "mem/mem_system.hh"
-#include "sim/domains.hh"
 #include "sim/statistics.hh"
 #include "workload/workload.hh"
 
@@ -51,16 +50,8 @@ struct TxnRecord
 class Simulation : public os::TxnSink
 {
   public:
-    /**
-     * @p par selects the event engine: default ({}) is the legacy
-     * single event queue, bit-exact with every historical golden;
-     * par.enabled() builds the per-CPU domained engine instead (same
-     * model, +Λ cross-domain hop skew — its own golden pins live in
-     * tests/core/test_parallel_golden.cc).
-     */
     Simulation(const SystemConfig &sys,
-               const workload::WorkloadParams &wl,
-               const ParallelConfig &par = {});
+               const workload::WorkloadParams &wl);
     ~Simulation() override;
 
     /**
@@ -98,10 +89,7 @@ class Simulation : public os::TxnSink
      * functional-warming fast engine. The system is drained to a
      * quiescent op boundary first, so the two engines hand the op
      * streams to each other with no partial-op or in-flight-miss
-     * residue; on the domained engine, rounds additionally run
-     * serially while fast mode is on (the warm memory path makes
-     * direct cross-domain calls). A no-op if already in the
-     * requested mode.
+     * residue. A no-op if already in the requested mode.
      */
     void setFastMode(bool on);
 
@@ -131,8 +119,7 @@ class Simulation : public os::TxnSink
      */
     static std::unique_ptr<Simulation>
     restore(const SystemConfig &sys,
-            const workload::WorkloadParams &wl, const Checkpoint &cp,
-            const ParallelConfig &par = {});
+            const workload::WorkloadParams &wl, const Checkpoint &cp);
 
     // ---- introspection ----
     os::Kernel &kernel() { return *kernel_; }
@@ -156,23 +143,9 @@ class Simulation : public os::TxnSink
     }
 
     /** Host-side event dispatch count (profiling, not sim state). */
-    std::uint64_t
-    eventsDispatched() const
+    std::uint64_t eventsDispatched() const
     {
-        std::uint64_t n = eq.numDispatched();
-        for (const auto &q : cpuQueues_)
-            n += q->numDispatched();
-        return n;
-    }
-
-    /** True if this instance runs the domained parallel engine. */
-    bool parallelEngine() const { return scheduler_ != nullptr; }
-
-    /** Barrier rounds executed (0 on the legacy engine). */
-    std::uint64_t
-    parallelRounds() const
-    {
-        return scheduler_ ? scheduler_->rounds() : 0;
+        return eq.numDispatched();
     }
 
     // ---- os::TxnSink ----
@@ -185,13 +158,7 @@ class Simulation : public os::TxnSink
 
     SystemConfig sys_;
     workload::WorkloadParams wlParams;
-    ParallelConfig par_;
-    /** The shared domain's queue; the only queue in legacy mode. */
     sim::EventQueue eq;
-    /** Per-CPU domain queues; empty on the legacy engine. */
-    std::vector<std::unique_ptr<sim::EventQueue>> cpuQueues_;
-    std::unique_ptr<sim::DomainRouter> router_;
-    std::unique_ptr<sim::DomainScheduler> scheduler_;
     std::unique_ptr<mem::MemSystem> mem_;
     std::vector<std::unique_ptr<cpu::BaseCpu>> cpus_;
     std::unique_ptr<os::Kernel> kernel_;

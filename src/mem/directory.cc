@@ -170,20 +170,13 @@ DirectoryFabric::process(BusMsg msg)
     busy.insert(msg.blockAddr);
     L2Controller *requestor = nodes[src];
     const sim::Addr block = msg.blockAddr;
-    // Reach: the fill completes node `src`'s miss — responses and
-    // victim back-probes go to that node's own domain immediately,
-    // while anything it triggers toward other nodes (a writeback or
-    // prefetch it issues) first serializes at a home tile for the
-    // directory latency before any remote probe happens.
     callIn(
         dataDelay,
         [this, requestor, block, writable] {
             busy.erase(block);
             requestor->fillArrived(block, writable);
         },
-        sim::Event::memoryResponsePri,
-        sim::SendReach{static_cast<sim::DomainId>(1 + src), 0,
-                       cfg.dirLatency});
+        sim::Event::memoryResponsePri);
 }
 
 bool
@@ -223,7 +216,7 @@ DirectoryFabric::warmTransition(int src, sim::Addr block,
             ~srcBit;
         for (std::size_t n = 0; n < nodes.size(); ++n) {
             if (toInvalidate & (std::uint64_t{1} << n))
-                nodes[n]->warmSnoop(msg, true);
+                nodes[n]->snoopAndHandle(msg, true);
         }
         if (owner == src) {
             ++stats_.upgrades;
@@ -237,8 +230,8 @@ DirectoryFabric::warmTransition(int src, sim::Addr block,
         e.sharers = srcBit;
     } else {
         if (owner >= 0) {
-            nodes[static_cast<std::size_t>(owner)]->warmSnoop(msg,
-                                                             true);
+            nodes[static_cast<std::size_t>(owner)]->snoopAndHandle(
+                msg, true);
             ++stats_.cacheToCache;
             remoteSupply = true;
         } else {

@@ -72,7 +72,7 @@ L1Cache::access(const MemRequest &req)
                 int(req.write));
         // An L2 hit responds synchronously, re-entering l2Response
         // and mutating mshr — `fresh` is dead past this call.
-        forwardToL2(block, req.write);
+        l2.request(block, req.write, this);
         return;
     }
     // Merge into the outstanding miss. If this request needs write
@@ -82,41 +82,7 @@ L1Cache::access(const MemRequest &req)
         hadWrite |= r.write;
     entry->reqs.push_back(req);
     if (req.write && !hadWrite)
-        forwardToL2(block, true);
-}
-
-void
-L1Cache::forwardToL2(sim::Addr block, bool write)
-{
-    if (router_ == nullptr) {
-        l2.request(block, write, this);
-        return;
-    }
-    // One conservative hop to the shared domain; the L2 runs the
-    // request (and any synchronous hit response back through our
-    // respond() mailbox path) from its own queue.
-    //
-    // Reach: executing this request can message *this* node
-    // immediately (an L2 hit responds synchronously), but anything
-    // it triggers toward other nodes first crosses the fabric — a
-    // bus request waits the full network traversal before its snoop
-    // broadcasts, a directory request waits the directory latency
-    // before its home tile probes anyone. Declaring that delay lets
-    // every other CPU domain run that far past this request while
-    // it is in flight.
-    const sim::Tick crossDelay =
-        cfg.protocol == CoherenceProtocol::Snooping
-            ? cfg.netTraversal
-            : cfg.dirLatency;
-    L2Controller *l2p = &l2;
-    L1Cache *self = this;
-    router_->send(dom_, sim::sharedDomain,
-                  curTick() + router_->lookahead(),
-                  sim::Event::defaultPri,
-                  sim::SendReach{dom_, 0, crossDelay},
-                  [l2p, block, write, self] {
-                      l2p->request(block, write, self);
-                  });
+        l2.request(block, true, this);
 }
 
 void

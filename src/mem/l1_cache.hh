@@ -21,7 +21,6 @@
 #include "mem/cache_array.hh"
 #include "mem/config.hh"
 #include "mem/iface.hh"
-#include "sim/domains.hh"
 #include "sim/sim_object.hh"
 
 namespace varsim
@@ -39,22 +38,6 @@ class L1Cache : public sim::SimObject
 
     /** The CPU that receives miss responses. */
     void setClient(MemClient *client) { client_ = client; }
-
-    /**
-     * Domained engine: this L1 lives in domain @p dom and reaches
-     * the L2 (shared domain) through @p router rather than by
-     * direct call. Unset (the default) keeps the legacy synchronous
-     * path, bit-exact with the historical goldens.
-     */
-    void
-    setDomain(sim::DomainRouter *router, sim::DomainId dom)
-    {
-        router_ = router;
-        dom_ = dom;
-    }
-
-    /** This cache's domain (sharedDomain when not bound). */
-    sim::DomainId domainId() const { return dom_; }
 
     /**
      * Fast path: probe for @p addr with the needed permission.
@@ -134,14 +117,10 @@ class L1Cache : public sim::SimObject
     MshrEntry *findMshr(sim::Addr block_addr);
     /** Swap-remove the entry at @p index, recycling its requests. */
     void eraseMshr(std::size_t index);
-    /** L2 request: direct call (legacy) or mailbox hop (domained). */
-    void forwardToL2(sim::Addr block, bool write);
 
     const MemConfig &cfg;
     L2Controller &l2;
     MemClient *client_ = nullptr;
-    sim::DomainRouter *router_ = nullptr;
-    sim::DomainId dom_ = sim::sharedDomain;
     bool isICache;
     CacheArray array;
     std::vector<MshrEntry> mshr;

@@ -86,7 +86,7 @@ L2Controller::request(sim::Addr block_addr, bool need_writable,
         DPRINTF(Cache, "L2 hit blk=%#llx w=%d",
                 static_cast<unsigned long long>(block_addr),
                 int(need_writable));
-        respond(who, block_addr, need_writable);
+        who->l2Response(block_addr, need_writable, cfg.l2HitLatency);
         return;
     }
 
@@ -141,19 +141,8 @@ L2Controller::handleNack(sim::Addr block_addr)
     const BusCmd cmd = tbe->issued;
     DPRINTF(Coherence, "NACK blk=%#llx, retrying",
             static_cast<unsigned long long>(block_addr));
-    // Reach: the retry re-issues into the fabric, so nothing it
-    // causes — toward any node, including our own — happens before
-    // the fabric's entry latency (bus traversal before the snoop
-    // broadcasts, directory latency before the home tile acts).
-    const sim::Tick crossDelay =
-        cfg.protocol == CoherenceProtocol::Snooping
-            ? cfg.netTraversal
-            : cfg.dirLatency;
-    callIn(
-        cfg.retryDelay,
-        [this, block_addr, cmd] { issue(block_addr, cmd); },
-        sim::Event::defaultPri,
-        sim::SendReach{sim::SendReach::noDomain, 0, crossDelay});
+    callIn(cfg.retryDelay,
+           [this, block_addr, cmd] { issue(block_addr, cmd); });
 }
 
 void
@@ -266,7 +255,7 @@ L2Controller::warmRequest(sim::Addr block_addr, bool need_writable,
         CacheLine victim;
         auto [fresh, hadVictim] = array.allocate(block_addr, victim);
         if (hadVictim) {
-            warmBackProbeL1s(victim, true);
+            backProbeL1s(victim, true);
             if (isOwnerState(victim.state)) {
                 ++numWritebacks;
                 bus.warmEvict(node, victim.blockAddr);
@@ -296,27 +285,6 @@ L2Controller::warmRequest(sim::Addr block_addr, bool need_writable,
 }
 
 LineState
-L2Controller::warmSnoop(const BusMsg &msg, bool remote)
-{
-    CacheLine *line = array.find(msg.blockAddr);
-    if (line == nullptr)
-        return LineState::Invalid;
-    const LineState before = line->state;
-    if (remote) {
-        if (msg.cmd == BusCmd::GetM) {
-            warmBackProbeL1s(*line, true);
-            array.invalidate(*line);
-        } else if (msg.cmd == BusCmd::GetS) {
-            if (before == LineState::Modified) {
-                line->state = LineState::Owned;
-                warmBackProbeL1s(*line, false);
-            }
-        }
-    }
-    return before;
-}
-
-LineState
 L2Controller::snoopState(sim::Addr block_addr) const
 {
     const CacheLine *line = array.find(block_addr);
@@ -327,63 +295,9 @@ void
 L2Controller::backProbeL1s(const CacheLine &line, bool invalidate_l1)
 {
     if ((line.aux & l2AuxL1ICopy) && icache != nullptr)
-        probeL1(icache, line.blockAddr, invalidate_l1);
-    if ((line.aux & l2AuxL1DCopy) && dcache != nullptr)
-        probeL1(dcache, line.blockAddr, invalidate_l1);
-}
-
-void
-L2Controller::warmBackProbeL1s(const CacheLine &line,
-                               bool invalidate_l1)
-{
-    // Direct synchronous probes: during a fast-mode interval the
-    // domain rounds run serially, so cross-domain calls are safe and
-    // router hops would only defer state the very next warm access
-    // may depend on.
-    if ((line.aux & l2AuxL1ICopy) && icache != nullptr)
         icache->backProbe(line.blockAddr, invalidate_l1);
     if ((line.aux & l2AuxL1DCopy) && dcache != nullptr)
         dcache->backProbe(line.blockAddr, invalidate_l1);
-}
-
-void
-L2Controller::respond(L1Cache *who, sim::Addr block, bool writable)
-{
-    if (router_ == nullptr) {
-        who->l2Response(block, writable, cfg.l2HitLatency);
-        return;
-    }
-    // One conservative hop back into the L1's CPU domain. The
-    // request already spent one hop getting here, so the CPU-notify
-    // remainder is the hit latency minus both hops: end-to-end
-    // timing of the request→hit→response path is preserved exactly
-    // when 2Λ <= l2HitLatency (which the auto-derived Λ guarantees).
-    const sim::Tick hop = router_->lookahead();
-    const sim::Tick rem =
-        cfg.l2HitLatency > 2 * hop ? cfg.l2HitLatency - 2 * hop : 0;
-    router_->send(sim::sharedDomain, who->domainId(),
-                  curTick() + hop, sim::Event::memoryResponsePri,
-                  [who, block, writable, rem] {
-                      who->l2Response(block, writable, rem);
-                  });
-}
-
-void
-L2Controller::probeL1(L1Cache *l1, sim::Addr block, bool invalidate)
-{
-    if (router_ == nullptr) {
-        l1->backProbe(block, invalidate);
-        return;
-    }
-    // Same edge and priority as fills: a probe and a fill for the
-    // same L1 arrive in the order the L2 (the coherence order
-    // point) generated them — lane FIFO keeps races well defined.
-    router_->send(sim::sharedDomain, l1->domainId(),
-                  curTick() + router_->lookahead(),
-                  sim::Event::memoryResponsePri,
-                  [l1, block, invalidate] {
-                      l1->backProbe(block, invalidate);
-                  });
 }
 
 void

@@ -21,7 +21,6 @@
 
 #include "mem/cache_array.hh"
 #include "mem/fabric.hh"
-#include "sim/domains.hh"
 #include "sim/sim_object.hh"
 
 namespace varsim
@@ -47,13 +46,6 @@ class L2Controller : public sim::SimObject
 
     /** Wire up this node's L1s (for fills and back-probes). */
     void setL1s(L1Cache *icache, L1Cache *dcache);
-
-    /**
-     * Domained engine: deliver responses and back-probes to the L1s
-     * through @p router (one conservative hop into each L1's CPU
-     * domain) instead of by direct call.
-     */
-    void setRouter(sim::DomainRouter *router) { router_ = router; }
 
     /** This node's id on the bus. */
     int nodeId() const { return node; }
@@ -104,14 +96,6 @@ class L2Controller : public sim::SimObject
      */
     sim::Tick warmRequest(sim::Addr block_addr, bool need_writable,
                           L1Cache *who);
-
-    /**
-     * Fabric: snoopAndHandle() for a warm transition — identical
-     * state semantics, but back-probes of the local L1s are direct
-     * synchronous calls (never router hops), which is race-free
-     * because fast-mode intervals run domain rounds serially.
-     */
-    LineState warmSnoop(const BusMsg &msg, bool remote);
 
     /** Visit every valid L2 line (directory rebuild on restore). */
     template <typename Fn>
@@ -177,17 +161,10 @@ class L2Controller : public sim::SimObject
 
     void issue(sim::Addr block_addr, BusCmd cmd);
     void backProbeL1s(const CacheLine &line, bool invalidate_l1);
-    /** backProbeL1s by direct call, bypassing the router. */
-    void warmBackProbeL1s(const CacheLine &line, bool invalidate_l1);
     std::uint8_t l1Bit(const L1Cache *l1) const;
-    /** l2Response to @p who: direct (legacy) or one hop (domained). */
-    void respond(L1Cache *who, sim::Addr block, bool writable);
-    /** backProbe on @p l1: direct (legacy) or one hop (domained). */
-    void probeL1(L1Cache *l1, sim::Addr block, bool invalidate);
 
     const MemConfig &cfg;
     CoherenceFabric &bus;
-    sim::DomainRouter *router_ = nullptr;
     int node;
     CacheArray array;
     std::vector<Tbe> tbes;

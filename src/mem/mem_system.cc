@@ -9,14 +9,10 @@ namespace mem
 {
 
 MemSystem::MemSystem(std::string name, sim::EventQueue &eq,
-                     MemConfig config,
-                     const std::vector<sim::EventQueue *> *l1_queues)
+                     MemConfig config)
     : SimObject(std::move(name), eq), cfg(config), pertRng(0)
 {
     VARSIM_ASSERT(cfg.numNodes >= 1, "need at least one node");
-    VARSIM_ASSERT(l1_queues == nullptr ||
-                      l1_queues->size() == cfg.numNodes,
-                  "need one L1 domain queue per node");
     if (cfg.protocol == CoherenceProtocol::Snooping) {
         bus_ = std::make_unique<SnoopBus>(this->name() + ".bus", eq,
                                           cfg, pertRng);
@@ -33,25 +29,12 @@ MemSystem::MemSystem(std::string name, sim::EventQueue &eq,
         l2s.push_back(std::make_unique<L2Controller>(
             nodeName + ".l2", eq, cfg, *fabric_,
             static_cast<int>(n)));
-        sim::EventQueue &l1q =
-            l1_queues != nullptr ? *(*l1_queues)[n] : eq;
         icaches.push_back(std::make_unique<L1Cache>(
-            nodeName + ".l1i", l1q, cfg, *l2s.back(), true));
+            nodeName + ".l1i", eq, cfg, *l2s.back(), true));
         dcaches.push_back(std::make_unique<L1Cache>(
-            nodeName + ".l1d", l1q, cfg, *l2s.back(), false));
+            nodeName + ".l1d", eq, cfg, *l2s.back(), false));
         l2s.back()->setL1s(icaches.back().get(), dcaches.back().get());
         fabric_->addNode(l2s.back().get());
-    }
-}
-
-void
-MemSystem::bindDomains(sim::DomainRouter &router)
-{
-    for (std::size_t n = 0; n < cfg.numNodes; ++n) {
-        const auto dom = static_cast<sim::DomainId>(1 + n);
-        l2s[n]->setRouter(&router);
-        icaches[n]->setDomain(&router, dom);
-        dcaches[n]->setDomain(&router, dom);
     }
 }
 

@@ -16,7 +16,6 @@
 #include "mem/l1_cache.hh"
 #include "mem/l2_controller.hh"
 #include "mem/snoop_bus.hh"
-#include "sim/domains.hh"
 #include "sim/random.hh"
 #include "sim/sim_object.hh"
 
@@ -28,23 +27,7 @@ namespace mem
 class MemSystem : public sim::SimObject
 {
   public:
-    /**
-     * @p eq hosts the coherence fabric, the L2s, and (by default)
-     * the L1s. When @p l1_queues is non-null it supplies one queue
-     * per node and each node's L1 pair lives on its CPU's domain
-     * queue instead (the intra-run parallel engine); pair with
-     * bindDomains() to route the L1↔L2 edges through mailboxes.
-     */
-    MemSystem(std::string name, sim::EventQueue &eq, MemConfig cfg,
-              const std::vector<sim::EventQueue *> *l1_queues =
-                  nullptr);
-
-    /**
-     * Route every L1↔L2 interaction through the domain router:
-     * node n's L1 pair talks from domain 1+n, the L2s respond from
-     * the shared domain. Call once, after construction.
-     */
-    void bindDomains(sim::DomainRouter &router);
+    MemSystem(std::string name, sim::EventQueue &eq, MemConfig cfg);
 
     /** Configuration in effect (immutable after construction). */
     const MemConfig &config() const { return cfg; }

@@ -110,20 +110,13 @@ SnoopBus::snoop(BusMsg msg)
     busy.insert(msg.blockAddr);
     L2Controller *requestor = nodes[src];
     const sim::Addr block = msg.blockAddr;
-    // Reach: the fill completes node `src`'s miss — responses and
-    // victim back-probes go to that node's own domain immediately,
-    // while anything it triggers toward other nodes (a writeback or
-    // prefetch it issues) first waits the bus's network traversal
-    // before the resulting snoop broadcasts.
     callIn(
         dataDelay,
         [this, requestor, block, writable] {
             busy.erase(block);
             requestor->fillArrived(block, writable);
         },
-        sim::Event::memoryResponsePri,
-        sim::SendReach{static_cast<sim::DomainId>(1 + src), 0,
-                       cfg.netTraversal});
+        sim::Event::memoryResponsePri);
 }
 
 bool
@@ -146,7 +139,7 @@ SnoopBus::warmTransition(int src, sim::Addr block, bool writable)
     int ownerNode = -1;
     for (std::size_t n = 0; n < nodes.size(); ++n) {
         const LineState s =
-            nodes[n]->warmSnoop(msg, n != srcIdx);
+            nodes[n]->snoopAndHandle(msg, n != srcIdx);
         if (isOwnerState(s)) {
             VARSIM_ASSERT(ownerNode == -1,
                           "two owners for block %#llx",

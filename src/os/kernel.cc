@@ -22,152 +22,23 @@ Kernel::Kernel(std::string name, sim::EventQueue &eq, OsConfig config,
         quantumEvents.push_back(
             std::make_unique<sim::EventFunctionWrapper>(
                 [this, i] {
-                    if (idleView(i))
+                    if (cpus[i]->isIdle())
                         return;
                     // schedctl-style postponement: never preempt a
                     // lock holder; recheck shortly after.
-                    Thread *t = threadView(i);
+                    auto *t = static_cast<Thread *>(
+                        cpus[i]->currentThread());
                     if (t != nullptr && t->heldLocks > 0) {
                         eventq().schedule(quantumEvents[i].get(),
                                           curTick() +
                                               cfg.quantum / 4);
                         return;
                     }
-                    cpuRequestPreempt(i);
+                    cpus[i]->requestPreempt();
                 },
                 this->name() + sim::format(".quantum%zu", i),
                 sim::Event::schedulerPri));
     }
-}
-
-void
-Kernel::bindDomains(sim::DomainRouter &router)
-{
-    router_ = &router;
-    shadowThread.assign(cpus.size(), nullptr);
-    shadowIdle.assign(cpus.size(), true);
-    for (std::size_t i = 0; i < cpus.size(); ++i) {
-        ports_.push_back(std::make_unique<CpuPort>());
-        ports_.back()->init(this, &router,
-                            static_cast<sim::DomainId>(1 + i));
-        cpus[i]->setHost(ports_.back().get());
-    }
-}
-
-void
-Kernel::CpuPort::syscall(cpu::BaseCpu &cpu, cpu::ThreadContext &tc,
-                         const cpu::Op &op)
-{
-    Kernel *k = kernel;
-    cpu::BaseCpu *c = &cpu;
-    cpu::ThreadContext *t = &tc;
-    const cpu::Op o = op;
-    router->send(dom, sim::sharedDomain,
-                 cpu.curTick() + router->lookahead(),
-                 sim::Event::cpuTickPri,
-                 [k, c, t, o] { k->syscall(*c, *t, o); });
-}
-
-void
-Kernel::CpuPort::preempted(cpu::BaseCpu &cpu)
-{
-    Kernel *k = kernel;
-    cpu::BaseCpu *c = &cpu;
-    router->send(dom, sim::sharedDomain,
-                 cpu.curTick() + router->lookahead(),
-                 sim::Event::cpuTickPri, [k, c] { k->preempted(*c); });
-}
-
-void
-Kernel::CpuPort::drained(cpu::BaseCpu &cpu)
-{
-    Kernel *k = kernel;
-    cpu::BaseCpu *c = &cpu;
-    router->send(dom, sim::sharedDomain,
-                 cpu.curTick() + router->lookahead(),
-                 sim::Event::cpuTickPri, [k, c] { k->drained(*c); });
-}
-
-void
-Kernel::cpuRunThread(std::size_t i, Thread *t, sim::Tick delay)
-{
-    if (!domained()) {
-        cpus[i]->runThread(t, delay);
-        return;
-    }
-    shadowThread[i] = t;
-    shadowIdle[i] = false;
-    cpu::BaseCpu *c = cpus[i];
-    cpu::ThreadContext *tc = t;
-    const sim::Tick rem = localDelay(delay);
-    router_->send(sim::sharedDomain,
-                  static_cast<sim::DomainId>(1 + i),
-                  curTick() + hop(), sim::Event::schedulerPri,
-                  [c, tc, rem] { c->runThread(tc, rem); });
-}
-
-void
-Kernel::cpuContinue(cpu::BaseCpu &cpu, sim::Tick delay)
-{
-    if (!domained()) {
-        cpu.continueThread(delay);
-        return;
-    }
-    cpu::BaseCpu *c = &cpu;
-    const sim::Tick rem = localDelay(delay);
-    router_->send(
-        sim::sharedDomain,
-        static_cast<sim::DomainId>(1 + cpu.cpuId()),
-        curTick() + hop(), sim::Event::schedulerPri,
-        [c, rem] { c->continueThread(rem); });
-}
-
-void
-Kernel::cpuSetIdle(std::size_t i)
-{
-    if (!domained()) {
-        cpus[i]->setIdle();
-        return;
-    }
-    shadowThread[i] = nullptr;
-    shadowIdle[i] = true;
-    cpu::BaseCpu *c = cpus[i];
-    router_->send(sim::sharedDomain,
-                  static_cast<sim::DomainId>(1 + i),
-                  curTick() + hop(), sim::Event::schedulerPri,
-                  [c] { c->setIdle(); });
-}
-
-void
-Kernel::cpuRequestPreempt(std::size_t i)
-{
-    if (!domained()) {
-        cpus[i]->requestPreempt();
-        return;
-    }
-    // The flag lands Λ later; if the thread parks first, the flag
-    // hits an idle CPU and the *next* thread takes a spuriously
-    // early op-boundary preemption — the same benign race a real
-    // IPI loses, and deterministic like everything else here.
-    cpu::BaseCpu *c = cpus[i];
-    router_->send(sim::sharedDomain,
-                  static_cast<sim::DomainId>(1 + i),
-                  curTick() + hop(), sim::Event::schedulerPri,
-                  [c] { c->requestPreempt(); });
-}
-
-void
-Kernel::cpuResumeFromDrain(std::size_t i)
-{
-    if (!domained()) {
-        cpus[i]->resumeFromDrain();
-        return;
-    }
-    cpu::BaseCpu *c = cpus[i];
-    router_->send(sim::sharedDomain,
-                  static_cast<sim::DomainId>(1 + i),
-                  curTick() + hop(), sim::Event::schedulerPri,
-                  [c] { c->resumeFromDrain(); });
 }
 
 Kernel::~Kernel() = default;
@@ -304,7 +175,7 @@ Kernel::enqueue(Thread &t, bool allow_migrate)
     }
     t.state = Thread::State::Ready;
     runQueues[target].push_back(t.tid());
-    if (!draining_ && idleView(target))
+    if (!draining_ && cpus[target]->isIdle())
         dispatch(target);
 }
 
@@ -315,7 +186,7 @@ Kernel::dispatch(std::size_t cpu_idx)
         // The previous thread just blocked/yielded/finished while a
         // drain is in progress: no new work may start, so this CPU
         // is quiescent now.
-        cpuSetIdle(cpu_idx);
+        cpus[cpu_idx]->setIdle();
         cancelQuantum(cpu_idx);
         cpuDrained[cpu_idx] = true;
         return;
@@ -336,7 +207,7 @@ Kernel::dispatch(std::size_t cpu_idx)
 
     if (tid == sim::invalidThreadId) {
         cancelQuantum(cpu_idx);
-        cpuSetIdle(cpu_idx);
+        cpus[cpu_idx]->setIdle();
         return;
     }
 
@@ -350,7 +221,7 @@ Kernel::dispatch(std::size_t cpu_idx)
     record(SchedEvent::Kind::Dispatch,
            static_cast<sim::CpuId>(cpu_idx), tid);
     DPRINTF(Sched, "dispatch t%d on cpu%zu", tid, cpu_idx);
-    cpuRunThread(cpu_idx, &t, cfg.ctxSwitchCost);
+    cpus[cpu_idx]->runThread(&t, cfg.ctxSwitchCost);
     armQuantum(cpu_idx);
 }
 
@@ -399,7 +270,7 @@ Kernel::syscall(cpu::BaseCpu &cpu, cpu::ThreadContext &tc,
         if (txnSink != nullptr) {
             txnSink->transactionCompleted(t.tid(), op.id, curTick());
         }
-        cpuContinue(cpu, 0);
+        cpu.continueThread(0);
         return;
       case cpu::OpKind::Yield:
         t.stream().advance();
@@ -432,7 +303,7 @@ Kernel::doLock(cpu::BaseCpu &cpu, Thread &t, const cpu::Op &op)
         ++t.heldLocks;
         ++stats_.lockAcquires;
         t.stream().advance();
-        cpuContinue(cpu, cfg.syscallCost);
+        cpu.continueThread(cfg.syscallCost);
         return;
     }
     // Contended. Adaptive policy (Solaris): while the owner is
@@ -443,7 +314,7 @@ Kernel::doLock(cpu::BaseCpu &cpu, Thread &t, const cpu::Op &op)
     if (cfg.spinRetryNs > 0 &&
         thread(m.owner).state == Thread::State::Running) {
         ++stats_.lockSpins;
-        cpuContinue(cpu, cfg.spinRetryNs);
+        cpu.continueThread(cfg.spinRetryNs);
         return;
     }
     ++stats_.contendedLocks;
@@ -481,7 +352,7 @@ Kernel::doUnlock(cpu::BaseCpu &cpu, Thread &t, const cpu::Op &op)
         m.waiters.pop_front();
         wake(thread(next));
     }
-    cpuContinue(cpu, cfg.syscallCost);
+    cpu.continueThread(cfg.syscallCost);
 }
 
 void
@@ -500,7 +371,7 @@ Kernel::doBarrier(cpu::BaseCpu &cpu, Thread &t, const cpu::Op &op)
         b.waiting.clear();
         for (sim::ThreadId w : released)
             wake(thread(w));
-        cpuContinue(cpu, cfg.syscallCost);
+        cpu.continueThread(cfg.syscallCost);
         return;
     }
     b.waiting.push_back(t.tid());
@@ -567,11 +438,9 @@ Kernel::endDrain()
         }
     }
     for (std::size_t i = 0; i < cpus.size(); ++i) {
-        // Quiescent between rounds: reading the parked CPU directly
-        // is race-free on both engines.
         if (cpus[i]->currentThread() != nullptr) {
             armQuantum(i);
-            cpuResumeFromDrain(i);
+            cpus[i]->resumeFromDrain();
         } else {
             dispatch(i);
         }
@@ -655,14 +524,9 @@ Kernel::unserialize(sim::CheckpointIn &cp)
     draining_ = true;
     for (std::size_t i = 0; i < cpus.size(); ++i) {
         cpuDrained[i] = true;
-        Thread *t = running[i] != sim::invalidThreadId
-                        ? &thread(running[i])
-                        : nullptr;
-        cpus[i]->attachThread(t);
-        if (domained()) {
-            shadowThread[i] = t;
-            shadowIdle[i] = t == nullptr;
-        }
+        cpus[i]->attachThread(
+            running[i] != sim::invalidThreadId ? &thread(running[i])
+                                               : nullptr);
     }
 }
 

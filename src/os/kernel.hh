@@ -32,7 +32,6 @@
 
 #include "cpu/base_cpu.hh"
 #include "os/thread.hh"
-#include "sim/domains.hh"
 #include "sim/sim_object.hh"
 
 namespace varsim
@@ -146,15 +145,6 @@ class Kernel : public sim::SimObject, public cpu::CpuHost
     /** Receiver of TxnEnd notifications (measurement harness). */
     void setTxnSink(TxnSink *sink) { txnSink = sink; }
 
-    /**
-     * Domained engine: the kernel stays in the shared domain; CPU i
-     * (domain 1+i) talks to it through a per-CPU host proxy that
-     * turns every upcall into a mailbox message, and the kernel's
-     * own CPU manipulations hop the other way. Call once, after
-     * construction, before start().
-     */
-    void bindDomains(sim::DomainRouter &router);
-
     /** Initial placement and dispatch of all Ready threads. */
     void start();
 
@@ -199,36 +189,6 @@ class Kernel : public sim::SimObject, public cpu::CpuHost
     void reattachAfterRestore();
 
   private:
-    /**
-     * CPU-side face of the kernel on the domained engine: upcalls
-     * hop from the CPU's domain into the shared domain at the
-     * conservative latency. draining() stays a direct read —
-     * draining_ only changes between rounds, so it is constant for
-     * the duration of any round a CPU could observe it in.
-     */
-    class CpuPort : public cpu::CpuHost
-    {
-      public:
-        void
-        init(Kernel *k, sim::DomainRouter *r, sim::DomainId d)
-        {
-            kernel = k;
-            router = r;
-            dom = d;
-        }
-
-        void syscall(cpu::BaseCpu &cpu, cpu::ThreadContext &tc,
-                     const cpu::Op &op) override;
-        void preempted(cpu::BaseCpu &cpu) override;
-        void drained(cpu::BaseCpu &cpu) override;
-        bool draining() const override { return kernel->draining_; }
-
-      private:
-        Kernel *kernel = nullptr;
-        sim::DomainRouter *router = nullptr;
-        sim::DomainId dom = sim::sharedDomain;
-    };
-
     struct Mutex
     {
         sim::Addr lockWord = 0;
@@ -257,43 +217,6 @@ class Kernel : public sim::SimObject, public cpu::CpuHost
     void doBarrier(cpu::BaseCpu &cpu, Thread &t, const cpu::Op &op);
     void doSleep(cpu::BaseCpu &cpu, Thread &t, const cpu::Op &op);
 
-    // ---- engine-independent CPU manipulation ----
-    // On the legacy engine these call the CPU directly; on the
-    // domained engine they hop into the CPU's domain, splitting any
-    // delay into the hop plus a local remainder so end-to-end
-    // latencies stay on the legacy schedule wherever delay >= Λ.
-    bool domained() const { return router_ != nullptr; }
-    sim::Tick hop() const { return router_->lookahead(); }
-    sim::Tick
-    localDelay(sim::Tick delay) const
-    {
-        return delay > hop() ? delay - hop() : 0;
-    }
-    void cpuRunThread(std::size_t i, Thread *t, sim::Tick delay);
-    void cpuContinue(cpu::BaseCpu &cpu, sim::Tick delay);
-    void cpuSetIdle(std::size_t i);
-    void cpuRequestPreempt(std::size_t i);
-    void cpuResumeFromDrain(std::size_t i);
-
-    // Shadow of each CPU's (idle, thread) pair, maintained at kernel
-    // decision points. On the domained engine the kernel must never
-    // read a possibly-executing CPU's fields, so the sites that fire
-    // while CPUs run (the quantum handler and enqueue's idle check)
-    // read these views instead; legacy mode reads the CPU directly,
-    // keeping it bit-exact with history.
-    bool
-    idleView(std::size_t i) const
-    {
-        return domained() ? shadowIdle[i] : cpus[i]->isIdle();
-    }
-    Thread *
-    threadView(std::size_t i) const
-    {
-        return domained() ? shadowThread[i]
-                          : static_cast<Thread *>(
-                                cpus[i]->currentThread());
-    }
-
     OsConfig cfg;
     std::vector<cpu::BaseCpu *> cpus;
     std::vector<std::unique_ptr<Thread>> threads;
@@ -305,11 +228,6 @@ class Kernel : public sim::SimObject, public cpu::CpuHost
     std::vector<std::unique_ptr<sim::EventFunctionWrapper>>
         sleepEvents;
     TxnSink *txnSink = nullptr;
-
-    sim::DomainRouter *router_ = nullptr;
-    std::vector<std::unique_ptr<CpuPort>> ports_;
-    std::vector<Thread *> shadowThread;
-    std::vector<bool> shadowIdle;
 
     bool draining_ = false;
     std::vector<bool> cpuDrained;

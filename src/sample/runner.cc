@@ -115,7 +115,7 @@ runOnce(const core::SystemConfig &sys,
 {
     if (!run.sample.enabled())
         return core::runOnce(sys, wl, run);
-    core::Simulation simn(sys, wl, run.par);
+    core::Simulation simn(sys, wl);
     simn.seedPerturbation(run.perturbSeed);
     return measure(simn, run, sys.numCpus(),
                    librarySink(library, sys, wl, run, simn));
@@ -130,7 +130,7 @@ runFromCheckpoint(const core::SystemConfig &sys,
 {
     if (!run.sample.enabled())
         return core::runFromCheckpoint(sys, wl, cp, run);
-    auto simn = core::Simulation::restore(sys, wl, cp, run.par);
+    auto simn = core::Simulation::restore(sys, wl, cp);
     simn->seedPerturbation(run.perturbSeed);
     return measure(*simn, run, sys.numCpus(),
                    librarySink(library, sys, wl, run, *simn));

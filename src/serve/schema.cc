@@ -54,10 +54,6 @@ encodeSubmission(const Submission &sub)
     w.field("tpc", f.threadsPerCpu);
     w.field("warmup", f.warmupTxns);
     w.field("txns", f.measureTxns);
-    w.field("intra_threads", f.intraThreads);
-    w.field("lookahead",
-            sim::format("%lld",
-                        static_cast<long long>(f.lookahead)));
     w.field("sample", f.sample);
     w.field("sample_offset_seed", f.sampleOffsetSeed);
     w.field("seed", f.baseSeed);
@@ -123,10 +119,6 @@ decodeSubmission(const JsonLine &obj, Submission &out,
     f.threadsPerCpu = obj.num("tpc", f.threadsPerCpu);
     f.warmupTxns = obj.num("warmup", f.warmupTxns);
     f.measureTxns = obj.num("txns", f.measureTxns);
-    f.intraThreads = obj.num("intra_threads", f.intraThreads);
-    f.lookahead = static_cast<std::int64_t>(
-        std::strtoll(obj.str("lookahead", "-1").c_str(), nullptr,
-                     10));
     f.sample = obj.str("sample", f.sample);
     f.sampleOffsetSeed =
         obj.num("sample_offset_seed", f.sampleOffsetSeed);

@@ -72,20 +72,6 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->queue_ = this;
     pushEntry({when, ev->priority(), ev->seq_, ev});
     ++numPending;
-    ++mutations_;
-    if (ev->reach_.annotated()) {
-        ev->annPos_ = static_cast<std::uint32_t>(annIdx_.size());
-        annIdx_.push_back(ev);
-    }
-}
-
-void
-EventQueue::unindexAnnotated(Event *ev)
-{
-    Event *last = annIdx_.back();
-    annIdx_[ev->annPos_] = last;
-    last->annPos_ = ev->annPos_;
-    annIdx_.pop_back();
 }
 
 void
@@ -99,9 +85,6 @@ EventQueue::deschedule(Event *ev)
     ev->scheduled_ = false;
     ev->queue_ = nullptr;
     --numPending;
-    ++mutations_;
-    if (ev->reach_.annotated())
-        unindexAnnotated(ev);
 }
 
 void
@@ -152,9 +135,6 @@ EventQueue::run(Tick stop_tick)
         ev->scheduled_ = false;
         ev->queue_ = nullptr;
         --numPending;
-        ++mutations_;
-        if (ev->reach_.annotated())
-            unindexAnnotated(ev);
         ++dispatched;
         ev->process();
     }
@@ -174,43 +154,8 @@ EventQueue::step()
     ev->scheduled_ = false;
     ev->queue_ = nullptr;
     --numPending;
-    ++mutations_;
-    if (ev->reach_.annotated())
-        unindexAnnotated(ev);
     ++dispatched;
     ev->process();
-}
-
-Tick
-EventQueue::minUnannotatedTick() const
-{
-    Tick best = maxTick;
-    minUnannotatedFrom(0, best);
-    return best;
-}
-
-void
-EventQueue::minUnannotatedFrom(std::size_t i, Tick &best) const
-{
-    if (i >= heap.size())
-        return;
-    const HeapEntry &e = heap[i];
-    // Structural heap order: every entry in this subtree has
-    // when >= e.when, so nothing below can beat the current best.
-    if (e.when >= best)
-        return;
-    if (e.ev->scheduled_ && e.ev->seq_ == e.seq &&
-        !e.ev->reach_.annotated()) {
-        // Live and unannotated: take it, and prune the subtree (the
-        // children are no earlier than this entry).
-        best = e.when;
-        return;
-    }
-    // Annotated or stale: the entry itself does not count, but live
-    // unannotated descendants might still beat best.
-    const std::size_t first = 4 * i + 1;
-    for (std::size_t c = first; c < first + 4; ++c)
-        minUnannotatedFrom(c, best);
 }
 
 void
@@ -233,7 +178,7 @@ EventQueue::popEntry()
 
 // A 4-ary heap: half the depth of a binary heap and the four
 // children share cache lines, which matters because schedule/pop is
-// on the critical path of both engines (and dominates fast-mode
+// on the critical path of every run (and dominates fast-mode
 // sampling runs). The comparator is a strict total order over
 // (when, priority, seq), so the dispatch sequence is identical to
 // any other correct heap — event order, and with it every golden,

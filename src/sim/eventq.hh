@@ -36,49 +36,6 @@ namespace sim
 class EventQueue;
 
 /**
- * Conservative "reach" declaration for an event (or an undelivered
- * cross-domain message): a bound on how soon the work it triggers can
- * call DomainRouter::send toward other domains.
- *
- * An item with timestamp w and reach {dom, selfDelay, otherDelay}
- * promises that executing it — including everything it calls
- * synchronously and every local event it schedules — produces no
- * cross-domain message toward destination d with delivery tick
- * earlier than
- *
- *     w + (d == dom ? selfDelay : otherDelay) + lookahead(src, d).
- *
- * The default ({noDomain, 0, 0}) is the conservative floor every
- * event satisfies trivially (sends always lie one lookahead past the
- * sender's current tick, and descendants only run later). Annotating
- * an event with a larger delay widens the round horizon the domain
- * scheduler may grant *other* domains while this item is pending —
- * which is exactly what makes adaptive horizons beat the global
- * worst-case Λ. An annotation must hold for the item's entire causal
- * future inside its own domain, so only use delays backed by a
- * modeled latency every downstream send provably crosses.
- */
-struct SendReach
-{
-    /** Sentinel: no single favoured destination domain. */
-    static constexpr std::uint32_t noDomain = 0xffffffffu;
-
-    /** Domain the item may message sooner than the rest (if any). */
-    std::uint32_t dom = noDomain;
-    /** Minimum delay before a send toward @c dom, in ticks. */
-    Tick selfDelay = 0;
-    /** Minimum delay before a send toward any other domain. */
-    Tick otherDelay = 0;
-
-    /** True if this is anything beyond the conservative default. */
-    bool
-    annotated() const
-    {
-        return dom != noDomain || otherDelay != 0;
-    }
-};
-
-/**
  * An occurrence scheduled to happen at a particular tick.
  *
  * Events are owned by the components that schedule them; the queue
@@ -127,16 +84,6 @@ class Event
     /** Priority used to order same-tick events. */
     Priority priority() const { return priority_; }
 
-    /** Conservative cross-domain reach (see SendReach). */
-    const SendReach &reach() const { return reach_; }
-
-    /**
-     * Declare this event's cross-domain reach. Only meaningful while
-     * not scheduled (the queue samples the reach at schedule time to
-     * keep its annotated-event count exact).
-     */
-    void setReach(const SendReach &r) { reach_ = r; }
-
   private:
     friend class EventQueue;
 
@@ -145,10 +92,6 @@ class Event
     Priority priority_;
     bool scheduled_ = false;
     EventQueue *queue_ = nullptr;
-    SendReach reach_{};
-    /** Slot in the queue's annotated-event index (valid only while
-     *  scheduled with an annotated reach). */
-    std::uint32_t annPos_ = 0;
 };
 
 /**
@@ -275,24 +218,6 @@ class EventQueue
     {
         CallbackEvent *ev = acquireCallback();
         ev->priority_ = pri;
-        ev->reach_ = SendReach{}; // recycled events may carry one
-        ev->emplace(std::forward<F>(fn));
-        schedule(ev, when);
-    }
-
-    /**
-     * As callAt, with a conservative cross-domain reach declaration
-     * the domain scheduler uses to widen other domains' horizons
-     * while this callback is pending (see SendReach).
-     */
-    template <typename F>
-    void
-    callAt(Tick when, F &&fn, Event::Priority pri,
-           const SendReach &reach)
-    {
-        CallbackEvent *ev = acquireCallback();
-        ev->priority_ = pri;
-        ev->reach_ = reach;
         ev->emplace(std::forward<F>(fn));
         schedule(ev, when);
     }
@@ -308,15 +233,6 @@ class EventQueue
 
     /** Total events dispatched since construction. */
     std::uint64_t numDispatched() const { return dispatched; }
-
-    /**
-     * Counter bumped by every pending-set change (schedule,
-     * deschedule, dispatch). Equal counters between two observations
-     * mean the pending set — and any reduction over it — is
-     * unchanged; the domain scheduler uses this to skip recomputing
-     * horizons for queues that sat out the last round.
-     */
-    std::uint64_t mutations() const { return mutations_; }
 
     /**
      * Dispatch events until the queue is empty, the stop flag is
@@ -351,55 +267,6 @@ class EventQueue
     /** True if a stop has been requested but not yet cleared. */
     bool stopPending() const { return stopRequested; }
 
-    /**
-     * Tick of the earliest live (non-tombstoned) pending event, or
-     * maxTick if the queue is empty. Used by the domain scheduler to
-     * compute the global round horizon. Not const: skims stale
-     * tombstones off the heap top as a side effect.
-     */
-    Tick
-    nextEventTick()
-    {
-        return skimStale() ? heap.front().when : maxTick;
-    }
-
-    /**
-     * Number of pending events with a non-default SendReach. When
-     * zero, the earliest possible cross-domain send from this queue
-     * is simply nextEventTick() + lookahead — the domain scheduler's
-     * O(1) fast path (true for every CPU domain; only the shared
-     * domain carries annotated memory-system events).
-     */
-    std::size_t annotatedPending() const { return annIdx_.size(); }
-
-    /**
-     * Visit every live annotated pending event as (when, reach), in
-     * no particular order — callers reduce with min, never depend on
-     * sequence. Backed by an exactly-maintained side index (swap-
-     * removed on dispatch/deschedule), so the cost is the number of
-     * annotated items, independent of the heap size.
-     */
-    template <typename F>
-    void
-    forEachAnnotated(F &&fn) const
-    {
-        for (const Event *ev : annIdx_)
-            fn(ev->when_, ev->reach_);
-    }
-
-    /**
-     * Tick of the earliest live *unannotated* pending event, or
-     * maxTick if none. Together with forEachAnnotated this gives the
-     * domain scheduler the exact per-item reduction
-     * min over items of (w + otherDelay) without scanning the whole
-     * heap: unannotated items contribute w (their otherDelay is 0),
-     * and the heap's structural order lets the search prune every
-     * subtree that cannot beat the best tick found so far — it
-     * visits only the annotated/stale "crown" of the heap plus its
-     * live frontier.
-     */
-    Tick minUnannotatedTick() const;
-
   private:
     struct HeapEntry
     {
@@ -429,12 +296,6 @@ class EventQueue
     /** Pop tombstoned entries off the top; true if a live one waits. */
     bool skimStale();
 
-    /** Swap-remove @p ev from the annotated index (O(1)). */
-    void unindexAnnotated(Event *ev);
-
-    /** Pruned subtree search behind minUnannotatedTick(). */
-    void minUnannotatedFrom(std::size_t i, Tick &best) const;
-
     CallbackEvent *acquireCallback();
     void releaseCallback(CallbackEvent *ev);
 
@@ -442,12 +303,8 @@ class EventQueue
     Tick curTick_ = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t dispatched = 0;
-    std::uint64_t mutations_ = 0;
     std::size_t numPending = 0;
     bool stopRequested = false;
-    /** Live annotated events, unordered; Event::annPos_ is the
-     *  back-pointer that makes removal O(1). */
-    std::vector<Event *> annIdx_;
 
     /** All pooled one-shot events this queue ever created. */
     std::vector<std::unique_ptr<CallbackEvent>> callbackPool;

@@ -80,21 +80,6 @@ class SimObject : public Serializable
     }
 
     /**
-     * As callIn, declaring the one-shot's conservative cross-domain
-     * reach (see SendReach) so the domain scheduler can widen other
-     * domains' round horizons while it is pending. Inert when the
-     * simulation runs on the legacy single-queue engine.
-     */
-    template <typename F>
-    void
-    callIn(Tick delta, F &&fn, Event::Priority pri,
-           const SendReach &reach)
-    {
-        eventq_->callAt(curTick() + delta, std::forward<F>(fn), pri,
-                        reach);
-    }
-
-    /**
      * Called after construction (or after unserialize) to arm
      * recurring events. Default: nothing.
      */

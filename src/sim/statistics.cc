@@ -84,22 +84,6 @@ Registry::regFormula(const std::string &name,
 }
 
 void
-Registry::regHostFormula(const std::string &name,
-                         std::function<double()> fn, std::string desc)
-{
-    VARSIM_ASSERT(fn != nullptr, "null formula for statistic '%s'",
-                  name.c_str());
-    claimName(name);
-    Entry e;
-    e.name = name;
-    e.desc = std::move(desc);
-    e.kind = Kind::Formula;
-    e.host = true;
-    e.fn = std::move(fn);
-    entries.push_back(std::move(e));
-}
-
-void
 Registry::regDistribution(const std::string &name,
                           const Distribution *d, std::string desc)
 {
@@ -144,13 +128,11 @@ Registry::description(const std::string &name) const
 }
 
 StatDump
-Registry::dump(bool includeHost) const
+Registry::dump() const
 {
     StatDump out;
     out.reserve(entries.size());
     for (const Entry &e : entries) {
-        if (e.host && !includeHost)
-            continue;
         switch (e.kind) {
           case Kind::Scalar:
             out.push_back({e.name,

@@ -106,18 +106,6 @@ class Registry
                          const Distribution *d,
                          std::string desc = "");
 
-    /**
-     * Register a *host* metric: a formula whose value depends on the
-     * host machine (wall-clock timings, thread counts), not on
-     * simulated state. Host metrics are excluded from the default
-     * dump() so recorded per-run stats stay bit-identical across
-     * hosts and --threads values; pass includeHost = true to see
-     * them (diagnostic reports, `sim.par.host.*`).
-     */
-    void regHostFormula(const std::string &name,
-                        std::function<double()> fn,
-                        std::string desc = "");
-
     /** True if @p name (or an expansion of it) is registered. */
     bool has(const std::string &name) const
     {
@@ -133,13 +121,8 @@ class Registry
     /** Description of @p name ("" when absent or none given). */
     std::string description(const std::string &name) const;
 
-    /**
-     * Sample every entry. Pure: never advances simulated state.
-     * Host metrics (regHostFormula) are skipped unless
-     * @p includeHost — the default dump is a pure function of
-     * simulated state.
-     */
-    StatDump dump(bool includeHost = false) const;
+    /** Sample every entry. Pure: never advances simulated state. */
+    StatDump dump() const;
 
   private:
     enum class Kind
@@ -154,7 +137,6 @@ class Registry
         std::string name;
         std::string desc;
         Kind kind;
-        bool host = false;
         const std::uint64_t *scalar = nullptr;
         std::function<double()> fn;
         const Distribution *dist = nullptr;

@@ -31,7 +31,6 @@ sampleSubmission()
     sub.fields.threadsPerCpu = 2;
     sub.fields.warmupTxns = 7;
     sub.fields.measureTxns = 1000;
-    sub.fields.lookahead = -1;
     sub.fields.sample = "stratified:200:20:40";
     sub.fields.baseSeed = 4242;
     sub.fields.numCheckpoints = 3;
@@ -62,7 +61,6 @@ TEST(ServeSchema, SubmissionRoundTrips)
     EXPECT_EQ(got.fields.workload, "specjbb");
     EXPECT_EQ(got.fields.sample, "stratified:200:20:40");
     EXPECT_EQ(got.fields.strategy, "random");
-    EXPECT_EQ(got.fields.lookahead, -1);
     EXPECT_EQ(got.fields.fixedRuns, 9u);
     EXPECT_DOUBLE_EQ(got.fields.relativeError, 0.05);
     EXPECT_DOUBLE_EQ(got.fields.alpha, 0.01);
@@ -93,9 +91,51 @@ TEST(ServeSchema, DefaultsSurviveARoundTrip)
     EXPECT_EQ(got.fields.workload, dflt.workload);
     EXPECT_EQ(got.fields.pilotRuns, dflt.pilotRuns);
     EXPECT_EQ(got.fields.maxRuns, dflt.maxRuns);
-    EXPECT_EQ(got.fields.lookahead, dflt.lookahead);
     EXPECT_DOUBLE_EQ(got.fields.alpha, dflt.alpha);
     EXPECT_DOUBLE_EQ(got.fields.confidence, dflt.confidence);
+}
+
+TEST(ServeSchema, OlderSubmissionWithEngineFieldsStillResumes)
+{
+    // sampleSubmission() byte for byte as an earlier daemon wrote
+    // it to submission.json, when the schema still carried the
+    // deleted intra-run engine's two fields (here at their
+    // defaults). A daemon upgraded in place must decode it and
+    // derive the fingerprint the client computed, or a kill -9
+    // restart could no longer resume the campaign.
+    const std::string older =
+        "{\"req\":\"submit\",\"schema\":1,\"tenant\":\"alice\","
+        "\"name\":\"assoc-sweep\",\"priority\":\"-3\","
+        "\"fingerprint\":\"b1e37cb4e4373382\","
+        "\"base\":[\"cpus=4\",\"dram=120\"],"
+        "\"vary\":[\"l2-assoc=1,2,4\",\"prefetch=on,off\"],"
+        "\"workload\":\"specjbb\",\"wl_seed\":12345,\"tpc\":2,"
+        "\"warmup\":7,\"txns\":1000,\"intra_threads\":0,"
+        "\"lookahead\":\"-1\",\"sample\":\"stratified:200:20:40\","
+        "\"sample_offset_seed\":12345,\"seed\":4242,"
+        "\"checkpoints\":3,\"ckpt_step\":111,"
+        "\"strategy\":\"random\",\"fixed_runs\":9,"
+        "\"pilot_runs\":6,\"max_runs\":32,"
+        "\"rel_err\":0.050000000000000003,\"alpha\":0.01,"
+        "\"confidence\":0.94999999999999996,\"budget\":0}";
+    sim::JsonLine obj;
+    ASSERT_TRUE(obj.parse(older));
+    serve::Submission old;
+    std::string err;
+    ASSERT_TRUE(serve::decodeSubmission(obj, old, &err)) << err;
+
+    ASSERT_TRUE(obj.parse(serve::encodeSubmission(sampleSubmission())));
+    serve::Submission cur;
+    ASSERT_TRUE(serve::decodeSubmission(obj, cur, &err)) << err;
+
+    campaign::CampaignSpec fromOld, fromCur;
+    ASSERT_TRUE(campaign::buildSpec(old.fields, fromOld, &err)) << err;
+    ASSERT_TRUE(campaign::buildSpec(cur.fields, fromCur, &err)) << err;
+    EXPECT_EQ(fromOld.fingerprint(), fromCur.fingerprint());
+    EXPECT_EQ(sim::format("%016llx",
+                          static_cast<unsigned long long>(
+                              fromOld.fingerprint())),
+              old.fingerprintHex);
 }
 
 TEST(ServeSchema, UnsupportedVersionIsRejected)

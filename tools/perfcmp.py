@@ -15,18 +15,11 @@ baseline) and the geometric-mean speedup. Rows are matched on
 (workload, mode); rows present in only one file are reported and
 skipped. With --min-speedup, exits nonzero if any matched row's
 speedup falls below X — usable as a CI regression gate.
-
-Independently of the cross-file comparison, any candidate par2+ mode
-slower than the same workload's "single" row fails the run (for
-worker counts the emitting host could run, per the file's
-host_concurrency): a parallel mode losing to its serial baseline is
-a regression even when both files agree on it.
 """
 
 import argparse
 import json
 import math
-import re
 import sys
 
 
@@ -59,57 +52,8 @@ def load_rows(path):
                          f'"{field}"')
         rows[(row["workload"], row["mode"])] = row
     meta = {"quick": bool(data.get("quick", False)),
-            "bench": data["bench"],
-            # Older emissions predate the field; None means unknown
-            # and disables host-aware judgements.
-            "host_concurrency": data.get("host_concurrency")}
+            "bench": data["bench"]}
     return rows, meta
-
-
-def scaling_report(rows, label, host_concurrency):
-    """Intra-run scaling: parN rows against the serial single row.
-
-    The parN modes run ONE simulation on the domained engine with N
-    worker threads; single runs the legacy serial engine. Printed
-    whenever a file contains any par* mode. The scaling column is
-    ticks/s relative to the same file's single row (throughput
-    speedup from intra-run parallelism, including the domained
-    engine's own overhead), so par1-vs-parN differences and
-    engine-swap overhead both show up honestly.
-
-    Returns the mode-vs-baseline-mode regressions: parN rows slower
-    than the same workload's single row, for worker counts the
-    emitting host could actually run. These shipped silently once;
-    now they fail the comparison.
-    """
-    by_wl = {}
-    for (workload, mode), row in rows.items():
-        m = re.fullmatch(r"par(\d+)", mode)
-        if m:
-            by_wl.setdefault(workload, []).append(
-                (int(m.group(1)), row["ticks_per_sec"]))
-    if not by_wl:
-        return []
-    regressions = []
-    print(f"\nintra-run scaling ({label}):")
-    print(f"{'workload':<12} {'threads':>8} {'Mt/s':>10} "
-          f"{'vs single':>10}")
-    for workload in sorted(by_wl):
-        single = rows.get((workload, "single"))
-        base = single["ticks_per_sec"] if single else None
-        for threads, tps in sorted(by_wl[workload]):
-            rel = f"{tps / base:>9.2f}x" if base else f"{'n/a':>10}"
-            print(f"{workload:<12} {threads:>8} {tps / 1e6:>10.3f} "
-                  f"{rel}")
-            # par1 measures the domained engine's serial overhead
-            # and is allowed to trail the legacy engine; par2+ on a
-            # host that can actually run the workers must not.
-            measurable = host_concurrency is None or \
-                threads <= host_concurrency
-            if base and tps < base and threads >= 2 and measurable:
-                regressions.append(
-                    (workload, f"par{threads}", tps / base))
-    return regressions
 
 
 def service_report(base, cand, matched):
@@ -198,18 +142,9 @@ def main():
     geomean = math.exp(log_sum / len(matched))
     print(f"{'geomean':<21} {'':>21} {geomean:>7.2f}x")
 
-    scaling_report(base, "baseline", base_meta["host_concurrency"])
-    mode_regr = scaling_report(cand, "candidate",
-                               cand_meta["host_concurrency"])
     service_report(base, cand, matched)
 
     status = 0
-    if mode_regr:
-        print(f"FAIL: {len(mode_regr)} candidate mode(s) slower "
-              "than their single baseline mode: "
-              + ", ".join(f"{w}/{m} ({r:.2f}x)"
-                          for w, m, r in mode_regr))
-        status = 1
     if failed:
         print(f"FAIL: {len(failed)} row(s) below "
               f"{args.min_speedup:.2f}x: "

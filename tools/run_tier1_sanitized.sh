@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Build the full tree with AddressSanitizer + UndefinedBehaviorSanitizer
-# and run the tier-1 test suite under it, then build the domained-engine
-# tests with ThreadSanitizer and run them with real worker threads. A
-# clean pass means the suite is free of heap errors, leaks-at-exit in
-# test paths, UB that the instrumented build can detect, and data races
-# on the intra-run parallel engine — run this before merging changes
-# that touch memory handling or concurrency.
+# and run the tier-1 test suite under it, then build the across-run
+# executors and the serve daemon with ThreadSanitizer and run them
+# with real worker threads. A clean pass means the suite is free of
+# heap errors, leaks-at-exit in test paths, UB that the instrumented
+# build can detect, and data races in the host thread pool, the task
+# queue and the daemon — run this before merging changes that touch
+# memory handling or concurrency.
 #
 # Usage: tools/run_tier1_sanitized.sh [build-dir] [tsan-build-dir]
 #   build-dir defaults to build-san, tsan-build-dir to build-tsan
@@ -116,16 +117,16 @@ cmp -s "$build/compact-before.txt" "$build/compact-after.txt" || {
 echo "tier-1 suite clean under address,undefined sanitizers;" \
     "compaction kill-9 left the store intact"
 
-# ---- ThreadSanitizer flavor: the domained engine's data-race gate ----
-# TSan is incompatible with ASan, so it gets its own tree. Only the
-# suites that exercise the barrier/mailbox machinery with real worker
-# threads are run: the DomainScheduler/DomainRouter/InlineFn units,
-# the randomized ParallelStress storms (random topologies, message
-# storms, mid-run serial-round flips), and the ParallelGolden
-# end-to-end matrix (threads 1, 2, 4 and 8, including the
-# ParallelGoldenSampled sampling-under-parallelism pin). The
-# engine's claim is that workers synchronize exclusively through the
-# round barrier — TSan proves the absence of any side channel.
+# ---- ThreadSanitizer flavor: the across-run executors' race gate ----
+# TSan is incompatible with ASan, so it gets its own tree. Every
+# simulation runs on one event queue on one thread; parallelism is
+# across runs, so the suites run here are the executors that spread
+# runs over host threads: the HostThreadPool batch pool, the TaskQueue
+# behind the daemon, runManyBatch and its exception path, and the
+# golden that pins results as identical for every host thread count.
+# Their claim is that independent runs share nothing but the
+# executor's own synchronization — TSan proves the absence of any
+# side channel.
 cmake -S "$repo" -B "$tsan_build" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DVARSIM_SANITIZE=thread
@@ -133,9 +134,9 @@ cmake -S "$repo" -B "$tsan_build" \
 # bare name is the header-only INTERFACE library, which Makefile
 # generators have no build rule for.
 cmake --build "$tsan_build" -j "$jobs" \
-    --target test_sim test_core test_serve varsim_cli
+    --target test_core test_serve varsim_cli
 
-for t in test_sim test_core test_serve; do
+for t in test_core test_serve; do
     [ -x "$tsan_build/tests/$t" ] || {
         echo "error: $tsan_build/tests/$t was not built" >&2
         exit 1
@@ -144,9 +145,10 @@ done
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 ctest --test-dir "$tsan_build" --output-on-failure -j "$jobs" \
-    -R 'InlineFn|DomainRouter|DomainScheduler|ParallelGolden|ParallelStress'
+    --no-tests=error \
+    -R '^((HostThreadPool|TaskQueue|RunManyBatch|RunManyExceptions)\.|GoldenDeterminism\.HostThreadCountInvariant$)'
 
-echo "domained engine clean under thread sanitizer"
+echo "across-run executors clean under thread sanitizer"
 
 # ---- Service soak: the serve daemon's data-race + crash gate ----
 # Phase 1, in-process under TSan: the scheduler/daemon suites plus

@@ -49,18 +49,6 @@
  *   --stats <file|->       (run) write each run's full metrics-
  *                          registry dump as one JSONL line, and
  *                          print host-throughput profiling
- *   --threads <n>          intra-run parallelism: run each
- *                          simulation on the domained engine with n
- *                          worker threads (default 0 = the legacy
- *                          serial engine). Results are bitwise
- *                          identical for every n >= 1; the domained
- *                          engine itself is a slightly different
- *                          timing model than the serial one (see
- *                          DESIGN.md), so 0 vs >=1 is a modelling
- *                          choice, not just a speed knob
- *   --lookahead <ticks>    conservative lookahead for --threads
- *                          (default: derived from the L2 hit
- *                          latency; 0 forces the serial engine)
  *   --sample <d:U:W:M[:c]> intra-run statistical sampling: per
  *                          period of U transactions, fast-forward
  *                          under functional warming, then run W
@@ -103,14 +91,6 @@
  *                          multi-starting-point sampling (§5.2)
  *   --shard <i>/<N>        execute only this process's cell stripe
  *   --host-threads <n>     worker threads (0 = hardware)
- *   --intra-threads <n>    domained-engine workers inside each run
- *                          (default 0 = serial engine). Campaigns
- *                          parallelize across runs first — prefer
- *                          --host-threads when runs outnumber cores,
- *                          and split so that host-threads x
- *                          intra-threads <= hardware cores when a
- *                          few long runs dominate. Recorded results
- *                          are identical for every value
  *   --interrupt-after <n>  stop as if killed after n new runs
  *                          (resume walkthroughs, tests)
  *   --ckpt-dir <path>      persistent checkpoint library: warm-ups
@@ -167,6 +147,7 @@
  *   varsim ckpt verify --dir ckpts
  */
 
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -174,6 +155,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -190,7 +172,13 @@ using namespace varsim;
 namespace
 {
 
-/** Minimal deterministic flag parser: --key value pairs. */
+/**
+ * Minimal deterministic flag parser: --key value pairs. Every getter
+ * records the key it was asked for, so once a subcommand has read
+ * all of its flags, rejectUnread() can fail on the ones it never
+ * asked for: a misspelt or misplaced flag is an error, never a
+ * silently ignored no-op.
+ */
 class Args
 {
   public:
@@ -212,12 +200,14 @@ class Args
 
     bool has(const std::string &key) const
     {
+        queried.insert(key);
         return values.count(key) > 0;
     }
 
     std::string
     str(const std::string &key, const std::string &dflt) const
     {
+        queried.insert(key);
         auto range = values.equal_range(key);
         return range.first != range.second ? range.first->second
                                            : dflt;
@@ -228,7 +218,7 @@ class Args
     {
         if (!has(key))
             return dflt;
-        return std::strtoull(str(key, "").c_str(), nullptr, 10);
+        return toUnsigned(key, str(key, ""));
     }
 
     double
@@ -236,7 +226,13 @@ class Args
     {
         if (!has(key))
             return dflt;
-        return std::strtod(str(key, "").c_str(), nullptr);
+        const std::string text = str(key, "");
+        char *end = nullptr;
+        const double v = std::strtod(text.c_str(), &end);
+        if (text.empty() || *end != '\0')
+            sim::fatal("--%s wants a number (got '%s')", key.c_str(),
+                       text.c_str());
+        return v;
     }
 
     /** All values given for a repeatable flag. */
@@ -244,10 +240,8 @@ class Args
     all(const std::string &key) const
     {
         std::vector<std::uint64_t> out;
-        auto range = values.equal_range(key);
-        for (auto it = range.first; it != range.second; ++it)
-            out.push_back(
-                std::strtoull(it->second.c_str(), nullptr, 10));
+        for (const std::string &text : allStr(key))
+            out.push_back(toUnsigned(key, text));
         return out;
     }
 
@@ -255,6 +249,7 @@ class Args
     std::vector<std::string>
     allStr(const std::string &key) const
     {
+        queried.insert(key);
         std::vector<std::string> out;
         auto range = values.equal_range(key);
         for (auto it = range.first; it != range.second; ++it)
@@ -262,8 +257,45 @@ class Args
         return out;
     }
 
+    /**
+     * Fail, naming them, if any flags were given that no getter
+     * asked for. Call once the subcommand has read every flag it
+     * takes and before it starts work.
+     */
+    void
+    rejectUnread(const std::string &what) const
+    {
+        std::string unread;
+        for (auto it = values.begin(); it != values.end();
+             it = values.upper_bound(it->first)) {
+            if (queried.count(it->first) == 0)
+                unread += " --" + it->first;
+        }
+        if (!unread.empty())
+            sim::fatal("%s does not take%s (see the header of "
+                       "tools/varsim_cli.cc for its flags)",
+                       what.c_str(), unread.c_str());
+    }
+
   private:
+    /** Digits only: no sign, no blanks, no trailing garbage. */
+    static std::uint64_t
+    toUnsigned(const std::string &key, const std::string &text)
+    {
+        errno = 0;
+        const bool digits =
+            !text.empty() &&
+            text.find_first_not_of("0123456789") == std::string::npos;
+        const std::uint64_t v =
+            digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
+        if (!digits || errno == ERANGE)
+            sim::fatal("--%s wants an unsigned integer (got '%s')",
+                       key.c_str(), text.c_str());
+        return v;
+    }
+
     std::multimap<std::string, std::string> values;
+    mutable std::set<std::string> queried;
 };
 
 core::SystemConfig
@@ -317,9 +349,6 @@ runFromArgs(const Args &args)
     core::RunConfig rc;
     rc.warmupTxns = args.num("warmup", 100);
     rc.measureTxns = args.num("txns", 0); // 0 = workload default
-    rc.par.threads = args.num("threads", 0);
-    if (args.has("lookahead"))
-        rc.par.lookahead = args.num("lookahead", 0);
     const std::string sample = args.str("sample", "");
     if (!sample.empty() &&
         !core::SampleConfig::parse(sample, rc.sample))
@@ -333,8 +362,9 @@ runFromArgs(const Args &args)
 }
 
 int
-cmdList()
+cmdList(const Args &args)
 {
+    args.rejectUnread("varsim list");
     std::printf("workload     default txns  threads/cpu\n");
     std::printf("oltp         200           8   TPC-C-like DB2 "
                 "transaction mix\n");
@@ -360,6 +390,8 @@ cmdRun(const Args &args)
     core::ExperimentConfig exp;
     exp.numRuns = args.num("runs", 10);
     exp.baseSeed = args.num("seed", 1000);
+    const std::string statsPath = args.str("stats", "");
+    args.rejectUnread("varsim run");
 
     std::printf("running %zu x %s on %zu CPUs...\n", exp.numRuns,
                 workload::kindName(wl.kind), sys.numCpus());
@@ -413,7 +445,6 @@ cmdRun(const Args &args)
 
     // --stats <file|->: one schema-stable JSONL line per run (the
     // full metrics-registry dump), plus a host-throughput summary.
-    const std::string statsPath = args.str("stats", "");
     if (!statsPath.empty()) {
         std::FILE *out = statsPath == "-"
                              ? stdout
@@ -453,6 +484,7 @@ cmdCompare(const Args &args)
     core::ExperimentConfig exp;
     exp.numRuns = args.num("runs", 10);
     exp.baseSeed = args.num("seed", 1000);
+    args.rejectUnread("varsim compare");
 
     std::printf("comparing A vs B on %s, %zu runs each...\n",
                 workload::kindName(wl.kind), exp.numRuns);
@@ -497,10 +529,12 @@ cmdAnova(const Args &args)
         strategy = core::SamplingStrategy::Stratified;
     else if (stratName != "systematic")
         sim::fatal("unknown strategy '%s'", stratName.c_str());
+    const std::uint64_t seed = args.num("seed", 1000);
+    const std::uint64_t measureTxns = args.num("txns", 200);
+    args.rejectUnread("varsim anova");
 
     const auto positions = core::planCheckpoints(
-        strategy, step * numCkpts, numCkpts,
-        args.num("seed", 1000));
+        strategy, step * numCkpts, numCkpts, seed);
 
     std::printf("%s: %zu %s checkpoints over %llu txns, %zu runs "
                 "each\n",
@@ -510,7 +544,7 @@ cmdAnova(const Args &args)
                 runs);
 
     core::Simulation warmer(sys, wl);
-    warmer.seedPerturbation(args.num("seed", 1000));
+    warmer.seedPerturbation(seed);
     std::vector<std::vector<double>> groups;
     std::uint64_t done = 0;
     for (std::size_t c = 0; c < positions.size(); ++c) {
@@ -518,7 +552,7 @@ cmdAnova(const Args &args)
         done = positions[c];
         const core::Checkpoint cp = warmer.checkpoint();
         core::RunConfig rc;
-        rc.measureTxns = args.num("txns", 200);
+        rc.measureTxns = measureTxns;
         core::ExperimentConfig exp;
         exp.numRuns = runs;
         exp.baseSeed = 20000 + 100 * c;
@@ -544,12 +578,14 @@ cmdPlan(const Args &args)
     if (lengths.empty())
         lengths = {50, 150, 400};
     const std::size_t pilotRuns = args.num("runs", 6);
+    const std::uint64_t warmup = args.num("warmup", 100);
+    args.rejectUnread("varsim plan");
 
     std::printf("measuring pilots for the budget planner...\n");
     std::vector<std::pair<std::uint64_t, double>> pilots;
     for (std::uint64_t len : lengths) {
         core::RunConfig rc;
-        rc.warmupTxns = args.num("warmup", 100);
+        rc.warmupTxns = warmup;
         rc.measureTxns = len;
         core::ExperimentConfig exp;
         exp.numRuns = pilotRuns;
@@ -591,12 +627,6 @@ specFieldsFromArgs(const Args &args)
         args.num("threads-per-cpu", f.threadsPerCpu);
     f.warmupTxns = args.num("warmup", f.warmupTxns);
     f.measureTxns = args.num("txns", f.measureTxns);
-    // Campaigns use --intra-threads (--threads would collide with
-    // the cross-run --host-threads split users already know).
-    f.intraThreads = args.num("intra-threads", f.intraThreads);
-    if (args.has("lookahead"))
-        f.lookahead =
-            static_cast<std::int64_t>(args.num("lookahead", 0));
     f.sample = args.str("sample", f.sample);
     f.sampleOffsetSeed =
         args.num("sample-offset-seed", f.sampleOffsetSeed);
@@ -631,6 +661,12 @@ cmdCampaign(const std::string &action, const Args &args)
         const std::string dir = args.str("dir", "");
         if (dir.empty())
             sim::fatal("campaign %s needs --dir", action.c_str());
+        // report: default is the cycles/txn methodology report;
+        // --metric <name> reports any recorded registry metric, and
+        // --metric list enumerates the available names.
+        const std::string metric =
+            action == "report" ? args.str("metric", "") : "";
+        args.rejectUnread("varsim campaign " + action);
         if (action == "status") {
             std::printf("%s",
                         campaign::campaignStatus(dir)
@@ -638,10 +674,6 @@ cmdCampaign(const std::string &action, const Args &args)
                             .c_str());
             return 0;
         }
-        // report: default is the cycles/txn methodology report;
-        // --metric <name> reports any recorded registry metric, and
-        // --metric list enumerates the available names.
-        const std::string metric = args.str("metric", "");
         if (metric.empty())
             std::printf("%s\n",
                         campaign::campaignReport(dir).text.c_str());
@@ -656,6 +688,7 @@ cmdCampaign(const std::string &action, const Args &args)
         const std::string dir = args.str("dir", "");
         if (dir.empty())
             sim::fatal("campaign compact needs --dir");
+        args.rejectUnread("varsim campaign compact");
         auto store = campaign::ResultStore::open(dir);
         const auto res = store->compact();
         if (!res.performed)
@@ -673,8 +706,9 @@ cmdCampaign(const std::string &action, const Args &args)
         const std::string dir = args.str("dir", "");
         if (dir.empty())
             sim::fatal("campaign export needs --dir");
-        auto store = campaign::ResultStore::openReadOnly(dir);
         const std::string out = args.str("out", "");
+        args.rejectUnread("varsim campaign export");
+        auto store = campaign::ResultStore::openReadOnly(dir);
         if (out.empty()) {
             store->exportJsonl(std::cout);
         } else {
@@ -710,6 +744,7 @@ cmdCampaign(const std::string &action, const Args &args)
         sim::fatal("--shard wants i/N with 1 <= i <= N (got "
                    "'%s')", shard.c_str());
     opt.shardIndex -= 1; // user-facing shards are 1-based
+    args.rejectUnread("varsim campaign " + action);
 
     const auto outcome = campaign::runCampaign(spec, dir, opt);
     std::printf("\n%s", campaign::campaignStatus(dir)
@@ -747,6 +782,7 @@ cmdCkpt(const std::string &action, const Args &args)
         opt.ckptDir = dir;
         opt.hostThreads = args.num("host-threads", 0);
         opt.verbose = true;
+        args.rejectUnread("varsim ckpt create");
         const auto r =
             campaign::warmCampaignCheckpoints(spec, opt);
         std::printf("library %s: %zu checkpoint(s) warmed, %zu "
@@ -758,6 +794,9 @@ cmdCkpt(const std::string &action, const Args &args)
         return 0;
     }
 
+    const std::uint64_t maxBytes =
+        action == "gc" ? args.num("max-bytes", 0) : 0;
+    args.rejectUnread("varsim ckpt " + action);
     auto lib = ckpt::CheckpointLibrary::open(dir);
     if (action == "ls") {
         const auto entries = lib->entries();
@@ -779,7 +818,7 @@ cmdCkpt(const std::string &action, const Args &args)
         return rep.clean() ? 0 : 1;
     }
     if (action == "gc") {
-        const auto rep = lib->gc(args.num("max-bytes", 0));
+        const auto rep = lib->gc(maxBytes);
         std::printf("%s", rep.toString().c_str());
         return 0;
     }
@@ -832,6 +871,7 @@ cmdServe(const Args &args)
             cfg.addr, &aerr))
         sim::fatal("%s", aerr.c_str());
     cfg.workers = args.num("workers", 0);
+    args.rejectUnread("varsim serve");
 
     serve::Daemon daemon(cfg);
     std::string err;
@@ -881,9 +921,10 @@ cmdServe(const Args &args)
 }
 
 int
-cmdClient(std::string action, const Args &args)
+cmdClient(const std::string &action, const Args &args)
 {
     serve::Client client(addressFromArgs(args, "client"));
+    const std::string what = "varsim client " + action;
     std::string err;
 
     auto campaignId = [&]() -> std::string {
@@ -924,6 +965,7 @@ cmdClient(std::string action, const Args &args)
     };
 
     if (action == "ping") {
+        args.rejectUnread(what);
         if (!client.ping(&err))
             sim::fatal("%s", err.c_str());
         std::printf("ok: daemon speaks submission schema %d\n",
@@ -940,24 +982,30 @@ cmdClient(std::string action, const Args &args)
         sub.priority = static_cast<int>(std::strtol(
             args.str("priority", "0").c_str(), nullptr, 10));
         sub.fields = specFieldsFromArgs(args);
+        const bool watch = args.str("watch", "") == "yes";
+        const std::uint64_t after = watch ? args.num("after", 0) : 0;
+        args.rejectUnread(what);
         if (!client.submit(sub, &err))
             sim::fatal("%s", err.c_str());
         std::printf("submitted %s (fingerprint %s)\n",
                     sub.id().c_str(), sub.fingerprintHex.c_str());
-        if (args.str("watch", "") != "yes")
-            return 0;
-        action = "watch"; // fall through into the watch loop
+        if (watch && !client.watch(sub.id(), after, printEvent, &err))
+            sim::fatal("%s", err.c_str());
+        return 0;
     }
     if (action == "watch") {
         const std::string id = campaignId();
-        if (!client.watch(id, args.num("after", 0), printEvent,
-                          &err))
+        const std::uint64_t after = args.num("after", 0);
+        args.rejectUnread(what);
+        if (!client.watch(id, after, printEvent, &err))
             sim::fatal("%s", err.c_str());
         return 0;
     }
     if (action == "status") {
+        const std::string tenant = args.str("tenant", "");
+        args.rejectUnread(what);
         std::vector<serve::CampaignInfo> infos;
-        if (!client.status(args.str("tenant", ""), infos, &err))
+        if (!client.status(tenant, infos, &err))
             sim::fatal("%s", err.c_str());
         if (infos.empty()) {
             std::printf("no campaigns\n");
@@ -981,21 +1029,26 @@ cmdClient(std::string action, const Args &args)
         return 0;
     }
     if (action == "cancel") {
-        if (!client.cancel(campaignId(), &err))
+        const std::string id = campaignId();
+        args.rejectUnread(what);
+        if (!client.cancel(id, &err))
             sim::fatal("%s", err.c_str());
-        std::printf("cancelled %s\n", campaignId().c_str());
+        std::printf("cancelled %s\n", id.c_str());
         return 0;
     }
     if (action == "report") {
+        const std::string id = campaignId();
+        const double confidence = args.real("confidence", 0.95);
+        const std::string metric = args.str("metric", "");
+        args.rejectUnread(what);
         std::string text;
-        if (!client.report(campaignId(),
-                           args.real("confidence", 0.95),
-                           args.str("metric", ""), text, &err))
+        if (!client.report(id, confidence, metric, text, &err))
             sim::fatal("%s", err.c_str());
         std::printf("%s\n", text.c_str());
         return 0;
     }
     if (action == "drain") {
+        args.rejectUnread(what);
         if (!client.drain(&err))
             sim::fatal("%s", err.c_str());
         std::printf("daemon drained and stopping\n");
@@ -1063,7 +1116,7 @@ main(int argc, char **argv)
     }
     Args args(argc, argv);
     if (cmd == "list")
-        return cmdList();
+        return cmdList(args);
     if (cmd == "run")
         return cmdRun(args);
     if (cmd == "compare")
