@@ -34,6 +34,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "bench/common.hh"
@@ -76,6 +77,8 @@ emitJson(std::ostream &os, const std::vector<Row> &rows)
 {
     os << "{\n  \"bench\": \"ckpt_restore\",\n"
        << "  \"quick\": " << (bench::quick() ? "true" : "false")
+       << ",\n  \"host_concurrency\": "
+       << std::thread::hardware_concurrency()
        << ",\n  \"results\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];

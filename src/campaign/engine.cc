@@ -36,8 +36,9 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
             break;
 
         // Warm (or restore) only the configurations this round's
-        // owned cells actually start from, serially — the library
-        // and the warmers are not touched from worker threads.
+        // owned cells actually start from, before the round's batch:
+        // a restore fetches its snapshots on the pool itself, and
+        // parallelFor is not re-entrant.
         for (const Cell &cell : work)
             exec.prepareCell(cell);
 

@@ -7,6 +7,7 @@
 #include "core/analysis.hh"
 #include "core/experiment.hh"
 #include "core/simulation.hh"
+#include "core/thread_pool.hh"
 #include "sample/runner.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
@@ -177,7 +178,13 @@ class CheckpointWarmer
             lib->unpin(hex);
     }
 
-    /** Make config @p c's checkpoints available (serial caller). */
+    /**
+     * Make config @p c's checkpoints available. Serial caller, and
+     * never from inside a HostThreadPool job: the library fetches
+     * run on the pool (opt.hostThreads workers), and parallelFor is
+     * not re-entrant. The serve daemon passes hostThreads = 1, which
+     * keeps them inline on its own worker.
+     */
     void
     ensureConfig(std::size_t c)
     {
@@ -189,16 +196,25 @@ class CheckpointWarmer
         auto &dst = cps[c];
         dst.resize(positions.size());
 
-        // Longest restorable prefix. A hit beyond a miss is unusable:
-        // the warmer must re-simulate *through* the missing position,
-        // which re-derives the later ones anyway. Every hit is pinned
-        // for the warmer's lifetime: another tenant's gc must not
-        // evict an object this campaign restores from.
+        // Longest restorable prefix. Every position is fetched at
+        // once (independent reads and checksums), but a hit beyond a
+        // miss is unusable: the warmer must re-simulate *through* the
+        // missing position, which re-derives the later ones anyway.
+        // Every restored object is pinned for the warmer's lifetime:
+        // another tenant's gc must not evict an object this campaign
+        // restores from.
         std::size_t prefix = 0;
-        while (lib && prefix < positions.size() &&
-               fetchPinned(keyFor(c, warmSeed, positions[prefix]),
-                           dst[prefix]))
-            ++prefix;
+        if (lib) {
+            std::vector<char> hit(positions.size(), 0);
+            core::HostThreadPool::instance().parallelFor(
+                positions.size(), opt.hostThreads,
+                [&](std::size_t i) {
+                    hit[i] = lib->fetch(
+                        keyFor(c, warmSeed, positions[i]), dst[i]);
+                });
+            for (; prefix < positions.size() && hit[prefix]; ++prefix)
+                pin(keyFor(c, warmSeed, positions[prefix]));
+        }
         restored += prefix;
         if (prefix == positions.size()) {
             if (opt.verbose)
@@ -235,8 +251,7 @@ class CheckpointWarmer
                     keyFor(c, warmSeed, positions[i]);
                 // Pin before publishing: no gc window between the
                 // object landing on disk and the pin existing.
-                lib->pin(key.digestHex());
-                pinnedDigests.push_back(key.digestHex());
+                pin(key);
                 lib->publish(key, dst[i]);
             }
         }
@@ -258,16 +273,12 @@ class CheckpointWarmer
     std::size_t warmedCount() const { return warmed; }
 
   private:
-    /** fetch() + pin on hit (pin released when the warmer dies). */
-    bool
-    fetchPinned(const ckpt::CheckpointKey &key,
-                core::Checkpoint &cp)
+    /** Pin @p key's object until the warmer dies. */
+    void
+    pin(const ckpt::CheckpointKey &key)
     {
-        if (!lib->fetch(key, cp))
-            return false;
         lib->pin(key.digestHex());
         pinnedDigests.push_back(key.digestHex());
-        return true;
     }
 
     ckpt::CheckpointKey

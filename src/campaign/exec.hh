@@ -15,8 +15,10 @@
  *
  * Thread contract: pendingCells()/complete()/outcome() may be called
  * from any thread; prepareCell() serializes internally (checkpoint
- * warm-up is not concurrent); runCell() may run concurrently from
- * many threads for *distinct* prepared cells.
+ * warm-up is not concurrent) and must not be called from inside a
+ * HostThreadPool job, because it fetches a configuration's library
+ * snapshots on that pool; runCell() may run concurrently from many
+ * threads for *distinct* prepared cells.
  */
 
 #ifndef VARSIM_CAMPAIGN_EXEC_HH
@@ -90,7 +92,11 @@ class Execution
     /**
      * Make @p cell runnable: restore or re-simulate its
      * configuration's warm-up checkpoints. Serializes internally;
-     * cheap when already warmed or when the spec plans none.
+     * cheap when already warmed or when the spec plans none. The
+     * configuration's library objects are fetched concurrently on
+     * HostThreadPool with options().hostThreads workers (1 keeps
+     * them on the calling thread), so never call this from a pool
+     * job: parallelFor is not re-entrant.
      */
     void prepareCell(const Cell &cell);
 

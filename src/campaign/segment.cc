@@ -9,10 +9,9 @@
 #include <bit>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 
 #include "ckpt/archive.hh"
+#include "sim/file_io.hh"
 #include "sim/logging.hh"
 
 namespace varsim
@@ -340,13 +339,10 @@ loadSegmentFile(const std::string &path)
     } else {
         // mmap can fail on exotic filesystems; fall back to a read.
         ::close(fd);
-        std::ifstream in(path, std::ios::binary);
-        if (!in)
-            return failure(sim::format("cannot read %s",
-                                       path.c_str()));
-        std::vector<std::uint8_t> bytes(
-            (std::istreambuf_iterator<char>(in)),
-            std::istreambuf_iterator<char>());
+        std::vector<std::uint8_t> bytes;
+        std::string error;
+        if (!sim::readWholeFile(path, bytes, &error))
+            return failure(error);
         view = SegmentParser::fromOwned(std::move(bytes));
     }
 

@@ -11,12 +11,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iterator>
 #include <ostream>
 
 #include "campaign/segment.hh"
 #include "ckpt/archive.hh"
+#include "sim/file_io.hh"
 #include "sim/jsonl.hh"
 #include "sim/logging.hh"
 
@@ -366,12 +366,10 @@ ResultStore::loadSegmentRecord(const sim::JsonLine &obj,
 void
 ResultStore::replay(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        sim::fatal("cannot read %s", path.c_str());
-    const std::string data(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
+    std::string data;
+    std::string error;
+    if (!sim::readWholeFile(path, data, &error))
+        sim::fatal("%s", error.c_str());
 
     bool sawHeader = false;
     std::size_t lineNo = 0;

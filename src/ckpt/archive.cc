@@ -8,11 +8,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <type_traits>
 
 #include "ckpt/key.hh"
+#include "sim/file_io.hh"
 #include "sim/jsonl.hh"
 #include "sim/logging.hh"
 
@@ -87,7 +86,7 @@ buildArchive(const ArchiveMeta &meta,
 }
 
 LoadResult
-parseArchive(const std::vector<std::uint8_t> &bytes)
+parseArchive(std::vector<std::uint8_t> bytes)
 {
     // Fixed header: magic + version + section count.
     if (bytes.size() < 16 + 8)
@@ -178,8 +177,16 @@ parseArchive(const std::vector<std::uint8_t> &bytes)
         fnv1a64(kFnvOffsetBasis, r.meta.keyCanonical))
         return failure("metadata digest does not match its key");
 
-    r.payload.assign(bytes.begin() + paySec->offset,
-                     bytes.begin() + paySec->offset + paySec->length);
+    // The payload leaves in the archive's own buffer: slide the
+    // section to the front and cut the rest off (shrinking keeps the
+    // allocation, so nothing payload-sized is allocated or copied
+    // between buffers).
+    const std::size_t payOffset = paySec->offset;
+    const std::size_t payLength = paySec->length;
+    bytes.erase(bytes.begin(),
+                bytes.begin() + static_cast<std::ptrdiff_t>(payOffset));
+    bytes.resize(payLength);
+    r.payload = std::move(bytes);
     r.ok = true;
     return r;
 }
@@ -187,13 +194,11 @@ parseArchive(const std::vector<std::uint8_t> &bytes)
 LoadResult
 loadArchiveFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return failure(sim::format("cannot read %s", path.c_str()));
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    LoadResult r = parseArchive(bytes);
+    std::vector<std::uint8_t> bytes;
+    std::string error;
+    if (!sim::readWholeFile(path, bytes, &error))
+        return failure(error);
+    LoadResult r = parseArchive(std::move(bytes));
     if (!r.ok)
         r.error = path + ": " + r.error;
     return r;

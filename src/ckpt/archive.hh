@@ -103,10 +103,19 @@ struct LoadResult
     std::vector<std::uint8_t> payload;
 };
 
-/** Validate and unpack archive bytes. */
-LoadResult parseArchive(const std::vector<std::uint8_t> &bytes);
+/**
+ * Validate and unpack archive bytes: magic, version, section tiling,
+ * whole-file checksum and metadata digest. On success the payload is
+ * handed out of @p bytes itself (moved, then trimmed to the payload
+ * section), so pass an rvalue to unpack without a second
+ * payload-sized allocation.
+ */
+LoadResult parseArchive(std::vector<std::uint8_t> bytes);
 
-/** Read @p path and parse it; I/O errors land in LoadResult. */
+/**
+ * Read @p path with one sized read and parse it in that buffer; I/O
+ * errors land in LoadResult.
+ */
 LoadResult loadArchiveFile(const std::string &path);
 
 /**

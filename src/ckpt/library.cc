@@ -9,10 +9,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 
 #include "ckpt/archive.hh"
+#include "sim/file_io.hh"
 #include "sim/jsonl.hh"
 #include "sim/logging.hh"
 
@@ -113,12 +112,9 @@ CheckpointLibrary::objectPath(const std::string &digestHex) const
 void
 CheckpointLibrary::replayIndex()
 {
-    std::ifstream in(indexPath(), std::ios::binary);
-    if (!in)
+    std::string data;
+    if (!sim::readWholeFile(indexPath(), data))
         return; // fresh library
-    const std::string data(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
 
     std::size_t pos = 0;
     while (pos < data.size()) {
@@ -186,18 +182,26 @@ bool
 CheckpointLibrary::fetch(const CheckpointKey &key,
                          core::Checkpoint &cp)
 {
-    const std::string hex = key.digestHex();
-    const std::string path = objectPath(hex);
+    // Objects are immutable once renamed into place, so the load
+    // itself needs no lock: concurrent fetches read in parallel and
+    // mu covers only the traffic counters.
+    const bool hit = load(key, cp);
     std::lock_guard<std::mutex> lock(mu);
-    if (!fs::exists(path)) {
-        ++misses;
+    ++(hit ? hits : misses);
+    return hit;
+}
+
+bool
+CheckpointLibrary::load(const CheckpointKey &key,
+                        core::Checkpoint &cp) const
+{
+    const std::string path = objectPath(key.digestHex());
+    if (!fs::exists(path))
         return false;
-    }
     LoadResult r = loadArchiveFile(path);
     if (!r.ok) {
         sim::warn("checkpoint library: %s — re-warming instead",
                   r.error.c_str());
-        ++misses;
         return false;
     }
     if (r.meta.keyCanonical != key.canonical()) {
@@ -205,11 +209,9 @@ CheckpointLibrary::fetch(const CheckpointKey &key,
         // restore a snapshot warmed under different conditions.
         sim::warn("checkpoint library: %s holds a different key — "
                   "re-warming instead", path.c_str());
-        ++misses;
         return false;
     }
     cp.bytes = std::move(r.payload);
-    ++hits;
     return true;
 }
 

@@ -126,7 +126,10 @@ class CheckpointLibrary
     /**
      * Look up @p key; on a hit, fill @p cp with the stored snapshot
      * and return true. A corrupt or mismatched object is a miss
-     * (with a warning), never an abort: the caller re-warms.
+     * (with a warning), never an abort: the caller re-warms. Safe to
+     * call from many threads at once: the archive is read, checked
+     * and unpacked without the library lock, which covers only the
+     * hit/miss counters.
      */
     bool fetch(const CheckpointKey &key, core::Checkpoint &cp);
 
@@ -186,6 +189,9 @@ class CheckpointLibrary
     std::string indexPath() const { return dir_ + "/index.jsonl"; }
     std::string objectPath(const std::string &digestHex) const;
 
+    /** fetch() without the counters: read, check, unpack. */
+    bool load(const CheckpointKey &key, core::Checkpoint &cp) const;
+
     /** Load index.jsonl into the entry list (dedup on digest). */
     void replayIndex();
 
@@ -202,6 +208,8 @@ class CheckpointLibrary
     int indexFd = -1;
     int lockFd = -1; ///< shared flock on <dir>/.lock while open
 
+    /** Guards the in-memory index, pins and counters; fetch()
+     *  loads its object without it. */
     mutable std::mutex mu;
     std::vector<LibraryEntry> entries_;
     std::map<std::string, std::size_t> byDigest;

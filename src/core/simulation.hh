@@ -116,6 +116,8 @@ class Simulation : public os::TxnSink
      * (sys, wl) configuration pair — except that the *memory timing*
      * knobs of @p sys may differ (that is the whole point: start
      * different configurations from identical initial conditions).
+     * The state is read in place from @p cp, which is never written:
+     * any number of threads may restore from one Checkpoint at once.
      */
     static std::unique_ptr<Simulation>
     restore(const SystemConfig &sys,

@@ -132,8 +132,6 @@ CacheArray::unserialize(sim::CheckpointIn &cp)
     cp.get(ck_block);
     std::uint64_t ck_use = 0;
     cp.get(ck_use);
-    std::vector<CacheLine> restored;
-    cp.get(restored);
 
     if (ck_sets != sets || ck_ways != ways ||
         ck_block != blockBytes) {
@@ -143,13 +141,25 @@ CacheArray::unserialize(sim::CheckpointIn &cp)
         // Cached contents are meaningless under the new index
         // function, so start cold; memory is then the owner of
         // every block, which keeps the coherence invariants intact.
+        std::vector<CacheLine> other; // the other geometry's lines
+        cp.get(other);
         for (auto &line : lines)
             line = CacheLine{};
         useCounter = 0;
         return;
     }
+    // The header's geometry matched, so the image lands straight in
+    // `lines` without reallocating. The line vector carries its own
+    // length, though: a stream consistent everywhere else could still
+    // hold a short vector, and find() indexes sets * ways lines.
+    const std::size_t at = cp.offset();
+    cp.get(lines);
+    if (lines.size() != sets * ways) {
+        sim::panic("checkpoint cache image at offset %zu holds %zu "
+                   "lines, its %zu sets x %zu ways need %zu",
+                   at, lines.size(), sets, ways, sets * ways);
+    }
     useCounter = ck_use;
-    lines = std::move(restored);
 }
 
 } // namespace mem

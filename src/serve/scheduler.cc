@@ -8,11 +8,10 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 
 #include "campaign/knobs.hh"
 #include "ckpt/library.hh"
+#include "sim/file_io.hh"
 #include "sim/logging.hh"
 
 namespace varsim
@@ -70,16 +69,6 @@ writeFileDurable(const std::string &dir, const std::string &name,
         ::close(dfd);
     }
     return true;
-}
-
-std::string
-readWholeFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return "";
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
 }
 
 } // anonymous namespace
@@ -354,9 +343,10 @@ Scheduler::resumeAll()
             if (!cde.is_directory())
                 continue;
             const std::string dir = cde.path().string();
-            const std::string payload =
-                readWholeFile(dir + "/submission.json");
-            if (payload.empty())
+            std::string payload;
+            if (!sim::readWholeFile(dir + "/submission.json",
+                                    payload) ||
+                payload.empty())
                 continue;
             sim::JsonLine obj;
             const std::string line =

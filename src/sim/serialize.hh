@@ -104,13 +104,22 @@ class CheckpointOut
     std::vector<std::uint8_t> buffer;
 };
 
-/** Input archive reading back what a CheckpointOut produced. */
+/**
+ * Input archive reading back what a CheckpointOut produced.
+ *
+ * Reads in place over the caller's bytes, which must outlive the
+ * archive: restoring a multi-megabyte snapshot copies each value out
+ * once, into the object that owns it, and never the snapshot itself.
+ * Binding to a temporary buffer is therefore a compile error.
+ */
 class CheckpointIn
 {
   public:
-    explicit CheckpointIn(std::vector<std::uint8_t> data)
-        : buffer(std::move(data))
+    explicit CheckpointIn(const std::vector<std::uint8_t> &data)
+        : base(data.data()), len(data.size())
     {}
+
+    explicit CheckpointIn(std::vector<std::uint8_t> &&) = delete;
 
     /** Read a trivially copyable scalar value. */
     template <typename T>
@@ -122,7 +131,7 @@ class CheckpointIn
                       "copyable type");
         checkTag(sizeof(T));
         need(sizeof(T));
-        std::memcpy(&value, buffer.data() + pos, sizeof(T));
+        std::memcpy(&value, base + pos, sizeof(T));
         pos += sizeof(T);
     }
 
@@ -134,8 +143,7 @@ class CheckpointIn
         std::uint64_t n = 0;
         get(n);
         need(n);
-        value.assign(reinterpret_cast<const char *>(buffer.data() + pos),
-                     n);
+        value.assign(reinterpret_cast<const char *>(base + pos), n);
         pos += n;
     }
 
@@ -149,18 +157,17 @@ class CheckpointIn
         get(n);
         // Divide rather than multiply: a corrupted length prefix must
         // not overflow n * sizeof(T) into a small in-bounds value.
-        if (n > (buffer.size() - pos) / sizeof(T)) {
+        if (n > (len - pos) / sizeof(T)) {
             panic("checkpoint underrun: need %llu elements of %zu "
                   "bytes at offset %zu, have %zu bytes total",
                   static_cast<unsigned long long>(n), sizeof(T), pos,
-                  buffer.size());
+                  len);
         }
         values.resize(n);
         // n == 0 leaves values.data() null; memcpy's arguments are
         // declared nonnull even for zero lengths.
         if (n > 0) {
-            std::memcpy(values.data(), buffer.data() + pos,
-                        n * sizeof(T));
+            std::memcpy(values.data(), base + pos, n * sizeof(T));
         }
         pos += n * sizeof(T);
     }
@@ -175,15 +182,18 @@ class CheckpointIn
         values.assign(tmp.begin(), tmp.end());
     }
 
+    /** Bytes consumed so far (the offset of the next value). */
+    std::size_t offset() const { return pos; }
+
     /** True once all bytes have been consumed. */
-    bool exhausted() const { return pos == buffer.size(); }
+    bool exhausted() const { return pos == len; }
 
   private:
     void
     checkTag(std::uint8_t expected)
     {
         need(1);
-        std::uint8_t tag = buffer[pos++];
+        std::uint8_t tag = base[pos++];
         if (tag != expected) {
             panic("checkpoint type mismatch at offset %zu: "
                   "expected tag %u, found %u",
@@ -194,17 +204,17 @@ class CheckpointIn
     void
     need(std::uint64_t n)
     {
-        // pos <= buffer.size() always; compare against the remainder
-        // so a huge corrupted n cannot wrap pos + n around zero.
-        if (n > buffer.size() - pos) {
+        // pos <= len always; compare against the remainder so a
+        // huge corrupted n cannot wrap pos + n around zero.
+        if (n > len - pos) {
             panic("checkpoint underrun: need %llu bytes at offset "
                   "%zu, have %zu total",
-                  static_cast<unsigned long long>(n), pos,
-                  buffer.size());
+                  static_cast<unsigned long long>(n), pos, len);
         }
     }
 
-    std::vector<std::uint8_t> buffer;
+    const std::uint8_t *base;
+    std::size_t len;
     std::size_t pos = 0;
 };
 

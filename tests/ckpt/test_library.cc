@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <thread>
+#include <vector>
 
 #include "ckpt/archive.hh"
 #include "ckpt/library.hh"
@@ -341,6 +344,82 @@ TEST(CkptLibraryDeathTest, GcRefusesWhileAnotherHandleIsOpen)
     a->publish(makeKey(), makeSnapshot());
     auto b = ckpt::CheckpointLibrary::open(dir);
     EXPECT_DEATH(a->gc(), "exclusive");
+}
+
+TEST(CkptLibrary, ConcurrentFetchesMatchSerial)
+{
+    // fetch() reads, checks and unpacks an archive outside the
+    // library lock. Eight threads fetching a mix of present, absent
+    // and corrupt objects must each see exactly what a lone caller
+    // sees, and the traffic counters must account for every call.
+    const std::string dir = freshDir("concurrent");
+    auto lib = ckpt::CheckpointLibrary::open(dir);
+
+    std::vector<ckpt::CheckpointKey> keys;
+    std::vector<core::Checkpoint> want; // empty: the fetch misses
+    for (std::uint64_t pos = 10; pos < 16; ++pos) {
+        core::Checkpoint cp;
+        cp.bytes.resize(64 * 1024);
+        for (std::size_t i = 0; i < cp.bytes.size(); ++i)
+            cp.bytes[i] = static_cast<std::uint8_t>(pos * 131 + i * 7);
+        ASSERT_TRUE(lib->publish(makeKey(pos), cp));
+        keys.push_back(makeKey(pos));
+        want.push_back(cp);
+    }
+    for (std::uint64_t pos = 100; pos < 104; ++pos) {
+        keys.push_back(makeKey(pos)); // never published
+        want.emplace_back();
+    }
+    {
+        // Flip one payload bit of the third object.
+        const std::string obj =
+            dir + "/objects/" + keys[2].digestHex() + ".vckpt";
+        std::fstream f(obj, std::ios::in | std::ios::out |
+                                std::ios::binary);
+        f.seekg(4096);
+        const char c = static_cast<char>(f.get());
+        f.seekp(4096);
+        f.put(static_cast<char>(c ^ 0x10));
+        want[2] = {};
+    }
+    const std::size_t present = 5, absent = 5; // corrupt is a miss
+
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        core::Checkpoint got;
+        EXPECT_EQ(lib->fetch(keys[i], got), !want[i].empty()) << i;
+        EXPECT_EQ(got.bytes, want[i].bytes) << i;
+    }
+    const auto serial = lib->stats();
+    EXPECT_EQ(serial.hits, present);
+    EXPECT_EQ(serial.misses, absent);
+
+    constexpr std::size_t kThreads = 8, kRounds = 2;
+    std::atomic<std::size_t> wrong{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::size_t r = 0; r < kRounds; ++r) {
+                for (std::size_t j = 0; j < keys.size(); ++j) {
+                    // Staggered orders: threads collide on every
+                    // object, not in lockstep on the same one.
+                    const std::size_t i = (j + t) % keys.size();
+                    core::Checkpoint got;
+                    const bool hit = lib->fetch(keys[i], got);
+                    if (hit != !want[i].empty() ||
+                        got.bytes != want[i].bytes)
+                        ++wrong;
+                }
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    EXPECT_EQ(wrong.load(), 0u);
+    const auto st = lib->stats();
+    EXPECT_EQ(st.hits - serial.hits, kThreads * kRounds * present);
+    EXPECT_EQ(st.misses - serial.misses, kThreads * kRounds * absent);
+    EXPECT_EQ(st.entries, 6u);
 }
 
 TEST(CkptLibrary, TornIndexTailIsIgnoredButObjectStillServes)

@@ -12,11 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "campaign/campaign.hh"
+#include "campaign/exec.hh"
 #include "ckpt/archive.hh"
 #include "ckpt/library.hh"
 #include "core/varsim.hh"
@@ -346,6 +349,73 @@ TEST(CkptCampaign, ShardOnlyWarmsConfigsItsStripeTouches)
     EXPECT_EQ(none.runsExecuted, 0u);
     EXPECT_EQ(none.checkpointsWarmed, 0u);
     EXPECT_EQ(none.checkpointsRestored, 0u);
+}
+
+TEST(CkptCampaign, HoleInLibraryRestoresOnlyThePrefix)
+{
+    auto spec = ckptSpec();
+    spec.numCheckpoints = 3;
+
+    // A campaign that warms everything into an empty library is the
+    // reference; then the middle position's object disappears.
+    const std::string libDir = freshDir("hole-lib");
+    campaign::CampaignOptions opt;
+    opt.ckptDir = libDir;
+    const std::string full = freshDir("hole-full");
+    const auto warmed = campaign::runCampaign(spec, full, opt);
+    ASSERT_TRUE(warmed.complete);
+    EXPECT_EQ(warmed.checkpointsWarmed, 6u); // 2 configs x 3
+
+    auto lib = ckpt::CheckpointLibrary::open(libDir);
+    std::vector<std::uint64_t> positions;
+    for (const auto &e : lib->entries())
+        positions.push_back(e.position);
+    std::sort(positions.begin(), positions.end());
+    positions.erase(std::unique(positions.begin(), positions.end()),
+                    positions.end());
+    ASSERT_EQ(positions.size(), 3u);
+    for (const auto &e : lib->entries())
+        if (e.position == positions[1])
+            std::filesystem::remove(libDir + "/objects/" +
+                                    e.digestHex + ".vckpt");
+
+    // All three positions are fetched at once, on four workers; only
+    // position 0 precedes the hole, so only it is restored, and the
+    // position-2 hit is discarded for a re-warm through the hole.
+    opt.sharedLibrary = lib.get();
+    opt.hostThreads = 4;
+    const std::string holed = freshDir("hole-holed");
+    std::string err;
+    auto exec = campaign::Execution::tryCreate(spec, holed, opt, &err);
+    ASSERT_TRUE(exec) << err;
+    for (auto work = exec->pendingCells(); !work.empty();
+         work = exec->pendingCells()) {
+        for (const auto &cell : work)
+            exec->prepareCell(cell);
+        for (const auto &cell : work)
+            exec->runCell(cell);
+    }
+    EXPECT_EQ(exec->checkpointsRestored(), 2u);
+    EXPECT_EQ(exec->checkpointsWarmed(), 4u);
+
+    // Every object is pinned exactly once: the restored prefix by
+    // its fetch, the re-warmed positions by their publication. A pin
+    // on the discarded position-2 hit would leave it pinned here.
+    const auto entries = lib->entries();
+    ASSERT_EQ(entries.size(), 6u);
+    for (const auto &e : entries)
+        lib->unpin(e.digestHex);
+    for (const auto &e : entries)
+        EXPECT_FALSE(lib->pinned(e.digestHex)) << e.key;
+    for (const auto &e : entries)
+        lib->pin(e.digestHex); // the execution releases its own
+    exec->recordCkptStats();
+    exec.reset();
+
+    EXPECT_EQ(campaign::campaignReport(full).text,
+              campaign::campaignReport(holed).text);
+    EXPECT_EQ(allMetrics(full, spec), allMetrics(holed, spec));
+    EXPECT_TRUE(lib->verify().clean());
 }
 
 TEST(CkptCampaign, CompletedCampaignRerunWarmsNothing)

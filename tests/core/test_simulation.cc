@@ -14,6 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "core/varsim.hh"
 
 namespace varsim
@@ -201,6 +205,37 @@ TEST(Checkpoint, RestoreIsBitExact)
     EXPECT_EQ(a.runtimeTicks, b.runtimeTicks);
     EXPECT_EQ(a.mem.l2Misses, b.mem.l2Misses);
     EXPECT_EQ(a.os.dispatches, b.os.dispatches);
+}
+
+TEST(Checkpoint, ConcurrentRestoresReadTheSnapshotInPlace)
+{
+    // Restores read the caller's snapshot bytes in place, so one
+    // Checkpoint serves many concurrent runs: none of them may write
+    // to it, and each must see exactly the state it holds.
+    Simulation simn(smallSys(), smallOltp());
+    simn.seedPerturbation(1);
+    simn.runTransactions(30);
+    const Checkpoint cp = simn.checkpoint();
+    const std::vector<std::uint8_t> before = cp.bytes;
+
+    std::string dumps[2];
+    std::vector<std::thread> threads;
+    for (std::string &dump : dumps) {
+        threads.emplace_back([&cp, &dump] {
+            auto run =
+                Simulation::restore(smallSys(), smallOltp(), cp);
+            run->seedPerturbation(42);
+            run->runTransactions(30);
+            dump = sim::statistics::toJsonl(
+                run->statsRegistry().dump());
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    EXPECT_EQ(cp.bytes, before) << "a restore wrote to its snapshot";
+    EXPECT_FALSE(dumps[0].empty());
+    EXPECT_EQ(dumps[0], dumps[1]);
 }
 
 TEST(Checkpoint, DifferentSeedsDivergeFromSameCheckpoint)

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "mem/cache_array.hh"
 
 namespace varsim
@@ -154,6 +157,34 @@ TEST(CacheArray, MismatchedGeometryRestoresCold)
     b.unserialize(in);
     EXPECT_EQ(b.countValid(), 0u);
     EXPECT_TRUE(in.exhausted()) << "archive fully consumed";
+}
+
+TEST(CacheArrayDeathTest, ShortLineVectorInImageDies)
+{
+    // An image whose header geometry matches but whose line vector
+    // is one line short, with the rest of the stream consistent (so
+    // it would pass an archive checksum), must be refused before it
+    // reaches `lines`: find() indexes sets x ways lines.
+    CacheArray a(1024, 2, 64);
+    sim::CheckpointOut out;
+    a.serialize(out);
+    std::vector<std::uint8_t> bytes = out.bytes();
+
+    // The lines are the image's tail, right after their u64 count.
+    const std::size_t lines = a.numSets() * a.numWays();
+    const std::size_t elems = bytes.size() - lines * sizeof(CacheLine);
+    std::uint64_t count = 0;
+    std::memcpy(&count, bytes.data() + elems - sizeof(count),
+                sizeof(count));
+    ASSERT_EQ(count, lines) << "image layout changed";
+    --count;
+    std::memcpy(bytes.data() + elems - sizeof(count), &count,
+                sizeof(count));
+    bytes.resize(bytes.size() - sizeof(CacheLine));
+
+    CacheArray b(1024, 2, 64);
+    sim::CheckpointIn in(bytes);
+    EXPECT_DEATH(b.unserialize(in), "holds 15 lines.*need 16");
 }
 
 TEST(CacheArray, StateHelpers)

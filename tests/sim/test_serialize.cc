@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <type_traits>
+#include <vector>
 
 #include "sim/serialize.hh"
 
@@ -12,6 +14,13 @@ namespace sim
 {
 namespace
 {
+
+// The input archive reads over the caller's bytes, which must outlive
+// it: a temporary buffer would dangle, so binding one does not compile.
+static_assert(std::is_constructible_v<CheckpointIn,
+                                      const std::vector<std::uint8_t> &>);
+static_assert(!std::is_constructible_v<CheckpointIn,
+                                       std::vector<std::uint8_t> &&>);
 
 TEST(Checkpoint, ScalarRoundTrip)
 {
@@ -110,7 +119,7 @@ TEST(Checkpoint, HugeStringLengthPrefixDies)
     // length to an enormous value.
     for (std::size_t i = 2; i < 10; ++i)
         bytes[i] = 0xff;
-    CheckpointIn in(std::move(bytes));
+    CheckpointIn in(bytes);
     std::string s;
     EXPECT_DEATH(in.get(s), "underrun");
 }
@@ -124,7 +133,7 @@ TEST(Checkpoint, HugeVectorLengthPrefixDies)
     auto bytes = out.bytes();
     for (std::size_t i = 2; i < 10; ++i)
         bytes[i] = 0xff;
-    CheckpointIn in(std::move(bytes));
+    CheckpointIn in(bytes);
     std::vector<std::uint64_t> v;
     EXPECT_DEATH(in.get(v), "underrun");
 }
@@ -138,7 +147,7 @@ TEST(Checkpoint, VectorLengthOverflowMultipleDies)
     auto bytes = out.bytes();
     const std::uint64_t evil = 0x2000000000000001ull;
     std::memcpy(bytes.data() + 2, &evil, sizeof(evil));
-    CheckpointIn in(std::move(bytes));
+    CheckpointIn in(bytes);
     std::vector<std::uint64_t> v;
     EXPECT_DEATH(in.get(v), "underrun");
 }
@@ -157,7 +166,7 @@ TEST(Checkpoint, TruncatedAtEveryByteDiesCleanly)
                                        whole.begin() + cut);
         EXPECT_DEATH(
             {
-                CheckpointIn in(std::move(part));
+                CheckpointIn in(part);
                 std::uint32_t a = 0;
                 std::string s;
                 std::vector<std::uint16_t> v;

@@ -27,12 +27,12 @@ cmake --build "$build" -j "$jobs"
 
 # ctest discovers suites from the build, so a CMake wiring mistake
 # would silently drop one; assert the binaries this gate exists to
-# run (serialization, the persistent checkpoint library, the
-# statistics paths — the histogram NaN/inf regression in test_stats
-# only proves anything under UBSan — and the sampling engine) are
-# actually present.
-for t in test_sim test_stats test_core test_campaign test_ckpt \
-         test_sample; do
+# run (serialization, the cache image checks, the persistent
+# checkpoint library, the statistics paths — the histogram NaN/inf
+# regression in test_stats only proves anything under UBSan — and the
+# sampling engine) are actually present.
+for t in test_sim test_stats test_mem test_core test_campaign \
+         test_ckpt test_sample; do
     [ -x "$build/tests/$t" ] || {
         echo "error: $build/tests/$t was not built" >&2
         exit 1
@@ -77,6 +77,18 @@ fi
 "$build/tests/test_campaign" \
     --gtest_filter='SegmentFormat.*:StoreCompaction*' >/dev/null || {
     echo "error: segment-store suites failed under asan/ubsan" >&2
+    exit 1
+}
+
+# The checkpoint path's corruption claims, explicitly under
+# instrumented memory checking: an archive is unpacked inside its own
+# read buffer and a cache image is copied straight out of the
+# snapshot, so ASan is what proves that every truncated or
+# bit-flipped archive, and a cache image with a short line vector, is
+# rejected without a read past the buffer.
+"$build/tests/test_ckpt" --gtest_filter='CkptArchive.*' >/dev/null &&
+"$build/tests/test_mem" --gtest_filter='CacheArray*' >/dev/null || {
+    echo "error: archive/cache-image suites failed under asan/ubsan" >&2
     exit 1
 }
 
@@ -126,7 +138,10 @@ echo "tier-1 suite clean under address,undefined sanitizers;" \
 # golden that pins results as identical for every host thread count.
 # Their claim is that independent runs share nothing but the
 # executor's own synchronization — TSan proves the absence of any
-# side channel.
+# side channel. The checkpoint path shares more: library fetches run
+# concurrently outside the library lock (CkptLibrary.*, and a
+# campaign fetching a configuration's positions on the pool), and
+# concurrent restores read one snapshot in place.
 cmake -S "$repo" -B "$tsan_build" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DVARSIM_SANITIZE=thread
@@ -134,9 +149,9 @@ cmake -S "$repo" -B "$tsan_build" \
 # bare name is the header-only INTERFACE library, which Makefile
 # generators have no build rule for.
 cmake --build "$tsan_build" -j "$jobs" \
-    --target test_core test_serve varsim_cli
+    --target test_core test_ckpt test_serve varsim_cli
 
-for t in test_core test_serve; do
+for t in test_core test_ckpt test_serve; do
     [ -x "$tsan_build/tests/$t" ] || {
         echo "error: $tsan_build/tests/$t was not built" >&2
         exit 1
@@ -146,9 +161,10 @@ done
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 ctest --test-dir "$tsan_build" --output-on-failure -j "$jobs" \
     --no-tests=error \
-    -R '^((HostThreadPool|TaskQueue|RunManyBatch|RunManyExceptions)\.|GoldenDeterminism\.HostThreadCountInvariant$)'
+    -R '^((HostThreadPool|TaskQueue|RunManyBatch|RunManyExceptions|CkptLibrary)\.|GoldenDeterminism\.HostThreadCountInvariant$|CkptCampaign\.HoleInLibraryRestoresOnlyThePrefix$|Checkpoint\.ConcurrentRestoresReadTheSnapshotInPlace$)'
 
-echo "across-run executors clean under thread sanitizer"
+echo "across-run executors and checkpoint fetch/restore clean under" \
+    "thread sanitizer"
 
 # ---- Service soak: the serve daemon's data-race + crash gate ----
 # Phase 1, in-process under TSan: the scheduler/daemon suites plus
