@@ -99,6 +99,8 @@ emitJson(std::ostream &os, const std::vector<Row> &rows)
 {
     os << "{\n  \"bench\": \"serve_throughput\",\n"
        << "  \"quick\": " << (bench::quick() ? "true" : "false")
+       << ",\n  \"host_concurrency\": "
+       << std::thread::hardware_concurrency()
        << ",\n  \"results\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];

@@ -4,6 +4,9 @@
  * second and transactions per host second, per workload, for one run
  * and for a multi-run experiment batch spread across host threads
  * (the methodology's parallel axis: independent perturbed runs).
+ * Each workload runs on a 16-node directory system; OLTP also runs
+ * on the paper's Table 5 target, 16 out-of-order CPUs on the
+ * snooping bus (rows labelled "OLTP/snoop").
  *
  * This is the harness behind the perf trajectory of the repository:
  * the paper's methodology multiplies simulation cost by ~20x (runs x
@@ -50,18 +53,31 @@ struct Row
 
 struct WorkloadSpec
 {
+    std::string label;         ///< the record's "workload" field
     workload::WorkloadKind kind;
     std::uint64_t measureTxns; ///< full-mode measured transactions
+    core::SystemConfig sys;
 };
 
 core::SystemConfig
-benchSystem()
+directorySystem()
 {
     // A 16-processor directory target: the largest system the
     // campaigns simulate, so the rows bound their per-run cost.
     core::SystemConfig sys;
     sys.mem.numNodes = 16;
     sys.mem.protocol = mem::CoherenceProtocol::Directory;
+    return sys;
+}
+
+core::SystemConfig
+snoopingSystem()
+{
+    // The paper's Table 5 target: 16 out-of-order processors on the
+    // broadcast snooping bus.
+    core::SystemConfig sys;
+    sys.mem.numNodes = 16;
+    sys.cpu.model = cpu::CpuConfig::Model::OutOfOrder;
     return sys;
 }
 
@@ -76,7 +92,7 @@ singleRun(const WorkloadSpec &spec, int repeat)
     rc.measureTxns = bench::scaleTxns(spec.measureTxns);
     rc.perturbSeed = 1;
 
-    const auto sys = benchSystem();
+    const core::SystemConfig &sys = spec.sys;
 
     // Best-of-N: host-side noise only ever slows a run down, so the
     // minimum wall time is the most repeatable estimate.
@@ -92,8 +108,7 @@ singleRun(const WorkloadSpec &spec, int repeat)
             wall = w;
     }
 
-    return {workload::kindName(spec.kind), "single", 1,
-            r.runtimeTicks, r.txns, wall};
+    return {spec.label, "single", 1, r.runtimeTicks, r.txns, wall};
 }
 
 Row
@@ -115,7 +130,7 @@ multiRun(const WorkloadSpec &spec, std::size_t num_runs, int repeat)
     std::vector<core::RunResult> results;
     for (int rep = 0; rep < repeat; ++rep) {
         bench::Stopwatch sw;
-        results = core::runMany(benchSystem(), wl, rc, exp);
+        results = core::runMany(spec.sys, wl, rc, exp);
         const double w = sw.seconds();
         if (rep == 0 || w < wall)
             wall = w;
@@ -128,8 +143,8 @@ multiRun(const WorkloadSpec &spec, std::size_t num_runs, int repeat)
     }
     std::ostringstream mode;
     mode << "multi" << num_runs;
-    return {workload::kindName(spec.kind), mode.str(),
-            exp.hostThreads, ticks, txns, wall};
+    return {spec.label, mode.str(), exp.hostThreads, ticks, txns,
+            wall};
 }
 
 void
@@ -175,10 +190,16 @@ main(int argc, char **argv)
     }
 
     const std::vector<WorkloadSpec> specs = {
-        {workload::WorkloadKind::Oltp, 2000},
-        {workload::WorkloadKind::Apache, 8000},
-        {workload::WorkloadKind::SpecJbb, 8000},
-        {workload::WorkloadKind::Slashcode, 200},
+        {"OLTP", workload::WorkloadKind::Oltp, 2000,
+         directorySystem()},
+        {"Apache", workload::WorkloadKind::Apache, 8000,
+         directorySystem()},
+        {"SPECjbb", workload::WorkloadKind::SpecJbb, 8000,
+         directorySystem()},
+        {"Slashcode", workload::WorkloadKind::Slashcode, 200,
+         directorySystem()},
+        {"OLTP/snoop", workload::WorkloadKind::Oltp, 2000,
+         snoopingSystem()},
     };
 
     bench::banner("bench_sim_throughput",
@@ -188,9 +209,9 @@ main(int argc, char **argv)
 
     std::vector<Row> rows;
     for (const auto &spec : specs) {
-        const char *name = workload::kindName(spec.kind);
         if (!only.empty() &&
-            only.find(name) == std::string::npos)
+            only.find(workload::kindName(spec.kind)) ==
+                std::string::npos)
             continue;
         rows.push_back(singleRun(spec, repeat));
         const Row &s = rows.back();

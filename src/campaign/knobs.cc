@@ -1,6 +1,7 @@
 #include "campaign/knobs.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "sim/logging.hh"
@@ -53,29 +54,49 @@ workloadFromName(const std::string &name,
     return false;
 }
 
+/**
+ * Digits only, like the CLI's unsigned flags: no sign, no blanks, no
+ * trailing garbage, no overflow.
+ */
+bool
+parseUnsigned(const std::string &text, std::uint64_t &out)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos)
+        return false;
+    errno = 0;
+    out = std::strtoull(text.c_str(), nullptr, 10);
+    return errno != ERANGE;
+}
+
 } // anonymous namespace
 
 bool
 applyKnob(core::SystemConfig &sys, const std::string &knob,
           const std::string &value, std::string *err)
 {
-    auto n = [&] {
-        return std::strtoull(value.c_str(), nullptr, 10);
-    };
+    std::uint64_t n = 0;
+    const bool numeric = knob == "cpus" || knob == "l2-assoc" ||
+                         knob == "l2-size" || knob == "dram" ||
+                         knob == "perturb" || knob == "rob" ||
+                         knob == "quantum";
+    if (numeric && !parseUnsigned(value, n))
+        return fail(err, knob + " wants an unsigned integer (got '" +
+                             value + "')");
     if (knob == "cpus") {
-        sys.mem.numNodes = n();
+        sys.mem.numNodes = n;
     } else if (knob == "l2-assoc") {
-        sys.mem.l2Assoc = n();
+        sys.mem.l2Assoc = n;
     } else if (knob == "l2-size") {
-        sys.mem.l2Size = n();
+        sys.mem.l2Size = n;
     } else if (knob == "dram") {
-        sys.mem.dramLatency = n();
+        sys.mem.dramLatency = n;
     } else if (knob == "perturb") {
-        sys.mem.perturbMaxNs = n();
+        sys.mem.perturbMaxNs = n;
     } else if (knob == "rob") {
-        sys.cpu.robEntries = static_cast<std::uint32_t>(n());
+        sys.cpu.robEntries = static_cast<std::uint32_t>(n);
     } else if (knob == "quantum") {
-        sys.os.quantum = n();
+        sys.os.quantum = n;
     } else if (knob == "model") {
         if (value == "ooo")
             sys.cpu.model = cpu::CpuConfig::Model::OutOfOrder;

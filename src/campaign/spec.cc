@@ -131,9 +131,13 @@ CampaignSpec::check(std::string *why) const
     };
     if (configs.empty())
         return bad("campaign spec has no configurations");
-    for (const ConfigVariant &cv : configs)
+    for (const ConfigVariant &cv : configs) {
         if (cv.name.empty())
             return bad("campaign configuration without a name");
+        std::string sysWhy;
+        if (!cv.sys.check(&sysWhy))
+            return bad("configuration " + cv.name + ": " + sysWhy);
+    }
     if (numCheckpoints && checkpointStep == 0)
         return bad("campaign with checkpoints needs a nonzero "
                    "checkpoint step");

@@ -9,6 +9,8 @@
 #ifndef VARSIM_CORE_CONFIG_HH
 #define VARSIM_CORE_CONFIG_HH
 
+#include <string>
+
 #include "cpu/base_cpu.hh"
 #include "mem/config.hh"
 #include "os/kernel.hh"
@@ -26,6 +28,16 @@ struct SystemConfig
 
     /** Processors in the target (one per memory-system node). */
     std::size_t numCpus() const { return mem.numNodes; }
+
+    /**
+     * True when the simulator can build this system: 1..64 CPUs,
+     * power-of-two block sizes and set counts for every cache, and a
+     * nonzero ROB and scheduling quantum. Otherwise false, with @p why
+     * naming the offending knob. Every front end checks here, so a
+     * bad value is refused with a message instead of aborting in a
+     * constructor.
+     */
+    bool check(std::string *why) const;
 
     /** The paper's baseline 16-processor E10000-like target. */
     static SystemConfig

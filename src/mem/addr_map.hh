@@ -2,15 +2,16 @@
  * @file
  * Open-addressing hash map keyed by block address.
  *
- * The directory consults its sharer/owner table once per coherence
- * transition — detailed and functional-warming alike — so lookup cost
- * is on the critical path of both engines. std::unordered_map pays a
- * heap-allocated node and a pointer chase per probe; this flat table
- * with linear probing resolves the common hit in a single cache line.
+ * The directory consults its sharer/owner table, and the snooping
+ * bus its snoop filter, once per coherence transition — detailed and
+ * functional-warming alike — so lookup cost is on the critical path of
+ * both engines. std::unordered_map pays a heap-allocated node and a
+ * pointer chase per probe; this flat table with linear probing
+ * resolves the common hit in a single cache line.
  *
  * Deliberately minimal: insert-or-default, const find, clear. No
- * erase — directory entries persist until the table is rebuilt from
- * cache tags (checkpoint restore), which uses clear().
+ * erase — entries persist until the table is rebuilt from cache tags
+ * (checkpoint restore), which uses clear().
  */
 
 #ifndef VARSIM_MEM_ADDR_MAP_HH

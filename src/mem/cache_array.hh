@@ -93,7 +93,8 @@ class CacheArray : public sim::Serializable
      *         "not present").
      *
      * This is the hottest function in the simulator (every L1 probe,
-     * every L2 request and every bus snoop lands here), so the set
+     * every L2 request and every bus snoop of a node the snoop
+     * filter names as a possible holder lands here), so the set
      * index is shift/mask (no division) and the way walk compares
      * tags only — free ways hold sim::invalidAddr, which no aligned
      * block address can equal. The state is checked once on a tag

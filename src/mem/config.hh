@@ -22,6 +22,12 @@ namespace varsim
 namespace mem
 {
 
+/**
+ * Most nodes a system may have: both fabrics keep per-block node sets
+ * as 64-bit masks (the directory's sharers, the bus's snoop filter).
+ */
+inline constexpr std::size_t kMaxNodes = 64;
+
 /** Which coherence protocol/fabric keeps the caches coherent. */
 enum class CoherenceProtocol : std::uint8_t
 {
@@ -39,7 +45,7 @@ struct MemConfig
     /** Coherence protocol (see CoherenceProtocol). */
     CoherenceProtocol protocol = CoherenceProtocol::Snooping;
 
-    /** Number of processor/cache/memory nodes. */
+    /** Number of processor/cache/memory nodes (1..kMaxNodes). */
     std::size_t numNodes = 16;
 
     /** Cache line size in bytes (all levels). */

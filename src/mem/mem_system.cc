@@ -12,14 +12,14 @@ MemSystem::MemSystem(std::string name, sim::EventQueue &eq,
                      MemConfig config)
     : SimObject(std::move(name), eq), cfg(config), pertRng(0)
 {
-    VARSIM_ASSERT(cfg.numNodes >= 1, "need at least one node");
+    VARSIM_ASSERT(cfg.numNodes >= 1 && cfg.numNodes <= kMaxNodes,
+                  "need 1..%zu nodes, got %zu", kMaxNodes,
+                  cfg.numNodes);
     if (cfg.protocol == CoherenceProtocol::Snooping) {
         bus_ = std::make_unique<SnoopBus>(this->name() + ".bus", eq,
                                           cfg, pertRng);
         fabric_ = bus_.get();
     } else {
-        VARSIM_ASSERT(cfg.numNodes <= 64,
-                      "directory sharer bitmask holds 64 nodes");
         dir_ = std::make_unique<DirectoryFabric>(
             this->name() + ".dir", eq, cfg, pertRng);
         fabric_ = dir_.get();

@@ -1,6 +1,7 @@
 #include "mem/snoop_bus.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "mem/l2_controller.hh"
 #include "sim/trace.hh"
@@ -39,7 +40,8 @@ SnoopBus::sendRequest(const BusMsg &msg)
             static_cast<unsigned long long>(msg.blockAddr),
             msg.srcNode, static_cast<unsigned long long>(order));
 
-    // Snooped by every node one network traversal after ordering.
+    // Snooped by the possible holders one network traversal after
+    // ordering.
     callIn(order - now + cfg.netTraversal,
            [this, msg] { snoop(msg); });
 }
@@ -65,24 +67,7 @@ SnoopBus::snoop(BusMsg msg)
         return;
     }
 
-    // One tag walk per node: record the pre-transition owner (at
-    // most one node holds the block in M or O — a protocol
-    // invariant) and apply the order-point transitions on every
-    // non-source node. Transitions only mutate the snooped node's
-    // own state, so read-then-transition per node is equivalent to
-    // the read-all-then-transition-all sequence.
-    int ownerNode = -1;
-    for (std::size_t n = 0; n < nodes.size(); ++n) {
-        const LineState s =
-            nodes[n]->snoopAndHandle(msg, n != src);
-        if (isOwnerState(s)) {
-            VARSIM_ASSERT(ownerNode == -1,
-                          "two owners for block %#llx",
-                          static_cast<unsigned long long>(
-                              msg.blockAddr));
-            ownerNode = static_cast<int>(n);
-        }
-    }
+    const int ownerNode = snoopHolders(msg);
 
     ++stats_.l2Misses;
     const bool writable = msg.cmd == BusCmd::GetM;
@@ -119,6 +104,41 @@ SnoopBus::snoop(BusMsg msg)
         sim::Event::memoryResponsePri);
 }
 
+int
+SnoopBus::snoopHolders(const BusMsg &msg)
+{
+    // One tag walk per possible holder: record the pre-transition
+    // owner (at most one node holds the block in M or O — a protocol
+    // invariant) and apply the order-point transitions on every
+    // non-source node. Transitions only mutate the snooped node's
+    // own state, so read-then-transition per node is equivalent to
+    // the read-all-then-transition-all sequence.
+    const auto src = static_cast<std::size_t>(msg.srcNode);
+    std::uint64_t &mask = holders[msg.blockAddr];
+    std::uint64_t held = 0;
+    int ownerNode = -1;
+    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+        const auto n = static_cast<std::size_t>(std::countr_zero(m));
+        const LineState s = nodes[n]->snoopAndHandle(msg, n != src);
+        if (s == LineState::Invalid)
+            continue;
+        held |= std::uint64_t{1} << n;
+        if (isOwnerState(s)) {
+            VARSIM_ASSERT(ownerNode == -1,
+                          "two owners for block %#llx",
+                          static_cast<unsigned long long>(
+                              msg.blockAddr));
+            ownerNode = static_cast<int>(n);
+        }
+    }
+    // The requester holds the block once its fill lands; until then
+    // the block is busy and every other request for it is NACKed
+    // before reaching here. A GetM invalidates every other copy.
+    const std::uint64_t srcBit = std::uint64_t{1} << src;
+    mask = msg.cmd == BusCmd::GetM ? srcBit : held | srcBit;
+    return ownerNode;
+}
+
 bool
 SnoopBus::warmTransition(int src, sim::Addr block, bool writable)
 {
@@ -130,23 +150,13 @@ SnoopBus::warmTransition(int src, sim::Addr block, bool writable)
     VARSIM_ASSERT(srcIdx < nodes.size(),
                   "warm transition from unknown node %d", src);
 
-    // Same single tag walk as snoop(), minus ordering, occupancy,
-    // NACKs and the perturbation draw: fast-mode misses keep the
-    // MOSI states exact while charging only a fixed latency (the
-    // CPU side does that), so the stable coherence state a later
+    // Same tag walks as snoop(), minus ordering, occupancy, NACKs
+    // and the perturbation draw: fast-mode misses keep the MOSI
+    // states exact while charging only a fixed latency (the CPU
+    // side does that), so the stable coherence state a later
     // detailed interval sees is the state a real execution would
     // have produced.
-    int ownerNode = -1;
-    for (std::size_t n = 0; n < nodes.size(); ++n) {
-        const LineState s =
-            nodes[n]->snoopAndHandle(msg, n != srcIdx);
-        if (isOwnerState(s)) {
-            VARSIM_ASSERT(ownerNode == -1,
-                          "two owners for block %#llx",
-                          static_cast<unsigned long long>(block));
-            ownerNode = static_cast<int>(n);
-        }
-    }
+    const int ownerNode = snoopHolders(msg);
 
     ++stats_.busTransactions;
     ++stats_.l2Misses;
@@ -186,6 +196,8 @@ SnoopBus::serialize(sim::CheckpointOut &cp) const
     cp.put(nextOrderTick);
     cp.put(stats_);
     dram_.serialize(cp);
+    // `holders` is intentionally not serialized: it is derived from
+    // the cache tags and rebuilt in postRestore().
 }
 
 void
@@ -194,6 +206,16 @@ SnoopBus::unserialize(sim::CheckpointIn &cp)
     cp.get(nextOrderTick);
     cp.get(stats_);
     dram_.unserialize(cp);
+}
+
+void
+SnoopBus::postRestore()
+{
+    holders.clear();
+    for (std::size_t n = 0; n < nodes.size(); ++n)
+        nodes[n]->forEachValidLine([&](const CacheLine &line) {
+            holders[line.blockAddr] |= std::uint64_t{1} << n;
+        });
 }
 
 void

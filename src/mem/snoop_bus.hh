@@ -16,6 +16,14 @@
  * the schedule, which further amplifies injected perturbations into
  * divergent executions — the mechanism at the heart of the paper's
  * space-variability results.
+ *
+ * A snoop filter at the order point keeps, per block, a superset of
+ * the nodes whose L2 may hold it, and only those nodes' tags are
+ * walked. A node without a copy neither supplies data nor changes
+ * state on a snoop, so skipping it leaves every transition, owner
+ * and event exactly as a walk of all nodes would. Like the
+ * directory's table, the filter is derived state: never
+ * checkpointed, rebuilt from the cache tags on restore.
  */
 
 #ifndef VARSIM_MEM_SNOOP_BUS_HH
@@ -23,6 +31,7 @@
 
 #include <vector>
 
+#include "mem/addr_map.hh"
 #include "mem/addr_set.hh"
 #include "mem/dram.hh"
 #include "mem/fabric.hh"
@@ -77,15 +86,31 @@ class SnoopBus : public sim::SimObject, public CoherenceFabric
     void drain() override;
     void serialize(sim::CheckpointOut &cp) const override;
     void unserialize(sim::CheckpointIn &cp) override;
+    void postRestore() override;
     void regStats(sim::statistics::Registry &r) override;
 
   private:
     void snoop(BusMsg msg);
 
+    /**
+     * Apply an ordered GetS/GetM's snoop transitions on every node
+     * the filter names, in ascending node order, and update the
+     * filter. @return the node that owned the block before the
+     * request (the source itself on an upgrade), or -1.
+     */
+    int snoopHolders(const BusMsg &msg);
+
     const MemConfig &cfg;
     sim::Random &pertRng;
     DramModel dram_;
     std::vector<L2Controller *> nodes;
+    /**
+     * The snoop filter: per block, a bitmask of the nodes that may
+     * hold it. A GetS adds the requester, a GetM leaves only the
+     * requester, and a walk that finds no copy drops that node; a
+     * silent clean eviction leaves a stale bit, which costs one walk.
+     */
+    AddrMap<std::uint64_t> holders;
     AddrSet busy;
     sim::Tick nextOrderTick = 0;
     MemStats stats_;

@@ -1,7 +1,11 @@
 #include "sim/random.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "sim/logging.hh"
 #include "sim/serialize.hh"
@@ -123,9 +127,23 @@ Random::unserialize(CheckpointIn &cp)
         cp.get(word);
 }
 
-ZipfSampler::ZipfSampler(std::size_t n, double alpha)
+std::shared_ptr<const ZipfSampler::Table>
+ZipfSampler::tableFor(std::size_t n, double alpha)
 {
-    VARSIM_ASSERT(n > 0, "ZipfSampler needs n > 0");
+    // Workload sizes and skews are compile-time constants, so the
+    // cache stays a handful of entries. Alpha is keyed by its bits:
+    // equal keys build equal tables.
+    static std::mutex mu;
+    static std::map<std::pair<std::size_t, std::uint64_t>,
+                    std::shared_ptr<const Table>>
+        tables;
+    std::lock_guard<std::mutex> lock(mu);
+    auto &slot = tables[{n, std::bit_cast<std::uint64_t>(alpha)}];
+    if (slot)
+        return slot;
+
+    auto t = std::make_shared<Table>();
+    std::vector<double> &cdf = t->cdf;
     cdf.resize(n);
     double sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -136,18 +154,28 @@ ZipfSampler::ZipfSampler(std::size_t n, double alpha)
         c /= sum;
     cdf.back() = 1.0;
 
-    hint.resize(kHintBuckets + 1);
+    t->hint.resize(kHintBuckets + 1);
     for (std::size_t b = 0; b <= kHintBuckets; ++b) {
         const double lo =
             static_cast<double>(b) / static_cast<double>(kHintBuckets);
-        hint[b] = static_cast<std::uint32_t>(
+        t->hint[b] = static_cast<std::uint32_t>(
             std::lower_bound(cdf.begin(), cdf.end(), lo) - cdf.begin());
     }
+    slot = std::move(t);
+    return slot;
+}
+
+ZipfSampler::ZipfSampler(std::size_t n, double alpha)
+{
+    VARSIM_ASSERT(n > 0, "ZipfSampler needs n > 0");
+    table = tableFor(n, alpha);
 }
 
 std::size_t
 ZipfSampler::sample(Random &rng) const
 {
+    const std::vector<double> &cdf = table->cdf;
+    const std::vector<std::uint32_t> &hint = table->hint;
     const double u = rng.uniformReal();
     // lower_bound(u) lies in [hint[b], hint[b+1]] for u's bucket b,
     // because u < (b + 1) / kHintBuckets and lower_bound is monotone.

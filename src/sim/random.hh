@@ -20,6 +20,7 @@
 #define VARSIM_SIM_RANDOM_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace varsim
@@ -105,9 +106,11 @@ class Random
 
 /**
  * Zipf-distributed sampler over {0, ..., n-1} with skew parameter
- * alpha, using a precomputed CDF and binary search. The CDF is derived
- * from (n, alpha) at construction, so only the underlying generator's
- * state needs checkpointing.
+ * alpha, using a precomputed CDF and binary search. The CDF is a
+ * pure function of (n, alpha), so only the underlying generator's
+ * state needs checkpointing, and one immutable table per (n, alpha)
+ * serves every sampler in the process: the first construction builds
+ * it, later ones share it.
  *
  * Commercial-workload record popularity is famously Zipfian; the
  * resulting hot records create the lock and coherence contention that
@@ -122,21 +125,31 @@ class ZipfSampler
     std::size_t sample(Random &rng) const;
 
     /** Number of categories. */
-    std::size_t size() const { return cdf.size(); }
+    std::size_t size() const { return table->cdf.size(); }
 
   private:
-    std::vector<double> cdf;
-
     /**
      * Bucketized first-probe index: hint[b] is the lower_bound of
-     * b / kHintBuckets in @ref cdf, so a draw only searches the
+     * b / kHintBuckets in the CDF, so a draw only searches the
      * (usually tiny) subrange between two adjacent hints instead of
      * the whole CDF. Pure lookup acceleration — the mapping from a
      * uniform draw to a rank is identical to a full binary search,
      * so op streams (and every golden pinned to them) are unchanged.
      */
     static constexpr std::size_t kHintBuckets = 4096;
-    std::vector<std::uint32_t> hint;
+
+    /** The CDF of one (n, alpha) and its first-probe hints. */
+    struct Table
+    {
+        std::vector<double> cdf;
+        std::vector<std::uint32_t> hint;
+    };
+
+    /** The process-wide table of (n, alpha), built on first use. */
+    static std::shared_ptr<const Table> tableFor(std::size_t n,
+                                                 double alpha);
+
+    std::shared_ptr<const Table> table;
 };
 
 } // namespace sim

@@ -11,6 +11,7 @@
 #include <filesystem>
 
 #include "campaign/campaign.hh"
+#include "campaign/knobs.hh"
 #include "core/varsim.hh"
 
 namespace
@@ -253,6 +254,46 @@ TEST(Campaign, StatusReflectsTheStore)
     ASSERT_EQ(st.groupNames.size(), 2u);
     EXPECT_EQ(st.groupNames[0], "assoc-lo");
     EXPECT_NE(st.header.fingerprint, 0u);
+}
+
+TEST(Campaign, BuildSpecRefusesSystemsTheSimulatorCannotBuild)
+{
+    // Each of these used to build a spec: a bad geometry aborted in
+    // a constructor on the first cell, and a value that is not plain
+    // digits became whatever strtoull made of it ("abc" -> 0 CPUs).
+    const std::pair<std::string, std::string> bad[] = {
+        {"cpus", "0"},      {"cpus", "65"},     {"cpus", "abc"},
+        {"cpus", "-4"},     {"cpus", " 4"},     {"l2-assoc", "3"},
+        {"l2-size", "1000"}, {"rob", "0"},      {"quantum", "0"},
+        {"dram", "80ns"}};
+    for (const auto &[knob, value] : bad) {
+        campaign::SpecFields f;
+        f.base[knob] = value;
+        campaign::CampaignSpec spec;
+        std::string err;
+        EXPECT_FALSE(campaign::buildSpec(f, spec, &err))
+            << knob << "=" << value;
+        EXPECT_NE(err.find(knob), std::string::npos)
+            << knob << "=" << value << ": " << err;
+    }
+
+    // A grid axis is checked per configuration, and the refusal
+    // names the variant.
+    campaign::SpecFields f;
+    f.vary = {"l2-assoc=3,4"};
+    campaign::CampaignSpec spec;
+    std::string err;
+    EXPECT_FALSE(campaign::buildSpec(f, spec, &err));
+    EXPECT_NE(err.find("l2-assoc=3"), std::string::npos) << err;
+
+    // The edges of the CPU range still build.
+    for (const char *cpus : {"1", "64"}) {
+        campaign::SpecFields ok;
+        ok.base["cpus"] = cpus;
+        EXPECT_TRUE(campaign::buildSpec(ok, spec, &err)) << err;
+    }
+    EXPECT_TRUE(core::SystemConfig::paperDefault().check(&err));
+    EXPECT_TRUE(core::SystemConfig::testDefault().check(&err));
 }
 
 TEST(CampaignDeathTest, ResumeUnderDifferentSpecIsFatal)

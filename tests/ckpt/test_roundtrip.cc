@@ -49,7 +49,9 @@ struct RtCase
 {
     workload::WorkloadKind kind;
     cpu::CpuConfig::Model model;
-    std::uint64_t k;
+    std::uint32_t k;
+    /** Nonzero: this many nodes instead of the test system's 4. */
+    std::uint32_t cpus = 0;
 };
 
 class CkptRoundTrip : public ::testing::TestWithParam<RtCase>
@@ -60,6 +62,8 @@ TEST_P(CkptRoundTrip, DiskRestoreEqualsContinuingBitwise)
     const RtCase &c = GetParam();
     core::SystemConfig sys = core::SystemConfig::testDefault();
     sys.mem.perturbMaxNs = 4;
+    if (c.cpus)
+        sys.mem.numNodes = c.cpus;
     sys.cpu.model = c.model;
     workload::WorkloadParams wl;
     wl.kind = c.kind;
@@ -92,7 +96,8 @@ TEST_P(CkptRoundTrip, DiskRestoreEqualsContinuingBitwise)
     const std::string dir = freshDir(
         std::string(workload::kindName(c.kind)) +
         (c.model == cpu::CpuConfig::Model::Simple ? "_simple"
-                                                  : "_ooo"));
+                                                  : "_ooo") +
+        "_" + std::to_string(sys.mem.numNodes));
     std::string err;
     ASSERT_TRUE(ckpt::writeFileAtomic(
         dir, key.digestHex() + ".vckpt",
@@ -126,6 +131,10 @@ const RtCase rtCases[] = {
      15},
     {workload::WorkloadKind::Oltp, cpu::CpuConfig::Model::OutOfOrder,
      15},
+    // The paper's Table 5 system size: every node's tags feed the
+    // snoop filter the bus rebuilds on restore.
+    {workload::WorkloadKind::Oltp, cpu::CpuConfig::Model::OutOfOrder,
+     15, 16},
     {workload::WorkloadKind::Apache, cpu::CpuConfig::Model::Simple,
      15},
     {workload::WorkloadKind::Apache,
@@ -158,7 +167,10 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(workload::kindName(info.param.kind)) +
                (info.param.model == cpu::CpuConfig::Model::Simple
                     ? "_Simple"
-                    : "_OutOfOrder");
+                    : "_OutOfOrder") +
+               (info.param.cpus == 0
+                    ? ""
+                    : "_" + std::to_string(info.param.cpus) + "cpu");
     });
 
 // The measured-run view of the same contract: every metric of a run

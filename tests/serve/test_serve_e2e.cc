@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "campaign/knobs.hh"
 #include "serve/client.hh"
 #include "serve/daemon.hh"
+#include "sim/jsonl.hh"
 #include "sim/logging.hh"
 
 namespace
@@ -164,6 +166,103 @@ TEST(ServeE2e, SubmitRejectionsCarryDaemonMessages)
     EXPECT_FALSE(client.submit(dup2, &err));
     EXPECT_NE(err.find("different fields"), std::string::npos);
 
+    daemon.shutdown();
+}
+
+/** Fields whose l2-assoc=3 variant has no power-of-two set count. */
+campaign::SpecFields
+unbuildableFields()
+{
+    campaign::SpecFields f = smallFields();
+    f.vary = {"l2-assoc=3,4"};
+    return f;
+}
+
+TEST(ServeE2e, UnbuildableConfigIsRefusedAndOthersKeepRunning)
+{
+    const std::string root = freshRoot("unbuildable");
+    serve::DaemonConfig cfg;
+    cfg.root = root;
+    cfg.addr = sockAddr(root);
+    cfg.workers = 2;
+    serve::Daemon daemon(cfg);
+    std::string err;
+    ASSERT_TRUE(daemon.start(&err)) << err;
+    serve::Client client(cfg.addr);
+
+    // The client refuses locally, naming the knob...
+    serve::Submission bad =
+        makeSub("mallory", "assoc3", unbuildableFields());
+    EXPECT_FALSE(client.submit(bad, &err));
+    EXPECT_NE(err.find("l2-assoc"), std::string::npos) << err;
+
+    // ...and the daemon refuses the raw frame of a client that
+    // skips that check, instead of acking it and aborting on its
+    // first cell.
+    bad.fingerprintHex = "0123456789abcdef";
+    {
+        const int fd = serve::connectTo(cfg.addr, &err);
+        ASSERT_GE(fd, 0) << err;
+        serve::FrameIo io(fd);
+        ASSERT_TRUE(io.send(serve::encodeSubmission(bad)));
+        std::string reply;
+        ASSERT_TRUE(io.recv(reply));
+        sim::JsonLine obj;
+        ASSERT_TRUE(obj.parse(reply)) << reply;
+        EXPECT_EQ(obj.str("type"), "error") << reply;
+        EXPECT_NE(obj.str("message").find("l2-assoc"),
+                  std::string::npos)
+            << reply;
+    }
+    EXPECT_FALSE(std::filesystem::exists(root + "/tenants/mallory"))
+        << "a refused submission was stored";
+
+    // Another tenant's campaign on the same daemon completes.
+    serve::Submission good = makeSub("alice", "fine", smallFields());
+    ASSERT_TRUE(client.submit(good, &err)) << err;
+    ASSERT_TRUE(client.drain(&err)) << err;
+    const auto infos = daemon.scheduler().status();
+    ASSERT_EQ(infos.size(), 1u);
+    EXPECT_EQ(infos.front().id, "alice/fine");
+    EXPECT_EQ(infos.front().state, "complete");
+    EXPECT_EQ(infos.front().recorded, 2u);
+    daemon.wait();
+    daemon.shutdown();
+}
+
+TEST(ServeE2e, RestartSkipsAStoredUnbuildableSubmission)
+{
+    // A daemon without the configuration check acked and stored
+    // this submission; its first cell then aborted the daemon, and
+    // so did every restart that resumed it. Written here in that
+    // daemon's on-disk layout and format.
+    const std::string root = freshRoot("badresume");
+    serve::Submission bad =
+        makeSub("mallory", "assoc3", unbuildableFields());
+    bad.fingerprintHex = "0123456789abcdef";
+    const std::string dir = root + "/tenants/mallory/assoc3";
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/submission.json")
+        << serve::encodeSubmission(bad) << "\n";
+
+    serve::DaemonConfig cfg;
+    cfg.root = root;
+    cfg.addr = sockAddr(root);
+    cfg.workers = 2;
+    serve::Daemon daemon(cfg);
+    std::string err;
+    ASSERT_TRUE(daemon.start(&err)) << err;
+    EXPECT_EQ(daemon.resumedCount(), 0u);
+
+    serve::Client client(cfg.addr);
+    serve::Submission good = makeSub("alice", "fine", smallFields());
+    ASSERT_TRUE(client.submit(good, &err)) << err;
+    ASSERT_TRUE(client.drain(&err)) << err;
+    const auto infos = daemon.scheduler().status();
+    ASSERT_EQ(infos.size(), 1u);
+    EXPECT_EQ(infos.front().id, "alice/fine");
+    EXPECT_EQ(infos.front().state, "complete");
+    daemon.wait();
     daemon.shutdown();
 }
 

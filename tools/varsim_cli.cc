@@ -44,7 +44,7 @@
  *   --txns <txns>          measured transactions   (default: the
  *                          workload's Table 3 count)
  *   --seed <s>             base perturbation seed  (default 1000)
- *   --cpus <n>             processors              (default 16)
+ *   --cpus <n>             processors, 1..64       (default 16)
  *   --threads-per-cpu <n>  software threads/CPU    (workload default)
  *   --stats <file|->       (run) write each run's full metrics-
  *                          registry dump as one JSONL line, and
@@ -330,6 +330,9 @@ systemFromArgs(const Args &args, const std::string &suffix)
     }
     sys.cpu.robEntries = static_cast<std::uint32_t>(
         args.num(knob("rob"), sys.cpu.robEntries));
+    std::string why;
+    if (!sys.check(&why))
+        sim::fatal("%s", why.c_str());
     return sys;
 }
 
