@@ -84,7 +84,7 @@ void
 BM_CacheArrayHit(benchmark::State &state)
 {
     mem::CacheArray array(4 * 1024 * 1024, 4, 64);
-    mem::CacheLine victim;
+    mem::Victim victim;
     for (sim::Addr a = 0; a < 256 * 64; a += 64) {
         auto [line, _] = array.allocate(a, victim);
         line->state = mem::LineState::Shared;
@@ -97,6 +97,28 @@ BM_CacheArrayHit(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheArrayHit);
+
+void
+BM_CacheArrayHitEveryWay(benchmark::State &state)
+{
+    // Hits that cycle through all four ways of one set: each one
+    // lands on the set's LRU line, so every hit re-ranks the set
+    // (BM_CacheArrayHit mostly hits a set's only line).
+    mem::CacheArray array(4 * 1024 * 1024, 4, 64);
+    mem::Victim victim;
+    const sim::Addr stride = array.numSets() * 64;
+    for (sim::Addr w = 0; w < 4; ++w) {
+        auto [line, _] = array.allocate(w * stride, victim);
+        line->state = mem::LineState::Shared;
+    }
+    sim::Addr w = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(array.findAndTouch(w * stride));
+        w = (w + 1) & 3;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheArrayHitEveryWay);
 
 void
 BM_CoherenceTransaction(benchmark::State &state)

@@ -17,6 +17,9 @@
  *   - ticks_per_sec: recorded runs replayed per host second
  *
  * Usage: bench_store_open [--json FILE]
+ *
+ * The committed BENCH_store_open.json comes from
+ * `bench_store_open --json BENCH_store_open.json`.
  */
 
 #include <cstring>
@@ -25,6 +28,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/common.hh"
@@ -129,6 +133,8 @@ emitJson(std::ostream &os, const std::vector<Row> &rows)
 {
     os << "{\n  \"bench\": \"store_open\",\n"
        << "  \"quick\": " << (bench::quick() ? "true" : "false")
+       << ",\n  \"host_concurrency\": "
+       << std::thread::hardware_concurrency()
        << ",\n  \"results\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];

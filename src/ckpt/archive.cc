@@ -95,9 +95,9 @@ parseArchive(std::vector<std::uint8_t> bytes)
     if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
         return failure("bad magic (not a varsim checkpoint archive)");
     const auto version = getLe<std::uint32_t>(bytes.data() + 8);
-    if (version != kArchiveVersion)
+    if (version < 1 || version > kArchiveVersion)
         return failure(sim::format(
-            "unsupported format version %u (this build reads %u)",
+            "unsupported format version %u (this build reads 1..%u)",
             version, kArchiveVersion));
     const auto sections = getLe<std::uint32_t>(bytes.data() + 12);
     if (sections == 0 || sections > kMaxSections)
@@ -168,6 +168,7 @@ parseArchive(std::vector<std::uint8_t> bytes)
         return failure("metadata section is not a JSON object");
 
     LoadResult r;
+    r.version = version;
     r.meta.keyCanonical = obj.str("key");
     r.meta.digest =
         std::strtoull(obj.str("digest").c_str(), nullptr, 16);
@@ -202,6 +203,21 @@ loadArchiveFile(const std::string &path)
     if (!r.ok)
         r.error = path + ": " + r.error;
     return r;
+}
+
+std::uint32_t
+peekArchiveVersion(const std::string &path)
+{
+    std::uint8_t head[12];
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr)
+        return 0;
+    const bool whole = std::fread(head, 1, sizeof(head), f) ==
+                       sizeof(head);
+    std::fclose(f);
+    if (!whole || std::memcmp(head, kMagic, sizeof(kMagic)) != 0)
+        return 0;
+    return getLe<std::uint32_t>(head + 8);
 }
 
 bool

@@ -6,19 +6,28 @@
  *
  *     offset  size  field
  *     0       8     magic "VSIMCKPT"
- *     8       4     format version (currently 1)
+ *     8       4     format version (currently 2)
  *     12      4     section count S
  *     16      12*S  section table: {u32 id, u64 length} per section
  *     ...           section payloads, in table order
  *     end-8   8     FNV-1a 64 checksum over every preceding byte
  *
- * Section 1 is the metadata (a sim::CheckpointOut archive holding the
- * key's canonical string, digest, position, and warm-up seed);
- * section 2 is the raw core::Checkpoint payload. The section table's
- * lengths must exactly tile the file and the trailing checksum must
- * match, so a truncated or bit-flipped file is rejected with a
- * description instead of being misdeserialized. Parsing never
- * aborts the process: verify/gc want to report damage, not die on it.
+ * Section 1 is the metadata (one JSON line holding the key's
+ * canonical string, digest, position, and warm-up seed); section 2
+ * is the raw core::Checkpoint payload, in the sim::CheckpointOut
+ * layout the version names (sim::kCheckpointFormat). Version 2 is
+ * the current one. Version 1 differs only in its cache images (24
+ * bytes a line, with 64-bit LRU stamps); it is still read, the
+ * version travelling with the payload as core::Checkpoint::format so
+ * that mem::CacheArray decodes those lines and ranks them by stamp.
+ * Objects are named by key digest, not by version, so a library
+ * written before version 2 keeps serving restores unchanged.
+ *
+ * The section table's lengths must exactly tile the file and the
+ * trailing checksum must match, so a truncated or bit-flipped file
+ * is rejected with a description instead of being misdeserialized.
+ * Parsing never aborts the process: verify/gc want to report damage,
+ * not die on it.
  *
  * Archives are fully deterministic — no timestamps or host identity —
  * so the same key and payload always produce the same bytes, which is
@@ -34,12 +43,15 @@
 #include <type_traits>
 #include <vector>
 
+#include "sim/serialize.hh"
+
 namespace varsim
 {
 namespace ckpt
 {
 
-constexpr std::uint32_t kArchiveVersion = 1;
+/** The version buildArchive() writes: the payload's layout. */
+constexpr std::uint32_t kArchiveVersion = sim::kCheckpointFormat;
 
 /**
  * FNV-1a 64 over raw bytes: the whole-file checksum primitive every
@@ -99,6 +111,9 @@ struct LoadResult
     /** Human-readable reason when !ok. */
     std::string error;
 
+    /** Format version from the header (1..kArchiveVersion). */
+    std::uint32_t version = 0;
+
     ArchiveMeta meta;
     std::vector<std::uint8_t> payload;
 };
@@ -117,6 +132,13 @@ LoadResult parseArchive(std::vector<std::uint8_t> bytes);
  * errors land in LoadResult.
  */
 LoadResult loadArchiveFile(const std::string &path);
+
+/**
+ * The format version in @p path's header, read without loading the
+ * rest; 0 when the file is missing or does not start like an archive.
+ * Only loadArchiveFile() vouches for the bytes behind the header.
+ */
+std::uint32_t peekArchiveVersion(const std::string &path);
 
 /**
  * Durably write @p bytes as @p dir/@p name: write to a unique

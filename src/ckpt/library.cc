@@ -45,8 +45,15 @@ VerifyReport::toString() const
 {
     std::string s = sim::format(
         "checked %zu object(s): %zu ok, %zu corrupt, %zu missing "
-        "from disk, %zu re-indexed\n",
-        checked, ok, corrupt, missing, reindexed);
+        "from disk, %zu re-indexed; %zu in format 1 (this build "
+        "writes format %u and reads both)\n",
+        checked, ok, corrupt, missing, reindexed, format1,
+        kArchiveVersion);
+    for (const Object &o : objects)
+        s += sim::format("  %s  format %s  %s\n", o.digestHex.c_str(),
+                         o.format ? std::to_string(o.format).c_str()
+                                  : "?",
+                         o.ok ? "ok" : "corrupt");
     for (const std::string &p : problems)
         s += "  " + p + "\n";
     return s;
@@ -212,6 +219,7 @@ CheckpointLibrary::load(const CheckpointKey &key,
         return false;
     }
     cp.bytes = std::move(r.payload);
+    cp.format = r.version;
     return true;
 }
 
@@ -219,6 +227,9 @@ bool
 CheckpointLibrary::publish(const CheckpointKey &key,
                            const core::Checkpoint &cp)
 {
+    VARSIM_ASSERT(cp.format == kArchiveVersion,
+                  "publish of a format-%u snapshot (this build writes "
+                  "format %u)", cp.format, kArchiveVersion);
     const std::string hex = key.digestHex();
     LibraryEntry e;
     e.digestHex = hex;
@@ -264,6 +275,12 @@ CheckpointLibrary::entries() const
     return entries_;
 }
 
+std::uint32_t
+CheckpointLibrary::objectFormat(const std::string &digestHex) const
+{
+    return peekArchiveVersion(objectPath(digestHex));
+}
+
 LibraryStats
 CheckpointLibrary::stats() const
 {
@@ -284,20 +301,31 @@ CheckpointLibrary::verify()
     std::lock_guard<std::mutex> lock(mu);
     VerifyReport rep;
 
+    std::vector<fs::path> objects;
     for (const auto &de : fs::directory_iterator(objectsDir())) {
         const std::string name = de.path().filename().string();
-        if (name.size() < 6 ||
-            name.substr(name.size() - 6) != ".vckpt")
-            continue; // temp debris is gc's business
+        if (name.size() >= 6 &&
+            name.substr(name.size() - 6) == ".vckpt")
+            objects.push_back(de.path()); // temp debris is gc's
+    }
+    std::sort(objects.begin(), objects.end());
+
+    for (const fs::path &path : objects) {
+        const std::string name = path.filename().string();
+        const std::string hex = name.substr(0, name.size() - 6);
         ++rep.checked;
-        LoadResult r = loadArchiveFile(de.path().string());
+        LoadResult r = loadArchiveFile(path.string());
+        rep.objects.push_back(
+            {hex, r.ok ? r.version : peekArchiveVersion(path.string()),
+             r.ok});
         if (!r.ok) {
             ++rep.corrupt;
             rep.problems.push_back(r.error);
             continue;
         }
         ++rep.ok;
-        const std::string hex = name.substr(0, name.size() - 6);
+        if (r.version == 1)
+            ++rep.format1;
         if (!byDigest.count(hex)) {
             // Valid object the index never heard of: the writer died
             // between rename and index append. Adopt it.
@@ -308,7 +336,7 @@ CheckpointLibrary::verify()
             e.key = r.meta.keyCanonical;
             std::error_code ec;
             e.bytes = static_cast<std::uint64_t>(
-                fs::file_size(de.path(), ec));
+                fs::file_size(path, ec));
             remember(e);
             appendIndexLine(e);
             ++rep.reindexed;

@@ -77,6 +77,23 @@ struct VerifyReport
     std::size_t ok = 0;
     std::size_t corrupt = 0;
 
+    /**
+     * Intact objects in archive format 1, written before cache lines
+     * shrank to 8 bytes. They restore as they are; this count only
+     * tells a user how much of the library predates format 2.
+     */
+    std::size_t format1 = 0;
+
+    /** One object on disk, in file-name order. */
+    struct Object
+    {
+        std::string digestHex;
+        /** Header version; 0 when the header is unreadable. */
+        std::uint32_t format = 0;
+        bool ok = false;
+    };
+    std::vector<Object> objects;
+
     /** Valid objects that were missing from the index (repaired). */
     std::size_t reindexed = 0;
 
@@ -136,19 +153,28 @@ class CheckpointLibrary
     /**
      * Store @p cp under @p key. Returns true when a new object was
      * written, false when the object already existed (another shard
-     * won the race, or a re-run republished).
+     * won the race, or a re-run republished). @p cp must be in the
+     * current format: a format-1 snapshot only ever comes from a
+     * fetch, whose object is already on disk.
      */
     bool publish(const CheckpointKey &key, const core::Checkpoint &cp);
 
     /** Indexed entries in publication order. */
     std::vector<LibraryEntry> entries() const;
 
+    /**
+     * Archive format of @p digestHex's object, from its header alone
+     * (0 when the object is missing or not an archive).
+     */
+    std::uint32_t objectFormat(const std::string &digestHex) const;
+
     LibraryStats stats() const;
 
     /**
      * Re-parse every object on disk: counts intact and corrupt
-     * archives, repairs index entries for unindexed valid objects,
-     * reports index entries whose object vanished.
+     * archives (and the intact ones still in format 1), repairs index
+     * entries for unindexed valid objects, reports index entries
+     * whose object vanished.
      */
     VerifyReport verify();
 

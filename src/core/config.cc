@@ -1,5 +1,6 @@
 #include "core/config.hh"
 
+#include "mem/cache_array.hh"
 #include "sim/logging.hh"
 
 namespace varsim
@@ -39,6 +40,11 @@ SystemConfig::check(std::string *why) const
     if (mem.numNodes < 1 || mem.numNodes > mem::kMaxNodes)
         return bad(sim::format("cpus must be in 1..%zu (got %zu)",
                                mem::kMaxNodes, mem.numNodes));
+    if (mem.l2Assoc > mem::CacheArray::kMaxWays)
+        return bad(sim::format(
+            "l2-assoc must be at most %zu, the ways an LRU rank can "
+            "order (got %zu)",
+            mem::CacheArray::kMaxWays, mem.l2Assoc));
     if (!isPow2(numSets(mem.l2Size, mem.l2Assoc, mem.blockBytes)))
         return bad(sim::format(
             "l2-size %zu with l2-assoc %zu and %zu-byte blocks does "

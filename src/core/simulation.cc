@@ -232,7 +232,7 @@ Simulation::restore(const SystemConfig &sys,
 {
     VARSIM_ASSERT(!cp.empty(), "restore from an empty checkpoint");
     auto simn = std::make_unique<Simulation>(sys, wl);
-    sim::CheckpointIn in(cp.bytes);
+    sim::CheckpointIn in(cp.bytes, cp.format);
 
     sim::Tick when = 0;
     in.get(when);

@@ -22,6 +22,7 @@
 #include "core/config.hh"
 #include "core/sample_config.hh"
 #include "mem/mem_system.hh"
+#include "sim/serialize.hh"
 #include "sim/statistics.hh"
 #include "workload/workload.hh"
 
@@ -34,6 +35,10 @@ namespace core
 struct Checkpoint
 {
     std::vector<std::uint8_t> bytes;
+
+    /** Layout of @p bytes: sim::kCheckpointFormat for a snapshot
+     *  this build took, older when read from an older library. */
+    std::uint32_t format = sim::kCheckpointFormat;
 
     bool empty() const { return bytes.empty(); }
     std::size_t size() const { return bytes.size(); }

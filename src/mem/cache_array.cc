@@ -1,6 +1,8 @@
 #include "mem/cache_array.hh"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "sim/logging.hh"
 
@@ -18,6 +20,27 @@ isPow2(std::size_t x)
     return x != 0 && (x & (x - 1)) == 0;
 }
 
+std::size_t
+log2Of(std::size_t pow2)
+{
+    std::size_t shift = 0;
+    while ((std::size_t{1} << shift) < pow2)
+        ++shift;
+    return shift;
+}
+
+/** A format-1 image's line: whole address and a 64-bit use stamp. */
+struct Format1Line
+{
+    std::uint64_t blockAddr;
+    std::uint8_t state;
+    std::uint8_t aux;
+    std::uint8_t padding[6];
+    std::uint64_t lastUse;
+};
+
+static_assert(sizeof(Format1Line) == 24, "format 1's line layout");
+
 } // anonymous namespace
 
 CacheArray::CacheArray(std::size_t size_bytes, std::size_t assoc,
@@ -26,67 +49,107 @@ CacheArray::CacheArray(std::size_t size_bytes, std::size_t assoc,
 {
     VARSIM_ASSERT(isPow2(block_bytes), "block size must be a power "
                   "of two, got %zu", block_bytes);
-    VARSIM_ASSERT(assoc >= 1, "associativity must be >= 1");
+    VARSIM_ASSERT(assoc >= 1 && assoc <= kMaxWays,
+                  "associativity must be in 1..%zu, got %zu",
+                  kMaxWays, assoc);
     VARSIM_ASSERT(size_bytes % (assoc * block_bytes) == 0,
                   "cache size %zu not divisible by way size",
                   size_bytes);
     sets = size_bytes / (assoc * block_bytes);
     VARSIM_ASSERT(isPow2(sets), "number of sets (%zu) must be a power "
                   "of two", sets);
-    while ((std::size_t{1} << blockShift) < blockBytes)
-        ++blockShift;
+    blockShift = log2Of(blockBytes);
     setMask = sets - 1;
+    tagShift = blockShift + log2Of(sets);
     lines.resize(sets * ways);
 }
 
-void
-CacheArray::touch(CacheLine &line)
+CacheLine *
+CacheArray::setOfLine(CacheLine &line)
 {
-    line.lastUse = ++useCounter;
+    const auto index = static_cast<std::size_t>(&line - lines.data());
+    return &lines[index - index % ways];
+}
+
+void
+CacheArray::promote(CacheLine *set, CacheLine &line)
+{
+    // Every valid line used more recently than `line` ages by one;
+    // the older ones keep their ranks.
+    const std::uint16_t rank = line.rank;
+    for (std::size_t w = 0; w < ways; ++w)
+        if (set[w].valid() && set[w].rank < rank)
+            ++set[w].rank;
+    line.rank = 0;
 }
 
 std::pair<CacheLine *, bool>
-CacheArray::allocate(sim::Addr block_addr, CacheLine &victim)
+CacheArray::allocate(sim::Addr block_addr, Victim &victim)
 {
 #ifndef NDEBUG
     VARSIM_ASSERT(find(block_addr) == nullptr,
                   "allocate: block %#llx already present",
                   static_cast<unsigned long long>(block_addr));
 #endif
-    // Single pass: take the first free way if one exists, otherwise
-    // the true-LRU valid line (strict < keeps the earliest minimum,
-    // matching the historical two-scan selection exactly).
-    const std::size_t base = setIndex(block_addr) * ways;
+    const std::uint64_t tag = block_addr >> tagShift;
+    if (tag > std::numeric_limits<std::uint32_t>::max()) {
+        sim::panic("block %#llx does not fit a 32-bit tag in a cache "
+                   "of %zu sets x %zu ways of %zu-byte blocks (blocks "
+                   "below %#llx do)",
+                   static_cast<unsigned long long>(block_addr), sets,
+                   ways, blockBytes,
+                   static_cast<unsigned long long>(
+                       (std::uint64_t{1} << 32) << tagShift));
+    }
+    // Take the first free way if one exists, otherwise the valid line
+    // of highest rank: the true-LRU line, which format 1 found as the
+    // smallest use stamp.
+    CacheLine *set = setOf(block_addr);
     CacheLine *target = nullptr;
-    CacheLine *lru = &lines[base];
+    CacheLine *lru = set;
     for (std::size_t w = 0; w < ways; ++w) {
-        CacheLine &line = lines[base + w];
+        CacheLine &line = set[w];
         if (!line.valid()) {
             target = &line;
             break;
         }
-        if (line.lastUse < lru->lastUse)
+        if (line.rank > lru->rank)
             lru = &line;
     }
     bool hadVictim = false;
     if (target == nullptr) {
         target = lru;
-        victim = *target;
+        const sim::Addr setBits =
+            block_addr & ((sim::Addr{1} << tagShift) - 1);
+        victim.blockAddr = (sim::Addr{target->tag} << tagShift) | setBits;
+        victim.state = target->state;
+        victim.aux = target->aux;
         hadVictim = true;
     }
-    target->blockAddr = block_addr;
+    // The new line is the set's MRU line: every other valid line ages
+    // by one (the victim leaves from the oldest rank, so the ranks
+    // stay 0..n-1).
     target->state = LineState::Invalid; // caller sets the real state
+    for (std::size_t w = 0; w < ways; ++w)
+        if (set[w].valid())
+            ++set[w].rank;
+    target->tag = static_cast<std::uint32_t>(tag);
     target->aux = 0;
-    touch(*target);
+    target->rank = 0;
     return {target, hadVictim};
 }
 
 void
 CacheArray::invalidate(CacheLine &line)
 {
-    line.state = LineState::Invalid;
-    line.blockAddr = sim::invalidAddr;
-    line.aux = 0;
+    if (line.valid()) {
+        // Close the gap: the lines older than `line` move up a rank.
+        CacheLine *set = setOfLine(line);
+        for (std::size_t w = 0; w < ways; ++w)
+            if (set[w].valid() && set[w].rank > line.rank)
+                --set[w].rank;
+    }
+    line = CacheLine{};
 }
 
 std::size_t
@@ -105,22 +168,9 @@ CacheArray::serialize(sim::CheckpointOut &cp) const
     cp.put<std::uint64_t>(sets);
     cp.put<std::uint64_t>(ways);
     cp.put<std::uint64_t>(blockBytes);
-    cp.put(useCounter);
-    // CacheLine has internal padding and cp.put(vector) memcpys raw
-    // object bytes, so serialize a member-wise copy whose padding is
-    // zeroed. Otherwise the image would embed whatever the allocator
-    // recycled into those bytes, and checkpoints of identical
-    // simulated state would not be bitwise identical.
-    std::vector<CacheLine> clean(lines.size());
-    std::memset(static_cast<void *>(clean.data()), 0,
-                clean.size() * sizeof(CacheLine));
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        clean[i].blockAddr = lines[i].blockAddr;
-        clean[i].state = lines[i].state;
-        clean[i].aux = lines[i].aux;
-        clean[i].lastUse = lines[i].lastUse;
-    }
-    cp.put(clean);
+    // A line has no padding and a free way is all-zero bytes, so the
+    // vector's bytes are a function of the simulated state alone.
+    cp.put(lines);
 }
 
 void
@@ -130,8 +180,11 @@ CacheArray::unserialize(sim::CheckpointIn &cp)
     cp.get(ck_sets);
     cp.get(ck_ways);
     cp.get(ck_block);
-    std::uint64_t ck_use = 0;
-    cp.get(ck_use);
+    const bool format1 = cp.format() == 1;
+    if (format1) {
+        std::uint64_t useCounter = 0; // format 1's next stamp
+        cp.get(useCounter);
+    }
 
     if (ck_sets != sets || ck_ways != ways ||
         ck_block != blockBytes) {
@@ -141,11 +194,14 @@ CacheArray::unserialize(sim::CheckpointIn &cp)
         // Cached contents are meaningless under the new index
         // function, so start cold; memory is then the owner of
         // every block, which keeps the coherence invariants intact.
-        std::vector<CacheLine> other; // the other geometry's lines
-        cp.get(other);
-        for (auto &line : lines)
-            line = CacheLine{};
-        useCounter = 0;
+        if (format1) {
+            std::vector<Format1Line> other;
+            cp.get(other);
+        } else {
+            std::vector<CacheLine> other;
+            cp.get(other);
+        }
+        std::fill(lines.begin(), lines.end(), CacheLine{});
         return;
     }
     // The header's geometry matched, so the image lands straight in
@@ -153,13 +209,77 @@ CacheArray::unserialize(sim::CheckpointIn &cp)
     // length, though: a stream consistent everywhere else could still
     // hold a short vector, and find() indexes sets * ways lines.
     const std::size_t at = cp.offset();
+    if (format1) {
+        unserializeFormat1(cp, at);
+        return;
+    }
     cp.get(lines);
     if (lines.size() != sets * ways) {
         sim::panic("checkpoint cache image at offset %zu holds %zu "
                    "lines, its %zu sets x %zu ways need %zu",
                    at, lines.size(), sets, ways, sets * ways);
     }
-    useCounter = ck_use;
+}
+
+void
+CacheArray::unserializeFormat1(sim::CheckpointIn &cp, std::size_t at)
+{
+    std::vector<Format1Line> old;
+    cp.get(old);
+    if (old.size() != sets * ways) {
+        sim::panic("checkpoint cache image at offset %zu holds %zu "
+                   "lines, its %zu sets x %zu ways need %zu",
+                   at, old.size(), sets, ways, sets * ways);
+    }
+    // The vector's elements follow its tag byte and tagged u64 count.
+    const std::size_t first = at + 1 + 1 + sizeof(std::uint64_t);
+    std::vector<std::size_t> order; // a set's valid ways
+    for (std::size_t s = 0; s < sets; ++s) {
+        const std::size_t base = s * ways;
+        order.clear();
+        for (std::size_t w = 0; w < ways; ++w) {
+            const Format1Line &o = old[base + w];
+            CacheLine &line = lines[base + w];
+            line = CacheLine{};
+            if (o.state == static_cast<std::uint8_t>(LineState::Invalid))
+                continue;
+            const std::size_t offset =
+                first + (base + w) * sizeof(Format1Line);
+            const sim::Addr block = o.blockAddr;
+            const std::size_t home =
+                static_cast<std::size_t>(block >> blockShift) & setMask;
+            if (blockAlign(block) != block || home != s) {
+                sim::panic("checkpoint cache image line at offset %zu "
+                           "holds block %#llx, which does not belong "
+                           "to its set %zu of %zu (%zu-byte blocks)",
+                           offset, static_cast<unsigned long long>(block),
+                           s, sets, blockBytes);
+            }
+            const std::uint64_t tag = block >> tagShift;
+            if (tag > std::numeric_limits<std::uint32_t>::max()) {
+                sim::panic("checkpoint cache image line at offset %zu "
+                           "holds block %#llx, which does not fit a "
+                           "32-bit tag in %zu sets of %zu-byte blocks",
+                           offset, static_cast<unsigned long long>(block),
+                           sets, blockBytes);
+            }
+            line.tag = static_cast<std::uint32_t>(tag);
+            line.state = static_cast<LineState>(o.state);
+            line.aux = o.aux;
+            order.push_back(w);
+        }
+        // Rank by stamp, newest first. Format 1 evicted the first way
+        // holding the smallest stamp, so among equal stamps a lower
+        // way counts as older.
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t a, std::size_t b) {
+                      const std::uint64_t ua = old[base + a].lastUse;
+                      const std::uint64_t ub = old[base + b].lastUse;
+                      return ua != ub ? ua > ub : a > b;
+                  });
+        for (std::size_t r = 0; r < order.size(); ++r)
+            lines[base + order[r]].rank = static_cast<std::uint16_t>(r);
+    }
 }
 
 } // namespace mem

@@ -289,15 +289,16 @@ DirectoryFabric::postRestore()
 {
     dir.clear();
     for (std::size_t n = 0; n < nodes.size(); ++n) {
-        nodes[n]->forEachValidLine([&](const CacheLine &line) {
-            Entry &e = entry(line.blockAddr);
+        nodes[n]->forEachValidLine([&](sim::Addr block,
+                                       const CacheLine &line) {
+            Entry &e = entry(block);
             e.sharers |= std::uint64_t{1} << n;
             if (isOwnerState(line.state)) {
                 VARSIM_ASSERT(e.owner == -1,
                               "two owners for block %#llx on "
                               "restore",
                               static_cast<unsigned long long>(
-                                  line.blockAddr));
+                                  block));
                 e.owner = static_cast<int>(n);
             }
         });

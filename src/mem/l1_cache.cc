@@ -91,7 +91,7 @@ L1Cache::l2Response(sim::Addr block_addr, bool writable,
 {
     CacheLine *line = array.find(block_addr);
     if (line == nullptr) {
-        CacheLine victim;
+        Victim victim;
         auto [fresh, hadVictim] = array.allocate(block_addr, victim);
         (void)hadVictim; // L1 evictions are silent: L2 is inclusive.
         line = fresh;
@@ -148,7 +148,7 @@ L1Cache::warmAccess(sim::Addr addr, bool write)
     // never the block it just filled for us.
     CacheLine *line = array.find(block);
     if (line == nullptr) {
-        CacheLine victim;
+        Victim victim;
         auto [fresh, hadVictim] = array.allocate(block, victim);
         (void)hadVictim; // L1 evictions are silent: L2 is inclusive.
         line = fresh;

@@ -150,10 +150,10 @@ L2Controller::fillArrived(sim::Addr block_addr, bool writable)
 {
     CacheLine *line = array.find(block_addr);
     if (line == nullptr) {
-        CacheLine victim;
+        Victim victim;
         auto [fresh, hadVictim] = array.allocate(block_addr, victim);
         if (hadVictim) {
-            backProbeL1s(victim, true);
+            backProbeL1s(victim.blockAddr, victim.aux, true);
             if (isOwnerState(victim.state)) {
                 ++numWritebacks;
                 issue(victim.blockAddr, BusCmd::PutM);
@@ -211,12 +211,12 @@ L2Controller::snoopAndHandle(const BusMsg &msg, bool remote)
     const LineState before = line->state;
     if (remote) {
         if (msg.cmd == BusCmd::GetM) {
-            backProbeL1s(*line, true);
+            backProbeL1s(msg.blockAddr, line->aux, true);
             array.invalidate(*line);
         } else if (msg.cmd == BusCmd::GetS) {
             if (before == LineState::Modified) {
                 line->state = LineState::Owned;
-                backProbeL1s(*line, false);
+                backProbeL1s(msg.blockAddr, line->aux, false);
             }
             // Shared/Owned copies are unaffected by a remote GetS.
         }
@@ -252,10 +252,10 @@ L2Controller::warmRequest(sim::Addr block_addr, bool need_writable,
     // the source node), so the lookup above is still authoritative —
     // a resident line means an upgrade completion.
     if (line == nullptr) {
-        CacheLine victim;
+        Victim victim;
         auto [fresh, hadVictim] = array.allocate(block_addr, victim);
         if (hadVictim) {
-            backProbeL1s(victim, true);
+            backProbeL1s(victim.blockAddr, victim.aux, true);
             if (isOwnerState(victim.state)) {
                 ++numWritebacks;
                 bus.warmEvict(node, victim.blockAddr);
@@ -292,12 +292,13 @@ L2Controller::snoopState(sim::Addr block_addr) const
 }
 
 void
-L2Controller::backProbeL1s(const CacheLine &line, bool invalidate_l1)
+L2Controller::backProbeL1s(sim::Addr block_addr, std::uint8_t aux,
+                           bool invalidate_l1)
 {
-    if ((line.aux & l2AuxL1ICopy) && icache != nullptr)
-        icache->backProbe(line.blockAddr, invalidate_l1);
-    if ((line.aux & l2AuxL1DCopy) && dcache != nullptr)
-        dcache->backProbe(line.blockAddr, invalidate_l1);
+    if ((aux & l2AuxL1ICopy) && icache != nullptr)
+        icache->backProbe(block_addr, invalidate_l1);
+    if ((aux & l2AuxL1DCopy) && dcache != nullptr)
+        dcache->backProbe(block_addr, invalidate_l1);
 }
 
 void

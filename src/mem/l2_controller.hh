@@ -97,7 +97,8 @@ class L2Controller : public sim::SimObject
     sim::Tick warmRequest(sim::Addr block_addr, bool need_writable,
                           L1Cache *who);
 
-    /** Visit every valid L2 line (directory rebuild on restore). */
+    /** Visit every valid L2 line as fn(block address, line)
+     *  (directory and snoop-filter rebuild on restore). */
     template <typename Fn>
     void
     forEachValidLine(Fn &&fn) const
@@ -160,7 +161,9 @@ class L2Controller : public sim::SimObject
     void maybePrefetch(sim::Addr filled_block);
 
     void issue(sim::Addr block_addr, BusCmd cmd);
-    void backProbeL1s(const CacheLine &line, bool invalidate_l1);
+    /** Back-probe the L1s whose copy bits are set in @p aux. */
+    void backProbeL1s(sim::Addr block_addr, std::uint8_t aux,
+                      bool invalidate_l1);
     std::uint8_t l1Bit(const L1Cache *l1) const;
 
     const MemConfig &cfg;

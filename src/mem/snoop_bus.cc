@@ -213,8 +213,9 @@ SnoopBus::postRestore()
 {
     holders.clear();
     for (std::size_t n = 0; n < nodes.size(); ++n)
-        nodes[n]->forEachValidLine([&](const CacheLine &line) {
-            holders[line.blockAddr] |= std::uint64_t{1} << n;
+        nodes[n]->forEachValidLine([&](sim::Addr block,
+                                       const CacheLine &) {
+            holders[block] |= std::uint64_t{1} << n;
         });
 }
 

@@ -33,6 +33,15 @@ namespace varsim
 namespace sim
 {
 
+/**
+ * Layout version of the snapshots CheckpointOut writes, and the
+ * newest CheckpointIn reads. Format 1 stored each cache line in 24
+ * bytes (whole block address, state, aux, 64-bit use stamp); format
+ * 2 stores it in 8 (tag, state, aux, per-set LRU rank). Every other
+ * object's layout is the same in both.
+ */
+constexpr std::uint32_t kCheckpointFormat = 2;
+
 /** Output archive: values are appended to an in-memory byte buffer. */
 class CheckpointOut
 {
@@ -115,11 +124,21 @@ class CheckpointOut
 class CheckpointIn
 {
   public:
-    explicit CheckpointIn(const std::vector<std::uint8_t> &data)
-        : base(data.data()), len(data.size())
-    {}
+    /** Read @p data, a snapshot written in layout @p format. */
+    explicit CheckpointIn(const std::vector<std::uint8_t> &data,
+                          std::uint32_t format = kCheckpointFormat)
+        : base(data.data()), len(data.size()), format_(format)
+    {
+        VARSIM_ASSERT(format >= 1 && format <= kCheckpointFormat,
+                      "checkpoint format %u (this build reads 1..%u)",
+                      format, kCheckpointFormat);
+    }
 
-    explicit CheckpointIn(std::vector<std::uint8_t> &&) = delete;
+    explicit CheckpointIn(std::vector<std::uint8_t> &&,
+                          std::uint32_t = kCheckpointFormat) = delete;
+
+    /** The snapshot's layout version (see kCheckpointFormat). */
+    std::uint32_t format() const { return format_; }
 
     /** Read a trivially copyable scalar value. */
     template <typename T>
@@ -216,6 +235,7 @@ class CheckpointIn
     const std::uint8_t *base;
     std::size_t len;
     std::size_t pos = 0;
+    std::uint32_t format_;
 };
 
 /**

@@ -265,7 +265,10 @@ TEST(Campaign, BuildSpecRefusesSystemsTheSimulatorCannotBuild)
         {"cpus", "0"},      {"cpus", "65"},     {"cpus", "abc"},
         {"cpus", "-4"},     {"cpus", " 4"},     {"l2-assoc", "3"},
         {"l2-size", "1000"}, {"rob", "0"},      {"quantum", "0"},
-        {"dram", "80ns"}};
+        {"dram", "80ns"},
+        // One set of 131,072 ways: a power-of-two set count, but
+        // more ways than a 16-bit LRU rank orders.
+        {"l2-assoc", "131072"}};
     for (const auto &[knob, value] : bad) {
         campaign::SpecFields f;
         f.base[knob] = value;
@@ -286,12 +289,16 @@ TEST(Campaign, BuildSpecRefusesSystemsTheSimulatorCannotBuild)
     EXPECT_FALSE(campaign::buildSpec(f, spec, &err));
     EXPECT_NE(err.find("l2-assoc=3"), std::string::npos) << err;
 
-    // The edges of the CPU range still build.
+    // The edges of the CPU range still build, and so does the
+    // widest set a rank orders (one set of 65,536 ways in 4 MiB).
     for (const char *cpus : {"1", "64"}) {
         campaign::SpecFields ok;
         ok.base["cpus"] = cpus;
         EXPECT_TRUE(campaign::buildSpec(ok, spec, &err)) << err;
     }
+    campaign::SpecFields widest;
+    widest.base["l2-assoc"] = "65536";
+    EXPECT_TRUE(campaign::buildSpec(widest, spec, &err)) << err;
     EXPECT_TRUE(core::SystemConfig::paperDefault().check(&err));
     EXPECT_TRUE(core::SystemConfig::testDefault().check(&err));
 }

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "ckpt/archive.hh"
 #include "ckpt/key.hh"
@@ -184,6 +186,53 @@ TEST(CkptArchive, EmptyPayloadRoundTrips)
     const auto r = ckpt::parseArchive(bytes);
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_TRUE(r.payload.empty());
+}
+
+/** @p bytes with header version @p v and a checksum that matches. */
+std::vector<std::uint8_t>
+withVersion(std::vector<std::uint8_t> bytes, std::uint32_t v)
+{
+    for (std::size_t i = 0; i < 4; ++i)
+        bytes[8 + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    const std::uint64_t sum =
+        ckpt::fnvBytes(bytes.data(), bytes.size() - 8);
+    for (std::size_t i = 0; i < 8; ++i)
+        bytes[bytes.size() - 8 + i] =
+            static_cast<std::uint8_t>(sum >> (8 * i));
+    return bytes;
+}
+
+TEST(CkptArchive, ReadsEveryFormatUpToItsOwnAndNamesIt)
+{
+    const auto bytes = ckpt::buildArchive(sampleMeta(), samplePayload());
+    EXPECT_EQ(ckpt::kArchiveVersion, 2u);
+    EXPECT_EQ(bytes[8], 2u) << "buildArchive writes format 2";
+
+    for (std::uint32_t v = 1; v <= ckpt::kArchiveVersion; ++v) {
+        const auto r = ckpt::parseArchive(withVersion(bytes, v));
+        ASSERT_TRUE(r.ok) << v << ": " << r.error;
+        EXPECT_EQ(r.version, v);
+        EXPECT_EQ(r.payload, samplePayload());
+    }
+    for (std::uint32_t v : {0u, ckpt::kArchiveVersion + 1}) {
+        const auto r = ckpt::parseArchive(withVersion(bytes, v));
+        ASSERT_FALSE(r.ok) << v;
+        EXPECT_NE(r.error.find("unsupported format version " +
+                               std::to_string(v)),
+                  std::string::npos)
+            << r.error;
+    }
+
+    // The header alone names the version, without a full load.
+    const std::string dir = scratchDir("peek");
+    std::string err;
+    ASSERT_TRUE(ckpt::writeFileAtomic(dir, "v1.vckpt",
+                                      withVersion(bytes, 1), &err))
+        << err;
+    EXPECT_EQ(ckpt::peekArchiveVersion(dir + "/v1.vckpt"), 1u);
+    EXPECT_EQ(ckpt::peekArchiveVersion(dir + "/none.vckpt"), 0u);
+    std::ofstream(dir + "/short.vckpt") << "VSIMCKPT";
+    EXPECT_EQ(ckpt::peekArchiveVersion(dir + "/short.vckpt"), 0u);
 }
 
 } // namespace

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -439,6 +441,99 @@ TEST(CkptLibrary, TornIndexTailIsIgnoredButObjectStillServes)
     EXPECT_EQ(lib->entries().size(), 1u);
     core::Checkpoint got;
     EXPECT_TRUE(lib->fetch(makeKey(), got));
+}
+
+/** Rewrite the archive at @p path as format @p version, checksum
+ *  and all: what a build that wrote that format left on disk. */
+void
+restampVersion(const std::string &path, std::uint32_t version)
+{
+    std::vector<std::uint8_t> bytes;
+    {
+        std::ifstream f(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(f), {});
+    }
+    ASSERT_GT(bytes.size(), 20u);
+    for (std::size_t i = 0; i < 4; ++i)
+        bytes[8 + i] = static_cast<std::uint8_t>(version >> (8 * i));
+    const std::uint64_t sum =
+        ckpt::fnvBytes(bytes.data(), bytes.size() - 8);
+    for (std::size_t i = 0; i < 8; ++i)
+        bytes[bytes.size() - 8 + i] =
+            static_cast<std::uint8_t>(sum >> (8 * i));
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char *>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(CkptLibrary, VerifyAndListNameEachObjectsFormat)
+{
+    // A library written before format 2 keeps serving: its objects
+    // verify, fetch with their format, and are counted so a user can
+    // see how much of the library predates this build.
+    const std::string dir = freshDir("formats");
+    auto lib = ckpt::CheckpointLibrary::open(dir);
+    const auto oldKey = makeKey(15);
+    const auto newKey = makeKey(30);
+    lib->publish(oldKey, makeSnapshot(0x11));
+    lib->publish(newKey, makeSnapshot(0x22));
+    ASSERT_NO_FATAL_FAILURE(restampVersion(
+        dir + "/objects/" + oldKey.digestHex() + ".vckpt", 1));
+
+    EXPECT_EQ(lib->objectFormat(oldKey.digestHex()), 1u);
+    EXPECT_EQ(lib->objectFormat(newKey.digestHex()),
+              ckpt::kArchiveVersion);
+    EXPECT_EQ(lib->objectFormat("0123456789abcdef"), 0u);
+
+    const auto rep = lib->verify();
+    EXPECT_TRUE(rep.clean()) << rep.toString();
+    EXPECT_EQ(rep.ok, 2u);
+    EXPECT_EQ(rep.format1, 1u);
+    ASSERT_EQ(rep.objects.size(), 2u);
+    for (const auto &o : rep.objects) {
+        EXPECT_TRUE(o.ok) << o.digestHex;
+        EXPECT_EQ(o.format, o.digestHex == oldKey.digestHex()
+                                ? 1u
+                                : ckpt::kArchiveVersion);
+    }
+    const std::string text = rep.toString();
+    EXPECT_NE(text.find("1 in format 1"), std::string::npos) << text;
+    EXPECT_NE(text.find(oldKey.digestHex() + "  format 1  ok"),
+              std::string::npos)
+        << text;
+
+    // The payload comes back tagged with the format it was written
+    // in, which is what tells a restore how to read its cache lines.
+    core::Checkpoint got;
+    ASSERT_TRUE(lib->fetch(oldKey, got));
+    EXPECT_EQ(got.format, 1u);
+    EXPECT_EQ(got.bytes, makeSnapshot(0x11).bytes);
+    ASSERT_TRUE(lib->fetch(newKey, got));
+    EXPECT_EQ(got.format, sim::kCheckpointFormat);
+
+    // A damaged object is named with whatever its header says.
+    {
+        std::ofstream f(dir + "/objects/" + newKey.digestHex() +
+                            ".vckpt",
+                        std::ios::binary | std::ios::app);
+        f << "x";
+    }
+    const auto damaged = lib->verify();
+    EXPECT_EQ(damaged.corrupt, 1u);
+    EXPECT_EQ(damaged.format1, 1u);
+    EXPECT_NE(damaged.toString().find(
+                  newKey.digestHex() + "  format 2  corrupt"),
+              std::string::npos)
+        << damaged.toString();
+}
+
+TEST(CkptLibraryDeathTest, PublishingAnOlderFormatIsABug)
+{
+    const std::string dir = freshDir("publishold");
+    auto lib = ckpt::CheckpointLibrary::open(dir);
+    core::Checkpoint old = makeSnapshot();
+    old.format = 1;
+    EXPECT_DEATH(lib->publish(makeKey(), old), "format-1 snapshot");
 }
 
 } // namespace

@@ -120,10 +120,12 @@
  *   create: --dir <library> plus the campaign flags above (the same
  *           grid/seed/checkpoint flags the campaign will use; needs
  *           --checkpoints >= 1) — pre-warms every snapshot
- *   ls:     --dir <library>            list stored checkpoints
+ *   ls:     --dir <library>            list stored checkpoints and
+ *                                      each object's archive format
  *   verify: --dir <library>            integrity-check every object,
- *                                      re-index strays; exit 1 on
- *                                      damage
+ *                                      name its format and count
+ *                                      format-1 ones, re-index
+ *                                      strays; exit 1 on damage
  *   gc:     --dir <library> [--max-bytes <n>]
  *                                      sweep debris/corruption and
  *                                      evict oldest over the cap
@@ -805,14 +807,18 @@ cmdCkpt(const std::string &action, const Args &args)
         const auto entries = lib->entries();
         std::printf("%zu checkpoint(s) in %s\n", entries.size(),
                     dir.c_str());
-        for (const auto &e : entries)
+        for (const auto &e : entries) {
+            const std::uint32_t format = lib->objectFormat(e.digestHex);
             std::printf("  %s  pos %-8llu seed %-12llu %llu "
-                        "byte(s)\n",
+                        "byte(s)  format %s\n",
                         e.digestHex.c_str(),
                         static_cast<unsigned long long>(e.position),
                         static_cast<unsigned long long>(
                             e.warmupSeed),
-                        static_cast<unsigned long long>(e.bytes));
+                        static_cast<unsigned long long>(e.bytes),
+                        format ? std::to_string(format).c_str()
+                               : "? (unreadable)");
+        }
         return 0;
     }
     if (action == "verify") {
