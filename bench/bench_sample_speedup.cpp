@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "bench/common.hh"
-#include "sample/runner.hh"
 
 namespace
 {
@@ -119,7 +118,7 @@ timedRun(const Case &c, const std::string &spec, const char *mode,
     core::RunResult r;
     for (int rep = 0; rep < repeat; ++rep) {
         bench::Stopwatch sw;
-        r = sample::runOnce(c.sys, wl, rc);
+        r = core::runOnce(c.sys, wl, rc);
         const double w = sw.seconds();
         if (rep == 0 || w < wall)
             wall = w;

@@ -15,6 +15,29 @@ namespace varsim
 namespace campaign
 {
 
+namespace
+{
+
+/**
+ * Group @p g's label from the store header: its configuration's
+ * name, with " @ckptN" when the campaign has checkpoints.
+ */
+std::string
+groupLabel(const StoreHeader &h, std::size_t g)
+{
+    const std::size_t slots =
+        h.numCheckpoints ? h.numCheckpoints : 1;
+    const std::size_t cfg = g / slots;
+    std::string name = cfg < h.configNames.size()
+                           ? h.configNames[cfg]
+                           : sim::format("config%zu", cfg);
+    if (h.numCheckpoints)
+        name += sim::format(" @ckpt%zu", g % slots);
+    return name;
+}
+
+} // anonymous namespace
+
 CampaignOutcome
 runCampaign(const CampaignSpec &spec, const std::string &dir,
             const CampaignOptions &opt)
@@ -36,9 +59,8 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
             break;
 
         // Warm (or restore) only the configurations this round's
-        // owned cells actually start from, before the round's batch:
-        // a restore fetches its snapshots on the pool itself, and
-        // parallelFor is not re-entrant.
+        // owned cells actually start from, before the round's batch
+        // (warm-up is serial; the batch then runs cells only).
         for (const Cell &cell : work)
             exec.prepareCell(cell);
 
@@ -121,16 +143,9 @@ campaignStatus(const std::string &dir)
     st.segmentCount = store->segmentCount();
     st.segmentRuns = store->segmentRunCount();
     st.tailRuns = store->tailRunCount();
-    const std::size_t slots =
-        st.header.numCheckpoints ? st.header.numCheckpoints : 1;
     for (std::size_t g = 0; g < st.header.numGroups; ++g) {
         st.runsPerGroup.push_back(store->runsInGroup(g));
-        std::string name = g / slots < st.header.configNames.size()
-                               ? st.header.configNames[g / slots]
-                               : sim::format("config%zu", g / slots);
-        if (st.header.numCheckpoints)
-            name += sim::format(" @ckpt%zu", g % slots);
-        st.groupNames.push_back(name);
+        st.groupNames.push_back(groupLabel(st.header, g));
     }
     return st;
 }
@@ -144,15 +159,6 @@ campaignReport(const std::string &dir, double confidence)
         h.numCheckpoints ? h.numCheckpoints : 1;
     const std::size_t numConfigs =
         slots ? h.numGroups / slots : 0;
-
-    auto nameOf = [&](std::size_t cfg, std::size_t ck) {
-        std::string name = cfg < h.configNames.size()
-                               ? h.configNames[cfg]
-                               : sim::format("config%zu", cfg);
-        if (h.numCheckpoints)
-            name += sim::format(" @ckpt%zu", ck);
-        return name;
-    };
 
     CampaignReport rep;
     rep.text = sim::format(
@@ -182,9 +188,7 @@ campaignReport(const std::string &dir, double confidence)
 
     for (std::size_t g = 0; g < h.numGroups; ++g) {
         const auto xs = store->groupMetric(g);
-        rep.text += sim::format("\n%s:\n",
-                                nameOf(g / slots, g % slots)
-                                    .c_str());
+        rep.text += sim::format("\n%s:\n", groupLabel(h, g).c_str());
         if (xs.size() < 2) {
             rep.text += sim::format("  %zu run(s): too few for "
                                     "statistics\n", xs.size());
@@ -253,7 +257,8 @@ campaignReport(const std::string &dir, double confidence)
                     core::compare(xa, xb, confidence);
                 rep.text += sim::format(
                     "  %s vs %s:\n    %s\n",
-                    nameOf(a, ck).c_str(), nameOf(b, ck).c_str(),
+                    groupLabel(h, a * slots + ck).c_str(),
+                    groupLabel(h, b * slots + ck).c_str(),
                     cmp.verdict().c_str());
             }
         }
@@ -267,8 +272,6 @@ campaignMetricReport(const std::string &dir,
 {
     auto store = ResultStore::openReadOnly(dir);
     const StoreHeader &h = store->header();
-    const std::size_t slots =
-        h.numCheckpoints ? h.numCheckpoints : 1;
 
     CampaignReport rep;
     if (metric == "list") {
@@ -285,23 +288,12 @@ campaignMetricReport(const std::string &dir,
         return rep;
     }
 
-    auto nameOf = [&](std::size_t cfg, std::size_t ck) {
-        std::string name = cfg < h.configNames.size()
-                               ? h.configNames[cfg]
-                               : sim::format("config%zu", cfg);
-        if (h.numCheckpoints)
-            name += sim::format(" @ckpt%zu", ck);
-        return name;
-    };
-
     bool any = false;
     rep.text = sim::format("campaign metric report: %s\n",
                            metric.c_str());
     for (std::size_t g = 0; g < h.numGroups; ++g) {
         const auto xs = store->groupMetricNamed(g, metric);
-        rep.text += sim::format("\n%s:\n",
-                                nameOf(g / slots, g % slots)
-                                    .c_str());
+        rep.text += sim::format("\n%s:\n", groupLabel(h, g).c_str());
         if (xs.size() < 2) {
             rep.text += sim::format("  %zu run(s) with this metric: "
                                     "too few for statistics\n",

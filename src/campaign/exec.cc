@@ -8,7 +8,6 @@
 #include "core/experiment.hh"
 #include "core/simulation.hh"
 #include "core/thread_pool.hh"
-#include "sample/runner.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
 
@@ -179,11 +178,10 @@ class CheckpointWarmer
     }
 
     /**
-     * Make config @p c's checkpoints available. Serial caller, and
-     * never from inside a HostThreadPool job: the library fetches
-     * run on the pool (opt.hostThreads workers), and parallelFor is
-     * not re-entrant. The serve daemon passes hostThreads = 1, which
-     * keeps them inline on its own worker.
+     * Make config @p c's checkpoints available. Serial caller; the
+     * library fetches run on the pool with opt.hostThreads workers.
+     * The serve daemon passes hostThreads = 1, which keeps them
+     * inline on its own worker.
      */
     void
     ensureConfig(std::size_t c)
@@ -366,14 +364,10 @@ Execution::tryCreate(const CampaignSpec &spec,
 
 Execution::~Execution() = default;
 
-std::vector<Cell>
-Execution::pendingCells()
+std::vector<GroupDecision>
+Execution::decideFromStore() const
 {
     const std::size_t groups = eff.numGroups();
-    // Stable cell ids for sharding: group-major with the per-group
-    // cap as the stride (constant for the life of the store).
-    const std::size_t cellStride =
-        std::max(eff.stop.fixedRuns, eff.stop.maxRuns);
 
     // The stopping controller only ever reads the pilot prefix (the
     // fixed-runs path reads no metrics at all), so cap the replayed
@@ -402,7 +396,18 @@ Execution::pendingCells()
                 ciHalf[g].push_back((hi[i] - lo[i]) / 2.0);
         }
     }
-    auto dec = decideTargets(eff, metrics, ciHalf);
+    return decideTargets(eff, metrics, ciHalf);
+}
+
+std::vector<Cell>
+Execution::pendingCells()
+{
+    const std::size_t groups = eff.numGroups();
+    // Stable cell ids for sharding: group-major with the per-group
+    // cap as the stride (constant for the life of the store).
+    const std::size_t cellStride =
+        std::max(eff.stop.fixedRuns, eff.stop.maxRuns);
+    auto dec = decideFromStore();
 
     std::vector<Cell> work;
     for (std::size_t g = 0; g < groups; ++g) {
@@ -450,16 +455,13 @@ Execution::runCell(const Cell &cell)
     core::RunConfig rc = eff.run;
     rc.perturbSeed = eff.groupSeed(cell.group, cell.runIdx);
 
-    // The sample:: runners fall straight through to core:: when the
-    // spec leaves sampling off.
     core::RunResult res;
     if (eff.numCheckpoints) {
         rc.warmupTxns = 0; // the checkpoint warmed up
-        res = sample::runFromCheckpoint(eff.configs[cfg].sys,
-                                        eff.wl,
-                                        warmer->get(cfg, ck), rc);
+        res = core::runFromCheckpoint(eff.configs[cfg].sys, eff.wl,
+                                      warmer->get(cfg, ck), rc);
     } else {
-        res = sample::runOnce(eff.configs[cfg].sys, eff.wl, rc);
+        res = core::runOnce(eff.configs[cfg].sys, eff.wl, rc);
     }
 
     RunRecord rec;
@@ -492,35 +494,9 @@ Execution::runsExecuted() const
 bool
 Execution::complete()
 {
-    return pendingCellsComplete();
-}
-
-bool
-Execution::pendingCellsComplete()
-{
-    const std::size_t groups = eff.numGroups();
-    const std::size_t pilotCap =
-        eff.stop.fixedRuns ? 0 : eff.stop.pilotRuns;
-    std::vector<std::vector<double>> metrics(groups);
-    for (std::size_t g = 0; g < groups; ++g)
-        metrics[g] = store->groupMetric(g, pilotCap);
-    std::vector<std::vector<double>> ciHalf;
-    if (eff.run.sample.enabled()) {
-        ciHalf.resize(groups);
-        for (std::size_t g = 0; g < groups; ++g) {
-            const auto lo = store->groupMetricNamed(
-                g, "sim.sampled.cpt_lo", pilotCap);
-            const auto hi = store->groupMetricNamed(
-                g, "sim.sampled.cpt_hi", pilotCap);
-            const std::size_t n = std::min(lo.size(), hi.size());
-            ciHalf[g].reserve(n);
-            for (std::size_t i = 0; i < n; ++i)
-                ciHalf[g].push_back((hi[i] - lo[i]) / 2.0);
-        }
-    }
-    auto dec = decideTargets(eff, metrics, ciHalf);
+    auto dec = decideFromStore();
     bool done = true;
-    for (std::size_t g = 0; g < groups; ++g)
+    for (std::size_t g = 0; g < eff.numGroups(); ++g)
         if (store->runsInGroup(g) < dec[g].target)
             done = false;
     std::lock_guard<std::mutex> lk(mu);
@@ -552,7 +528,7 @@ Execution::recordCkptStats()
 CampaignOutcome
 Execution::outcome()
 {
-    const bool done = pendingCellsComplete();
+    const bool done = complete();
     std::lock_guard<std::mutex> lk(mu);
     const std::size_t groups = eff.numGroups();
     CampaignOutcome out;

@@ -15,10 +15,8 @@
  *
  * Thread contract: pendingCells()/complete()/outcome() may be called
  * from any thread; prepareCell() serializes internally (checkpoint
- * warm-up is not concurrent) and must not be called from inside a
- * HostThreadPool job, because it fetches a configuration's library
- * snapshots on that pool; runCell() may run concurrently from many
- * threads for *distinct* prepared cells.
+ * warm-up is not concurrent); runCell() may run concurrently from
+ * many threads for *distinct* prepared cells.
  */
 
 #ifndef VARSIM_CAMPAIGN_EXEC_HH
@@ -95,8 +93,7 @@ class Execution
      * cheap when already warmed or when the spec plans none. The
      * configuration's library objects are fetched concurrently on
      * HostThreadPool with options().hostThreads workers (1 keeps
-     * them on the calling thread), so never call this from a pool
-     * job: parallelFor is not re-entrant.
+     * them on the calling thread).
      */
     void prepareCell(const Cell &cell);
 
@@ -127,8 +124,12 @@ class Execution
   private:
     Execution() = default;
 
-    /** Recompute decisions; true when all groups meet target. */
-    bool pendingCellsComplete();
+    /**
+     * Stopping decisions replayed from the store: every group's
+     * pilot prefix and, for sampled specs, its runs' within-run CI
+     * half-widths.
+     */
+    std::vector<GroupDecision> decideFromStore() const;
 
     CampaignSpec eff;
     CampaignOptions opt;

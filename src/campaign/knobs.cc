@@ -1,10 +1,7 @@
 #include "campaign/knobs.hh"
 
-#include <cctype>
 #include <cerrno>
 #include <cstdlib>
-
-#include "sim/logging.hh"
 
 namespace varsim
 {
@@ -19,38 +16,6 @@ fail(std::string *err, std::string msg)
 {
     if (err)
         *err = std::move(msg);
-    return false;
-}
-
-/**
- * Workload-name lookup that reports instead of exiting (the
- * daemon-facing twin of workload::kindFromName, which fatals).
- */
-bool
-workloadFromName(const std::string &name,
-                 workload::WorkloadKind &out)
-{
-    static const std::pair<const char *, workload::WorkloadKind>
-        kinds[] = {
-            {"oltp", workload::WorkloadKind::Oltp},
-            {"apache", workload::WorkloadKind::Apache},
-            {"specjbb", workload::WorkloadKind::SpecJbb},
-            {"jbb", workload::WorkloadKind::SpecJbb},
-            {"slashcode", workload::WorkloadKind::Slashcode},
-            {"ecperf", workload::WorkloadKind::EcPerf},
-            {"barnes", workload::WorkloadKind::Barnes},
-            {"ocean", workload::WorkloadKind::Ocean},
-        };
-    std::string lower = name;
-    for (char &c : lower)
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-    for (const auto &kv : kinds) {
-        if (lower == kv.first) {
-            out = kv.second;
-            return true;
-        }
-    }
     return false;
 }
 
@@ -200,7 +165,7 @@ buildSpec(const SpecFields &fields, CampaignSpec &out,
     if (!buildConfigGrid(base, fields.vary, spec.configs, err))
         return false;
 
-    if (!workloadFromName(fields.workload, spec.wl.kind))
+    if (!workload::kindFromName(fields.workload, spec.wl.kind))
         return fail(err, "unknown workload '" + fields.workload +
                              "' (oltp apache specjbb slashcode "
                              "ecperf barnes ocean)");

@@ -15,7 +15,6 @@
 #include <ostream>
 
 #include "campaign/segment.hh"
-#include "ckpt/archive.hh"
 #include "sim/file_io.hh"
 #include "sim/jsonl.hh"
 #include "sim/logging.hh"
@@ -35,17 +34,6 @@ std::string
 manifestPath(const std::string &dir)
 {
     return dir + "/manifest.jsonl";
-}
-
-/** fsync a directory so a freshly created manifest survives a crash. */
-void
-syncDirectory(const std::string &dir)
-{
-    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dfd < 0)
-        return; // best effort: not all filesystems allow this
-    ::fsync(dfd);
-    ::close(dfd);
 }
 
 /**
@@ -264,10 +252,13 @@ ResultStore::tryOpenOrCreate(const std::string &dir,
         std::lock_guard<std::mutex> lock(store->mu);
         store->maybeAutoCompactLocked();
     } else {
+        // The journal's first append: a fresh manifest is created in
+        // place rather than by writeFileAtomic's temp + rename, whose
+        // second metadata commit makes every new store slower.
         store->header_ = header;
         std::lock_guard<std::mutex> lock(store->mu);
         store->appendLine(headerLineFor(header));
-        syncDirectory(dir);
+        sim::syncDirectory(dir);
     }
     return store;
 }
@@ -912,7 +903,7 @@ ResultStore::compactLocked()
     const std::string name =
         sim::format("seg-%06zu.vseg", nextSegmentSeq);
     std::string err;
-    if (!ckpt::writeFileAtomic(segDir, name, bytes, &err))
+    if (!sim::writeFileAtomic(segDir, name, bytes, &err))
         sim::fatal("compaction of %s failed: %s", dir_.c_str(),
                    err.c_str());
 
@@ -948,10 +939,7 @@ ResultStore::compactLocked()
                                        l.view->checksum())));
     manifest += w.str() + "\n";
 
-    const std::vector<std::uint8_t> mbytes(manifest.begin(),
-                                           manifest.end());
-    if (!ckpt::writeFileAtomic(dir_, "manifest.jsonl", mbytes,
-                               &err))
+    if (!sim::writeFileAtomic(dir_, "manifest.jsonl", manifest, &err))
         sim::fatal("cannot rewrite manifest of %s: %s",
                    dir_.c_str(), err.c_str());
 

@@ -1,10 +1,5 @@
 #include "ckpt/archive.hh"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -218,71 +213,6 @@ peekArchiveVersion(const std::string &path)
     if (!whole || std::memcmp(head, kMagic, sizeof(kMagic)) != 0)
         return 0;
     return getLe<std::uint32_t>(head + 8);
-}
-
-bool
-writeFileAtomic(const std::string &dir, const std::string &name,
-                const std::vector<std::uint8_t> &bytes,
-                std::string *error)
-{
-    // Unique per process and per call: concurrent shards writing the
-    // same object never collide on the temporary, and rename(2) makes
-    // whichever finishes last win with identical bytes.
-    static std::atomic<std::uint64_t> counter{0};
-    const std::string tmp = sim::format(
-        "%s/%s.tmp.%d.%llu", dir.c_str(), name.c_str(),
-        static_cast<int>(::getpid()),
-        static_cast<unsigned long long>(counter.fetch_add(1)));
-    const std::string final = dir + "/" + name;
-
-    const int fd =
-        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-    if (fd < 0) {
-        if (error)
-            *error = sim::format("cannot create %s: %s", tmp.c_str(),
-                                 std::strerror(errno));
-        return false;
-    }
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t n =
-            ::write(fd, bytes.data() + off, bytes.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            if (error)
-                *error = sim::format("write to %s failed: %s",
-                                     tmp.c_str(),
-                                     std::strerror(errno));
-            ::close(fd);
-            ::unlink(tmp.c_str());
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    if (::fsync(fd) != 0) {
-        if (error)
-            *error = sim::format("fsync of %s failed: %s",
-                                 tmp.c_str(), std::strerror(errno));
-        ::close(fd);
-        ::unlink(tmp.c_str());
-        return false;
-    }
-    ::close(fd);
-    if (::rename(tmp.c_str(), final.c_str()) != 0) {
-        if (error)
-            *error = sim::format("rename %s -> %s failed: %s",
-                                 tmp.c_str(), final.c_str(),
-                                 std::strerror(errno));
-        ::unlink(tmp.c_str());
-        return false;
-    }
-    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dfd >= 0) {
-        ::fsync(dfd); // best effort, as the campaign store does
-        ::close(dfd);
-    }
-    return true;
 }
 
 } // namespace ckpt

@@ -140,17 +140,6 @@ LoadResult loadArchiveFile(const std::string &path);
  */
 std::uint32_t peekArchiveVersion(const std::string &path);
 
-/**
- * Durably write @p bytes as @p dir/@p name: write to a unique
- * temporary in the same directory, fsync, rename(2) over the final
- * name, fsync the directory. Readers see either nothing or the whole
- * file; a killed writer leaves only a ".tmp." file that gc sweeps.
- * Returns false (with @p error set) on failure.
- */
-bool writeFileAtomic(const std::string &dir, const std::string &name,
-                     const std::vector<std::uint8_t> &bytes,
-                     std::string *error);
-
 } // namespace ckpt
 } // namespace varsim
 

@@ -258,8 +258,8 @@ CheckpointLibrary::publish(const CheckpointKey &key,
     e.bytes = bytes.size();
 
     std::string error;
-    if (!writeFileAtomic(objectsDir(), hex + ".vckpt", bytes,
-                         &error))
+    if (!sim::writeFileAtomic(objectsDir(), hex + ".vckpt", bytes,
+                              &error))
         sim::fatal("checkpoint library publish failed: %s",
                    error.c_str());
     if (remember(e))
@@ -483,9 +483,8 @@ CheckpointLibrary::rewriteIndex()
     std::string body;
     for (const LibraryEntry &e : entries_)
         body += entryLine(e) + "\n";
-    std::vector<std::uint8_t> bytes(body.begin(), body.end());
     std::string error;
-    if (!writeFileAtomic(dir_, "index.jsonl", bytes, &error))
+    if (!sim::writeFileAtomic(dir_, "index.jsonl", body, &error))
         sim::fatal("cannot rewrite checkpoint index: %s",
                    error.c_str());
     // The append fd still points at the replaced inode; reopen so

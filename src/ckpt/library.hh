@@ -11,7 +11,7 @@
  * index: it stats the object directly, which is what makes the
  * library safe to share between concurrent `--shard i/N` processes
  * without locks. Publication is atomic (temp + rename, see
- * writeFileAtomic); two shards warming the same configuration race
+ * sim::writeFileAtomic); two shards warming the same configuration race
  * benignly because identical keys produce byte-identical archives.
  * The index exists for enumeration (ls, gc, stats); a crash between
  * rename and index append leaves a valid but unindexed object that

@@ -15,16 +15,62 @@ namespace core
 namespace
 {
 
+using RunOne = std::function<RunResult(const ExperimentSpec &spec,
+                                       const RunConfig &run)>;
+
 /**
- * Run @p job(i) for i in [0, n) on the persistent host pool,
- * results keyed by index so the outcome is independent of host
- * scheduling. Job exceptions rethrow on the calling thread.
+ * The fan-out behind every runMany* entry point. Every run of every
+ * spec goes into one index space on the host pool, so host threads
+ * stay busy across configuration boundaries (no join barrier
+ * between configurations). Results are grouped per spec in run
+ * order, independent of host scheduling, and job exceptions rethrow
+ * on the calling thread. @p runOne simulates one run whose seed is
+ * already set. The worker budget is the largest hostThreads of any
+ * spec, and 0 (hardware concurrency) wins.
  */
-void
-parallelFor(std::size_t n, std::size_t host_threads,
-            const std::function<void(std::size_t)> &job)
+std::vector<std::vector<RunResult>>
+fanOut(const std::vector<ExperimentSpec> &specs, const RunOne &runOne)
 {
-    HostThreadPool::instance().parallelFor(n, host_threads, job);
+    std::vector<std::size_t> offsets(specs.size() + 1, 0);
+    std::size_t hostThreads = 1;
+    bool useHardware = false;
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+        specs[s].exp.validate();
+        offsets[s + 1] = offsets[s] + specs[s].exp.numRuns;
+        const std::size_t ht = specs[s].exp.hostThreads;
+        useHardware |= ht == 0;
+        hostThreads = std::max(hostThreads, ht);
+    }
+    if (useHardware)
+        hostThreads = 0;
+
+    std::vector<std::vector<RunResult>> results(specs.size());
+    for (std::size_t s = 0; s < specs.size(); ++s)
+        results[s].resize(specs[s].exp.numRuns);
+
+    HostThreadPool::instance().parallelFor(
+        offsets.back(), hostThreads, [&](std::size_t flat) {
+            const std::size_t s = static_cast<std::size_t>(
+                std::upper_bound(offsets.begin(), offsets.end(),
+                                 flat) -
+                offsets.begin() - 1);
+            const std::size_t i = flat - offsets[s];
+            // Runs execute concurrently on host threads; the scope
+            // gives every DPRINTF line this run emits a run identity.
+            sim::trace::RunScope scope(
+                specs.size() == 1 ? sim::format("r%zu", i)
+                                  : sim::format("e%zu.r%zu", s, i));
+            RunConfig r = specs[s].run;
+            r.perturbSeed = specs[s].exp.baseSeed + i;
+            results[s][i] = runOne(specs[s], r);
+        });
+    return results;
+}
+
+RunResult
+runFresh(const ExperimentSpec &spec, const RunConfig &run)
+{
+    return runOnce(spec.sys, spec.wl, run);
 }
 
 } // anonymous namespace
@@ -49,17 +95,7 @@ std::vector<RunResult>
 runMany(const SystemConfig &sys, const workload::WorkloadParams &wl,
         const RunConfig &run, const ExperimentConfig &exp)
 {
-    exp.validate();
-    std::vector<RunResult> results(exp.numRuns);
-    parallelFor(exp.numRuns, exp.hostThreads, [&](std::size_t i) {
-        // Runs execute concurrently on host threads; the scope gives
-        // every DPRINTF line this run emits a run identity.
-        sim::trace::RunScope scope(sim::format("r%zu", i));
-        RunConfig r = run;
-        r.perturbSeed = exp.baseSeed + i;
-        results[i] = runOnce(sys, wl, r);
-    });
-    return results;
+    return std::move(fanOut({{sys, wl, run, exp}}, runFresh).front());
 }
 
 std::vector<RunResult>
@@ -68,55 +104,18 @@ runManyFromCheckpoint(const SystemConfig &sys,
                       const Checkpoint &cp, const RunConfig &run,
                       const ExperimentConfig &exp)
 {
-    exp.validate();
-    std::vector<RunResult> results(exp.numRuns);
-    parallelFor(exp.numRuns, exp.hostThreads, [&](std::size_t i) {
-        sim::trace::RunScope scope(sim::format("r%zu", i));
-        RunConfig r = run;
-        r.perturbSeed = exp.baseSeed + i;
-        results[i] = runFromCheckpoint(sys, wl, cp, r);
-    });
-    return results;
+    return std::move(
+        fanOut({{sys, wl, run, exp}},
+               [&cp](const ExperimentSpec &spec, const RunConfig &r) {
+                   return runFromCheckpoint(spec.sys, spec.wl, cp, r);
+               })
+            .front());
 }
 
 std::vector<std::vector<RunResult>>
 runManyBatch(const std::vector<ExperimentSpec> &specs)
 {
-    // Flatten every run of every experiment into one index space so
-    // a sweep keeps all host threads busy across configuration
-    // boundaries (no join barrier between configurations).
-    std::vector<std::size_t> offsets(specs.size() + 1, 0);
-    std::size_t hostThreads = 1;
-    bool useHardware = false;
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-        specs[s].exp.validate();
-        offsets[s + 1] = offsets[s] + specs[s].exp.numRuns;
-        const std::size_t ht = specs[s].exp.hostThreads;
-        // 0 means "hardware concurrency": let it dominate the max.
-        useHardware |= ht == 0;
-        hostThreads = std::max(hostThreads, ht);
-    }
-    if (useHardware)
-        hostThreads = 0;
-
-    std::vector<std::vector<RunResult>> results(specs.size());
-    for (std::size_t s = 0; s < specs.size(); ++s)
-        results[s].resize(specs[s].exp.numRuns);
-
-    parallelFor(
-        offsets.back(), hostThreads, [&](std::size_t flat) {
-            const std::size_t s = static_cast<std::size_t>(
-                std::upper_bound(offsets.begin(), offsets.end(),
-                                 flat) -
-                offsets.begin() - 1);
-            const std::size_t i = flat - offsets[s];
-            sim::trace::RunScope scope(sim::format("e%zu.r%zu", s, i));
-            const ExperimentSpec &spec = specs[s];
-            RunConfig r = spec.run;
-            r.perturbSeed = spec.exp.baseSeed + i;
-            results[s][i] = runOnce(spec.sys, spec.wl, r);
-        });
-    return results;
+    return fanOut(specs, runFresh);
 }
 
 std::vector<double>

@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "core/sampling_controller.hh"
 #include "sim/logging.hh"
 
 namespace varsim
@@ -36,15 +37,19 @@ RunResult
 measure(Simulation &simn, const RunConfig &run, std::size_t num_cpus)
 {
     const std::uint64_t n = resolveMeasureTxns(simn, run);
+    const bool sampled = run.sample.enabled();
 
     RunResult r;
 
+    // The pre-measurement warm-up is fully detailed either way:
+    // sampling governs only the measure phase, so sampled and full
+    // runs share one phase structure and stay comparable.
     const auto warmupT0 = std::chrono::steady_clock::now();
     if (run.warmupTxns > 0)
         simn.runTransactions(run.warmupTxns);
     r.host.warmupWallSec = wallSecondsSince(warmupT0);
 
-    const bool wantWindows = run.windowTxns != 0;
+    const bool wantWindows = !sampled && run.windowTxns != 0;
     simn.recordCompletions(wantWindows);
 
     const sim::Tick start = simn.now();
@@ -53,7 +58,13 @@ measure(Simulation &simn, const RunConfig &run, std::size_t num_cpus)
     const std::uint64_t startInstrs =
         simn.totalCpuStats().instructions;
     const auto measureT0 = std::chrono::steady_clock::now();
-    const Simulation::Progress p = simn.runTransactions(n);
+    if (sampled) {
+        SamplingController ctl(simn, run.sample, run.perturbSeed);
+        r.sampled = ctl.run(n);
+        r.workloadEnded = ctl.workloadEnded();
+    } else {
+        r.workloadEnded = simn.runTransactions(n).workloadEnded;
+    }
     r.host.measureWallSec = wallSecondsSince(measureT0);
     r.host.eventsDispatched = simn.eventsDispatched() - startEvents;
     if (r.host.measureWallSec > 0.0) {
@@ -65,19 +76,24 @@ measure(Simulation &simn, const RunConfig &run, std::size_t num_cpus)
                                 startInstrs) /
             (r.host.measureWallSec * 1e6);
     }
-    r.txns = p.txns;
-    r.runtimeTicks = p.elapsed;
-    r.workloadEnded = p.workloadEnded;
-    VARSIM_ASSERT(p.txns > 0 || p.workloadEnded,
+    r.txns = simn.totalTxns() - startTxns;
+    r.runtimeTicks = simn.now() - start;
+    VARSIM_ASSERT(r.txns > 0 || r.workloadEnded,
                   "measured zero transactions");
-    if (p.txns > 0) {
-        r.cyclesPerTxn = static_cast<double>(p.elapsed) *
+    // A sampled run's headline metric is its estimate, so stores,
+    // t tests and ANOVA consume sampled and full runs alike.
+    if (sampled) {
+        r.cyclesPerTxn = r.sampled.cptMean;
+    } else if (r.txns > 0) {
+        r.cyclesPerTxn = static_cast<double>(r.runtimeTicks) *
                          static_cast<double>(num_cpus) /
-                         static_cast<double>(p.txns);
+                         static_cast<double>(r.txns);
     }
     r.mem = simn.memSystem().totalStats();
     r.os = simn.kernel().stats();
     r.cpu = simn.totalCpuStats();
+    // Dumped after the controller filled SampledStats, so the
+    // sim.sampled.* formulas export the estimates.
     r.stats = simn.statsRegistry().dump();
 
     if (wantWindows) {
@@ -97,7 +113,6 @@ measure(Simulation &simn, const RunConfig &run, std::size_t num_cpus)
                 inWin = 0;
             }
         }
-        (void)startTxns;
     }
     return r;
 }

@@ -9,7 +9,9 @@
  *
  * (one tick = one cycle at the 1 GHz target clock), matching the
  * paper's use of "cycles per transaction" as the performance metric
- * for all workloads.
+ * for all workloads. A sampled run (RunConfig::sample) reports the
+ * SamplingController's point estimate of the same metric, and its
+ * confidence interval in RunResult::sampled.
  */
 
 #ifndef VARSIM_CORE_RUNNER_HH
@@ -41,14 +43,15 @@ struct RunConfig
 
     /**
      * If nonzero, also record cycles-per-transaction for every
-     * window of this many transactions (Figure 8-style series).
+     * window of this many transactions (Figure 8-style series;
+     * full-detail runs only).
      */
     std::uint64_t windowTxns = 0;
 
     /**
      * Intra-run statistical sampling (default: off, full detail).
-     * When enabled, drive the measure phase through
-     * sample::measure() — core::measure() ignores this field.
+     * When enabled, measure() drives the measure phase through a
+     * SamplingController and fills RunResult::sampled.
      */
     SampleConfig sample;
 };
@@ -126,8 +129,10 @@ RunResult runFromCheckpoint(const SystemConfig &sys,
                             const RunConfig &run);
 
 /**
- * Measure an already-constructed simulation (advanced use: callers
- * that warmed up or checkpointed by hand).
+ * The measure phase every runner above goes through: warm up, then
+ * measure, sampled when @p run asks for it. Also callable on an
+ * already-constructed simulation (callers that warmed up or
+ * checkpointed by hand).
  */
 RunResult measure(Simulation &simn, const RunConfig &run,
                   std::size_t num_cpus);

@@ -1,4 +1,4 @@
-#include "sample/controller.hh"
+#include "core/sampling_controller.hh"
 
 #include <algorithm>
 #include <span>
@@ -8,7 +8,7 @@
 
 namespace varsim
 {
-namespace sample
+namespace core
 {
 
 namespace
@@ -21,10 +21,10 @@ namespace
  * being compared, so placement noise cancels in the pair).
  */
 std::uint64_t
-offsetStreamSeed(const core::SampleConfig &cfg,
+offsetStreamSeed(const SampleConfig &cfg,
                  std::uint64_t perturb_seed)
 {
-    using Design = core::SampleConfig::Design;
+    using Design = SampleConfig::Design;
     if (cfg.design == Design::Stratified)
         return cfg.offsetSeed ^
                (perturb_seed * 0x9e3779b97f4a7c15ULL);
@@ -33,8 +33,8 @@ offsetStreamSeed(const core::SampleConfig &cfg,
 
 } // anonymous namespace
 
-SamplingController::SamplingController(core::Simulation &simn,
-                                       const core::SampleConfig &cfg,
+SamplingController::SamplingController(Simulation &simn,
+                                       const SampleConfig &cfg,
                                        std::uint64_t perturb_seed)
     : simn_(simn), cfg_(cfg),
       offsetRng_(offsetStreamSeed(cfg, perturb_seed))
@@ -70,7 +70,7 @@ SamplingController::runTxns(std::uint64_t n)
 {
     if (n == 0 || ended_)
         return 0;
-    const core::Simulation::Progress p = simn_.runTransactions(n);
+    const Simulation::Progress p = simn_.runTransactions(n);
     if (p.workloadEnded)
         ended_ = true;
     return p.txns;
@@ -135,7 +135,7 @@ SamplingController::record(const Snapshot &a, const Snapshot &b)
 std::uint64_t
 SamplingController::chooseOffset(std::uint64_t slack)
 {
-    using Design = core::SampleConfig::Design;
+    using Design = SampleConfig::Design;
     if (slack == 0 || cfg_.design == Design::Systematic)
         return slack; // window at the unit's end, fixed phase
     return offsetRng_.uniformInt(0, slack);
@@ -178,10 +178,10 @@ SamplingController::finishEstimates(const Snapshot &runStart)
     fill(miss_, st_.l2MissMean, st_.l2MissLo, st_.l2MissHi);
 }
 
-core::SampledStats
+SampledStats
 SamplingController::run(std::uint64_t total_txns)
 {
-    st_ = core::SampledStats{};
+    st_ = SampledStats{};
     st_.enabled = true;
     st_.confidence = cfg_.confidence;
     cpt_.clear();
@@ -235,5 +235,5 @@ SamplingController::run(std::uint64_t total_txns)
     return st_;
 }
 
-} // namespace sample
+} // namespace core
 } // namespace varsim

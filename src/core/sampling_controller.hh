@@ -30,8 +30,8 @@
  *    and SampledStats::fullDetailFallback says so.
  */
 
-#ifndef VARSIM_SAMPLE_CONTROLLER_HH
-#define VARSIM_SAMPLE_CONTROLLER_HH
+#ifndef VARSIM_CORE_SAMPLING_CONTROLLER_HH
+#define VARSIM_CORE_SAMPLING_CONTROLLER_HH
 
 #include <functional>
 #include <vector>
@@ -41,7 +41,7 @@
 
 namespace varsim
 {
-namespace sample
+namespace core
 {
 
 class SamplingController
@@ -52,8 +52,8 @@ class SamplingController
      *        the stratified design's offset stream (and ignored by
      *        the matched-pair design, by construction).
      */
-    SamplingController(core::Simulation &simn,
-                       const core::SampleConfig &cfg,
+    SamplingController(Simulation &simn,
+                       const SampleConfig &cfg,
                        std::uint64_t perturb_seed);
 
     /**
@@ -64,7 +64,7 @@ class SamplingController
      */
     using CheckpointSink =
         std::function<void(std::uint64_t window,
-                           const core::Checkpoint &cp)>;
+                           const Checkpoint &cp)>;
 
     void setCheckpointSink(CheckpointSink sink);
 
@@ -75,7 +75,7 @@ class SamplingController
      * metrics export the estimates) and returns them. The
      * simulation is left in detailed mode.
      */
-    core::SampledStats run(std::uint64_t total_txns);
+    SampledStats run(std::uint64_t total_txns);
 
     /** True if the workload ended during run(). */
     bool workloadEnded() const { return ended_; }
@@ -114,16 +114,16 @@ class SamplingController
     /** Reduce the window series to the reported estimates. */
     void finishEstimates(const Snapshot &runStart);
 
-    core::Simulation &simn_;
-    core::SampleConfig cfg_;
+    Simulation &simn_;
+    SampleConfig cfg_;
     sim::Random offsetRng_;
     CheckpointSink sink_;
     bool ended_ = false;
     std::vector<double> cpt_, ipc_, miss_;
-    core::SampledStats st_;
+    SampledStats st_;
 };
 
-} // namespace sample
+} // namespace core
 } // namespace varsim
 
-#endif // VARSIM_SAMPLE_CONTROLLER_HH
+#endif // VARSIM_CORE_SAMPLING_CONTROLLER_HH

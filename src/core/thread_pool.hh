@@ -1,38 +1,46 @@
 /**
  * @file
- * Persistent host-side worker pool for multi-run experiments.
+ * The host executor: worker threads draining a FIFO of posted
+ * tasks, with indexed batches (parallelFor) built on top.
  *
- * The experiment driver used to spawn and join a fresh set of host
- * threads for every runMany() call; sweeps that call it in a loop
- * (every CLI experiment, every ablation) paid thread creation and
- * teardown per configuration. This pool keeps the workers alive for
- * the lifetime of the process and hands them batches of indexed
- * jobs.
+ * Two kinds of caller share it. Multi-run experiments and campaign
+ * rounds hand the process-wide instance() batches of indexed runs,
+ * so sweeps that batch in a loop reuse the same threads. The serve
+ * scheduler owns a pool of fixed size and posts it *tokens*: each
+ * token asks the scheduler for the globally best next cell at the
+ * moment it runs (late binding), which keeps fair-share admission
+ * accurate under completion-order churn.
  *
  * Semantics:
- *  - parallelFor(n, max_workers, job) runs job(0..n-1), using at
- *    most max_workers host threads (0 = hardware concurrency). The
- *    calling thread participates, so only max_workers-1 pool
- *    threads are enlisted and a single-worker batch runs inline
- *    with no synchronization at all.
- *  - Job order across threads is unspecified; callers must key
- *    results by index (all of core/experiment does).
- *  - If any job throws, the first captured exception is rethrown on
- *    the calling thread after the batch drains; remaining unclaimed
- *    indices are cancelled (in-flight jobs still complete). The
- *    pool stays usable after a throwing batch.
- *  - Batches are serialized: concurrent parallelFor calls from
- *    different threads queue behind each other. Jobs must not call
- *    parallelFor re-entrantly.
+ *  - post(task) queues @p task; workers start tasks in FIFO order.
+ *    A task that throws is swallowed with a warning and its worker
+ *    lives on: one tenant's failure must not take down the executor.
+ *    Tasks may post tasks.
+ *  - stop() stops accepting and discards queued tasks; running tasks
+ *    complete. It returns once every worker has exited, and later
+ *    posts are silently dropped. Idempotent; the destructor calls it.
+ *  - parallelFor(n, max_workers, job) runs job(0..n-1) on at most
+ *    max_workers threads (0 = hardware concurrency). The caller
+ *    claims indices itself and posts max_workers-1 helpers that claim
+ *    beside it, so a single-worker batch runs inline with no
+ *    synchronization, and a job may itself call parallelFor: if no
+ *    worker is free, the caller runs its whole batch alone. Job order
+ *    across threads is unspecified; callers key results by index
+ *    (all of core/experiment does). The first job exception cancels
+ *    the unclaimed indices and is rethrown on the caller once the
+ *    in-flight jobs finish; the pool stays usable.
+ *  - instance() starts with no threads, grows to the largest batch
+ *    asked of it, and is never destroyed. A process that exits
+ *    therefore never joins pool threads, which matters in a forked
+ *    death-test child: it has none of its parent's threads.
  */
 
 #ifndef VARSIM_CORE_THREAD_POOL_HH
 #define VARSIM_CORE_THREAD_POOL_HH
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
-#include <exception>
+#include <cstddef>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -49,6 +57,20 @@ class HostThreadPool
     /** The process-wide pool. */
     static HostThreadPool &instance();
 
+    /** Start @p workers threads (0 = hardware concurrency). */
+    explicit HostThreadPool(std::size_t workers);
+
+    ~HostThreadPool();
+
+    HostThreadPool(const HostThreadPool &) = delete;
+    HostThreadPool &operator=(const HostThreadPool &) = delete;
+
+    /** Queue @p task for some worker, FIFO. */
+    void post(std::function<void()> task);
+
+    /** Discard queued tasks, let running ones finish, join. */
+    void stop();
+
     /**
      * Run @p job(i) for i in [0, n) on at most @p max_workers host
      * threads (0 = hardware concurrency). Returns when every claimed
@@ -60,11 +82,6 @@ class HostThreadPool
     /** Pool threads currently alive (tests/diagnostics). */
     std::size_t workerCount() const;
 
-    ~HostThreadPool();
-
-    HostThreadPool(const HostThreadPool &) = delete;
-    HostThreadPool &operator=(const HostThreadPool &) = delete;
-
   private:
     HostThreadPool() = default;
 
@@ -73,29 +90,11 @@ class HostThreadPool
 
     void workerMain();
 
-    /** Claim indices until the batch is exhausted or cancelled. */
-    void claimLoop(const std::function<void(std::size_t)> &job,
-                   std::size_t count);
-
-    /** Serializes whole batches (outermost lock). */
-    std::mutex batchMu;
-
-    /** Guards all state below. */
     mutable std::mutex mu;
-    std::condition_variable newBatch;  ///< workers: batch published
-    std::condition_variable batchDone; ///< caller: workers drained
+    std::condition_variable wake; ///< workers: task posted / stop
+    std::deque<std::function<void()>> queue;
     std::vector<std::thread> threads;
-    bool shutdown = false;
-
-    // Current batch (valid while jobCount != 0).
-    std::uint64_t generation = 0;
-    const std::function<void(std::size_t)> *job = nullptr;
-    std::size_t jobCount = 0;
-    std::size_t allowedJoiners = 0; ///< pool threads this batch may use
-    std::size_t joiners = 0;        ///< pool threads that joined
-    std::size_t activeWorkers = 0;  ///< pool threads inside claimLoop
-    std::atomic<std::size_t> next{0};
-    std::exception_ptr firstError;
+    bool stopping = false;
 };
 
 } // namespace core

@@ -1,79 +1,25 @@
 /**
  * @file
- * Sampling-aware run entry points: drop-in replacements for the
- * core:: runners that route the measure phase through the
- * SamplingController when RunConfig::sample is enabled, and fall
- * straight through to core:: when it is not (so a campaign engine
- * can call these unconditionally with zero behaviour change for
- * unsampled specs).
+ * Old spelling of the run entry points, kept only for perfbench/.
  *
- * A sampled run fills RunResult::sampled, exports sim.sampled.* in
- * the stats dump, and reports the sampled cycles-per-transaction
- * point estimate as RunResult::cyclesPerTxn — downstream consumers
- * (campaign stores, ANOVA, wrong-conclusion ratios) keep working on
- * the estimate with no schema changes.
+ * core::measure() is the one measure phase and honours
+ * RunConfig::sample itself, so these names are plain aliases of the
+ * core:: runners. perfbench/ is owned by the benchmark and calls
+ * sample::runOnce and sample::runFromCheckpoint; nothing else should.
  */
 
 #ifndef VARSIM_SAMPLE_RUNNER_HH
 #define VARSIM_SAMPLE_RUNNER_HH
 
-#include "ckpt/library.hh"
-#include "core/experiment.hh"
 #include "core/runner.hh"
-#include "sample/controller.hh"
 
 namespace varsim
 {
 namespace sample
 {
 
-/**
- * Measure @p simn under @p run; sampling-aware. @p sink, if set, is
- * forwarded to the controller (checkpoint publication at window
- * boundaries); ignored for unsampled runs.
- */
-core::RunResult measure(core::Simulation &simn,
-                        const core::RunConfig &run,
-                        std::size_t num_cpus,
-                        SamplingController::CheckpointSink sink = {});
-
-/**
- * Run one fresh simulation of (sys, wl) under @p run. When
- * @p library is non-null and sampling is on, a checkpoint is
- * published at each measurement-window end boundary, keyed by
- * (sys, wl, perturbSeed, txn position) — downstream experiments can
- * restore from any measured point of the sampled trajectory.
- */
-core::RunResult runOnce(const core::SystemConfig &sys,
-                        const workload::WorkloadParams &wl,
-                        const core::RunConfig &run,
-                        ckpt::CheckpointLibrary *library = nullptr);
-
-/** As runOnce, but restoring from @p cp first. */
-core::RunResult
-runFromCheckpoint(const core::SystemConfig &sys,
-                  const workload::WorkloadParams &wl,
-                  const core::Checkpoint &cp,
-                  const core::RunConfig &run,
-                  ckpt::CheckpointLibrary *library = nullptr);
-
-/**
- * Sampling-aware core::runMany: numRuns independent runs with seeds
- * baseSeed+i, concurrent on host threads, results in run order.
- */
-std::vector<core::RunResult>
-runMany(const core::SystemConfig &sys,
-        const workload::WorkloadParams &wl,
-        const core::RunConfig &run,
-        const core::ExperimentConfig &exp);
-
-/** As runMany, restoring every run from @p cp first. */
-std::vector<core::RunResult>
-runManyFromCheckpoint(const core::SystemConfig &sys,
-                      const workload::WorkloadParams &wl,
-                      const core::Checkpoint &cp,
-                      const core::RunConfig &run,
-                      const core::ExperimentConfig &exp);
+using core::runOnce;
+using core::runFromCheckpoint;
 
 } // namespace sample
 } // namespace varsim

@@ -1,12 +1,7 @@
 #include "serve/scheduler.hh"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 
 #include "campaign/knobs.hh"
@@ -21,58 +16,6 @@ namespace serve
 
 namespace fs = std::filesystem;
 
-namespace
-{
-
-/** Durably write @p data to @p dir/@p name via temp + rename. */
-bool
-writeFileDurable(const std::string &dir, const std::string &name,
-                 const std::string &data, std::string *err)
-{
-    const std::string tmp = dir + "/." + name + ".tmp";
-    const std::string path = dir + "/" + name;
-    const int fd =
-        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0) {
-        if (err)
-            *err = sim::format("cannot write %s: %s", tmp.c_str(),
-                               std::strerror(errno));
-        return false;
-    }
-    std::size_t off = 0;
-    while (off < data.size()) {
-        const ssize_t n =
-            ::write(fd, data.data() + off, data.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            if (err)
-                *err = sim::format("write %s: %s", tmp.c_str(),
-                                   std::strerror(errno));
-            ::close(fd);
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    const bool synced = ::fsync(fd) == 0;
-    ::close(fd);
-    if (!synced ||
-        ::rename(tmp.c_str(), path.c_str()) != 0) {
-        if (err)
-            *err = sim::format("cannot publish %s: %s",
-                               path.c_str(), std::strerror(errno));
-        return false;
-    }
-    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dfd >= 0) {
-        ::fsync(dfd);
-        ::close(dfd);
-    }
-    return true;
-}
-
-} // anonymous namespace
-
 Scheduler::Scheduler(const SchedulerConfig &cfg) : cfg(cfg)
 {
     if (this->cfg.ckptDir.empty())
@@ -82,7 +25,7 @@ Scheduler::Scheduler(const SchedulerConfig &cfg) : cfg(cfg)
     if (ec)
         sim::fatal("cannot create %s: %s", tenantsDir().c_str(),
                    ec.message().c_str());
-    queue = std::make_unique<core::TaskQueue>(this->cfg.workers);
+    pool = std::make_unique<core::HostThreadPool>(this->cfg.workers);
 }
 
 Scheduler::~Scheduler()
@@ -98,7 +41,7 @@ Scheduler::stop()
         stopped = true;
         eventCv.notify_all(); // unblock drain()/waitEvents() waits
     }
-    queue->stop();
+    pool->stop();
 }
 
 std::string
@@ -182,8 +125,8 @@ Scheduler::submit(const Submission &sub, std::string *err)
     }
     // Durable before acknowledged: a kill -9 after the ack must
     // find the submission on disk to resume it.
-    if (!writeFileDurable(dir, "submission.json", payload + "\n",
-                          err)) {
+    if (!sim::writeFileAtomic(dir, "submission.json", payload + "\n",
+                              err)) {
         unadmit();
         return false;
     }
@@ -210,7 +153,7 @@ Scheduler::submit(const Submission &sub, std::string *err)
             tenant.firstSeen = job->order + 1;
         jobs.emplace(id, std::move(job));
     }
-    queue->post([this] { pump(); });
+    pool->post([this] { pump(); });
     return true;
 }
 
@@ -235,8 +178,8 @@ Scheduler::cancel(const std::string &id, std::string *err)
     const std::string dir = job.dir;
     lock.unlock();
     std::string werr;
-    if (!writeFileDurable(dir, "cancelled", "cancelled\n",
-                          &werr)) {
+    if (!sim::writeFileAtomic(dir, "cancelled",
+                              std::string("cancelled\n"), &werr)) {
         if (err)
             *err = werr;
         return false;
@@ -398,7 +341,7 @@ Scheduler::resumeAll()
             // Re-enqueued like a fresh submission: the store knows
             // what already ran, Execution schedules only the rest,
             // and a long-finished campaign completes immediately.
-            queue->post([this] { pump(); });
+            pool->post([this] { pump(); });
             ++resumed;
         }
     }
@@ -533,7 +476,7 @@ Scheduler::refillJob(Job &job)
 {
     // Outside mu: recomputing decisions replays store state and may
     // contend only on the store's own mutex. An escaped exception
-    // would leave starting=true forever (TaskQueue swallows it), so
+    // would leave starting=true forever (the pool swallows it), so
     // convert throws into a terminal failed state.
     std::vector<campaign::Cell> cells;
     std::uint64_t target = 0;
@@ -576,14 +519,14 @@ Scheduler::refillJob(Job &job)
     const std::size_t tokens = cells.size();
     lock.unlock();
     for (std::size_t i = 0; i < tokens; ++i)
-        queue->post([this] { pump(); });
+        pool->post([this] { pump(); });
 }
 
 void
 Scheduler::runCell(Job &job, const campaign::Cell &cell)
 {
     // An exception here must still run the bookkeeping below:
-    // TaskQueue swallows throws, and a job with phantom inFlight
+    // the pool swallows throws, and a job with phantom inFlight
     // never terminates (watchers spin, drain() hangs) while its
     // tenant's fair share stays inflated.
     campaign::RunRecord rec;

@@ -2,10 +2,11 @@
  * @file
  * Multi-tenant campaign scheduler for the serve daemon.
  *
- * One Scheduler owns a worker TaskQueue and a map of jobs, one per
- * submitted campaign, each backed by a campaign::Execution — the
- * same machinery `varsim campaign run` uses, which is what makes a
- * served campaign's records bit-identical to the CLI's.
+ * One Scheduler owns a fixed-size HostThreadPool and a map of
+ * jobs, one per submitted campaign, each backed by a
+ * campaign::Execution — the same machinery `varsim campaign run`
+ * uses, which is what makes a served campaign's records
+ * bit-identical to the CLI's.
  *
  * Admission is fair-share across tenants, priority within a tenant:
  * when a worker asks for its next unit of work, the scheduler picks
@@ -40,7 +41,7 @@
 #include <vector>
 
 #include "campaign/exec.hh"
-#include "core/task_queue.hh"
+#include "core/thread_pool.hh"
 #include "serve/schema.hh"
 
 namespace varsim
@@ -204,7 +205,7 @@ class Scheduler
     std::string tenantsDir() const { return cfg.root + "/tenants"; }
 
     SchedulerConfig cfg;
-    std::unique_ptr<core::TaskQueue> queue;
+    std::unique_ptr<core::HostThreadPool> pool;
 
     mutable std::mutex mu;
     mutable std::condition_variable eventCv; ///< events/terminals

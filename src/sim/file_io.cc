@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -91,6 +92,81 @@ template bool readWholeFile(const std::string &, std::string &,
 template bool readWholeFile(const std::string &,
                             std::vector<std::uint8_t> &,
                             std::string *);
+
+void
+syncDirectory(const std::string &dir)
+{
+    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (dfd < 0)
+        return;
+    ::fsync(dfd);
+    ::close(dfd);
+}
+
+template <typename Bytes>
+bool
+writeFileAtomic(const std::string &dir, const std::string &name,
+                const Bytes &bytes, std::string *error)
+{
+    // Unique per process and per call: concurrent shards writing the
+    // same object never collide on the temporary, and rename(2) makes
+    // whichever finishes last win with identical bytes.
+    static std::atomic<std::uint64_t> counter{0};
+    const std::string tmp = format(
+        "%s/%s.tmp.%d.%llu", dir.c_str(), name.c_str(),
+        static_cast<int>(::getpid()),
+        static_cast<unsigned long long>(counter.fetch_add(1)));
+    const std::string final = dir + "/" + name;
+
+    const int fd =
+        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
+    if (fd < 0) {
+        if (error)
+            *error = format("cannot create %s: %s", tmp.c_str(),
+                            std::strerror(errno));
+        return false;
+    }
+    const char *data = reinterpret_cast<const char *>(bytes.data());
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+        const ssize_t n = ::write(fd, data + off, bytes.size() - off);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            if (error)
+                *error = format("write to %s failed: %s", tmp.c_str(),
+                                std::strerror(errno));
+            ::close(fd);
+            ::unlink(tmp.c_str());
+            return false;
+        }
+        off += static_cast<std::size_t>(n);
+    }
+    if (::fsync(fd) != 0) {
+        if (error)
+            *error = format("fsync of %s failed: %s", tmp.c_str(),
+                            std::strerror(errno));
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        return false;
+    }
+    ::close(fd);
+    if (::rename(tmp.c_str(), final.c_str()) != 0) {
+        if (error)
+            *error = format("rename %s -> %s failed: %s", tmp.c_str(),
+                            final.c_str(), std::strerror(errno));
+        ::unlink(tmp.c_str());
+        return false;
+    }
+    syncDirectory(dir);
+    return true;
+}
+
+template bool writeFileAtomic(const std::string &, const std::string &,
+                              const std::string &, std::string *);
+template bool writeFileAtomic(const std::string &, const std::string &,
+                              const std::vector<std::uint8_t> &,
+                              std::string *);
 
 } // namespace sim
 } // namespace varsim

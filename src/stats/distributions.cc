@@ -1,5 +1,7 @@
 #include "stats/distributions.hh"
 
+#include <math.h>
+
 #include <cmath>
 
 #include "sim/logging.hh"
@@ -11,6 +13,19 @@ namespace stats
 
 namespace
 {
+
+/**
+ * log|Gamma(x)|. std::lgamma also stores the sign in the global
+ * signgam, a data race when several runs on host threads compute
+ * confidence intervals at once; lgamma_r returns the same value
+ * without that write.
+ */
+double
+logGamma(double x)
+{
+    int sign = 0;
+    return ::lgamma_r(x, &sign);
+}
 
 /**
  * Continued-fraction kernel for the incomplete beta function
@@ -94,8 +109,8 @@ incompleteBeta(double a, double b, double x)
         return 0.0;
     if (x == 1.0)
         return 1.0;
-    const double lbeta = std::lgamma(a + b) - std::lgamma(a) -
-                         std::lgamma(b) + a * std::log(x) +
+    const double lbeta = logGamma(a + b) - logGamma(a) -
+                         logGamma(b) + a * std::log(x) +
                          b * std::log1p(-x);
     const double front = std::exp(lbeta);
     if (x < (a + 1.0) / (a + b + 2.0))

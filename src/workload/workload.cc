@@ -4,8 +4,8 @@
 #include <cctype>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
-#include "sim/logging.hh"
 #include "workload/builders.hh"
 
 namespace varsim
@@ -28,27 +28,29 @@ kindName(WorkloadKind kind)
     return "unknown";
 }
 
-WorkloadKind
-kindFromName(const std::string &name)
+bool
+kindFromName(const std::string &name, WorkloadKind &out)
 {
+    static const std::pair<const char *, WorkloadKind> kinds[] = {
+        {"oltp", WorkloadKind::Oltp},
+        {"apache", WorkloadKind::Apache},
+        {"specjbb", WorkloadKind::SpecJbb},
+        {"jbb", WorkloadKind::SpecJbb},
+        {"slashcode", WorkloadKind::Slashcode},
+        {"ecperf", WorkloadKind::EcPerf},
+        {"barnes", WorkloadKind::Barnes},
+        {"ocean", WorkloadKind::Ocean},
+    };
     std::string lower = name;
     std::transform(lower.begin(), lower.end(), lower.begin(),
                    [](unsigned char c) { return std::tolower(c); });
-    if (lower == "oltp")
-        return WorkloadKind::Oltp;
-    if (lower == "apache")
-        return WorkloadKind::Apache;
-    if (lower == "specjbb" || lower == "jbb")
-        return WorkloadKind::SpecJbb;
-    if (lower == "slashcode")
-        return WorkloadKind::Slashcode;
-    if (lower == "ecperf")
-        return WorkloadKind::EcPerf;
-    if (lower == "barnes")
-        return WorkloadKind::Barnes;
-    if (lower == "ocean")
-        return WorkloadKind::Ocean;
-    sim::fatal("unknown workload '%s'", name.c_str());
+    for (const auto &kv : kinds) {
+        if (lower == kv.first) {
+            out = kv.second;
+            return true;
+        }
+    }
+    return false;
 }
 
 SyntheticProgram &

@@ -55,8 +55,11 @@ enum class WorkloadKind
 /** Name of a workload kind ("OLTP", "Apache", ...). */
 const char *kindName(WorkloadKind kind);
 
-/** Parse a workload name (case-insensitive); fatal on failure. */
-WorkloadKind kindFromName(const std::string &name);
+/**
+ * Parse a workload name (case-insensitive; "jbb" is SPECjbb). Returns
+ * false, leaving @p out untouched, on an unknown name.
+ */
+bool kindFromName(const std::string &name, WorkloadKind &out);
 
 /** Workload construction parameters. */
 struct WorkloadParams

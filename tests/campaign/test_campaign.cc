@@ -256,6 +256,57 @@ TEST(Campaign, StatusReflectsTheStore)
     EXPECT_NE(st.header.fingerprint, 0u);
 }
 
+TEST(Campaign, BudgetPilotsUseTheSpecsSampling)
+{
+    // A budget campaign plans from pilot runs of its own run config,
+    // sampling included: the same budget with and without sampling
+    // measures different pilots and records different plans.
+    campaign::CampaignSpec full = smallSpec();
+    full.configs.resize(1);
+    full.stop.fixedRuns = 2;
+    full.stop.pilotRuns = 4;
+    full.budgetTxns = 3200;
+    campaign::CampaignSpec sampled = full;
+    ASSERT_TRUE(core::SampleConfig::parse("stratified:20:2:5",
+                                          sampled.run.sample));
+
+    const std::string fullDir = freshDir("budget-full");
+    const std::string sampledDir = freshDir("budget-sampled");
+    campaign::runCampaign(full, fullDir);
+    campaign::runCampaign(sampled, sampledDir);
+    const auto pf = campaign::campaignStatus(fullDir).plan;
+    const auto ps = campaign::campaignStatus(sampledDir).plan;
+    ASSERT_TRUE(pf.valid);
+    ASSERT_TRUE(ps.valid);
+    EXPECT_NE(std::make_pair(pf.runLength, pf.numRuns),
+              std::make_pair(ps.runLength, ps.numRuns));
+
+    // A store that already recorded its plan (say, from full-detail
+    // pilots under an older build) resumes on that plan unchanged.
+    const std::string oldDir = freshDir("budget-recorded");
+    {
+        campaign::StoreHeader h;
+        h.fingerprint = sampled.fingerprint();
+        h.numGroups = sampled.numGroups();
+        h.workload = workload::kindName(sampled.wl.kind);
+        h.configNames = {sampled.configs.front().name};
+        campaign::PlanRecord plan;
+        plan.runLength = pf.runLength;
+        plan.numRuns = pf.numRuns;
+        campaign::ResultStore::openOrCreate(oldDir, h)->appendPlan(
+            plan);
+    }
+    campaign::runCampaign(sampled, oldDir);
+    const auto kept = campaign::campaignStatus(oldDir).plan;
+    EXPECT_EQ(kept.runLength, pf.runLength);
+    EXPECT_EQ(kept.numRuns, pf.numRuns);
+    auto store = campaign::ResultStore::open(oldDir);
+    const auto txns = store->groupMetricNamed(0, "txns");
+    ASSERT_EQ(txns.size(), 2u);
+    for (double t : txns)
+        EXPECT_EQ(t, static_cast<double>(pf.runLength));
+}
+
 TEST(Campaign, BuildSpecRefusesSystemsTheSimulatorCannotBuild)
 {
     // Each of these used to build a spec: a bad geometry aborted in

@@ -16,6 +16,7 @@
 
 #include "ckpt/archive.hh"
 #include "ckpt/key.hh"
+#include "sim/file_io.hh"
 
 namespace
 {
@@ -143,7 +144,7 @@ TEST(CkptArchive, AtomicWriteThenLoadRoundTrips)
         ckpt::buildArchive(sampleMeta(), samplePayload());
 
     std::string err;
-    ASSERT_TRUE(ckpt::writeFileAtomic(dir, "obj.vckpt", bytes, &err))
+    ASSERT_TRUE(sim::writeFileAtomic(dir, "obj.vckpt", bytes, &err))
         << err;
 
     // No temporary debris after a successful publication.
@@ -226,8 +227,8 @@ TEST(CkptArchive, ReadsEveryFormatUpToItsOwnAndNamesIt)
     // The header alone names the version, without a full load.
     const std::string dir = scratchDir("peek");
     std::string err;
-    ASSERT_TRUE(ckpt::writeFileAtomic(dir, "v1.vckpt",
-                                      withVersion(bytes, 1), &err))
+    ASSERT_TRUE(sim::writeFileAtomic(dir, "v1.vckpt",
+                                     withVersion(bytes, 1), &err))
         << err;
     EXPECT_EQ(ckpt::peekArchiveVersion(dir + "/v1.vckpt"), 1u);
     EXPECT_EQ(ckpt::peekArchiveVersion(dir + "/none.vckpt"), 0u);

@@ -23,6 +23,7 @@
 #include "ckpt/archive.hh"
 #include "ckpt/library.hh"
 #include "core/varsim.hh"
+#include "sim/file_io.hh"
 
 namespace
 {
@@ -99,7 +100,7 @@ TEST_P(CkptRoundTrip, DiskRestoreEqualsContinuingBitwise)
                                                   : "_ooo") +
         "_" + std::to_string(sys.mem.numNodes));
     std::string err;
-    ASSERT_TRUE(ckpt::writeFileAtomic(
+    ASSERT_TRUE(sim::writeFileAtomic(
         dir, key.digestHex() + ".vckpt",
         ckpt::buildArchive(meta, cp.bytes), &err))
         << err;

@@ -1,6 +1,8 @@
 /**
  * @file
- * Host thread pool: scheduling, exception propagation, reuse.
+ * Host thread pool: batch scheduling, exception propagation, reuse,
+ * and the posted-task side the serve scheduler runs on (FIFO order,
+ * stop() semantics, exception containment, tasks posting tasks).
  *
  * The historical bug being pinned here: a job exception thrown on a
  * pool thread used to escape the thread's start function and
@@ -12,9 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <latch>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -103,6 +109,137 @@ TEST(HostThreadPool, ConcurrentIndicesAreDisjoint)
                 << "index " << i << " ran twice";
         });
     EXPECT_EQ(seen.size(), std::size_t{500});
+}
+
+TEST(HostThreadPool, ParallelForInsidePoolJobCompletes)
+{
+    // Batches nest: every outer job runs an inner batch on the same
+    // pool, and on a one-worker pool a posted task runs a batch while
+    // it occupies the only worker (its helper cannot start until the
+    // task returns, so the task runs the whole batch itself).
+    std::vector<std::atomic<int>> hits(4 * 8);
+    auto &pool = HostThreadPool::instance();
+    pool.parallelFor(4, 4, [&](std::size_t i) {
+        pool.parallelFor(8, 4,
+                         [&](std::size_t j) { ++hits[i * 8 + j]; });
+    });
+    for (std::size_t k = 0; k < hits.size(); ++k)
+        EXPECT_EQ(hits[k].load(), 1) << "index " << k;
+
+    HostThreadPool owned(1);
+    std::atomic<std::size_t> sum{0};
+    std::latch done(1);
+    owned.post([&] {
+        owned.parallelFor(10, 2, [&](std::size_t i) { sum += i; });
+        done.count_down();
+    });
+    done.wait();
+    owned.stop(); // join before the locals the task uses go away
+    EXPECT_EQ(sum.load(), std::size_t{45});
+}
+
+TEST(HostThreadPool, PostRunsEveryTask)
+{
+    HostThreadPool pool(4);
+    EXPECT_EQ(pool.workerCount(), 4u);
+    std::latch done(100);
+    for (int i = 0; i < 100; ++i)
+        pool.post([&] { done.count_down(); });
+    done.wait();
+    pool.stop();
+}
+
+TEST(HostThreadPool, SingleWorkerPreservesFifoOrder)
+{
+    HostThreadPool pool(1);
+    std::vector<int> order;
+    std::latch done(1);
+    for (int i = 0; i < 16; ++i)
+        pool.post([&order, i] { order.push_back(i); });
+    pool.post([&] { done.count_down(); });
+    done.wait();
+    pool.stop();
+    ASSERT_EQ(order.size(), 16u);
+    for (int i = 0; i < 16; ++i)
+        EXPECT_EQ(order[i], i);
+}
+
+TEST(HostThreadPool, StopDiscardsQueuedButFinishesRunning)
+{
+    HostThreadPool pool(1);
+    std::mutex mu;
+    std::condition_variable cv;
+    bool release = false, started = false;
+    std::atomic<int> ran{0};
+
+    // First task blocks the sole worker; the rest queue behind it.
+    pool.post([&] {
+        std::unique_lock<std::mutex> lock(mu);
+        started = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+        ++ran;
+    });
+    for (int i = 0; i < 50; ++i)
+        pool.post([&] { ++ran; });
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return started; });
+    }
+
+    // stop() discards the queue and hands back the workers in one
+    // step, then joins; release the running task only after that.
+    std::thread stopper([&] { pool.stop(); });
+    while (pool.workerCount() != 0)
+        std::this_thread::yield();
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        release = true;
+    }
+    cv.notify_all();
+    stopper.join();
+    EXPECT_EQ(ran.load(), 1); // the running task finished, alone
+
+    // Posts after stop() are dropped; a batch still completes, run
+    // by its caller alone.
+    pool.post([&] { ran += 1000; });
+    pool.stop(); // idempotent
+    EXPECT_EQ(ran.load(), 1);
+    std::atomic<std::size_t> sum{0};
+    pool.parallelFor(10, 4, [&](std::size_t i) { sum += i; });
+    EXPECT_EQ(sum.load(), std::size_t{45});
+    EXPECT_EQ(pool.workerCount(), 0u);
+}
+
+TEST(HostThreadPool, ThrowingTaskLeavesItsWorkerAlive)
+{
+    HostThreadPool pool(1);
+    std::atomic<int> ran{0};
+    std::latch done(1);
+    pool.post([] { throw std::runtime_error("tenant bug"); });
+    pool.post([&] {
+        ++ran;
+        done.count_down();
+    });
+    done.wait();
+    pool.stop();
+    EXPECT_EQ(ran.load(), 1);
+}
+
+TEST(HostThreadPool, TasksMayPostTasks)
+{
+    // The serve scheduler's refill does exactly this: a completing
+    // cell posts the next round's tokens from inside a task.
+    HostThreadPool pool(2);
+    std::latch done(21);
+    std::function<void(int)> chain = [&](int depth) {
+        if (depth > 0)
+            pool.post([&chain, depth] { chain(depth - 1); });
+        done.count_down();
+    };
+    pool.post([&chain] { chain(20); });
+    done.wait();
+    pool.stop();
 }
 
 // End to end: a workload that fails validation inside a pooled run

@@ -18,7 +18,6 @@
 #include <cmath>
 
 #include "core/varsim.hh"
-#include "sample/runner.hh"
 
 namespace
 {
@@ -51,7 +50,7 @@ runWith(const workload::WorkloadParams &wl, const char *spec,
     rc.measureTxns = txns;
     rc.perturbSeed = seed;
     EXPECT_TRUE(core::SampleConfig::parse(spec, rc.sample));
-    return sample::runOnce(accuracySys(), wl, rc);
+    return core::runOnce(accuracySys(), wl, rc);
 }
 
 struct Coverage
@@ -146,7 +145,7 @@ TEST(SamplingAccuracy, ScientificFallbackIsExactAcrossSeeds)
             rc.perturbSeed = seed;
             EXPECT_TRUE(core::SampleConfig::parse(
                 "stratified:100:15:25", rc.sample));
-            const auto r = sample::runOnce(sys, wl, rc);
+            const auto r = core::runOnce(sys, wl, rc);
 
             core::RunConfig full = rc;
             full.sample = core::SampleConfig{};

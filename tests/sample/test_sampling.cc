@@ -1,16 +1,19 @@
 /**
  * @file
  * Sampling engine unit and determinism tests: SampleConfig parsing,
- * the drop-in (disabled) guarantee against the legacy golden pins,
- * the controller's edge rules (runs shorter than one period,
- * workloads that outrun the budget), window-placement semantics of
- * the three designs, and run-to-run determinism of sampled results.
+ * the drop-in (disabled) guarantee against the legacy golden pins, a
+ * sampled golden row, every runner honouring the sample config, the
+ * controller's edge rules (runs shorter than one period, workloads
+ * that outrun the budget), window-placement semantics of the three
+ * designs, and run-to-run determinism of sampled results.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "core/sampling_controller.hh"
 #include "core/varsim.hh"
-#include "sample/runner.hh"
 
 namespace
 {
@@ -114,7 +117,7 @@ TEST(SampledDisabledGolden, MatchesLegacyPinsIncludingTrace)
     ASSERT_FALSE(rc.sample.enabled()); // default design: Off
 
     const core::RunResult r =
-        sample::measure(simn, rc, sys.numCpus());
+        core::measure(simn, rc, sys.numCpus());
 
     EXPECT_EQ(r.runtimeTicks, 186781u);
     EXPECT_EQ(r.txns, 40u);
@@ -149,12 +152,49 @@ sampledRun(const char *spec, std::uint64_t txns,
     return rc;
 }
 
+// A sampled golden row: one stratified run, pinned bit for bit
+// including the OS scheduling trace. The sampled counterpart of
+// SampledDisabledGolden; a change to what a sampled run simulates or
+// estimates shows here first.
+TEST(SampledGolden, StratifiedRunMatchesPinsIncludingTrace)
+{
+    const auto sys = goldenSys();
+    core::Simulation simn(sys, goldenWl(workload::WorkloadKind::Oltp));
+    simn.seedPerturbation(11);
+    simn.kernel().enableTrace(1u << 20);
+
+    const auto rc = sampledRun("stratified:100:15:25", 300);
+    const core::RunResult r =
+        core::measure(simn, rc, sys.numCpus());
+
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.cyclesPerTxn),
+              0x40d00a3333333333ull);
+    EXPECT_EQ(r.runtimeTicks, 1251798u);
+    EXPECT_EQ(r.txns, 300u);
+    EXPECT_EQ(r.mem.l2Misses, 19127u);
+    EXPECT_TRUE(r.sampled.enabled);
+    EXPECT_EQ(r.sampled.periods, 3u);
+    EXPECT_EQ(r.sampled.windows, 3u);
+    EXPECT_EQ(r.sampled.fastTxns, 180u);
+    EXPECT_EQ(r.sampled.warmTxns, 45u);
+    EXPECT_EQ(r.sampled.measuredTxns, 75u);
+
+    std::uint64_t h = 1469598103934665603ull;
+    for (const auto &e : simn.kernel().traceEvents()) {
+        h = fnv1a(h, e.when);
+        h = fnv1a(h, static_cast<std::uint64_t>(e.cpu));
+        h = fnv1a(h, static_cast<std::uint64_t>(e.thread));
+        h = fnv1a(h, static_cast<std::uint64_t>(e.kind));
+    }
+    EXPECT_EQ(h, 2433845694179584485ull);
+}
+
 TEST(SampledRun, IntervalAccountingAndRegistryExport)
 {
     const auto sys = goldenSys();
     const auto wl = goldenWl(workload::WorkloadKind::Oltp);
     const auto rc = sampledRun("systematic:100:15:25", 400);
-    const core::RunResult r = sample::runOnce(sys, wl, rc);
+    const core::RunResult r = core::runOnce(sys, wl, rc);
 
     EXPECT_TRUE(r.sampled.enabled);
     EXPECT_EQ(r.sampled.periods, 4u);
@@ -199,8 +239,8 @@ TEST(SampledRun, DeterministicAcrossRepeats)
     const auto wl = goldenWl(workload::WorkloadKind::Oltp);
     const auto rc = sampledRun("stratified:100:15:25", 300);
 
-    const core::RunResult a = sample::runOnce(sys, wl, rc);
-    const core::RunResult b = sample::runOnce(sys, wl, rc);
+    const core::RunResult a = core::runOnce(sys, wl, rc);
+    const core::RunResult b = core::runOnce(sys, wl, rc);
 
     EXPECT_EQ(a.runtimeTicks, b.runtimeTicks);
     EXPECT_EQ(a.txns, b.txns);
@@ -212,6 +252,54 @@ TEST(SampledRun, DeterministicAcrossRepeats)
     EXPECT_EQ(a.statsJsonl(), b.statsJsonl());
 }
 
+// Every runner goes through the one measure phase, so each honours
+// RunConfig::sample: a fan-out returns, seed for seed, what runOnce
+// returns, and a restored run samples its measure phase too.
+TEST(SampledRun, EveryRunnerHonoursTheSampleConfig)
+{
+    const auto sys = goldenSys();
+    const auto wl = goldenWl(workload::WorkloadKind::Oltp);
+    const auto rc = sampledRun("stratified:100:15:25", 300);
+    core::ExperimentConfig exp;
+    exp.numRuns = 3;
+    exp.baseSeed = 21;
+    exp.hostThreads = 2;
+
+    const auto many = core::runMany(sys, wl, rc, exp);
+    const auto batch = core::runManyBatch({{sys, wl, rc, exp}});
+    ASSERT_EQ(many.size(), 3u);
+    ASSERT_EQ(batch.front().size(), 3u);
+    for (std::size_t i = 0; i < many.size(); ++i) {
+        core::RunConfig one = rc;
+        one.perturbSeed = exp.baseSeed + i;
+        const core::RunResult ref = core::runOnce(sys, wl, one);
+        EXPECT_TRUE(ref.sampled.enabled);
+        EXPECT_TRUE(many[i].sampled.enabled);
+        EXPECT_EQ(many[i].cyclesPerTxn, ref.cyclesPerTxn);
+        EXPECT_EQ(many[i].statsJsonl(), ref.statsJsonl());
+        EXPECT_EQ(batch.front()[i].statsJsonl(), ref.statsJsonl());
+    }
+
+    core::Simulation warmer(sys, wl);
+    warmer.seedPerturbation(5);
+    warmer.runTransactions(50);
+    const core::Checkpoint cp = warmer.checkpoint();
+    core::RunConfig restored = rc;
+    restored.warmupTxns = 0; // the checkpoint is the warm-up
+    const core::RunResult r =
+        core::runFromCheckpoint(sys, wl, cp, restored);
+    EXPECT_TRUE(r.sampled.enabled);
+    EXPECT_EQ(r.sampled.windows, 3u);
+    EXPECT_EQ(r.cyclesPerTxn, r.sampled.cptMean);
+    const auto fromCp =
+        core::runManyFromCheckpoint(sys, wl, cp, restored, exp);
+    restored.perturbSeed = exp.baseSeed;
+    EXPECT_EQ(fromCp.front().statsJsonl(),
+              core::runFromCheckpoint(sys, wl, cp, restored)
+                  .statsJsonl());
+    EXPECT_TRUE(fromCp.front().sampled.enabled);
+}
+
 // A run shorter than one W+M window degrades to full detail: an
 // exact answer with a degenerate interval, never an empty estimate.
 TEST(SampledRun, ShorterThanOneWindowFallsBackToFullDetail)
@@ -219,7 +307,7 @@ TEST(SampledRun, ShorterThanOneWindowFallsBackToFullDetail)
     const auto sys = goldenSys();
     const auto wl = goldenWl(workload::WorkloadKind::Oltp);
     const auto rc = sampledRun("systematic:100:10:20", 15);
-    const core::RunResult r = sample::runOnce(sys, wl, rc);
+    const core::RunResult r = core::runOnce(sys, wl, rc);
 
     EXPECT_TRUE(r.sampled.fullDetailFallback);
     EXPECT_EQ(r.sampled.windows, 1u);
@@ -241,7 +329,7 @@ TEST(SampledRun, ShortRemainderFastForwardsAfterFirstWindow)
     const auto sys = goldenSys();
     const auto wl = goldenWl(workload::WorkloadKind::Oltp);
     const auto rc = sampledRun("systematic:100:20:30", 130);
-    const core::RunResult r = sample::runOnce(sys, wl, rc);
+    const core::RunResult r = core::runOnce(sys, wl, rc);
 
     EXPECT_FALSE(r.sampled.fullDetailFallback);
     EXPECT_EQ(r.sampled.periods, 1u);
@@ -266,7 +354,7 @@ TEST(SampledRun, ScientificWorkloadYieldsExactFallback)
     rc.perturbSeed = 11;
     EXPECT_TRUE(
         core::SampleConfig::parse("systematic:100:10:20", rc.sample));
-    const core::RunResult r = sample::runOnce(sys, wl, rc);
+    const core::RunResult r = core::runOnce(sys, wl, rc);
 
     // The 1-txn budget is met at the TxnEnd itself (before the
     // trailing End op), so this is the short-run fallback, not the
@@ -300,7 +388,7 @@ TEST(SampledRun, WorkloadOutrunsBudgetDuringFastForward)
     rc.perturbSeed = 11;
     EXPECT_TRUE(
         core::SampleConfig::parse("systematic:100:10:20", rc.sample));
-    const core::RunResult r = sample::runOnce(sys, wl, rc);
+    const core::RunResult r = core::runOnce(sys, wl, rc);
 
     EXPECT_TRUE(r.workloadEnded);
     EXPECT_TRUE(r.sampled.fullDetailFallback);
@@ -329,7 +417,7 @@ windowPositions(core::SampleConfig::Design design,
     cfg.warmupTxns = 10;
     cfg.measureTxns = 20;
 
-    sample::SamplingController ctl(simn, cfg, perturb_seed);
+    core::SamplingController ctl(simn, cfg, perturb_seed);
     std::vector<std::uint64_t> pos;
     ctl.setCheckpointSink(
         [&](std::uint64_t, const core::Checkpoint &) {

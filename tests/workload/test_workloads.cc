@@ -225,10 +225,20 @@ TEST_P(AllWorkloads, ProgramSerializationRoundTrips)
 
 TEST(WorkloadNames, RoundTrip)
 {
+    auto parse = [](const std::string &name) {
+        WorkloadKind kind = WorkloadKind::Ocean;
+        EXPECT_TRUE(kindFromName(name, kind)) << name;
+        return kind;
+    };
     for (WorkloadKind kind : allKinds)
-        EXPECT_EQ(kindFromName(kindName(kind)), kind);
-    EXPECT_EQ(kindFromName("oltp"), WorkloadKind::Oltp);
-    EXPECT_EQ(kindFromName("SPECJBB"), WorkloadKind::SpecJbb);
+        EXPECT_EQ(parse(kindName(kind)), kind);
+    EXPECT_EQ(parse("oltp"), WorkloadKind::Oltp);
+    EXPECT_EQ(parse("SPECJBB"), WorkloadKind::SpecJbb);
+    EXPECT_EQ(parse("jbb"), WorkloadKind::SpecJbb);
+
+    WorkloadKind untouched = WorkloadKind::Apache;
+    EXPECT_FALSE(kindFromName("tpcc", untouched));
+    EXPECT_EQ(untouched, WorkloadKind::Apache);
 }
 
 TEST(OltpWorkload, UsesEightUsersPerCpuByDefault)

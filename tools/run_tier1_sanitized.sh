@@ -4,9 +4,9 @@
 # executors and the serve daemon with ThreadSanitizer and run them
 # with real worker threads. A clean pass means the suite is free of
 # heap errors, leaks-at-exit in test paths, UB that the instrumented
-# build can detect, and data races in the host thread pool, the task
-# queue and the daemon — run this before merging changes that touch
-# memory handling or concurrency.
+# build can detect, and data races in the host thread pool, the
+# campaign engine and the daemon — run this before merging changes
+# that touch memory handling or concurrency.
 #
 # Usage: tools/run_tier1_sanitized.sh [build-dir] [tsan-build-dir]
 #   build-dir defaults to build-san, tsan-build-dir to build-tsan
@@ -50,10 +50,16 @@ ctest --test-dir "$build" --output-on-failure -j "$jobs"
 # drives every DPRINTF format/argument pair and the run-scoped trace
 # sink, paths the unit tests only sample. Output goes to a log; only
 # the tail is interesting, and only on failure.
+# The sampled compare drives the sampling controller's fast-forward
+# and window paths from both sides of a batch.
 tracelog="$build/trace_smoke.log"
-if ! VARSIM_DEBUG=All "$build/tools/varsim" run --workload oltp \
-    --cpus 2 --runs 2 --warmup 5 --txns 20 >"$tracelog" 2>&1; then
-    echo "error: VARSIM_DEBUG=All smoke run failed; log tail:" >&2
+if ! { VARSIM_DEBUG=All "$build/tools/varsim" run --workload oltp \
+           --cpus 2 --runs 2 --warmup 5 --txns 20 &&
+       VARSIM_DEBUG=All "$build/tools/varsim" compare \
+           --workload oltp --cpus 2 --runs 2 --warmup 5 --txns 60 \
+           --sample stratified:20:2:4 --dram-b 120; } \
+    >"$tracelog" 2>&1; then
+    echo "error: VARSIM_DEBUG=All smoke runs failed; log tail:" >&2
     tail -n 40 "$tracelog" >&2
     exit 1
 fi
@@ -132,16 +138,20 @@ echo "tier-1 suite clean under address,undefined sanitizers;" \
 # ---- ThreadSanitizer flavor: the across-run executors' race gate ----
 # TSan is incompatible with ASan, so it gets its own tree. Every
 # simulation runs on one event queue on one thread; parallelism is
-# across runs, so the suites run here are the executors that spread
-# runs over host threads: the HostThreadPool batch pool, the TaskQueue
-# behind the daemon, runManyBatch and its exception path, and the
-# golden that pins results as identical for every host thread count.
-# Their claim is that independent runs share nothing but the
-# executor's own synchronization — TSan proves the absence of any
-# side channel. The checkpoint path shares more: library fetches run
-# concurrently outside the library lock (CkptLibrary.*, and a
+# across runs, so the suites run here are what spreads runs over
+# host threads: the HostThreadPool (batches and posted tasks),
+# runManyBatch and its exception path, the golden that pins results
+# as identical for every host thread count, and the campaign engine
+# with its store, whose rounds append runs from every worker. Their
+# claim is that independent runs share nothing but the executor's
+# and the store's own synchronization — TSan proves the absence of
+# any side channel. The checkpoint path shares more: library fetches
+# run concurrently outside the library lock (CkptLibrary.*, and a
 # campaign fetching a configuration's positions on the pool), and
-# concurrent restores read one snapshot in place.
+# concurrent restores read one snapshot in place. The campaign death
+# tests exit from a forked child; they finish because the process
+# pool is never destroyed, so exit() joins no threads the child does
+# not have.
 cmake -S "$repo" -B "$tsan_build" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DVARSIM_SANITIZE=thread
@@ -149,9 +159,9 @@ cmake -S "$repo" -B "$tsan_build" \
 # bare name is the header-only INTERFACE library, which Makefile
 # generators have no build rule for.
 cmake --build "$tsan_build" -j "$jobs" \
-    --target test_core test_ckpt test_serve varsim_cli
+    --target test_core test_ckpt test_campaign test_serve varsim_cli
 
-for t in test_core test_ckpt test_serve; do
+for t in test_core test_ckpt test_campaign test_serve; do
     [ -x "$tsan_build/tests/$t" ] || {
         echo "error: $tsan_build/tests/$t was not built" >&2
         exit 1
@@ -161,10 +171,10 @@ done
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 ctest --test-dir "$tsan_build" --output-on-failure -j "$jobs" \
     --no-tests=error \
-    -R '^((HostThreadPool|TaskQueue|RunManyBatch|RunManyExceptions|CkptLibrary)\.|GoldenDeterminism\.HostThreadCountInvariant$|CkptCampaign\.HoleInLibraryRestoresOnlyThePrefix$|Checkpoint\.ConcurrentRestoresReadTheSnapshotInPlace$)'
+    -R '^((HostThreadPool|RunManyBatch|RunManyExceptions|CkptLibrary|Campaign|CampaignDeathTest|ResultStore|ResultStoreDeathTest|StoreCompaction|StoreCompactionDeathTest|SegmentFormat)\.|GoldenDeterminism\.HostThreadCountInvariant$|CkptCampaign\.HoleInLibraryRestoresOnlyThePrefix$|Checkpoint\.ConcurrentRestoresReadTheSnapshotInPlace$)'
 
-echo "across-run executors and checkpoint fetch/restore clean under" \
-    "thread sanitizer"
+echo "across-run executors, campaign store and checkpoint" \
+    "fetch/restore clean under thread sanitizer"
 
 # ---- Service soak: the serve daemon's data-race + crash gate ----
 # Phase 1, in-process under TSan: the scheduler/daemon suites plus

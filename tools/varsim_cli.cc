@@ -59,12 +59,13 @@
  *                          (fixed window phase), stratified (random
  *                          offset per period, re-drawn per seed),
  *                          matched (random offset, identical across
- *                          perturbation seeds). Applies to run and
- *                          campaign run/resume
+ *                          perturbation seeds). Applies to run,
+ *                          compare and campaign run/resume
  *   --sample-offset-seed <s>  seed of the window-placement stream
  *                          (default 12345)
  *
- * Configuration knobs (for run; suffix A/B for compare):
+ * Configuration knobs (for run, anova and plan; suffix -a/-b for
+ * compare, where --cpus is shared by both sides):
  *   --l2-assoc <w>  --l2-size <bytes>  --dram <ns>  --perturb <ns>
  *   --model simple|ooo  --rob <entries>  --quantum <ns>
  *   --protocol snooping|directory  --prefetch on|off
@@ -165,7 +166,6 @@
 #include "campaign/knobs.hh"
 #include "ckpt/library.hh"
 #include "core/varsim.hh"
-#include "sample/runner.hh"
 #include "serve/client.hh"
 #include "serve/daemon.hh"
 
@@ -300,70 +300,79 @@ class Args
     mutable std::set<std::string> queried;
 };
 
-core::SystemConfig
-systemFromArgs(const Args &args, const std::string &suffix)
+/** The configuration knobs every front end accepts. */
+const char *const kKnobs[] = {"cpus",    "l2-assoc", "l2-size",
+                              "dram",    "perturb",  "rob",
+                              "quantum", "model",    "protocol",
+                              "prefetch"};
+
+/**
+ * The spec fields naming a system and a workload: the knob flags,
+ * suffixed for one side of `compare` ("-a"/"-b"; --cpus is shared
+ * by both sides), and the workload flags. Every subcommand turns its
+ * flags into campaign::SpecFields and translates them with
+ * campaign::buildSpec, the path `varsim client submit` and the serve
+ * daemon use too, so all front ends agree on what a flag means and
+ * refuse the same bad values.
+ */
+campaign::SpecFields
+systemFieldsFromArgs(const Args &args,
+                     const std::string &suffix = "")
 {
-    core::SystemConfig sys;
-    auto knob = [&](const char *name) {
-        return std::string(name) + suffix;
-    };
-    sys.mem.numNodes = args.num("cpus", sys.mem.numNodes);
-    sys.mem.l2Assoc = args.num(knob("l2-assoc"), sys.mem.l2Assoc);
-    sys.mem.l2Size = args.num(knob("l2-size"), sys.mem.l2Size);
-    sys.mem.dramLatency =
-        args.num(knob("dram"), sys.mem.dramLatency);
-    sys.mem.perturbMaxNs =
-        args.num(knob("perturb"), sys.mem.perturbMaxNs);
-    sys.os.quantum = args.num(knob("quantum"), sys.os.quantum);
-    const std::string proto =
-        args.str(knob("protocol"), "snooping");
-    if (proto == "directory") {
-        sys.mem.protocol = mem::CoherenceProtocol::Directory;
-    } else if (proto != "snooping") {
-        sim::fatal("unknown protocol '%s'", proto.c_str());
+    campaign::SpecFields f;
+    for (const std::string knob : kKnobs) {
+        const std::string flag =
+            knob == "cpus" ? knob : knob + suffix;
+        if (args.has(flag))
+            f.base[knob] = args.str(flag, "");
     }
-    if (args.str(knob("prefetch"), "off") == "on")
-        sys.mem.l2NextLinePrefetch = true;
-    const std::string model = args.str(knob("model"), "simple");
-    if (model == "ooo") {
-        sys.cpu.model = cpu::CpuConfig::Model::OutOfOrder;
-    } else if (model != "simple") {
-        sim::fatal("unknown CPU model '%s'", model.c_str());
-    }
-    sys.cpu.robEntries = static_cast<std::uint32_t>(
-        args.num(knob("rob"), sys.cpu.robEntries));
-    std::string why;
-    if (!sys.check(&why))
-        sim::fatal("%s", why.c_str());
-    return sys;
+    f.workload = args.str("workload", f.workload);
+    f.workloadSeed = args.num("workload-seed", f.workloadSeed);
+    f.threadsPerCpu =
+        args.num("threads-per-cpu", f.threadsPerCpu);
+    return f;
 }
 
-workload::WorkloadParams
-workloadFromArgs(const Args &args)
+/** Add the run-length and sampling flags to @p f. */
+void
+runFieldsFromArgs(const Args &args, campaign::SpecFields &f)
 {
-    workload::WorkloadParams wl;
-    wl.kind = workload::kindFromName(args.str("workload", "oltp"));
-    wl.threadsPerCpu = args.num("threads-per-cpu", 0);
-    wl.seed = args.num("workload-seed", wl.seed);
-    return wl;
+    f.warmupTxns = args.num("warmup", f.warmupTxns);
+    f.measureTxns = args.num("txns", f.measureTxns);
+    f.sample = args.str("sample", f.sample);
+    f.sampleOffsetSeed =
+        args.num("sample-offset-seed", f.sampleOffsetSeed);
 }
 
-core::RunConfig
-runFromArgs(const Args &args)
+/** The spec fields of `campaign`, `ckpt create` and `client submit`. */
+campaign::SpecFields
+specFieldsFromArgs(const Args &args)
 {
-    core::RunConfig rc;
-    rc.warmupTxns = args.num("warmup", 100);
-    rc.measureTxns = args.num("txns", 0); // 0 = workload default
-    const std::string sample = args.str("sample", "");
-    if (!sample.empty() &&
-        !core::SampleConfig::parse(sample, rc.sample))
-        sim::fatal("bad --sample '%s' (want design:U:W:M[:conf] "
-                   "with design systematic|stratified|matched)",
-                   sample.c_str());
-    if (args.has("sample-offset-seed"))
-        rc.sample.offsetSeed =
-            args.num("sample-offset-seed", rc.sample.offsetSeed);
-    return rc;
+    campaign::SpecFields f = systemFieldsFromArgs(args);
+    runFieldsFromArgs(args, f);
+    f.vary = args.allStr("vary");
+    f.baseSeed = args.num("seed", f.baseSeed);
+    f.numCheckpoints = args.num("checkpoints", f.numCheckpoints);
+    f.checkpointStep = args.num("step", f.checkpointStep);
+    f.strategy = args.str("strategy", f.strategy);
+    f.fixedRuns = args.num("runs", f.fixedRuns);
+    f.pilotRuns = args.num("pilot-runs", f.pilotRuns);
+    f.maxRuns = args.num("max-runs", f.maxRuns);
+    f.relativeError = args.real("rel-err", f.relativeError);
+    if (args.has("alpha"))
+        f.alpha = args.real("alpha", 0.0);
+    f.budgetTxns = args.num("budget", f.budgetTxns);
+    return f;
+}
+
+campaign::CampaignSpec
+buildSpecOrDie(const campaign::SpecFields &fields)
+{
+    campaign::CampaignSpec spec;
+    std::string err;
+    if (!campaign::buildSpec(fields, spec, &err))
+        sim::fatal("%s", err.c_str());
+    return spec;
 }
 
 int
@@ -389,9 +398,12 @@ cmdList(const Args &args)
 int
 cmdRun(const Args &args)
 {
-    const auto sys = systemFromArgs(args, "");
-    const auto wl = workloadFromArgs(args);
-    const auto rc = runFromArgs(args);
+    campaign::SpecFields f = systemFieldsFromArgs(args);
+    runFieldsFromArgs(args, f);
+    const auto spec = buildSpecOrDie(f);
+    const auto &sys = spec.configs.front().sys;
+    const auto &wl = spec.wl;
+    const auto &rc = spec.run;
     core::ExperimentConfig exp;
     exp.numRuns = args.num("runs", 10);
     exp.baseSeed = args.num("seed", 1000);
@@ -402,7 +414,7 @@ cmdRun(const Args &args)
                 workload::kindName(wl.kind), sys.numCpus());
     if (rc.sample.enabled())
         std::printf("sampling: %s\n", rc.sample.toString().c_str());
-    const auto results = sample::runMany(sys, wl, rc, exp);
+    const auto results = core::runMany(sys, wl, rc, exp);
     for (std::size_t i = 0; i < results.size(); ++i) {
         std::printf("  run %2zu: %10.0f cycles/txn  (%llu txns)\n",
                     i, results[i].cyclesPerTxn,
@@ -482,10 +494,16 @@ cmdRun(const Args &args)
 int
 cmdCompare(const Args &args)
 {
-    const auto sysA = systemFromArgs(args, "-a");
-    const auto sysB = systemFromArgs(args, "-b");
-    const auto wl = workloadFromArgs(args);
-    const auto rc = runFromArgs(args);
+    campaign::SpecFields fa = systemFieldsFromArgs(args, "-a");
+    campaign::SpecFields fb = systemFieldsFromArgs(args, "-b");
+    runFieldsFromArgs(args, fa);
+    runFieldsFromArgs(args, fb);
+    const auto specA = buildSpecOrDie(fa);
+    const auto specB = buildSpecOrDie(fb);
+    const auto &sysA = specA.configs.front().sys;
+    const auto &sysB = specB.configs.front().sys;
+    const auto &wl = specA.wl;
+    const auto &rc = specA.run;
     core::ExperimentConfig exp;
     exp.numRuns = args.num("runs", 10);
     exp.baseSeed = args.num("seed", 1000);
@@ -493,6 +511,8 @@ cmdCompare(const Args &args)
 
     std::printf("comparing A vs B on %s, %zu runs each...\n",
                 workload::kindName(wl.kind), exp.numRuns);
+    if (rc.sample.enabled())
+        std::printf("sampling: %s\n", rc.sample.toString().c_str());
     core::ExperimentConfig expB = exp;
     expB.baseSeed = exp.baseSeed + 7919;
     // One interleaved batch: B's runs backfill host threads as A's
@@ -519,8 +539,14 @@ cmdCompare(const Args &args)
 int
 cmdAnova(const Args &args)
 {
-    const auto sys = systemFromArgs(args, "");
-    const auto wl = workloadFromArgs(args);
+    campaign::SpecFields f = systemFieldsFromArgs(args);
+    // Every run restores a checkpoint: no warm-up, and anova's own
+    // default run length.
+    f.warmupTxns = 0;
+    f.measureTxns = args.num("txns", 200);
+    const auto spec = buildSpecOrDie(f);
+    const auto &sys = spec.configs.front().sys;
+    const auto &wl = spec.wl;
     const std::size_t numCkpts = args.num("checkpoints", 5);
     const std::uint64_t step = args.num("step", 400);
     const std::size_t runs = args.num("runs", 6);
@@ -535,7 +561,6 @@ cmdAnova(const Args &args)
     else if (stratName != "systematic")
         sim::fatal("unknown strategy '%s'", stratName.c_str());
     const std::uint64_t seed = args.num("seed", 1000);
-    const std::uint64_t measureTxns = args.num("txns", 200);
     args.rejectUnread("varsim anova");
 
     const auto positions = core::planCheckpoints(
@@ -556,13 +581,11 @@ cmdAnova(const Args &args)
         warmer.runTransactions(positions[c] - done);
         done = positions[c];
         const core::Checkpoint cp = warmer.checkpoint();
-        core::RunConfig rc;
-        rc.measureTxns = measureTxns;
         core::ExperimentConfig exp;
         exp.numRuns = runs;
         exp.baseSeed = 20000 + 100 * c;
         groups.push_back(core::metricOf(core::runManyFromCheckpoint(
-            sys, wl, cp, rc, exp)));
+            sys, wl, cp, spec.run, exp)));
         const auto s = stats::summarize(groups.back());
         std::printf("  checkpoint @%llu txns: mean=%.0f sd=%.0f\n",
                     static_cast<unsigned long long>(positions[c]),
@@ -576,26 +599,25 @@ cmdAnova(const Args &args)
 int
 cmdPlan(const Args &args)
 {
-    const auto sys = systemFromArgs(args, "");
-    const auto wl = workloadFromArgs(args);
+    campaign::SpecFields f = systemFieldsFromArgs(args);
+    f.warmupTxns = args.num("warmup", f.warmupTxns);
+    const auto spec = buildSpecOrDie(f);
     const std::uint64_t budget = args.num("budget", 20000);
     std::vector<std::uint64_t> lengths = args.all("pilot");
     if (lengths.empty())
         lengths = {50, 150, 400};
     const std::size_t pilotRuns = args.num("runs", 6);
-    const std::uint64_t warmup = args.num("warmup", 100);
     args.rejectUnread("varsim plan");
 
     std::printf("measuring pilots for the budget planner...\n");
     std::vector<std::pair<std::uint64_t, double>> pilots;
     for (std::uint64_t len : lengths) {
-        core::RunConfig rc;
-        rc.warmupTxns = warmup;
+        core::RunConfig rc = spec.run;
         rc.measureTxns = len;
         core::ExperimentConfig exp;
         exp.numRuns = pilotRuns;
-        const auto rep =
-            core::analyze(core::runMany(sys, wl, rc, exp));
+        const auto rep = core::analyze(
+            core::runMany(spec.configs.front().sys, spec.wl, rc, exp));
         pilots.emplace_back(len, rep.coefficientOfVariation);
         std::printf("  pilot %llu txns: CoV %.2f%%\n",
                     static_cast<unsigned long long>(len),
@@ -606,57 +628,6 @@ cmdPlan(const Args &args)
                 static_cast<unsigned long long>(budget),
                 plan.toString().c_str());
     return 0;
-}
-
-/**
- * Collect the campaign-spec fields these flags carry. Translation
- * into a validated CampaignSpec lives in campaign::buildSpec — the
- * same path `varsim client submit` and the serve daemon use, which
- * is what keeps all three front ends agreeing on what a campaign
- * submission means.
- */
-campaign::SpecFields
-specFieldsFromArgs(const Args &args)
-{
-    campaign::SpecFields f;
-    static const char *const kBaseKnobs[] = {
-        "cpus",    "l2-assoc", "l2-size",  "dram",    "perturb",
-        "rob",     "quantum",  "model",    "protocol", "prefetch"};
-    for (const char *knob : kBaseKnobs)
-        if (args.has(knob))
-            f.base[knob] = args.str(knob, "");
-    f.vary = args.allStr("vary");
-    f.workload = args.str("workload", f.workload);
-    f.workloadSeed = args.num("workload-seed", f.workloadSeed);
-    f.threadsPerCpu =
-        args.num("threads-per-cpu", f.threadsPerCpu);
-    f.warmupTxns = args.num("warmup", f.warmupTxns);
-    f.measureTxns = args.num("txns", f.measureTxns);
-    f.sample = args.str("sample", f.sample);
-    f.sampleOffsetSeed =
-        args.num("sample-offset-seed", f.sampleOffsetSeed);
-    f.baseSeed = args.num("seed", f.baseSeed);
-    f.numCheckpoints = args.num("checkpoints", f.numCheckpoints);
-    f.checkpointStep = args.num("step", f.checkpointStep);
-    f.strategy = args.str("strategy", f.strategy);
-    f.fixedRuns = args.num("runs", f.fixedRuns);
-    f.pilotRuns = args.num("pilot-runs", f.pilotRuns);
-    f.maxRuns = args.num("max-runs", f.maxRuns);
-    f.relativeError = args.real("rel-err", f.relativeError);
-    if (args.has("alpha"))
-        f.alpha = args.real("alpha", 0.0);
-    f.budgetTxns = args.num("budget", f.budgetTxns);
-    return f;
-}
-
-campaign::CampaignSpec
-campaignSpecFromArgs(const Args &args)
-{
-    campaign::CampaignSpec spec;
-    std::string err;
-    if (!campaign::buildSpec(specFieldsFromArgs(args), spec, &err))
-        sim::fatal("%s", err.c_str());
-    return spec;
 }
 
 int
@@ -734,7 +705,7 @@ cmdCampaign(const std::string &action, const Args &args)
     if (dir.empty())
         sim::fatal("campaign %s needs --dir", action.c_str());
 
-    const auto spec = campaignSpecFromArgs(args);
+    const auto spec = buildSpecOrDie(specFieldsFromArgs(args));
 
     campaign::CampaignOptions opt;
     opt.hostThreads = args.num("host-threads", 0);
@@ -779,7 +750,7 @@ cmdCkpt(const std::string &action, const Args &args)
         sim::fatal("ckpt %s needs --dir", action.c_str());
 
     if (action == "create") {
-        const auto spec = campaignSpecFromArgs(args);
+        const auto spec = buildSpecOrDie(specFieldsFromArgs(args));
         if (!spec.numCheckpoints)
             sim::fatal("ckpt create needs --checkpoints >= 1 (the "
                        "same value the campaign will use)");
