@@ -72,7 +72,7 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
                 std::printf(
                     "  %-24s %zu/%zu recorded (%s)\n",
                     eff.groupName(g).c_str(),
-                    exec.resultStore().prefixLength(g),
+                    exec.resultStore().groupMetric(g).size(),
                     dec[g].target, dec[g].reason.c_str());
         }
 
@@ -121,10 +121,10 @@ CampaignStatus::toString() const
             ckpt.entries == 1 ? "y" : "ies",
             static_cast<unsigned long long>(ckpt.bytes),
             ckpt.restored, ckpt.warmed);
-    if (segmentCount)
+    if (segmentRuns)
         s += sim::format(
-            "compacted: %zu run(s) in %zu segment(s), %zu in the "
-            "journal tail\n", segmentRuns, segmentCount, tailRuns);
+            "compacted: %zu run(s) in 1 segment(s), %zu in the "
+            "journal tail\n", segmentRuns, tailRuns);
     for (std::size_t g = 0; g < runsPerGroup.size(); ++g)
         s += sim::format("  %-24s %zu run(s)\n",
                          groupNames[g].c_str(), runsPerGroup[g]);
@@ -140,7 +140,6 @@ campaignStatus(const std::string &dir)
     st.plan = store->plan();
     st.ckpt = store->ckptStats();
     st.totalRuns = store->totalRuns();
-    st.segmentCount = store->segmentCount();
     st.segmentRuns = store->segmentRunCount();
     st.tailRuns = store->tailRunCount();
     for (std::size_t g = 0; g < st.header.numGroups; ++g) {

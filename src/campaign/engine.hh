@@ -157,7 +157,6 @@ struct CampaignStatus
     std::vector<std::string> groupNames;
 
     /** Compacted-segment split (all zero for a pure-JSONL store). */
-    std::size_t segmentCount = 0;
     std::size_t segmentRuns = 0;
     std::size_t tailRuns = 0;
 

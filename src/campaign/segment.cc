@@ -34,8 +34,8 @@ constexpr std::size_t kRecordFixed = 8 * 8 + 4;
 /** Bytes of one (dict index, value bits) metric pair. */
 constexpr std::size_t kMetricPair = 4 + 8;
 
-/** Bytes of one group-summary footer entry. */
-constexpr std::size_t kSummaryEntry = 6 * 8;
+/** Bytes of one legacy footer entry (older builds' summaries). */
+constexpr std::size_t kLegacyFooterEntry = 6 * 8;
 
 void
 putDouble(std::vector<std::uint8_t> &out, double v)
@@ -60,8 +60,7 @@ failure(const std::string &why)
 } // anonymous namespace
 
 std::vector<std::uint8_t>
-buildSegment(const std::vector<RunRecord> &records,
-             const std::map<std::size_t, GroupSummary> &summaries)
+buildSegment(const std::vector<RunRecord> &records)
 {
     // Dictionary: sorted unique metric names across all records.
     std::vector<std::string> dict;
@@ -86,8 +85,7 @@ buildSegment(const std::vector<RunRecord> &records,
 
     std::vector<std::uint8_t> out;
     out.reserve(32 + dictBytes + records.size() * kRecordFixed +
-                metricPairs * kMetricPair +
-                summaries.size() * (8 + kSummaryEntry - 8) + 16);
+                metricPairs * kMetricPair + 8);
 
     for (char c : kMagic)
         out.push_back(static_cast<std::uint8_t>(c));
@@ -95,7 +93,7 @@ buildSegment(const std::vector<RunRecord> &records,
     putLe<std::uint32_t>(out,
                          static_cast<std::uint32_t>(dict.size()));
     putLe<std::uint64_t>(out, records.size());
-    putLe<std::uint64_t>(out, summaries.size());
+    putLe<std::uint64_t>(out, 0); // legacy footer entries
 
     for (const std::string &name : dict) {
         putLe<std::uint32_t>(out,
@@ -130,15 +128,6 @@ buildSegment(const std::vector<RunRecord> &records,
             putLe<std::uint32_t>(out, p.first);
             putDouble(out, p.second);
         }
-    }
-
-    for (const auto &[g, s] : summaries) {
-        putLe<std::uint64_t>(out, g);
-        putLe<std::uint64_t>(out, s.count);
-        putDouble(out, s.mean);
-        putDouble(out, s.m2);
-        putDouble(out, s.minValue);
-        putDouble(out, s.maxValue);
     }
 
     putLe<std::uint64_t>(out, fnvBytes(out.data(), out.size()));
@@ -190,7 +179,7 @@ struct SegmentParser
                 "reads %u)", version, kSegmentVersion));
         const auto dictCount = getLe<std::uint32_t>(base + 12);
         const auto runCount = getLe<std::uint64_t>(base + 16);
-        const auto sumCount = getLe<std::uint64_t>(base + 24);
+        const auto legacyCount = getLe<std::uint64_t>(base + 24);
 
         // The trailing checksum first: it catches any bit flip or
         // truncation, so the structural walk below only ever sees
@@ -278,23 +267,12 @@ struct SegmentParser
             }
         }
 
-        for (std::uint64_t s = 0; s < sumCount; ++s) {
-            if (pos + kSummaryEntry > end)
-                return failure(
-                    "truncated inside the summary footer");
-            const auto g = getLe<std::uint64_t>(base + pos);
-            GroupSummary sum;
-            sum.count = getLe<std::uint64_t>(base + pos + 8);
-            sum.mean = getDouble(base + pos + 16);
-            sum.m2 = getDouble(base + pos + 24);
-            sum.minValue = getDouble(base + pos + 32);
-            sum.maxValue = getDouble(base + pos + 40);
-            if (!view->sums.emplace(g, sum).second)
-                return failure(sim::format(
-                    "duplicate summary for group %llu",
-                    static_cast<unsigned long long>(g)));
-            pos += kSummaryEntry;
-        }
+        // Skip the footer an older writer left; dividing keeps a huge
+        // declared count from overflowing the byte count.
+        if (legacyCount > (end - pos) / kLegacyFooterEntry)
+            return failure("truncated inside the legacy footer");
+        pos += static_cast<std::size_t>(legacyCount) *
+               kLegacyFooterEntry;
 
         if (pos != end)
             return failure(sim::format(
@@ -359,37 +337,31 @@ SegmentView::~SegmentView()
 }
 
 std::size_t
+SegmentView::lowerBound(std::uint64_t group, std::uint64_t run) const
+{
+    const auto it = std::lower_bound(
+        index.begin(), index.end(), std::make_pair(group, run),
+        [](const Entry &e,
+           const std::pair<std::uint64_t, std::uint64_t> &k) {
+            return std::make_pair(e.group, e.run) < k;
+        });
+    return static_cast<std::size_t>(it - index.begin());
+}
+
+std::size_t
 SegmentView::runsInGroup(std::size_t group) const
 {
-    const auto cmp = [](const Entry &e,
-                        std::pair<std::uint64_t, std::uint64_t> k) {
-        return e.group < k.first ||
-               (e.group == k.first && e.run < k.second);
-    };
-    const auto lo = std::lower_bound(
-        index.begin(), index.end(),
-        std::pair<std::uint64_t, std::uint64_t>{group, 0}, cmp);
-    const auto hi = std::lower_bound(
-        index.begin(), index.end(),
-        std::pair<std::uint64_t, std::uint64_t>{group + 1, 0},
-        cmp);
-    return static_cast<std::size_t>(hi - lo);
+    return lowerBound(group + 1, 0) - lowerBound(group, 0);
 }
 
 SegmentView::Ref
 SegmentView::find(std::size_t group, std::size_t run) const
 {
-    const auto cmp = [](const Entry &e,
-                        std::pair<std::uint64_t, std::uint64_t> k) {
-        return e.group < k.first ||
-               (e.group == k.first && e.run < k.second);
-    };
-    const auto it = std::lower_bound(
-        index.begin(), index.end(),
-        std::pair<std::uint64_t, std::uint64_t>{group, run}, cmp);
-    if (it == index.end() || it->group != group || it->run != run)
+    const std::size_t i = lowerBound(group, run);
+    if (i == index.size() || index[i].group != group ||
+        index[i].run != run)
         return {};
-    return {static_cast<std::size_t>(it - index.begin())};
+    return {i};
 }
 
 double

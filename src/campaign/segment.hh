@@ -13,7 +13,7 @@
  *     8       4     format version (currently 1)
  *     12      4     dictionary entry count D
  *     16      8     run record count R
- *     24      8     group summary count G
+ *     24      8     legacy footer entry count G (written as 0)
  *     32      ...   dictionary: D x { u32 length, bytes } metric
  *                   names, sorted, unique
  *     ...           records: R x {
@@ -24,10 +24,10 @@
  *                     M x { u32 dict index, u64 value (double
  *                     bits) } sorted by dict index
  *                   } sorted by (group, run), strictly increasing
- *     ...           summaries: G x { u64 group, u64 count,
- *                     u64 mean, u64 m2, u64 min, u64 max (double
- *                     bits) } — the canonical streaming fold
- *                     snapshot, sorted by group
+ *     ...           legacy footer: G x 48 bytes, skipped. Older
+ *                   writers stored per-group running summaries
+ *                   here, which no reader used; an older reader
+ *                   given G = 0 recomputes them from the records.
  *     end-8   8     FNV-1a 64 checksum over every preceding byte
  *
  * Metric doubles travel as raw IEEE-754 bits, so a segment round
@@ -46,7 +46,6 @@
 #define VARSIM_CAMPAIGN_SEGMENT_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -61,12 +60,11 @@ namespace campaign
 constexpr std::uint32_t kSegmentVersion = 1;
 
 /**
- * Serialize @p records (must be sorted by (group, run), unique) and
- * the canonical per-group summaries into segment bytes.
+ * Serialize @p records (must be sorted by (group, run), unique) into
+ * segment bytes with an empty legacy footer.
  */
 std::vector<std::uint8_t>
-buildSegment(const std::vector<RunRecord> &records,
-             const std::map<std::size_t, GroupSummary> &summaries);
+buildSegment(const std::vector<RunRecord> &records);
 
 /**
  * A parsed, validated segment. Read-only and immutable: accessors
@@ -115,17 +113,8 @@ class SegmentView
         return dict;
     }
 
-    /** Canonical streaming-summary snapshot taken at compaction. */
-    const std::map<std::size_t, GroupSummary> &summaries() const
-    {
-        return sums;
-    }
-
     /** The trailing whole-file checksum (manifest cross-check). */
     std::uint64_t checksum() const { return fnv; }
-
-    /** Total size of the backing bytes. */
-    std::size_t bytes() const { return size_; }
 
     ~SegmentView();
 
@@ -144,6 +133,10 @@ class SegmentView
         std::size_t offset; ///< record start within the bytes
     };
 
+    /** First index entry not below (group, run). */
+    std::size_t lowerBound(std::uint64_t group,
+                           std::uint64_t run) const;
+
     const std::uint8_t *base = nullptr;
     std::size_t size_ = 0;
     void *mapping = nullptr;         ///< munmap'd when set
@@ -152,7 +145,6 @@ class SegmentView
 
     std::vector<std::string> dict;
     std::vector<Entry> index; ///< sorted by (group, run)
-    std::map<std::size_t, GroupSummary> sums;
     std::uint64_t fnv = 0;
 };
 

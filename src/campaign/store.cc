@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -73,16 +72,8 @@ lockStore(const std::string &dir, std::string *err)
     return -1;
 }
 
-/** Auto-compaction tail threshold: env override, 0 disables. */
-std::size_t
-autoCompactTailFromEnv()
-{
-    const char *e = std::getenv("VARSIM_STORE_COMPACT_TAIL");
-    if (!e || !*e)
-        return 8192;
-    return static_cast<std::size_t>(
-        std::strtoull(e, nullptr, 10));
-}
+/** Tail runs at which a writable open or an append compacts. */
+constexpr std::size_t kAutoCompactTail = 8192;
 
 /**
  * Strict hex parse of a 64-bit fingerprint/checksum field; returns
@@ -102,31 +93,20 @@ parseHex64(const std::string &s, std::uint64_t *out)
     return true;
 }
 
-} // anonymous namespace
-
-void
-GroupSummary::fold(double x)
+/** Registry metric @p name of a journal run; false when it lacks it. */
+bool
+registryValue(const RunRecord &r, const std::string &name, double *v)
 {
-    ++count;
-    const double delta = x - mean;
-    mean += delta / static_cast<double>(count);
-    m2 += delta * (x - mean);
-    if (count == 1) {
-        minValue = x;
-        maxValue = x;
-    } else {
-        minValue = std::min(minValue, x);
-        maxValue = std::max(maxValue, x);
+    for (const auto &kv : r.metrics) {
+        if (kv.first == name) {
+            *v = kv.second;
+            return true;
+        }
     }
+    return false;
 }
 
-double
-GroupSummary::stddev() const
-{
-    if (count < 2)
-        return 0.0;
-    return std::sqrt(m2 / static_cast<double>(count - 1));
-}
+} // anonymous namespace
 
 std::string
 ResultStore::headerLineFor(const StoreHeader &h)
@@ -199,10 +179,41 @@ ResultStore::ckptStatsLineFor(const CkptStatsRecord &r)
     return w.str();
 }
 
+struct ResultStore::RunLoc
+{
+    const RunRecord *tail = nullptr; ///< the run, when in the tail
+    SegmentView::Ref seg;            ///< the run, when in the segment
+
+    bool found() const { return tail || seg.valid(); }
+};
+
+ResultStore::RunLoc
+ResultStore::locateLocked(std::size_t g, std::size_t i) const
+{
+    RunLoc loc;
+    const auto it = runs.find({g, i});
+    if (it != runs.end())
+        loc.tail = &it->second;
+    else if (segment_)
+        loc.seg = segment_->find(g, i);
+    return loc;
+}
+
+template <class Visit>
+void
+ResultStore::walkPrefixLocked(std::size_t g, std::size_t maxRuns,
+                              Visit &&visit) const
+{
+    for (std::size_t i = 0; i < maxRuns; ++i) {
+        const RunLoc loc = locateLocked(g, i);
+        if (!loc.found() || !visit(loc))
+            return;
+    }
+}
+
 std::unique_ptr<ResultStore>
-ResultStore::tryOpenOrCreate(const std::string &dir,
-                             const StoreHeader &header,
-                             std::string *err)
+ResultStore::openWriter(const std::string &dir,
+                        const StoreHeader *create, std::string *err)
 {
     auto fail = [&](std::string msg) {
         if (err)
@@ -210,25 +221,30 @@ ResultStore::tryOpenOrCreate(const std::string &dir,
         return std::unique_ptr<ResultStore>();
     };
 
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        return fail(sim::format(
-            "cannot create campaign directory %s: %s", dir.c_str(),
-            ec.message().c_str()));
+    const std::string path = manifestPath(dir);
+    if (create) {
+        std::error_code ec;
+        std::filesystem::create_directories(dir, ec);
+        if (ec)
+            return fail(sim::format(
+                "cannot create campaign directory %s: %s",
+                dir.c_str(), ec.message().c_str()));
+    } else if (!std::filesystem::exists(path)) {
+        return fail(sim::format("no campaign store at %s (missing %s)",
+                                dir.c_str(), path.c_str()));
+    }
 
     std::unique_ptr<ResultStore> store(new ResultStore);
     store->dir_ = dir;
     store->lockFd = lockStore(dir, err);
     if (store->lockFd < 0)
         return nullptr;
-    const std::string path = manifestPath(dir);
     store->fd = ::open(path.c_str(),
-                       O_WRONLY | O_CREAT | O_APPEND, 0644);
+                       O_WRONLY | O_APPEND | (create ? O_CREAT : 0),
+                       0644);
     if (store->fd < 0)
         return fail(sim::format("cannot open %s: %s", path.c_str(),
                                 std::strerror(errno)));
-    store->autoCompactTail = autoCompactTailFromEnv();
 
     // Decide created-vs-resumed *after* winning the lock: a loser
     // of a concurrent create race must replay the winner's header,
@@ -237,9 +253,10 @@ ResultStore::tryOpenOrCreate(const std::string &dir,
     const bool existed =
         ::fstat(store->fd, &sb) == 0 && sb.st_size > 0;
 
-    if (existed) {
-        store->replay(path);
-        if (store->header_.fingerprint != header.fingerprint)
+    if (existed || !create) {
+        store->replay(path, nullptr);
+        if (create &&
+            store->header_.fingerprint != create->fingerprint)
             return fail(sim::format(
                 "campaign store %s was created for a different "
                 "spec (fingerprint %016llx, expected %016llx); "
@@ -248,19 +265,27 @@ ResultStore::tryOpenOrCreate(const std::string &dir,
                 static_cast<unsigned long long>(
                     store->header_.fingerprint),
                 static_cast<unsigned long long>(
-                    header.fingerprint)));
+                    create->fingerprint)));
         std::lock_guard<std::mutex> lock(store->mu);
         store->maybeAutoCompactLocked();
     } else {
         // The journal's first append: a fresh manifest is created in
         // place rather than by writeFileAtomic's temp + rename, whose
         // second metadata commit makes every new store slower.
-        store->header_ = header;
+        store->header_ = *create;
         std::lock_guard<std::mutex> lock(store->mu);
-        store->appendLine(headerLineFor(header));
+        store->appendLine(headerLineFor(*create));
         sim::syncDirectory(dir);
     }
     return store;
+}
+
+std::unique_ptr<ResultStore>
+ResultStore::tryOpenOrCreate(const std::string &dir,
+                             const StoreHeader &header,
+                             std::string *err)
+{
+    return openWriter(dir, &header, err);
 }
 
 std::unique_ptr<ResultStore>
@@ -277,26 +302,10 @@ ResultStore::openOrCreate(const std::string &dir,
 std::unique_ptr<ResultStore>
 ResultStore::open(const std::string &dir)
 {
-    const std::string path = manifestPath(dir);
-    if (!std::filesystem::exists(path))
-        sim::fatal("no campaign store at %s (missing %s)",
-                   dir.c_str(), path.c_str());
-    std::unique_ptr<ResultStore> store(new ResultStore);
-    store->dir_ = dir;
     std::string err;
-    store->lockFd = lockStore(dir, &err);
-    if (store->lockFd < 0)
+    auto store = openWriter(dir, nullptr, &err);
+    if (!store)
         sim::fatal("%s", err.c_str());
-    store->fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
-    if (store->fd < 0)
-        sim::fatal("cannot open %s: %s", path.c_str(),
-                   std::strerror(errno));
-    store->autoCompactTail = autoCompactTailFromEnv();
-    store->replay(path);
-    {
-        std::lock_guard<std::mutex> lock(store->mu);
-        store->maybeAutoCompactLocked();
-    }
     return store;
 }
 
@@ -307,18 +316,27 @@ ResultStore::openReadOnly(const std::string &dir)
     if (!std::filesystem::exists(path))
         sim::fatal("no campaign store at %s (missing %s)",
                    dir.c_str(), path.c_str());
-    std::unique_ptr<ResultStore> store(new ResultStore);
-    store->dir_ = dir;
-    store->replay(path); // fd stays -1: reader, no lock, no repair
-    return store;
+    // A compaction may delete the segment a replayed manifest names
+    // before the replay maps it; the new manifest names another.
+    for (std::string gone;;) {
+        // fd stays -1: reader, no lock, no repair
+        std::unique_ptr<ResultStore> store(new ResultStore);
+        store->dir_ = dir;
+        if (store->replay(path, &gone))
+            return store;
+    }
 }
 
-void
+bool
 ResultStore::loadSegmentRecord(const sim::JsonLine &obj,
                                const std::string &path,
-                               std::size_t lineNo)
+                               std::size_t lineNo, std::string *gone)
 {
     const std::string file = obj.str("file");
+    if (segment_)
+        sim::fatal("%s:%zu: a second segment record (%s); a compacted "
+                   "manifest names exactly one segment",
+                   path.c_str(), lineNo, file.c_str());
     const std::size_t declaredRuns = obj.num("runs");
     std::uint64_t declaredFnv = 0;
     if (!parseHex64(obj.str("fnv"), &declaredFnv))
@@ -327,6 +345,11 @@ ResultStore::loadSegmentRecord(const sim::JsonLine &obj,
                    obj.str("fnv").c_str());
 
     SegmentLoad l = loadSegmentFile(dir_ + "/" + file);
+    if (!l.ok && gone && *gone != file &&
+        !std::filesystem::exists(dir_ + "/" + file)) {
+        *gone = file;
+        return false;
+    }
     if (!l.ok)
         sim::fatal("%s:%zu: cannot load compacted segment: %s",
                    path.c_str(), lineNo, l.error.c_str());
@@ -342,9 +365,9 @@ ResultStore::loadSegmentRecord(const sim::JsonLine &obj,
                    "manifest says %zu",
                    path.c_str(), lineNo, file.c_str(),
                    l.view->runCount(), declaredRuns);
-    segments_.push_back(std::move(l.view));
+    segment_ = std::move(l.view);
 
-    // Keep the sequence counter past every referenced segment so a
+    // Keep the sequence counter past the referenced segment so a
     // fresh compaction never renames a file a reader may hold open.
     const std::size_t dash = file.rfind("seg-");
     if (dash != std::string::npos) {
@@ -352,10 +375,11 @@ ResultStore::loadSegmentRecord(const sim::JsonLine &obj,
             std::strtoull(file.c_str() + dash + 4, nullptr, 10));
         nextSegmentSeq = std::max(nextSegmentSeq, seq + 1);
     }
+    return true;
 }
 
-void
-ResultStore::replay(const std::string &path)
+bool
+ResultStore::replay(const std::string &path, std::string *gone)
 {
     std::string data;
     std::string error;
@@ -437,7 +461,8 @@ ResultStore::replay(const std::string &path)
             header_.configNames = obj.list("configs");
             sawHeader = true;
         } else if (type == "segment") {
-            loadSegmentRecord(obj, path, lineNo);
+            if (!loadSegmentRecord(obj, path, lineNo, gone))
+                return false;
         } else if (type == "plan") {
             plan_.valid = true;
             plan_.runLength = obj.num("run_length");
@@ -460,7 +485,7 @@ ResultStore::replay(const std::string &path)
             r.runtimeTicks = obj.num("runtime_ticks");
             r.txns = obj.num("txns");
             lastRunKey = {r.group, r.runIdx};
-            if (hasRunLocked(r.group, r.runIdx)) {
+            if (locateLocked(r.group, r.runIdx).found()) {
                 sim::warn("%s:%zu: duplicate run record (group "
                           "%zu, run %zu) dropped (first record "
                           "wins)", path.c_str(), lineNo, r.group,
@@ -506,7 +531,7 @@ ResultStore::replay(const std::string &path)
         sim::warn("%s: %zu malformed mid-file record(s); the "
                   "manifest may have been edited", path.c_str(),
                   dropped);
-    rebuildSummariesLocked();
+    return true;
 }
 
 void
@@ -531,72 +556,10 @@ ResultStore::appendLine(const std::string &line)
 }
 
 bool
-ResultStore::hasRunLocked(std::size_t g, std::size_t i) const
-{
-    if (runs.count({g, i}) > 0)
-        return true;
-    for (const auto &seg : segments_)
-        if (seg->find(g, i).valid())
-            return true;
-    return false;
-}
-
-bool
-ResultStore::cptAtLocked(std::size_t g, std::size_t i,
-                         double *v) const
-{
-    const auto it = runs.find({g, i});
-    if (it != runs.end()) {
-        *v = it->second.cyclesPerTxn;
-        return true;
-    }
-    for (const auto &seg : segments_) {
-        const SegmentView::Ref r = seg->find(g, i);
-        if (r.valid()) {
-            *v = seg->cyclesPerTxn(r);
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-ResultStore::advanceSummaryLocked(std::size_t g)
-{
-    const auto it = summaries_.find(g);
-    double v;
-    if (it == summaries_.end()) {
-        if (!cptAtLocked(g, 0, &v))
-            return; // no prefix yet; keep the map sparse
-    } else if (!cptAtLocked(g, it->second.count, &v)) {
-        return;
-    }
-    GroupSummary &s = summaries_[g];
-    do
-        s.fold(v);
-    while (cptAtLocked(g, s.count, &v));
-}
-
-void
-ResultStore::rebuildSummariesLocked()
-{
-    // A single segment's footer is the canonical fold of its prefix
-    // (bit-identical to refolding, by the one-fold-order rule), so
-    // adopt it and fold only the journal tail — this is what keeps
-    // the open cost of a compacted store proportional to the tail.
-    if (segments_.size() == 1)
-        summaries_ = segments_[0]->summaries();
-    else
-        summaries_.clear();
-    for (std::size_t g = 0; g < header_.numGroups; ++g)
-        advanceSummaryLocked(g);
-}
-
-bool
 ResultStore::hasRun(std::size_t group, std::size_t runIdx) const
 {
     std::lock_guard<std::mutex> lock(mu);
-    return hasRunLocked(group, runIdx);
+    return locateLocked(group, runIdx).found();
 }
 
 std::size_t
@@ -605,38 +568,22 @@ ResultStore::runsInGroup(std::size_t group) const
     std::lock_guard<std::mutex> lock(mu);
     const auto lo = runs.lower_bound({group, 0});
     const auto hi = runs.lower_bound({group + 1, 0});
-    std::size_t n =
-        static_cast<std::size_t>(std::distance(lo, hi));
-    for (const auto &seg : segments_)
-        n += seg->runsInGroup(group);
-    return n;
+    return static_cast<std::size_t>(std::distance(lo, hi)) +
+           (segment_ ? segment_->runsInGroup(group) : 0);
 }
 
 std::size_t
 ResultStore::totalRuns() const
 {
     std::lock_guard<std::mutex> lock(mu);
-    std::size_t n = runs.size();
-    for (const auto &seg : segments_)
-        n += seg->runCount();
-    return n;
-}
-
-std::size_t
-ResultStore::segmentCount() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return segments_.size();
+    return runs.size() + (segment_ ? segment_->runCount() : 0);
 }
 
 std::size_t
 ResultStore::segmentRunCount() const
 {
     std::lock_guard<std::mutex> lock(mu);
-    std::size_t n = 0;
-    for (const auto &seg : segments_)
-        n += seg->runCount();
-    return n;
+    return segment_ ? segment_->runCount() : 0;
 }
 
 std::size_t
@@ -646,83 +593,17 @@ ResultStore::tailRunCount() const
     return runs.size();
 }
 
-GroupSummary
-ResultStore::groupSummary(std::size_t group) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    const auto it = summaries_.find(group);
-    return it == summaries_.end() ? GroupSummary{} : it->second;
-}
-
-std::size_t
-ResultStore::prefixLength(std::size_t group) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    const auto it = summaries_.find(group);
-    return it == summaries_.end()
-               ? 0
-               : static_cast<std::size_t>(it->second.count);
-}
-
-std::vector<double>
-ResultStore::groupMetric(std::size_t group,
-                         std::size_t maxRuns) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    std::vector<double> xs;
-    double v;
-    for (std::size_t i = 0;
-         i < maxRuns && cptAtLocked(group, i, &v); ++i)
-        xs.push_back(v);
-    return xs;
-}
-
 std::vector<RunRecord>
 ResultStore::groupRuns(std::size_t group) const
 {
     std::lock_guard<std::mutex> lock(mu);
     std::vector<RunRecord> out;
-    for (std::size_t i = 0;; ++i) {
-        const auto it = runs.find({group, i});
-        if (it != runs.end()) {
-            out.push_back(it->second);
-            continue;
-        }
-        bool located = false;
-        for (const auto &seg : segments_) {
-            const SegmentView::Ref r = seg->find(group, i);
-            if (r.valid()) {
-                out.push_back(seg->materialize(r));
-                located = true;
-                break;
-            }
-        }
-        if (!located)
-            break;
-    }
+    walkPrefixLocked(group, SIZE_MAX, [&](const RunLoc &loc) {
+        out.push_back(loc.tail ? *loc.tail
+                               : segment_->materialize(loc.seg));
+        return true;
+    });
     return out;
-}
-
-void
-ResultStore::appendRun(const RunRecord &rec)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    if (hasRunLocked(rec.group, rec.runIdx)) {
-        sim::warn("duplicate run record (group %zu, run %zu) "
-                  "dropped — two shards with the same index?",
-                  rec.group, rec.runIdx);
-        return;
-    }
-    runs.emplace(std::make_pair(rec.group, rec.runIdx), rec);
-    appendLine(runLineFor(rec));
-
-    // The registry dump travels as a companion record so the "run"
-    // line's schema — what pre-existing stores hold — is untouched.
-    if (!rec.metrics.empty())
-        appendLine(metricsLineFor(rec));
-
-    advanceSummaryLocked(rec.group);
-    maybeAutoCompactLocked();
 }
 
 std::vector<double>
@@ -736,68 +617,54 @@ ResultStore::groupMetricNamed(std::size_t group,
                         : name == "runtime_ticks" ? 1
                         : name == "txns"          ? 2
                                                   : -1;
-    // Resolve the per-segment dictionary index once, not per run.
-    std::vector<int> dictIdx;
-    for (const auto &seg : segments_)
-        dictIdx.push_back(seg->dictIndex(name));
+    // Resolve the segment's dictionary index once, not per run.
+    const int dictIdx = segment_ ? segment_->dictIndex(name) : -1;
 
+    // A run without the metric (recorded by an older binary) ends
+    // the prefix: everything returned is comparable.
     std::vector<double> xs;
-    for (std::size_t i = 0; i < maxRuns; ++i) {
-        const auto it = runs.find({group, i});
-        if (it != runs.end()) {
-            const RunRecord &r = it->second;
-            if (builtin == 0) {
-                xs.push_back(r.cyclesPerTxn);
-            } else if (builtin == 1) {
-                xs.push_back(static_cast<double>(r.runtimeTicks));
-            } else if (builtin == 2) {
-                xs.push_back(static_cast<double>(r.txns));
-            } else {
-                bool found = false;
-                for (const auto &kv : r.metrics) {
-                    if (kv.first == name) {
-                        xs.push_back(kv.second);
-                        found = true;
-                        break;
-                    }
-                }
-                // A run without the metric (recorded by an older
-                // binary) ends the prefix: everything returned is
-                // comparable.
-                if (!found)
-                    return xs;
-            }
-            continue;
-        }
-        bool located = false;
-        for (std::size_t s = 0; s < segments_.size(); ++s) {
-            const SegmentView::Ref r = segments_[s]->find(group, i);
-            if (!r.valid())
-                continue;
-            located = true;
-            if (builtin == 0) {
-                xs.push_back(segments_[s]->cyclesPerTxn(r));
-            } else if (builtin == 1) {
-                xs.push_back(static_cast<double>(
-                    segments_[s]->runtimeTicks(r)));
-            } else if (builtin == 2) {
-                xs.push_back(
-                    static_cast<double>(segments_[s]->txns(r)));
-            } else {
-                double v;
-                if (dictIdx[s] < 0 ||
-                    !segments_[s]->metricValue(
-                        r, static_cast<std::uint32_t>(dictIdx[s]),
-                        &v))
-                    return xs;
-                xs.push_back(v);
-            }
-            break;
-        }
-        if (!located)
-            break;
-    }
+    walkPrefixLocked(group, maxRuns, [&](const RunLoc &loc) {
+        const RunRecord *r = loc.tail;
+        double v;
+        if (builtin == 0)
+            v = r ? r->cyclesPerTxn : segment_->cyclesPerTxn(loc.seg);
+        else if (builtin == 1)
+            v = static_cast<double>(
+                r ? r->runtimeTicks : segment_->runtimeTicks(loc.seg));
+        else if (builtin == 2)
+            v = static_cast<double>(r ? r->txns
+                                      : segment_->txns(loc.seg));
+        else if (r ? !registryValue(*r, name, &v)
+                   : dictIdx < 0 ||
+                         !segment_->metricValue(
+                             loc.seg,
+                             static_cast<std::uint32_t>(dictIdx), &v))
+            return false;
+        xs.push_back(v);
+        return true;
+    });
     return xs;
+}
+
+void
+ResultStore::appendRun(const RunRecord &rec)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    if (locateLocked(rec.group, rec.runIdx).found()) {
+        sim::warn("duplicate run record (group %zu, run %zu) "
+                  "dropped — two shards with the same index?",
+                  rec.group, rec.runIdx);
+        return;
+    }
+    runs.emplace(std::make_pair(rec.group, rec.runIdx), rec);
+    appendLine(runLineFor(rec));
+
+    // The registry dump travels as a companion record so the "run"
+    // line's schema — what pre-existing stores hold — is untouched.
+    if (!rec.metrics.empty())
+        appendLine(metricsLineFor(rec));
+
+    maybeAutoCompactLocked();
 }
 
 std::vector<std::string>
@@ -811,8 +678,8 @@ ResultStore::metricNames() const
         for (const auto &entry : runs)
             for (const auto &kv : entry.second.metrics)
                 extra.insert(kv.first);
-        for (const auto &seg : segments_)
-            for (const std::string &name : seg->dictionary())
+        if (segment_)
+            for (const std::string &name : segment_->dictionary())
                 extra.insert(name);
     }
     out.insert(out.end(), extra.begin(), extra.end());
@@ -843,25 +710,24 @@ std::vector<RunRecord>
 ResultStore::allRunsSortedLocked() const
 {
     std::vector<RunRecord> out;
-    for (const auto &seg : segments_)
-        for (std::size_t i = 0; i < seg->runCount(); ++i)
-            out.push_back(seg->materialize({i}));
+    if (segment_)
+        for (std::size_t i = 0; i < segment_->runCount(); ++i)
+            out.push_back(segment_->materialize({i}));
     for (const auto &entry : runs)
         out.push_back(entry.second);
+    const auto key = [](const RunRecord &r) {
+        return std::make_pair(r.group, r.runIdx);
+    };
     std::stable_sort(out.begin(), out.end(),
-                     [](const RunRecord &a, const RunRecord &b) {
-                         return a.group < b.group ||
-                                (a.group == b.group &&
-                                 a.runIdx < b.runIdx);
+                     [&](const RunRecord &a, const RunRecord &b) {
+                         return key(a) < key(b);
                      });
     // Keys are disjoint by construction (replay and append both
     // drop duplicates); keep the first of any pair regardless so a
     // hand-merged manifest cannot produce an unparseable segment.
     out.erase(std::unique(out.begin(), out.end(),
-                          [](const RunRecord &a,
-                             const RunRecord &b) {
-                              return a.group == b.group &&
-                                     a.runIdx == b.runIdx;
+                          [&](const RunRecord &a, const RunRecord &b) {
+                              return key(a) == key(b);
                           }),
               out.end());
     return out;
@@ -870,8 +736,7 @@ ResultStore::allRunsSortedLocked() const
 void
 ResultStore::maybeAutoCompactLocked()
 {
-    if (autoCompactTail == 0 || fd < 0 ||
-        runs.size() < autoCompactTail)
+    if (fd < 0 || runs.size() < kAutoCompactTail)
         return;
     const CompactResult r = compactLocked();
     if (r.performed)
@@ -887,12 +752,11 @@ ResultStore::compactLocked()
     if (fd < 0)
         sim::fatal("cannot compact campaign store %s: opened "
                    "read-only", dir_.c_str());
-    if (runs.empty() && segments_.size() <= 1)
+    if (runs.empty())
         return res; // already one segment (or nothing recorded)
 
     const std::vector<RunRecord> all = allRunsSortedLocked();
-    const std::vector<std::uint8_t> bytes =
-        buildSegment(all, summaries_);
+    const std::vector<std::uint8_t> bytes = buildSegment(all);
 
     const std::string segDir = dir_ + "/segments";
     std::error_code ec;
@@ -909,8 +773,8 @@ ResultStore::compactLocked()
 
     // Crash-injection hook for the kill-9 recovery tests: die after
     // the segment exists but before the manifest references it. The
-    // old manifest stays authoritative; the orphan segment is
-    // atomically overwritten by the next compaction.
+    // old manifest stays authoritative; the next compaction
+    // atomically overwrites the orphan segment.
     if (const char *e =
             std::getenv("VARSIM_STORE_CRASH_COMPACT");
         e && *e && std::strcmp(e, "0") != 0)
@@ -923,9 +787,8 @@ ResultStore::compactLocked()
         sim::fatal("compaction of %s produced an unreadable "
                    "segment: %s", dir_.c_str(), l.error.c_str());
 
-    StoreHeader h = header_;
-    h.version = 2;
-    std::string manifest = headerLineFor(h) + "\n";
+    header_.version = 2; // any failure from here on is fatal
+    std::string manifest = headerLineFor(header_) + "\n";
     if (plan_.valid)
         manifest += planLineFor(plan_) + "\n";
     if (ckpt_.valid)
@@ -952,11 +815,20 @@ ResultStore::compactLocked()
                    manifestPath(dir_).c_str(),
                    std::strerror(errno));
 
-    header_.version = 2;
-    segments_.clear();
-    segments_.push_back(std::move(l.view));
+    segment_ = std::move(l.view);
     runs.clear();
     ++nextSegmentSeq;
+
+    // Delete every segment file the new manifest does not name: the
+    // one this compaction replaced and any orphan of a killed one.
+    // Readers that mapped the old segment keep their mapping.
+    for (auto it = std::filesystem::directory_iterator(segDir, ec);
+         !ec && it != std::filesystem::directory_iterator();
+         it.increment(ec)) {
+        std::error_code rmErr; // a stale file left is swept next time
+        if (it->path().filename() != name)
+            std::filesystem::remove(it->path(), rmErr);
+    }
 
     res.performed = true;
     res.runs = all.size();

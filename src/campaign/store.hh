@@ -1,7 +1,7 @@
 /**
  * @file
  * Durable result store for campaigns: an append-only JSONL journal
- * plus optional compacted binary segments.
+ * plus at most one compacted binary segment.
  *
  * One directory per campaign. `manifest.jsonl` is the journal: a
  * header record identifying the spec, an optional budget-plan
@@ -23,6 +23,11 @@
  * replays to the same records, the same reports, and the same
  * resume decisions as its pure-JSONL twin.
  *
+ * In memory a store is the journal tail (a map by (group, run)) and
+ * the one segment's sorted index. Every per-group query is one walk
+ * over the group's contiguous run prefix that looks each run up in
+ * the tail, then in the segment, reading segment runs in place.
+ *
  * The store is the campaign's only authority on what has already
  * happened: the scheduler asks it which (group, run) cells exist and
  * schedules only the rest, which is what makes kill-and-resume free
@@ -30,13 +35,6 @@
  * replayed records (metric doubles round-trip %.17g in the journal
  * and as raw bits in segments), which is what makes a resumed
  * campaign's statistics bit-identical to an uninterrupted one's.
- *
- * Streaming aggregation: the store maintains one Welford summary per
- * group, always folded in canonical order (ascending run index over
- * the group's contiguous prefix) regardless of the order appends
- * arrive in, so the summary of a given set of records is
- * bit-deterministic. Compaction snapshots the summaries into the
- * segment footer; open restores them and folds only the tail.
  */
 
 #ifndef VARSIM_CAMPAIGN_STORE_HH
@@ -135,30 +133,6 @@ struct CkptStatsRecord
     std::uint64_t bytes = 0;
 };
 
-/**
- * Streaming (Welford) summary of one group's primary metric over its
- * contiguous run-index prefix. Folds happen in exactly one order —
- * ascending run index, gaps deferred until filled — so a summary is
- * a bit-deterministic function of the records it covers, no matter
- * how appends, replays, and compactions interleave.
- */
-struct GroupSummary
-{
-    /** Runs folded so far == the group's contiguous-prefix length. */
-    std::uint64_t count = 0;
-
-    double mean = 0.0;
-    double m2 = 0.0; ///< sum of squared deviations from the mean
-    double minValue = 0.0;
-    double maxValue = 0.0;
-
-    /** Fold the next prefix value (must be run index == count). */
-    void fold(double x);
-
-    /** Sample standard deviation (0 when count < 2). */
-    double stddev() const;
-};
-
 class ResultStore
 {
   public:
@@ -206,7 +180,6 @@ class ResultStore
     openReadOnly(const std::string &dir);
 
     const StoreHeader &header() const { return header_; }
-    const std::string &directory() const { return dir_; }
 
     /** True if (group, runIdx) already has a recorded run. */
     bool hasRun(std::size_t group, std::size_t runIdx) const;
@@ -228,7 +201,10 @@ class ResultStore
      */
     std::vector<double>
     groupMetric(std::size_t group,
-                std::size_t maxRuns = SIZE_MAX) const;
+                std::size_t maxRuns = SIZE_MAX) const
+    {
+        return groupMetricNamed(group, "cycles_per_txn", maxRuns);
+    }
 
     /** Full records of @p group's contiguous prefix, by run index. */
     std::vector<RunRecord> groupRuns(std::size_t group) const;
@@ -251,20 +227,7 @@ class ResultStore
      */
     std::vector<std::string> metricNames() const;
 
-    /**
-     * Streaming summary of @p group's primary metric over its
-     * contiguous prefix; O(1), maintained at append and compaction
-     * time. count == groupMetric(group).size() always.
-     */
-    GroupSummary groupSummary(std::size_t group) const;
-
-    /** Length of @p group's contiguous run prefix; O(1). */
-    std::size_t prefixLength(std::size_t group) const;
-
-    /** Compacted segments currently referenced by the manifest. */
-    std::size_t segmentCount() const;
-
-    /** Runs living in compacted segments. */
+    /** Runs living in the compacted segment (0 when there is none). */
     std::size_t segmentRunCount() const;
 
     /** Runs living in the JSONL journal tail (not yet compacted). */
@@ -273,10 +236,8 @@ class ResultStore
     /**
      * Durably append one run record (thread-safe). A duplicate
      * (group, runIdx) — possible when two shards of the same index
-     * race — keeps the first record and drops this one. May trigger
-     * an automatic compaction when the journal tail crosses the
-     * VARSIM_STORE_COMPACT_TAIL threshold (default 8192 runs;
-     * 0 disables).
+     * race — keeps the first record and drops this one. Compacts
+     * automatically when the journal tail reaches 8192 runs.
      */
     void appendRun(const RunRecord &rec);
 
@@ -304,17 +265,19 @@ class ResultStore
     };
 
     /**
-     * Fold every recorded run (segments + journal tail) into one new
+     * Fold every recorded run (segment + journal tail) into one new
      * binary segment and atomically rewrite the manifest to
      * reference it (writer only — fatal on a read-only store).
      *
      * Crash-safe by ordering: the segment is written and fsync'd
      * first, the manifest swap (temp + fsync + rename) second. A
      * crash between the two leaves the old manifest authoritative
-     * and the new segment an unreferenced orphan that the next
-     * compaction atomically overwrites; referenced segments are
-     * never deleted, so a reader that replayed the old manifest can
-     * always open the files it references.
+     * and the new segment an unreferenced orphan. After the swap,
+     * every file under `segments/` that the new manifest does not
+     * name is deleted: the replaced segment and any such orphan. A
+     * reader that already mapped the replaced segment keeps its
+     * mapping; one that replayed the old manifest but finds its
+     * segment gone re-reads the manifest (see openReadOnly()).
      */
     CompactResult compact();
 
@@ -347,22 +310,48 @@ class ResultStore
   private:
     ResultStore() = default;
 
-    /** Replay manifest lines into the in-memory index. */
-    void replay(const std::string &path);
+    /**
+     * open() and tryOpenOrCreate(): lock, open the manifest, then
+     * replay it or start it with *@p create. A null @p create needs
+     * an existing store. nullptr with @p err set on failure.
+     */
+    static std::unique_ptr<ResultStore>
+    openWriter(const std::string &dir, const StoreHeader *create,
+               std::string *err);
 
-    /** Load and verify one "segment" reference record. */
-    void loadSegmentRecord(const sim::JsonLine &obj,
+    /**
+     * Replay manifest lines into the in-memory index; false when
+     * loadSegmentRecord() reports a deleted segment through @p gone.
+     */
+    bool replay(const std::string &path, std::string *gone);
+
+    /**
+     * Load and verify the "segment" record; any bad reference, a
+     * second segment record included, is fatal. A reader passes
+     * @p gone: a missing file not already named there (a compaction
+     * deleted it) goes into *gone and returns false instead.
+     */
+    bool loadSegmentRecord(const sim::JsonLine &obj,
                            const std::string &path,
-                           std::size_t lineNo);
+                           std::size_t lineNo, std::string *gone);
 
     /** Write one line + '\n' with fsync; requires mu held. */
     void appendLine(const std::string &line);
 
+    /** Where a run lives: the journal tail, the segment, or nowhere. */
+    struct RunLoc;
+
     /** @name Accessor internals (require mu held) @{ */
-    bool hasRunLocked(std::size_t g, std::size_t i) const;
-    bool cptAtLocked(std::size_t g, std::size_t i, double *v) const;
-    void advanceSummaryLocked(std::size_t g);
-    void rebuildSummariesLocked();
+    RunLoc locateLocked(std::size_t g, std::size_t i) const;
+
+    /**
+     * The prefix walk: @p visit runs 0, 1, ... of group @p g until a
+     * run is missing, @p maxRuns were visited, or @p visit says stop.
+     */
+    template <class Visit>
+    void walkPrefixLocked(std::size_t g, std::size_t maxRuns,
+                          Visit &&visit) const;
+
     CompactResult compactLocked();
     void maybeAutoCompactLocked();
     std::vector<RunRecord> allRunsSortedLocked() const;
@@ -375,9 +364,6 @@ class ResultStore
     PlanRecord plan_;
     CkptStatsRecord ckpt_;
 
-    /** Auto-compaction tail threshold (runs); 0 disables. */
-    std::size_t autoCompactTail = 0;
-
     /** Next segment file sequence number (orphans overwritten). */
     std::size_t nextSegmentSeq = 1;
 
@@ -386,11 +372,8 @@ class ResultStore
     /** Journal-tail runs (records appended since last compaction). */
     std::map<std::pair<std::size_t, std::size_t>, RunRecord> runs;
 
-    /** Compacted segments, in manifest order (normally 0 or 1). */
-    std::vector<std::shared_ptr<SegmentView>> segments_;
-
-    /** Canonical per-group streaming summaries (see GroupSummary). */
-    std::map<std::size_t, GroupSummary> summaries_;
+    /** The compacted segment the manifest references, if any. */
+    std::shared_ptr<SegmentView> segment_;
 };
 
 } // namespace campaign

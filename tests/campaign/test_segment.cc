@@ -7,18 +7,28 @@
  * kill -9 mid-compaction, and stay readable under a live writer.
  */
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <thread>
 
 #include "campaign/campaign.hh"
 #include "campaign/segment.hh"
+#include "ckpt/archive.hh"
 #include "core/varsim.hh"
+#include "sim/jsonl.hh"
+#include "sim/logging.hh"
 
 namespace
 {
@@ -75,20 +85,76 @@ sampleRecords()
     return rs;
 }
 
-std::map<std::size_t, GroupSummary>
-summariesOf(const std::vector<RunRecord> &rs)
+/** @p bytes declaring @p count footer entries, FNV rewritten. */
+std::vector<std::uint8_t>
+withFooterCount(std::vector<std::uint8_t> bytes, std::uint64_t count)
 {
-    std::map<std::size_t, GroupSummary> sums;
+    std::vector<std::uint8_t> le;
+    ckpt::putLe<std::uint64_t>(le, count);
+    std::copy(le.begin(), le.end(), bytes.begin() + 24);
+    bytes.resize(bytes.size() - 8);
+    ckpt::putLe<std::uint64_t>(
+        bytes, ckpt::fnvBytes(bytes.data(), bytes.size()));
+    return bytes;
+}
+
+/**
+ * @p bytes as an older writer laid them out: one 48-byte per-group
+ * summary entry (group, count, mean, m2, min, max) spliced in
+ * before the checksum, the footer count and trailing FNV rewritten.
+ */
+std::vector<std::uint8_t>
+withLegacyFooter(std::vector<std::uint8_t> bytes,
+                 const std::vector<RunRecord> &rs)
+{
+    std::map<std::size_t, std::vector<double>> byGroup;
     for (const RunRecord &r : rs)
-        sums[r.group].fold(r.cyclesPerTxn);
-    return sums;
+        byGroup[r.group].push_back(r.cyclesPerTxn);
+    std::vector<std::uint8_t> footer;
+    for (const auto &[g, xs] : byGroup) {
+        double sum = 0.0;
+        for (double x : xs)
+            sum += x;
+        ckpt::putLe<std::uint64_t>(footer, g);
+        ckpt::putLe<std::uint64_t>(footer, xs.size());
+        for (double v : {sum / xs.size(), 0.0, xs.front(), xs.back()})
+            ckpt::putLe<std::uint64_t>(footer,
+                                       std::bit_cast<std::uint64_t>(v));
+    }
+    bytes.insert(bytes.end() - 8, footer.begin(), footer.end());
+    return withFooterCount(std::move(bytes), byGroup.size());
+}
+
+void
+expectEveryPrefixRejected(const std::vector<std::uint8_t> &bytes)
+{
+    for (std::size_t n = 0; n < bytes.size(); ++n) {
+        const SegmentLoad l = parseSegment(std::vector<std::uint8_t>(
+            bytes.begin(), bytes.begin() + n));
+        EXPECT_FALSE(l.ok)
+            << "a " << n << "-byte prefix of a " << bytes.size()
+            << "-byte segment parsed as valid";
+        EXPECT_FALSE(l.error.empty());
+    }
+}
+
+void
+expectEveryFlipRejected(const std::vector<std::uint8_t> &bytes)
+{
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        auto damaged = bytes;
+        damaged[i] ^= static_cast<std::uint8_t>(1u << (i % 8));
+        const SegmentLoad l = parseSegment(std::move(damaged));
+        EXPECT_FALSE(l.ok)
+            << "flipping bit " << (i % 8) << " of byte " << i
+            << " went undetected";
+    }
 }
 
 TEST(SegmentFormat, RoundTripAndLookup)
 {
     const auto rs = sampleRecords();
-    const auto sums = summariesOf(rs);
-    const auto bytes = buildSegment(rs, sums);
+    const auto bytes = buildSegment(rs);
 
     const SegmentLoad l = parseSegment(bytes);
     ASSERT_TRUE(l.ok) << l.error;
@@ -122,23 +188,11 @@ TEST(SegmentFormat, RoundTripAndLookup)
         }
     }
     EXPECT_EQ(v.dictIndex("no.such.metric"), -1);
-
-    // The summary footer snapshot survives bit-for-bit.
-    ASSERT_EQ(v.summaries().size(), sums.size());
-    for (const auto &[g, s] : sums) {
-        const auto it = v.summaries().find(g);
-        ASSERT_NE(it, v.summaries().end());
-        EXPECT_EQ(it->second.count, s.count);
-        EXPECT_EQ(it->second.mean, s.mean);
-        EXPECT_EQ(it->second.m2, s.m2);
-        EXPECT_EQ(it->second.minValue, s.minValue);
-        EXPECT_EQ(it->second.maxValue, s.maxValue);
-    }
 }
 
 TEST(SegmentFormat, EmptySegmentParses)
 {
-    const auto bytes = buildSegment({}, {});
+    const auto bytes = buildSegment({});
     const SegmentLoad l = parseSegment(bytes);
     ASSERT_TRUE(l.ok) << l.error;
     EXPECT_EQ(l.view->runCount(), 0u);
@@ -147,38 +201,94 @@ TEST(SegmentFormat, EmptySegmentParses)
 
 TEST(SegmentFormat, TruncationSweepRejectsEveryPrefix)
 {
-    const auto bytes =
-        buildSegment(sampleRecords(), summariesOf(sampleRecords()));
-    for (std::size_t n = 0; n < bytes.size(); ++n) {
-        const SegmentLoad l = parseSegment(std::vector<std::uint8_t>(
-            bytes.begin(), bytes.begin() + n));
-        EXPECT_FALSE(l.ok)
-            << "a " << n << "-byte prefix of a " << bytes.size()
-            << "-byte segment parsed as valid";
-        EXPECT_FALSE(l.error.empty());
-    }
+    expectEveryPrefixRejected(buildSegment(sampleRecords()));
 }
 
 TEST(SegmentFormat, BitFlipSweepRejectsEveryFlip)
 {
-    const auto bytes =
-        buildSegment(sampleRecords(), summariesOf(sampleRecords()));
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-        auto damaged = bytes;
-        damaged[i] ^= static_cast<std::uint8_t>(1u << (i % 8));
-        const SegmentLoad l = parseSegment(std::move(damaged));
-        EXPECT_FALSE(l.ok)
-            << "flipping bit " << (i % 8) << " of byte " << i
-            << " went undetected";
+    expectEveryFlipRejected(buildSegment(sampleRecords()));
+}
+
+TEST(SegmentFormat, LegacySummaryFooterStillOpens)
+{
+    // Older writers appended per-group summaries after the records.
+    // Such a segment must parse to the same records, reject every
+    // truncation and flip, and serve a store the same reports as
+    // the JSONL journal it exports.
+    const auto rs = sampleRecords();
+    const auto legacy = withLegacyFooter(buildSegment(rs), rs);
+    ASSERT_EQ(legacy.size(), buildSegment(rs).size() + 2 * 48);
+
+    const SegmentLoad l = parseSegment(legacy);
+    ASSERT_TRUE(l.ok) << l.error;
+    ASSERT_EQ(l.view->runCount(), rs.size());
+    for (const RunRecord &want : rs) {
+        const RunRecord got =
+            l.view->materialize(l.view->find(want.group, want.runIdx));
+        EXPECT_EQ(ResultStore::runLineFor(got),
+                  ResultStore::runLineFor(want));
+        EXPECT_EQ(ResultStore::metricsLineFor(got),
+                  ResultStore::metricsLineFor(want));
     }
+    expectEveryPrefixRejected(legacy);
+    expectEveryFlipRejected(legacy);
+    // A count whose byte size wraps around to the real footer's
+    // (48 * (2 + 2^60) == 96 mod 2^64) is refused, checksum or not.
+    EXPECT_FALSE(
+        parseSegment(withFooterCount(legacy, 2 + (1ull << 60))).ok);
+    EXPECT_FALSE(parseSegment(withFooterCount(legacy, 3)).ok);
+
+    // A compacted store whose manifest names the legacy segment,
+    // with one journal run after it.
+    const std::string dir = freshDir("legacy");
+    const std::string twin = freshDir("legacy_twin");
+    std::filesystem::create_directories(dir + "/segments");
+    {
+        std::ofstream seg(dir + "/segments/seg-000001.vseg",
+                          std::ios::binary);
+        seg.write(reinterpret_cast<const char *>(legacy.data()),
+                  static_cast<std::streamsize>(legacy.size()));
+        StoreHeader h = twoGroupHeader();
+        h.version = 2;
+        sim::JsonWriter w;
+        w.field("type", std::string("segment"));
+        w.field("file", std::string("segments/seg-000001.vseg"));
+        w.field("runs", static_cast<std::uint64_t>(rs.size()));
+        w.field("fnv", sim::format("%016llx",
+                                   static_cast<unsigned long long>(
+                                       l.view->checksum())));
+        std::ofstream f(dir + "/manifest.jsonl", std::ios::binary);
+        f << ResultStore::headerLineFor(h) << '\n'
+          << w.str() << '\n'
+          << ResultStore::runLineFor(record(0, 4)) << '\n'
+          << ResultStore::metricsLineFor(record(0, 4)) << '\n';
+    }
+    std::ostringstream jsonl;
+    ResultStore::openReadOnly(dir)->exportJsonl(jsonl);
+    std::filesystem::create_directories(twin);
+    {
+        std::ofstream f(twin + "/manifest.jsonl", std::ios::binary);
+        f << jsonl.str();
+    }
+    std::ostringstream twinJsonl;
+    ResultStore::openReadOnly(twin)->exportJsonl(twinJsonl);
+    EXPECT_EQ(twinJsonl.str(), jsonl.str());
+    EXPECT_EQ(ResultStore::openReadOnly(dir)->totalRuns(), 9u);
+    EXPECT_EQ(campaignStatus(dir).totalRuns, 9u);
+    EXPECT_EQ(campaignReport(dir).text, campaignReport(twin).text);
+    EXPECT_EQ(
+        campaignMetricReport(dir, "system.mem.bus.l2_misses").text,
+        campaignMetricReport(twin, "system.mem.bus.l2_misses").text);
+    EXPECT_EQ(campaignMetricReport(dir, "list").text,
+              campaignMetricReport(twin, "list").text);
 }
 
 TEST(StoreCompaction, CompactReopenPreservesEverything)
 {
     const std::string dir = freshDir("preserve");
     auto store = ResultStore::openOrCreate(dir, twoGroupHeader());
-    // Out-of-order appends: the canonical summary fold must not
-    // depend on arrival order.
+    // Out-of-order appends: the prefix must not depend on arrival
+    // order.
     for (std::size_t i : {1u, 0u, 3u, 2u})
         for (std::size_t g = 0; g < 2; ++g)
             store->appendRun(record(g, i));
@@ -192,13 +302,10 @@ TEST(StoreCompaction, CompactReopenPreservesEverything)
     const auto misses =
         store->groupMetricNamed(0, "system.mem.bus.l2_misses");
     const auto names = store->metricNames();
-    const GroupSummary sum0 = store->groupSummary(0);
-    ASSERT_EQ(sum0.count, 4u);
 
     const auto res = store->compact();
     EXPECT_TRUE(res.performed);
     EXPECT_EQ(res.runs, 8u);
-    EXPECT_EQ(store->segmentCount(), 1u);
     EXPECT_EQ(store->segmentRunCount(), 8u);
     EXPECT_EQ(store->tailRunCount(), 0u);
     EXPECT_TRUE(std::filesystem::exists(dir + "/" +
@@ -211,8 +318,6 @@ TEST(StoreCompaction, CompactReopenPreservesEverything)
         store->groupMetricNamed(0, "system.mem.bus.l2_misses"),
         misses);
     EXPECT_EQ(store->metricNames(), names);
-    EXPECT_EQ(store->groupSummary(0).mean, sum0.mean);
-    EXPECT_EQ(store->groupSummary(0).m2, sum0.m2);
 
     // A second compaction with nothing new is a no-op.
     EXPECT_FALSE(store->compact().performed);
@@ -236,8 +341,6 @@ TEST(StoreCompaction, CompactReopenPreservesEverything)
         reopened->groupMetricNamed(0, "system.mem.bus.l2_misses")
             .size(),
         5u);
-    EXPECT_EQ(reopened->prefixLength(0), 5u);
-    EXPECT_EQ(reopened->groupSummary(0).count, 5u);
     EXPECT_TRUE(reopened->plan().valid);
     EXPECT_EQ(reopened->plan().numRuns, 12u);
 }
@@ -362,27 +465,64 @@ TEST(StoreCompaction, CompactedCampaignResumesBitIdentical)
 
 TEST(StoreCompaction, AutoCompactsPastTailThreshold)
 {
-    ::setenv("VARSIM_STORE_COMPACT_TAIL", "8", 1);
+    // A journal one run short of the 8192-run threshold, written
+    // with the store's own line builders (no fsync per record).
     const std::string dir = freshDir("autocompact");
+    std::filesystem::create_directories(dir);
     {
-        auto store =
-            ResultStore::openOrCreate(dir, twoGroupHeader());
-        for (std::size_t i = 0; i < 5; ++i)
-            store->appendRun(record(0, i));
-        EXPECT_EQ(store->segmentCount(), 0u);
-        for (std::size_t i = 0; i < 5; ++i)
-            store->appendRun(record(1, i));
-        // The tail crossed 8 runs mid-loop: compacted automatically.
-        EXPECT_EQ(store->segmentCount(), 1u);
-        EXPECT_LT(store->tailRunCount(), 8u);
-        EXPECT_EQ(store->totalRuns(), 10u);
+        std::ofstream f(dir + "/manifest.jsonl", std::ios::binary);
+        f << ResultStore::headerLineFor(twoGroupHeader()) << '\n';
+        for (std::size_t k = 0; k < 8191; ++k) {
+            const RunRecord r = record(k % 2, k / 2);
+            f << ResultStore::runLineFor(r) << '\n'
+              << ResultStore::metricsLineFor(r) << '\n';
+        }
     }
-    ::unsetenv("VARSIM_STORE_COMPACT_TAIL");
+    {
+        auto store = ResultStore::open(dir);
+        EXPECT_EQ(store->segmentRunCount(), 0u);
+        EXPECT_EQ(store->tailRunCount(), 8191u);
+        // The 8192nd run reaches the threshold: compacted on append.
+        store->appendRun(record(1, 4095));
+        EXPECT_EQ(store->segmentRunCount(), 8192u);
+        EXPECT_EQ(store->tailRunCount(), 0u);
+    }
 
     auto store = ResultStore::openReadOnly(dir);
-    EXPECT_EQ(store->totalRuns(), 10u);
-    ASSERT_EQ(store->groupMetric(0).size(), 5u);
-    EXPECT_EQ(store->groupMetric(0)[3], record(0, 3).cyclesPerTxn);
+    EXPECT_EQ(store->segmentRunCount(), 8192u);
+    EXPECT_EQ(store->tailRunCount(), 0u);
+    ASSERT_EQ(store->groupMetric(1).size(), 4096u);
+    EXPECT_EQ(store->groupMetric(1)[4095],
+              record(1, 4095).cyclesPerTxn);
+}
+
+TEST(StoreCompaction, CompactionDeletesReplacedSegments)
+{
+    // Every compaction but the first replaces a segment, and a
+    // killed one may leave an orphan: only the segment the manifest
+    // names survives.
+    const std::string dir = freshDir("sweep");
+    auto store = ResultStore::openOrCreate(dir, twoGroupHeader());
+    ResultStore::CompactResult last;
+    for (std::size_t i = 0; i < 3; ++i) {
+        store->appendRun(record(0, i));
+        if (i == 2) {
+            std::ofstream orphan(dir + "/segments/seg-000099.vseg");
+            orphan << "left by a killed compaction";
+        }
+        last = store->compact();
+        ASSERT_TRUE(last.performed);
+    }
+    EXPECT_EQ(last.segmentFile, "segments/seg-000003.vseg");
+    std::vector<std::string> files;
+    for (const auto &e :
+         std::filesystem::directory_iterator(dir + "/segments"))
+        files.push_back("segments/" + e.path().filename().string());
+    EXPECT_EQ(files, std::vector<std::string>{last.segmentFile});
+
+    auto reader = ResultStore::openReadOnly(dir);
+    EXPECT_EQ(reader->segmentRunCount(), 3u);
+    EXPECT_EQ(reader->groupMetric(0).size(), 3u);
 }
 
 TEST(StoreCompaction, ExportRoundTripsThroughAFreshStore)
@@ -453,7 +593,7 @@ TEST(StoreCompaction, LiveReaderNeverSeesATornStore)
         for (std::size_t i = 0; i < xs.size(); ++i)
             ASSERT_EQ(xs[i], record(0, i).cyclesPerTxn)
                 << "reader saw a corrupt prefix at run " << i;
-        ASSERT_EQ(reader->prefixLength(0), xs.size());
+        ASSERT_EQ(reader->runsInGroup(0), xs.size());
         ++observations;
     }
     writer.join();
@@ -462,6 +602,52 @@ TEST(StoreCompaction, LiveReaderNeverSeesATornStore)
     auto reader = ResultStore::openReadOnly(dir);
     EXPECT_EQ(reader->totalRuns(), 40u);
     EXPECT_EQ(reader->groupMetric(0).size(), 40u);
+}
+
+TEST(StoreCompaction, ReaderReplaysWhenItsSegmentIsDeleted)
+{
+    // A reader that read the manifest just before a compaction
+    // swapped it and deleted the segment it names must replay the
+    // new manifest. The old manifest is served once through a FIFO
+    // whose name already points at the new one when the reader
+    // comes back.
+    const std::string dir = freshDir("sweptread");
+    const std::string path = dir + "/manifest.jsonl";
+    auto slurp = [&] {
+        std::ifstream f(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(f), {});
+    };
+    std::string old;
+    {
+        auto store =
+            ResultStore::openOrCreate(dir, twoGroupHeader());
+        store->appendRun(record(0, 0));
+        store->compact();
+        store->appendRun(record(0, 1));
+        old = slurp();
+        ASSERT_EQ(store->compact().segmentFile,
+                  "segments/seg-000002.vseg");
+    }
+    ASSERT_NE(old.find("seg-000001"), std::string::npos);
+    ASSERT_FALSE(
+        std::filesystem::exists(dir + "/segments/seg-000001.vseg"));
+
+    std::filesystem::rename(path, dir + "/new.jsonl");
+    ASSERT_EQ(::mkfifo(path.c_str(), 0644), 0);
+    std::thread server([&] {
+        const int fd = ::open(path.c_str(), O_WRONLY); // meets the reader
+        std::filesystem::rename(dir + "/new.jsonl", path);
+        EXPECT_EQ(::write(fd, old.data(), old.size()),
+                  static_cast<ssize_t>(old.size()));
+        ::close(fd);
+    });
+    auto reader = ResultStore::openReadOnly(dir);
+    server.join();
+    EXPECT_EQ(reader->segmentRunCount(), 2u);
+    EXPECT_EQ(reader->tailRunCount(), 0u);
+    EXPECT_EQ(reader->groupMetric(0),
+              (std::vector<double>{record(0, 0).cyclesPerTxn,
+                                   record(0, 1).cyclesPerTxn}));
 }
 
 TEST(StoreCompactionDeathTest, KillNineDuringCompactionLeavesStoreIntact)
@@ -487,7 +673,7 @@ TEST(StoreCompactionDeathTest, KillNineDuringCompactionLeavesStoreIntact)
     store.reset();
     auto reopened = ResultStore::open(dir);
     EXPECT_EQ(reopened->totalRuns(), 6u);
-    EXPECT_EQ(reopened->segmentCount(), 0u);
+    EXPECT_EQ(reopened->segmentRunCount(), 0u);
     EXPECT_EQ(campaignReport(dir).text, before);
 
     // The next compaction atomically overwrites the orphan and
@@ -496,6 +682,23 @@ TEST(StoreCompactionDeathTest, KillNineDuringCompactionLeavesStoreIntact)
     EXPECT_TRUE(res.performed);
     EXPECT_EQ(res.runs, 6u);
     EXPECT_EQ(campaignReport(dir).text, before);
+}
+
+TEST(StoreCompactionDeathTest, MissingSegmentIsFatal)
+{
+    // A reader whose segment is gone replays the manifest once more
+    // (a compaction may have replaced it); a manifest that still
+    // names the missing file is damage.
+    const std::string dir = freshDir("missingseg");
+    {
+        auto store =
+            ResultStore::openOrCreate(dir, twoGroupHeader());
+        store->appendRun(record(0, 0));
+        std::filesystem::remove(dir + "/" +
+                                store->compact().segmentFile);
+    }
+    EXPECT_DEATH(ResultStore::openReadOnly(dir),
+                 "cannot load compacted segment");
 }
 
 } // namespace

@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "campaign/campaign.hh"
 #include "campaign/store.hh"
@@ -442,6 +444,42 @@ TEST(ResultStoreDeathTest, GarbageFingerprintIsFatal)
              "\"workload\":\"OLTP\",\"configs\":[\"a\",\"b\"]}\n";
     }
     EXPECT_DEATH(ResultStore::openReadOnly(dir), "fingerprint");
+}
+
+TEST(ResultStoreDeathTest, SecondSegmentRecordIsFatal)
+{
+    // Compaction writes exactly one segment record, so a manifest
+    // naming two (here two valid copies of one segment) was not
+    // written by a store and must not be half-read.
+    const std::string dir = freshDir("twosegments");
+    {
+        auto store =
+            ResultStore::openOrCreate(dir, twoGroupHeader());
+        store->appendRun(record(0, 0, 2.0));
+        ASSERT_EQ(store->compact().segmentFile,
+                  "segments/seg-000001.vseg");
+    }
+    std::filesystem::copy_file(dir + "/segments/seg-000001.vseg",
+                               dir + "/segments/seg-000002.vseg");
+    const std::string path = dir + "/manifest.jsonl";
+    std::string manifest;
+    {
+        std::ifstream f(path, std::ios::binary);
+        manifest.assign(std::istreambuf_iterator<char>(f), {});
+    }
+    std::string second =
+        manifest.substr(manifest.find("{\"type\":\"segment\""));
+    second.replace(second.find("seg-000001"), 10, "seg-000002");
+    manifest += second;
+    {
+        std::ofstream f(path, std::ios::binary);
+        f << manifest;
+    }
+    const auto line = std::count(manifest.begin(), manifest.end(),
+                                 '\n');
+    EXPECT_DEATH(ResultStore::openReadOnly(dir),
+                 "manifest\\.jsonl:" + std::to_string(line) +
+                     ": a second segment record");
 }
 
 } // namespace

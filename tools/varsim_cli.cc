@@ -111,8 +111,8 @@
  *          to the appends since the last compaction, not the
  *          campaign's size. Observationally a no-op (same reports,
  *          same resume decisions); also triggered automatically when
- *          the journal tail passes VARSIM_STORE_COMPACT_TAIL runs
- *          (default 8192, 0 disables).
+ *          the journal tail reaches 8192 runs. The segment it
+ *          replaces is deleted.
  * export:  re-emit any store (compacted or not) as pure version-1
  *          JSONL on stdout or --out <file> — the interchange format
  *          for external tooling.
