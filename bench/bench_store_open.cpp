@@ -8,11 +8,14 @@
  * which replays the store from disk — against the same records
  * compacted into a binary segment, and verifies the two reports are
  * byte-identical while the compacted open is >= 10x faster at the
- * largest size (the PR's acceptance gate; informational under
- * VARSIM_QUICK).
+ * largest size (the acceptance gate; informational under
+ * VARSIM_QUICK). One more JSONL row replays an 8,000-run journal
+ * tail whose runs carry the registry dump of a 16-CPU OLTP run
+ * (~350 metrics each): the width campaigns of the paper's Table 5
+ * system store, where parsing the metric records is the open cost.
  *
  * Output rows (perfcmp.py-compatible):
- *   - workload: "<N>_runs"
+ *   - workload: "<N>_runs", or "<N>_runs_wide" for the wide tail
  *   - mode: "jsonl" | "compacted"
  *   - ticks_per_sec: recorded runs replayed per host second
  *
@@ -22,6 +25,7 @@
  * `bench_store_open --json BENCH_store_open.json`.
  */
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -33,6 +37,7 @@
 
 #include "bench/common.hh"
 #include "campaign/campaign.hh"
+#include "campaign/knobs.hh"
 
 using namespace varsim;
 
@@ -42,11 +47,17 @@ namespace
 constexpr std::size_t kGroups = 4;
 constexpr double kRequiredSpeedup = 10.0;
 
+/** Runs of the wide tail: just under the 8192-run compaction point. */
+constexpr std::size_t kWideRuns = 8000;
+
+using Metrics = std::vector<std::pair<std::string, double>>;
+
 struct Row
 {
     std::size_t runs = 0;
     std::string mode; // "jsonl" | "compacted"
     double seconds = 0.0;
+    bool wide = false;
 
     double
     runsPerSec() const
@@ -96,9 +107,37 @@ syntheticRecord(std::size_t g, std::size_t i)
     return r;
 }
 
-/** Write an N-run pure-JSONL store without paying an fsync per row. */
+/**
+ * The registry dump of one 16-CPU OLTP run (a short one: only the
+ * names and the magnitudes of the values matter here).
+ */
+Metrics
+oltp16Metrics()
+{
+    campaign::SpecFields f;
+    f.base["cpus"] = "16";
+    f.warmupTxns = 5;
+    f.measureTxns = 20;
+    campaign::CampaignSpec spec;
+    std::string err;
+    if (!campaign::buildSpec(f, spec, &err))
+        sim::fatal("%s", err.c_str());
+    const core::RunResult res =
+        core::runOnce(spec.configs[0].sys, spec.wl, spec.run);
+    Metrics out;
+    for (const auto &sv : res.stats)
+        out.emplace_back(sv.name, sv.value);
+    return out;
+}
+
+/**
+ * Write an N-run pure-JSONL store without paying an fsync per row.
+ * With @p wide, every run carries its metrics instead of the eight
+ * synthetic ones, each value scaled per run (counts stay integral).
+ */
 void
-synthesizeStore(const std::string &dir, std::size_t totalRuns)
+synthesizeStore(const std::string &dir, std::size_t totalRuns,
+                const Metrics *wide = nullptr)
 {
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
@@ -106,8 +145,15 @@ synthesizeStore(const std::string &dir, std::size_t totalRuns)
     f << campaign::ResultStore::headerLineFor(benchHeader())
       << "\n";
     for (std::size_t k = 0; k < totalRuns; ++k) {
-        const auto r =
-            syntheticRecord(k % kGroups, k / kGroups);
+        auto r = syntheticRecord(k % kGroups, k / kGroups);
+        if (wide) {
+            const double scale = r.cyclesPerTxn / 20.0;
+            r.metrics = *wide;
+            for (auto &kv : r.metrics)
+                kv.second = kv.second == std::floor(kv.second)
+                                ? std::floor(kv.second * scale)
+                                : kv.second * scale;
+        }
         f << campaign::ResultStore::runLineFor(r) << "\n"
           << campaign::ResultStore::metricsLineFor(r) << "\n";
     }
@@ -139,7 +185,8 @@ emitJson(std::ostream &os, const std::vector<Row> &rows)
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];
         os << "    {\"workload\": \"" << r.runs
-           << "_runs\", \"mode\": \"" << r.mode
+           << (r.wide ? "_runs_wide" : "_runs")
+           << "\", \"mode\": \"" << r.mode
            << "\", \"runs\": " << r.runs
            << ", \"open_report_seconds\": " << r.seconds
            << ", \"ticks_per_sec\": " << r.runsPerSec() << "}"
@@ -202,6 +249,18 @@ main(int argc, char **argv)
                         "JSONL twin at %zu runs\n", n);
         }
     }
+
+    // The wide tail: JSONL only, outside the compaction gate.
+    const Metrics wide = oltp16Metrics();
+    const std::size_t wideRuns =
+        bench::quick() ? kWideRuns / 8 : kWideRuns;
+    synthesizeStore(dir, wideRuns, &wide);
+    std::string wideReport;
+    rows.push_back({wideRuns, "jsonl", timeOpenReport(dir, &wideReport),
+                    true});
+    std::printf("%12zu %12s %14.4f %14.0f %10s  (%zu metrics/run)\n",
+                wideRuns, "jsonl", rows.back().seconds,
+                rows.back().runsPerSec(), "-", wide.size());
     std::filesystem::remove_all(dir);
 
     if (!jsonPath.empty()) {

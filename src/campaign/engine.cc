@@ -185,8 +185,10 @@ campaignReport(const std::string &dir, double confidence)
             "ones)\n",
             store->ckptStats().dir.c_str());
 
+    // Each group's metric is fetched once; the pairs reuse it.
+    std::vector<std::vector<double>> cpt(h.numGroups);
     for (std::size_t g = 0; g < h.numGroups; ++g) {
-        const auto xs = store->groupMetric(g);
+        const auto &xs = cpt[g] = store->groupMetric(g);
         rep.text += sim::format("\n%s:\n", groupLabel(h, g).c_str());
         if (xs.size() < 2) {
             rep.text += sim::format("  %zu run(s): too few for "
@@ -240,10 +242,8 @@ campaignReport(const std::string &dir, double confidence)
     for (std::size_t ck = 0; ck < slots; ++ck) {
         for (std::size_t a = 0; a < numConfigs; ++a) {
             for (std::size_t b = a + 1; b < numConfigs; ++b) {
-                const auto xa =
-                    store->groupMetric(a * slots + ck);
-                const auto xb =
-                    store->groupMetric(b * slots + ck);
+                const auto &xa = cpt[a * slots + ck];
+                const auto &xb = cpt[b * slots + ck];
                 if (xa.size() < 2 || xb.size() < 2)
                     continue;
                 if (!anyPair) {

@@ -9,6 +9,8 @@
 #include <bit>
 #include <cerrno>
 #include <cstring>
+#include <string_view>
+#include <unordered_set>
 
 #include "ckpt/archive.hh"
 #include "sim/file_io.hh"
@@ -62,13 +64,14 @@ failure(const std::string &why)
 std::vector<std::uint8_t>
 buildSegment(const std::vector<RunRecord> &records)
 {
-    // Dictionary: sorted unique metric names across all records.
-    std::vector<std::string> dict;
+    // Dictionary: sorted unique metric names across all records,
+    // built from the distinct names (runs mostly repeat one set).
+    std::unordered_set<std::string_view> seen;
     for (const RunRecord &r : records)
         for (const auto &kv : r.metrics)
-            dict.push_back(kv.first);
+            seen.insert(kv.first);
+    std::vector<std::string> dict(seen.begin(), seen.end());
     std::sort(dict.begin(), dict.end());
-    dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
 
     auto dictIdx = [&](const std::string &name) {
         const auto it =
@@ -357,11 +360,17 @@ SegmentView::runsInGroup(std::size_t group) const
 SegmentView::Ref
 SegmentView::find(std::size_t group, std::size_t run) const
 {
-    const std::size_t i = lowerBound(group, run);
-    if (i == index.size() || index[i].group != group ||
-        index[i].run != run)
+    return at(lowerBound(group, run), group, run);
+}
+
+SegmentView::Ref
+SegmentView::at(std::size_t pos, std::size_t group,
+                std::size_t run) const
+{
+    if (pos >= index.size() || index[pos].group != group ||
+        index[pos].run != run)
         return {};
-    return {i};
+    return {pos};
 }
 
 double

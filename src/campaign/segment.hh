@@ -90,6 +90,13 @@ class SegmentView
     /** Locate (group, run); !valid() when absent. */
     Ref find(std::size_t group, std::size_t run) const;
 
+    /** Position of the first record not below (group, run). */
+    std::size_t lowerBound(std::uint64_t group,
+                           std::uint64_t run) const;
+
+    /** The record at position @p pos if it is (group, run). */
+    Ref at(std::size_t pos, std::size_t group, std::size_t run) const;
+
     double cyclesPerTxn(Ref r) const;
     std::uint64_t runtimeTicks(Ref r) const;
     std::uint64_t txns(Ref r) const;
@@ -132,10 +139,6 @@ class SegmentView
         std::uint64_t run;
         std::size_t offset; ///< record start within the bytes
     };
-
-    /** First index entry not below (group, run). */
-    std::size_t lowerBound(std::uint64_t group,
-                           std::uint64_t run) const;
 
     const std::uint8_t *base = nullptr;
     std::size_t size_ = 0;

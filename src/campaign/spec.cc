@@ -1,5 +1,6 @@
 #include "campaign/spec.hh"
 
+#include "campaign/store.hh"
 #include "ckpt/key.hh"
 #include "sim/logging.hh"
 
@@ -141,6 +142,15 @@ CampaignSpec::check(std::string *why) const
     if (numCheckpoints && checkpointStep == 0)
         return bad("campaign with checkpoints needs a nonzero "
                    "checkpoint step");
+    if (numCheckpoints > kMaxGroups)
+        return bad(sim::format(
+            "%zu checkpoints exceed the limit of %zu", numCheckpoints,
+            kMaxGroups));
+    if (configs.size() > kMaxGroups / numCheckpointSlots())
+        return bad(sim::format(
+            "%zu configuration(s) x %zu starting point(s) exceed the "
+            "limit of %zu cell groups", configs.size(),
+            numCheckpointSlots(), kMaxGroups));
     if (stop.fixedRuns == 0) {
         if (stop.pilotRuns < 2)
             return bad(sim::format(

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <iterator>
 #include <ostream>
+#include <string_view>
 
 #include "campaign/segment.hh"
 #include "sim/file_io.hh"
@@ -204,8 +205,24 @@ void
 ResultStore::walkPrefixLocked(std::size_t g, std::size_t maxRuns,
                               Visit &&visit) const
 {
+    // Two cursors, each at the first entry not below (g, i): both
+    // indexes are sorted by (group, run) and unique, so run i is at
+    // a cursor or nowhere, and a cursor that holds it steps past.
+    auto tail = runs.lower_bound({g, 0});
+    std::size_t seg = segment_ ? segment_->lowerBound(g, 0) : 0;
     for (std::size_t i = 0; i < maxRuns; ++i) {
-        const RunLoc loc = locateLocked(g, i);
+        RunLoc loc;
+        if (tail != runs.end() && tail->first.first == g &&
+            tail->first.second == i)
+            loc.tail = &(tail++)->second;
+        if (segment_) {
+            const SegmentView::Ref ref = segment_->at(seg, g, i);
+            if (ref.valid()) {
+                ++seg;
+                if (!loc.tail) // the tail wins
+                    loc.seg = ref;
+            }
+        }
         if (!loc.found() || !visit(loc))
             return;
     }
@@ -401,6 +418,7 @@ ResultStore::replay(const std::string &path, std::string *gone)
                                                    SIZE_MAX};
     bool lastRunDropped = false;
 
+    JsonLine obj;
     while (pos < data.size()) {
         ++lineNo;
         const std::size_t nl = data.find('\n', pos);
@@ -426,11 +444,10 @@ ResultStore::replay(const std::string &path, std::string *gone)
             }
             break;
         }
-        const std::string line = data.substr(pos, nl - pos);
+        const std::string_view line(data.data() + pos, nl - pos);
         pos = nl + 1;
         if (line.empty())
             continue;
-        JsonLine obj;
         if (!obj.parse(line)) {
             // Newline-terminated damage is not a torn append; the
             // records around it are still genuine — keep going,
@@ -455,8 +472,18 @@ ResultStore::replay(const std::string &path, std::string *gone)
                            "against an unidentifiable store",
                            path.c_str(), lineNo,
                            obj.str("fingerprint").c_str());
-            header_.numGroups = obj.num("groups");
-            header_.numCheckpoints = obj.num("checkpoints");
+            const std::uint64_t groups = obj.num("groups");
+            const std::uint64_t ckpts = obj.num("checkpoints");
+            if (groups > kMaxGroups || ckpts > kMaxGroups)
+                sim::fatal("%s:%zu: header declares %llu group(s) "
+                           "and %llu checkpoint(s); this build reads "
+                           "at most %zu of each",
+                           path.c_str(), lineNo,
+                           static_cast<unsigned long long>(groups),
+                           static_cast<unsigned long long>(ckpts),
+                           kMaxGroups);
+            header_.numGroups = groups;
+            header_.numCheckpoints = ckpts;
             header_.workload = obj.str("workload");
             header_.configNames = obj.list("configs");
             sawHeader = true;

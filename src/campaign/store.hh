@@ -25,8 +25,9 @@
  *
  * In memory a store is the journal tail (a map by (group, run)) and
  * the one segment's sorted index. Every per-group query is one walk
- * over the group's contiguous run prefix that looks each run up in
- * the tail, then in the segment, reading segment runs in place.
+ * over the group's contiguous run prefix with two cursors, one in
+ * each index, reading segment runs in place; a run in both is the
+ * tail's.
  *
  * The store is the campaign's only authority on what has already
  * happened: the scheduler asks it which (group, run) cells exist and
@@ -62,6 +63,14 @@ namespace campaign
 {
 
 class SegmentView; // campaign/segment.hh
+
+/**
+ * Most cell groups, and most checkpoints, one campaign may declare.
+ * CampaignSpec::check refuses a larger grid and replay refuses a
+ * larger store header: status and report loop over every declared
+ * group.
+ */
+constexpr std::size_t kMaxGroups = 65536;
 
 /** Identity record written when a store is created. */
 struct StoreHeader

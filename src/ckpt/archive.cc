@@ -156,7 +156,7 @@ parseArchive(std::vector<std::uint8_t> bytes)
         return failure("missing metadata or payload section");
 
     sim::JsonLine obj;
-    if (!obj.parse(std::string(
+    if (!obj.parse(std::string_view(
             reinterpret_cast<const char *>(bytes.data()) +
                 metaSec->offset,
             metaSec->length)))

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <string_view>
 
 #include "ckpt/archive.hh"
 #include "sim/file_io.hh"
@@ -124,6 +125,7 @@ CheckpointLibrary::replayIndex()
         return; // fresh library
 
     std::size_t pos = 0;
+    sim::JsonLine obj;
     while (pos < data.size()) {
         const std::size_t nl = data.find('\n', pos);
         if (nl == std::string::npos) {
@@ -133,11 +135,10 @@ CheckpointLibrary::replayIndex()
             // just ignore it for this replay.
             break;
         }
-        const std::string line = data.substr(pos, nl - pos);
+        const std::string_view line(data.data() + pos, nl - pos);
         pos = nl + 1;
         if (line.empty())
             continue;
-        sim::JsonLine obj;
         if (!obj.parse(line) || obj.str("type") != "ckpt")
             continue;
         LibraryEntry e;

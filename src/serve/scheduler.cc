@@ -277,6 +277,7 @@ Scheduler::resumeAll()
 {
     std::size_t resumed = 0;
     std::error_code ec;
+    sim::JsonLine obj;
     for (const auto &tde :
          fs::directory_iterator(tenantsDir(), ec)) {
         if (!tde.is_directory())
@@ -291,10 +292,8 @@ Scheduler::resumeAll()
                                     payload) ||
                 payload.empty())
                 continue;
-            sim::JsonLine obj;
-            const std::string line =
-                payload.substr(0, payload.find('\n'));
-            if (!obj.parse(line)) {
+            if (!obj.parse(std::string_view(payload).substr(
+                    0, payload.find('\n')))) {
                 sim::warn("serve: unparseable submission in %s, "
                           "skipping", dir.c_str());
                 continue;

@@ -1,6 +1,8 @@
 #include "sim/jsonl.hh"
 
-#include <cctype>
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -14,66 +16,126 @@ namespace
 
 /** Skip spaces/tabs; newlines never occur inside a line. */
 void
-skipWs(const std::string &s, std::size_t &i)
+skipWs(const char *s, std::size_t n, std::size_t &i)
 {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\t'))
+    while (i < n && (s[i] == ' ' || s[i] == '\t'))
         ++i;
 }
 
 /**
- * Parse a quoted string starting at s[i] == '"'; leaves i one past
- * the closing quote. Returns false on damage.
+ * Parse a quoted string starting at s[i] == '"', unescaping it in
+ * place (an escape only ever shrinks); [*off, *off + *len) receives
+ * its text and i lands one past the closing quote. Returns false on
+ * damage.
  */
 bool
-parseString(const std::string &s, std::size_t &i, std::string &out)
+parseString(char *s, std::size_t n, std::size_t &i, std::size_t *off,
+            std::size_t *len)
 {
-    if (i >= s.size() || s[i] != '"')
+    if (i >= n || s[i] != '"')
         return false;
-    ++i;
-    out.clear();
-    while (i < s.size()) {
+    const std::size_t start = ++i;
+    while (i < n && s[i] != '"' && s[i] != '\\')
+        ++i; // the unescaped prefix stays where it is
+    std::size_t w = i;
+    while (i < n) {
         const char c = s[i++];
-        if (c == '"')
+        if (c == '"') {
+            *off = start;
+            *len = w - start;
             return true;
+        }
         if (c == '\\') {
-            if (i >= s.size())
+            if (i >= n)
                 return false;
-            const char e = s[i++];
-            switch (e) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'n': out += '\n'; break;
-              case 't': out += '\t'; break;
-              case 'r': out += '\r'; break;
+            switch (s[i++]) {
+              case '"': s[w++] = '"'; break;
+              case '\\': s[w++] = '\\'; break;
+              case '/': s[w++] = '/'; break;
+              case 'n': s[w++] = '\n'; break;
+              case 't': s[w++] = '\t'; break;
+              case 'r': s[w++] = '\r'; break;
               default: return false; // \uXXXX etc.: never emitted
             }
         } else {
-            out += c;
+            s[w++] = c;
         }
     }
     return false; // unterminated: torn line
 }
 
-/** Parse a bare number token (anything strtod accepts). */
+/**
+ * strtod over @p text read as a C string (it stops at a NUL): its
+ * value in *v, and whether it consumed the text entirely.
+ */
 bool
-parseNumber(const std::string &s, std::size_t &i, std::string &out)
+strtodWhole(std::string_view text, double *v)
+{
+    const std::string z(text);
+    char *end = nullptr;
+    *v = std::strtod(z.c_str(), &end);
+    return end != z.c_str() && *end == '\0';
+}
+
+/**
+ * @p text as strtod reads it (see strtodWhole()). from_chars rounds
+ * like strtod, so a text it consumes entirely keeps its value,
+ * except a NaN: from_chars drops the payload of "nan(12)".
+ */
+bool
+toDouble(std::string_view text, double *v)
+{
+    const char *last = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), last, *v);
+    if (ec == std::errc() && ptr == last && !std::isnan(*v))
+        return true;
+    return strtodWhole(text, v);
+}
+
+/** @p text as strtoull reads it in base 10. */
+std::uint64_t
+toUnsigned(std::string_view text)
+{
+    const char *last = text.data() + text.size();
+    std::uint64_t v = 0;
+    const auto [ptr, ec] = std::from_chars(text.data(), last, v);
+    if (ec == std::errc() && ptr == last)
+        return v;
+    const std::string z(text);
+    return std::strtoull(z.c_str(), nullptr, 10);
+}
+
+/** A character a bare number token may hold. */
+bool
+numberChar(char c)
+{
+    switch (c) {
+      case '0': case '1': case '2': case '3': case '4':
+      case '5': case '6': case '7': case '8': case '9':
+      case '-': case '+': case '.': case 'e': case 'E':
+      case 'i': case 'n': case 'f': case 'a':
+        return true;
+      default:
+        return false;
+    }
+}
+
+/**
+ * Parse a bare number token (anything strtod consumes entirely);
+ * its text lands in [*off, *off + *len), its value in *v.
+ */
+bool
+parseNumber(const char *s, std::size_t n, std::size_t &i,
+            std::size_t *off, std::size_t *len, double *v)
 {
     const std::size_t start = i;
     // Accept digit/sign/exponent characters plus inf/nan letters;
-    // strtod below re-validates the whole token.
-    while (i < s.size() &&
-           (std::isdigit(static_cast<unsigned char>(s[i])) ||
-            s[i] == '-' || s[i] == '+' || s[i] == '.' ||
-            s[i] == 'e' || s[i] == 'E' || s[i] == 'i' ||
-            s[i] == 'n' || s[i] == 'f' || s[i] == 'a'))
+    // toDouble() below re-validates the whole token.
+    while (i < n && numberChar(s[i]))
         ++i;
-    out = s.substr(start, i - start);
-    if (out.empty())
-        return false;
-    char *end = nullptr;
-    std::strtod(out.c_str(), &end);
-    return end == out.c_str() + out.size();
+    *off = start;
+    *len = i - start;
+    return *len > 0 && toDouble({s + start, *len}, v);
 }
 
 } // anonymous namespace
@@ -97,138 +159,171 @@ jsonEscape(const std::string &s)
 }
 
 bool
-JsonLine::parse(const std::string &line)
+JsonLine::parse(std::string_view line)
 {
-    scalars.clear();
-    arrays.clear();
+    buf.assign(line);
+    fields.clear();
+    items.clear();
+    char *s = buf.data();
+    const std::size_t n = buf.size();
     std::size_t i = 0;
-    skipWs(line, i);
-    if (i >= line.size() || line[i] != '{')
+    skipWs(s, n, i);
+    if (i >= n || s[i] != '{')
         return false;
     ++i;
-    skipWs(line, i);
-    if (i < line.size() && line[i] == '}')
+    skipWs(s, n, i);
+    if (i < n && s[i] == '}')
         return true; // empty object
     while (true) {
-        skipWs(line, i);
-        std::string key;
-        if (!parseString(line, i, key))
+        skipWs(s, n, i);
+        Field f;
+        if (!parseString(s, n, i, &f.key.off, &f.key.len))
             return false;
-        skipWs(line, i);
-        if (i >= line.size() || line[i] != ':')
+        skipWs(s, n, i);
+        if (i >= n || s[i] != ':')
             return false;
         ++i;
-        skipWs(line, i);
-        if (i >= line.size())
+        skipWs(s, n, i);
+        if (i >= n)
             return false;
-        if (line[i] == '"') {
-            std::string value;
-            if (!parseString(line, i, value))
+        if (s[i] == '"') {
+            if (!parseString(s, n, i, &f.value.off, &f.value.len))
                 return false;
-            scalars[key] = value;
-        } else if (line[i] == '[') {
+        } else if (s[i] == '[') {
             ++i;
-            std::vector<std::string> items;
-            skipWs(line, i);
-            if (i < line.size() && line[i] == ']') {
+            f.kind = Kind::Array;
+            f.value.off = items.size();
+            skipWs(s, n, i);
+            if (i < n && s[i] == ']') {
                 ++i;
             } else {
                 while (true) {
-                    skipWs(line, i);
-                    std::string item;
-                    if (i < line.size() && line[i] == '"') {
-                        if (!parseString(line, i, item))
+                    skipWs(s, n, i);
+                    Span item;
+                    double ignored = 0.0;
+                    if (i < n && s[i] == '"') {
+                        if (!parseString(s, n, i, &item.off,
+                                         &item.len))
                             return false;
-                    } else if (!parseNumber(line, i, item)) {
+                    } else if (!parseNumber(s, n, i, &item.off,
+                                            &item.len, &ignored)) {
                         return false;
                     }
                     items.push_back(item);
-                    skipWs(line, i);
-                    if (i >= line.size())
+                    skipWs(s, n, i);
+                    if (i >= n)
                         return false;
-                    if (line[i] == ',') {
+                    if (s[i] == ',') {
                         ++i;
                         continue;
                     }
-                    if (line[i] == ']') {
+                    if (s[i] == ']') {
                         ++i;
                         break;
                     }
                     return false;
                 }
             }
-            arrays[key] = items;
+            f.value.len = items.size() - f.value.off;
         } else {
-            std::string value;
-            if (!parseNumber(line, i, value))
+            f.kind = Kind::Number;
+            if (!parseNumber(s, n, i, &f.value.off, &f.value.len,
+                             &f.number))
                 return false;
-            scalars[key] = value;
         }
-        skipWs(line, i);
-        if (i >= line.size())
+        fields.push_back(f);
+        skipWs(s, n, i);
+        if (i >= n)
             return false;
-        if (line[i] == ',') {
+        if (s[i] == ',') {
             ++i;
             continue;
         }
-        if (line[i] == '}')
+        if (s[i] == '}')
             return true;
         return false;
     }
 }
 
-bool
-JsonLine::has(const std::string &key) const
+const JsonLine::Field *
+JsonLine::last(std::string_view key, bool array) const
 {
-    return scalars.count(key) > 0 || arrays.count(key) > 0;
+    for (auto it = fields.rbegin(); it != fields.rend(); ++it)
+        if ((it->kind == Kind::Array) == array && text(it->key) == key)
+            return &*it;
+    return nullptr;
+}
+
+bool
+JsonLine::has(std::string_view key) const
+{
+    return last(key, false) || last(key, true);
 }
 
 std::string
-JsonLine::str(const std::string &key, const std::string &dflt) const
+JsonLine::str(std::string_view key, const std::string &dflt) const
 {
-    auto it = scalars.find(key);
-    return it != scalars.end() ? it->second : dflt;
+    const Field *f = last(key, false);
+    return f ? std::string(text(f->value)) : dflt;
 }
 
 std::uint64_t
-JsonLine::num(const std::string &key, std::uint64_t dflt) const
+JsonLine::num(std::string_view key, std::uint64_t dflt) const
 {
-    auto it = scalars.find(key);
-    if (it == scalars.end())
-        return dflt;
-    return std::strtoull(it->second.c_str(), nullptr, 10);
+    const Field *f = last(key, false);
+    return f ? toUnsigned(text(f->value)) : dflt;
 }
 
 double
-JsonLine::real(const std::string &key, double dflt) const
+JsonLine::real(std::string_view key, double dflt) const
 {
-    auto it = scalars.find(key);
-    if (it == scalars.end())
+    const Field *f = last(key, false);
+    if (!f)
         return dflt;
-    return std::strtod(it->second.c_str(), nullptr);
+    if (f->kind == Kind::Number)
+        return f->number;
+    double v = 0.0;
+    toDouble(text(f->value), &v);
+    return v;
 }
 
 std::vector<std::string>
-JsonLine::list(const std::string &key) const
+JsonLine::list(std::string_view key) const
 {
-    auto it = arrays.find(key);
-    return it != arrays.end() ? it->second
-                              : std::vector<std::string>{};
+    std::vector<std::string> out;
+    if (const Field *f = last(key, true)) {
+        out.reserve(f->value.len);
+        for (std::size_t k = 0; k < f->value.len; ++k)
+            out.emplace_back(text(items[f->value.off + k]));
+    }
+    return out;
 }
 
 std::vector<std::pair<std::string, double>>
-JsonLine::realsWithPrefix(const std::string &prefix) const
+JsonLine::realsWithPrefix(std::string_view prefix) const
 {
+    std::vector<const Field *> hits;
+    for (const Field &f : fields)
+        if (f.kind != Kind::Array && text(f.key).starts_with(prefix))
+            hits.push_back(&f);
+    // Key order; a stable sort keeps a repeated key's copies in line
+    // order, so the last of each run of equal keys is the one kept.
+    const auto byKey = [&](const Field *a, const Field *b) {
+        return text(a->key) < text(b->key);
+    };
+    if (!std::is_sorted(hits.begin(), hits.end(), byKey))
+        std::stable_sort(hits.begin(), hits.end(), byKey);
+
     std::vector<std::pair<std::string, double>> out;
-    for (auto it = scalars.lower_bound(prefix);
-         it != scalars.end(); ++it) {
-        if (it->first.compare(0, prefix.size(), prefix) != 0)
-            break;
-        char *end = nullptr;
-        const double v = std::strtod(it->second.c_str(), &end);
-        if (end == it->second.c_str() || *end != '\0')
+    out.reserve(hits.size());
+    for (std::size_t k = 0; k < hits.size(); ++k) {
+        const Field &f = *hits[k];
+        if (k + 1 < hits.size() && text(hits[k + 1]->key) == text(f.key))
+            continue; // a later copy of the key wins
+        double v = f.number;
+        if (f.kind != Kind::Number && !toDouble(text(f.value), &v))
             continue; // quoted string under the prefix: not a metric
-        out.emplace_back(it->first.substr(prefix.size()), v);
+        out.emplace_back(text(f.key).substr(prefix.size()), v);
     }
     return out;
 }
