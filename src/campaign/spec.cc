@@ -146,6 +146,11 @@ CampaignSpec::check(std::string *why) const
         return bad(sim::format(
             "%zu checkpoints exceed the limit of %zu", numCheckpoints,
             kMaxGroups));
+    if (numCheckpoints && checkpointStep > UINT64_MAX / numCheckpoints)
+        return bad(sim::format(
+            "%zu checkpoints of %llu txns each overflow a 64-bit "
+            "checkpoint lifetime", numCheckpoints,
+            static_cast<unsigned long long>(checkpointStep)));
     if (configs.size() > kMaxGroups / numCheckpointSlots())
         return bad(sim::format(
             "%zu configuration(s) x %zu starting point(s) exceed the "
@@ -161,6 +166,16 @@ CampaignSpec::check(std::string *why) const
                 "maxRuns (%zu) below pilotRuns (%zu)", stop.maxRuns,
                 stop.pilotRuns));
     }
+    // The budget planner measures CoV over pilotRuns runs at each
+    // pilot length and must afford that many runs of the budget.
+    if (budgetTxns && stop.pilotRuns < 2)
+        return bad(sim::format(
+            "a budget needs pilotRuns >= 2 (got %zu)", stop.pilotRuns));
+    if (budgetTxns && budgetTxns < stop.pilotRuns)
+        return bad(sim::format(
+            "a budget of %llu txns cannot afford %zu pilot runs",
+            static_cast<unsigned long long>(budgetTxns),
+            stop.pilotRuns));
     const std::size_t perGroup =
         stop.fixedRuns ? stop.fixedRuns : stop.maxRuns;
     if (perGroup == 0)

@@ -1,8 +1,8 @@
 #include "ckpt/archive.hh"
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <type_traits>
 
 #include "ckpt/key.hh"
@@ -43,6 +43,26 @@ failure(const std::string &why)
     LoadResult r;
     r.error = why;
     return r;
+}
+
+/**
+ * Read the metadata section's JSON into @p meta. Returns the reason
+ * it cannot be read, or an empty string.
+ */
+std::string
+parseMeta(std::string_view json, ArchiveMeta &meta)
+{
+    sim::JsonLine obj;
+    if (!obj.parse(json))
+        return "metadata section is not a JSON object";
+    meta.keyCanonical = obj.str("key");
+    meta.digest =
+        std::strtoull(obj.str("digest").c_str(), nullptr, 16);
+    meta.position = obj.num("position");
+    meta.warmupSeed = obj.num("seed");
+    if (meta.digest != fnv1a64(kFnvOffsetBasis, meta.keyCanonical))
+        return "metadata digest does not match its key";
+    return "";
 }
 
 } // anonymous namespace
@@ -155,23 +175,15 @@ parseArchive(std::vector<std::uint8_t> bytes)
     if (!metaSec || !paySec)
         return failure("missing metadata or payload section");
 
-    sim::JsonLine obj;
-    if (!obj.parse(std::string_view(
-            reinterpret_cast<const char *>(bytes.data()) +
-                metaSec->offset,
-            metaSec->length)))
-        return failure("metadata section is not a JSON object");
-
     LoadResult r;
     r.version = version;
-    r.meta.keyCanonical = obj.str("key");
-    r.meta.digest =
-        std::strtoull(obj.str("digest").c_str(), nullptr, 16);
-    r.meta.position = obj.num("position");
-    r.meta.warmupSeed = obj.num("seed");
-    if (r.meta.digest !=
-        fnv1a64(kFnvOffsetBasis, r.meta.keyCanonical))
-        return failure("metadata digest does not match its key");
+    const std::string why = parseMeta(
+        std::string_view(reinterpret_cast<const char *>(bytes.data()) +
+                             metaSec->offset,
+                         metaSec->length),
+        r.meta);
+    if (!why.empty())
+        return failure(why);
 
     // The payload leaves in the archive's own buffer: slide the
     // section to the front and cut the rest off (shrinking keeps the
@@ -200,19 +212,58 @@ loadArchiveFile(const std::string &path)
     return r;
 }
 
-std::uint32_t
-peekArchiveVersion(const std::string &path)
+LoadResult
+peekArchive(const std::string &path)
 {
-    std::uint8_t head[12];
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        return 0;
-    const bool whole = std::fread(head, 1, sizeof(head), f) ==
-                       sizeof(head);
-    std::fclose(f);
-    if (!whole || std::memcmp(head, kMagic, sizeof(kMagic)) != 0)
-        return 0;
-    return getLe<std::uint32_t>(head + 8);
+    LoadResult r;
+    auto fail = [&](const std::string &why) {
+        r.error = path + ": " + why;
+        return r;
+    };
+    std::ifstream in(path, std::ios::binary);
+    std::uint8_t head[16];
+    in.read(reinterpret_cast<char *>(head), sizeof(head));
+    if (in.gcount() < 12 ||
+        std::memcmp(head, kMagic, sizeof(kMagic)) != 0)
+        return fail("not a varsim checkpoint archive");
+    r.version = getLe<std::uint32_t>(head + 8);
+    if (!in || r.version < 1 || r.version > kArchiveVersion)
+        return fail("unreadable header");
+    const auto sections = getLe<std::uint32_t>(head + 12);
+    if (sections == 0 || sections > kMaxSections)
+        return fail("implausible section count");
+
+    // Every length is checked against what the file still holds
+    // before the checksum, so a damaged table never makes this read
+    // (or allocate) past the file's end.
+    in.seekg(0, std::ios::end);
+    const auto size = static_cast<std::uint64_t>(in.tellg());
+    std::uint8_t table[12 * kMaxSections];
+    const std::uint64_t tableEnd = 16 + std::uint64_t{12} * sections;
+    in.seekg(16);
+    if (!in || tableEnd + 8 > size ||
+        !in.read(reinterpret_cast<char *>(table), tableEnd - 16))
+        return fail("truncated inside the section table");
+    std::uint64_t offset = tableEnd;
+    for (std::uint32_t s = 0; s < sections; ++s) {
+        const auto len = getLe<std::uint64_t>(table + s * 12 + 4);
+        if (len > size - 8 - offset)
+            return fail("a section runs past the end of the file");
+        if (getLe<std::uint32_t>(table + s * 12) == kSectionMeta) {
+            std::string json(static_cast<std::size_t>(len), '\0');
+            in.seekg(static_cast<std::streamoff>(offset));
+            if (!in.read(json.data(),
+                         static_cast<std::streamsize>(len)))
+                return fail("truncated inside the metadata");
+            const std::string why = parseMeta(json, r.meta);
+            if (!why.empty())
+                return fail(why);
+            r.ok = true;
+            return r;
+        }
+        offset += len;
+    }
+    return fail("missing metadata section");
 }
 
 } // namespace ckpt

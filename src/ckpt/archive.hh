@@ -134,11 +134,16 @@ LoadResult parseArchive(std::vector<std::uint8_t> bytes);
 LoadResult loadArchiveFile(const std::string &path);
 
 /**
- * The format version in @p path's header, read without loading the
- * rest; 0 when the file is missing or does not start like an archive.
- * Only loadArchiveFile() vouches for the bytes behind the header.
+ * The header and metadata of the archive at @p path, read without
+ * its payload: the header, the section table and the metadata
+ * section only, each bounded by the file's size, and no checksum.
+ * ok is false when the file is missing, does not start like an
+ * archive, or its table or metadata cannot be read; version still
+ * holds the header's raw version whenever the file starts with the
+ * archive magic (0 otherwise). The payload is always empty. Only
+ * loadArchiveFile() vouches for an archive's bytes.
  */
-std::uint32_t peekArchiveVersion(const std::string &path);
+LoadResult peekArchive(const std::string &path);
 
 } // namespace ckpt
 } // namespace varsim

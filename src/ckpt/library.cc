@@ -6,14 +6,12 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string_view>
 
 #include "ckpt/archive.hh"
 #include "sim/file_io.hh"
-#include "sim/jsonl.hh"
 #include "sim/logging.hh"
 
 namespace varsim
@@ -26,17 +24,49 @@ namespace fs = std::filesystem;
 namespace
 {
 
-std::string
-entryLine(const LibraryEntry &e)
+/** One archive file of `objects/`, as the scan found it. */
+struct ScannedObject
 {
-    sim::JsonWriter w;
-    w.field("type", std::string("ckpt"));
-    w.field("digest", e.digestHex);
-    w.field("bytes", e.bytes);
-    w.field("position", e.position);
-    w.field("seed", e.warmupSeed);
-    w.field("key", e.key);
-    return w.str();
+    std::string digestHex;
+    std::string path;
+    std::uint64_t bytes = 0;
+    fs::file_time_type mtime;
+};
+
+/**
+ * Every `<digest>.vckpt` file in @p objectsDir, oldest first, ties
+ * broken by digest. Writers' `.tmp.` files do not end in `.vckpt`,
+ * so they are not listed. Nothing throws: a file that vanishes
+ * mid-scan is skipped, and an unreadable directory lists nothing.
+ */
+std::vector<ScannedObject>
+scanObjects(const std::string &objectsDir)
+{
+    constexpr std::string_view kSuffix = ".vckpt";
+    std::vector<ScannedObject> out;
+    std::error_code ec;
+    for (fs::directory_iterator it(objectsDir, ec), end;
+         !ec && it != end; it.increment(ec)) {
+        const std::string name = it->path().filename().string();
+        if (name.size() <= kSuffix.size() ||
+            !std::string_view(name).ends_with(kSuffix))
+            continue;
+        ScannedObject o;
+        o.digestHex = name.substr(0, name.size() - kSuffix.size());
+        o.path = it->path().string();
+        std::error_code sizeEc, timeEc;
+        o.bytes = static_cast<std::uint64_t>(
+            fs::file_size(it->path(), sizeEc));
+        o.mtime = fs::last_write_time(it->path(), timeEc);
+        if (!sizeEc && !timeEc)
+            out.push_back(std::move(o));
+    }
+    std::sort(out.begin(), out.end(),
+              [](const ScannedObject &a, const ScannedObject &b) {
+                  return a.mtime != b.mtime ? a.mtime < b.mtime
+                                            : a.digestHex < b.digestHex;
+              });
+    return out;
 }
 
 } // anonymous namespace
@@ -45,11 +75,9 @@ std::string
 VerifyReport::toString() const
 {
     std::string s = sim::format(
-        "checked %zu object(s): %zu ok, %zu corrupt, %zu missing "
-        "from disk, %zu re-indexed; %zu in format 1 (this build "
-        "writes format %u and reads both)\n",
-        checked, ok, corrupt, missing, reindexed, format1,
-        kArchiveVersion);
+        "checked %zu object(s): %zu ok, %zu corrupt; %zu in format "
+        "1 (this build writes format %u and reads both)\n",
+        checked, ok, corrupt, format1, kArchiveVersion);
     for (const Object &o : objects)
         s += sim::format("  %s  format %s  %s\n", o.digestHex.c_str(),
                          o.format ? std::to_string(o.format).c_str()
@@ -83,8 +111,8 @@ CheckpointLibrary::open(const std::string &dir)
         sim::fatal("cannot create checkpoint library %s: %s",
                    dir.c_str(), ec.message().c_str());
 
-    // Reader/writer coexistence is by design (atomic objects,
-    // append-only index); the shared lock only excludes gc, whose
+    // Reader/writer coexistence is by design (atomic, immutable
+    // objects); the shared lock only excludes gc, whose
     // deletions are the one operation that is NOT safe under a
     // concurrent fetch from another process.
     const std::string lockPath = dir + "/.lock";
@@ -102,12 +130,6 @@ CheckpointLibrary::open(const std::string &dir)
                    dir.c_str(), std::strerror(errno));
     }
 
-    lib->indexFd = ::open(lib->indexPath().c_str(),
-                          O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (lib->indexFd < 0)
-        sim::fatal("cannot open %s: %s", lib->indexPath().c_str(),
-                   std::strerror(errno));
-    lib->replayIndex();
     return lib;
 }
 
@@ -115,75 +137,6 @@ std::string
 CheckpointLibrary::objectPath(const std::string &digestHex) const
 {
     return objectsDir() + "/" + digestHex + ".vckpt";
-}
-
-void
-CheckpointLibrary::replayIndex()
-{
-    std::string data;
-    if (!sim::readWholeFile(indexPath(), data))
-        return; // fresh library
-
-    std::size_t pos = 0;
-    sim::JsonLine obj;
-    while (pos < data.size()) {
-        const std::size_t nl = data.find('\n', pos);
-        if (nl == std::string::npos) {
-            // A torn final line may be a *live* append from a
-            // concurrent shard, not necessarily crash debris —
-            // unlike the campaign store we must not truncate it,
-            // just ignore it for this replay.
-            break;
-        }
-        const std::string_view line(data.data() + pos, nl - pos);
-        pos = nl + 1;
-        if (line.empty())
-            continue;
-        if (!obj.parse(line) || obj.str("type") != "ckpt")
-            continue;
-        LibraryEntry e;
-        e.digestHex = obj.str("digest");
-        e.bytes = obj.num("bytes");
-        e.position = obj.num("position");
-        e.warmupSeed = obj.num("seed");
-        e.key = obj.str("key");
-        if (!e.digestHex.empty())
-            remember(e);
-    }
-}
-
-bool
-CheckpointLibrary::remember(const LibraryEntry &e)
-{
-    if (byDigest.count(e.digestHex))
-        return false;
-    byDigest.emplace(e.digestHex, entries_.size());
-    entries_.push_back(e);
-    return true;
-}
-
-void
-CheckpointLibrary::appendIndexLine(const LibraryEntry &e)
-{
-    // One write(2) per line over O_APPEND: concurrent shards'
-    // appends interleave at line granularity, and replay dedups the
-    // occasional double entry for the same digest.
-    const std::string out = entryLine(e) + "\n";
-    std::size_t off = 0;
-    while (off < out.size()) {
-        const ssize_t n = ::write(indexFd, out.data() + off,
-                                  out.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            sim::fatal("write to checkpoint index failed: %s",
-                       std::strerror(errno));
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    if (::fsync(indexFd) != 0)
-        sim::fatal("fsync of checkpoint index failed: %s",
-                   std::strerror(errno));
 }
 
 bool
@@ -204,7 +157,8 @@ CheckpointLibrary::load(const CheckpointKey &key,
                         core::Checkpoint &cp) const
 {
     const std::string path = objectPath(key.digestHex());
-    if (!fs::exists(path))
+    std::error_code ec;
+    if (!fs::exists(path, ec))
         return false;
     LoadResult r = loadArchiveFile(path);
     if (!r.ok) {
@@ -232,39 +186,28 @@ CheckpointLibrary::publish(const CheckpointKey &key,
                   "publish of a format-%u snapshot (this build writes "
                   "format %u)", cp.format, kArchiveVersion);
     const std::string hex = key.digestHex();
-    LibraryEntry e;
-    e.digestHex = hex;
-    e.position = key.position;
-    e.warmupSeed = key.warmupSeed;
-    e.key = key.canonical();
 
     std::lock_guard<std::mutex> lock(mu);
-    if (fs::exists(objectPath(hex))) {
-        // Already on disk (an earlier run, or another shard won the
-        // race with identical bytes). Make sure the index knows.
-        std::error_code ec;
-        e.bytes = static_cast<std::uint64_t>(
-            fs::file_size(objectPath(hex), ec));
-        if (remember(e))
-            appendIndexLine(e);
+    // Already on disk: an earlier run, or another shard won the race
+    // with identical bytes.
+    std::error_code ec;
+    if (fs::exists(objectPath(hex), ec))
         return false;
-    }
 
     ArchiveMeta meta;
-    meta.keyCanonical = e.key;
+    meta.keyCanonical = key.canonical();
     meta.digest = key.digest();
     meta.position = key.position;
     meta.warmupSeed = key.warmupSeed;
-    const auto bytes = buildArchive(meta, cp.bytes);
-    e.bytes = bytes.size();
-
     std::string error;
-    if (!sim::writeFileAtomic(objectsDir(), hex + ".vckpt", bytes,
-                              &error))
-        sim::fatal("checkpoint library publish failed: %s",
-                   error.c_str());
-    if (remember(e))
-        appendIndexLine(e);
+    if (!sim::writeFileAtomic(objectsDir(), hex + ".vckpt",
+                              buildArchive(meta, cp.bytes), &error)) {
+        // A lost cache entry: the caller keeps its snapshot, and a
+        // later run re-warms. Never worth stopping a daemon for.
+        sim::warn("checkpoint library: publish failed, continuing "
+                  "without it: %s", error.c_str());
+        return false;
+    }
     ++published;
     return true;
 }
@@ -272,24 +215,32 @@ CheckpointLibrary::publish(const CheckpointKey &key,
 std::vector<LibraryEntry>
 CheckpointLibrary::entries() const
 {
-    std::lock_guard<std::mutex> lock(mu);
-    return entries_;
-}
-
-std::uint32_t
-CheckpointLibrary::objectFormat(const std::string &digestHex) const
-{
-    return peekArchiveVersion(objectPath(digestHex));
+    std::vector<LibraryEntry> out;
+    for (const ScannedObject &o : scanObjects(objectsDir())) {
+        LibraryEntry e;
+        e.digestHex = o.digestHex;
+        e.bytes = o.bytes;
+        const LoadResult r = peekArchive(o.path);
+        if (r.ok) {
+            e.position = r.meta.position;
+            e.warmupSeed = r.meta.warmupSeed;
+            e.key = r.meta.keyCanonical;
+            e.format = r.version;
+        }
+        out.push_back(std::move(e));
+    }
+    return out;
 }
 
 LibraryStats
 CheckpointLibrary::stats() const
 {
-    std::lock_guard<std::mutex> lock(mu);
     LibraryStats st;
-    st.entries = entries_.size();
-    for (const LibraryEntry &e : entries_)
-        st.bytes += e.bytes;
+    for (const ScannedObject &o : scanObjects(objectsDir())) {
+        ++st.entries;
+        st.bytes += o.bytes;
+    }
+    std::lock_guard<std::mutex> lock(mu);
     st.hits = hits;
     st.misses = misses;
     st.published = published;
@@ -297,27 +248,14 @@ CheckpointLibrary::stats() const
 }
 
 VerifyReport
-CheckpointLibrary::verify()
+CheckpointLibrary::verify() const
 {
-    std::lock_guard<std::mutex> lock(mu);
     VerifyReport rep;
-
-    std::vector<fs::path> objects;
-    for (const auto &de : fs::directory_iterator(objectsDir())) {
-        const std::string name = de.path().filename().string();
-        if (name.size() >= 6 &&
-            name.substr(name.size() - 6) == ".vckpt")
-            objects.push_back(de.path()); // temp debris is gc's
-    }
-    std::sort(objects.begin(), objects.end());
-
-    for (const fs::path &path : objects) {
-        const std::string name = path.filename().string();
-        const std::string hex = name.substr(0, name.size() - 6);
+    for (const ScannedObject &o : scanObjects(objectsDir())) {
         ++rep.checked;
-        LoadResult r = loadArchiveFile(path.string());
+        const LoadResult r = loadArchiveFile(o.path);
         rep.objects.push_back(
-            {hex, r.ok ? r.version : peekArchiveVersion(path.string()),
+            {o.digestHex, r.ok ? r.version : peekArchive(o.path).version,
              r.ok});
         if (!r.ok) {
             ++rep.corrupt;
@@ -327,30 +265,6 @@ CheckpointLibrary::verify()
         ++rep.ok;
         if (r.version == 1)
             ++rep.format1;
-        if (!byDigest.count(hex)) {
-            // Valid object the index never heard of: the writer died
-            // between rename and index append. Adopt it.
-            LibraryEntry e;
-            e.digestHex = hex;
-            e.position = r.meta.position;
-            e.warmupSeed = r.meta.warmupSeed;
-            e.key = r.meta.keyCanonical;
-            std::error_code ec;
-            e.bytes = static_cast<std::uint64_t>(
-                fs::file_size(path, ec));
-            remember(e);
-            appendIndexLine(e);
-            ++rep.reindexed;
-        }
-    }
-
-    for (const LibraryEntry &e : entries_) {
-        if (!fs::exists(objectPath(e.digestHex))) {
-            ++rep.missing;
-            rep.problems.push_back(sim::format(
-                "index entry %s has no object file",
-                e.digestHex.c_str()));
-        }
     }
     return rep;
 }
@@ -401,75 +315,54 @@ CheckpointLibrary::gc(std::uint64_t maxBytes)
     }
 
     GcReport rep;
+    std::error_code ec;
 
     // 1. Temporary debris from killed writers.
     std::vector<fs::path> doomed;
-    for (const auto &de : fs::directory_iterator(objectsDir())) {
-        const std::string name = de.path().filename().string();
-        if (name.find(".tmp.") != std::string::npos)
-            doomed.push_back(de.path());
-    }
+    for (fs::directory_iterator it(objectsDir(), ec), end;
+         !ec && it != end; it.increment(ec))
+        if (it->path().filename().string().find(".tmp.") !=
+            std::string::npos)
+            doomed.push_back(it->path());
     for (const fs::path &p : doomed) {
-        std::error_code ec;
-        rep.bytesFreed +=
-            static_cast<std::uint64_t>(fs::file_size(p, ec));
+        const auto bytes = fs::file_size(p, ec);
+        rep.bytesFreed += ec ? 0 : bytes;
         fs::remove(p, ec);
         ++rep.removedTmp;
     }
 
-    // 2. Corrupt objects (and index entries whose object vanished).
-    std::vector<LibraryEntry> kept;
-    for (const LibraryEntry &e : entries_) {
-        const std::string path = objectPath(e.digestHex);
-        if (!fs::exists(path))
-            continue; // drop the dangling index entry
-        LoadResult r = loadArchiveFile(path);
-        if (!r.ok) {
-            std::error_code ec;
-            rep.bytesFreed += static_cast<std::uint64_t>(
-                fs::file_size(path, ec));
-            fs::remove(path, ec);
+    // 2. Corrupt objects.
+    std::vector<ScannedObject> kept;
+    std::uint64_t total = 0;
+    for (ScannedObject &o : scanObjects(objectsDir())) {
+        if (!loadArchiveFile(o.path).ok) {
+            rep.bytesFreed += o.bytes;
+            fs::remove(o.path, ec);
             ++rep.removedCorrupt;
             continue;
         }
-        kept.push_back(e);
+        total += o.bytes;
+        kept.push_back(std::move(o));
     }
 
-    // 3. Size cap: evict oldest publications first, but never an
-    // object some in-process user has pinned (a restore in flight,
-    // a warmer about to fetch) — eviction moves on to the next
-    // oldest instead.
-    std::uint64_t total = 0;
-    for (const LibraryEntry &e : kept)
-        total += e.bytes;
-    std::vector<char> evict(kept.size(), 0);
-    if (maxBytes) {
-        for (std::size_t i = 0;
-             total > maxBytes && i < kept.size(); ++i) {
-            if (pins.count(kept[i].digestHex))
-                continue;
-            evict[i] = 1;
-            total -= kept[i].bytes;
-        }
-    }
-    std::vector<LibraryEntry> survivors;
-    for (std::size_t i = 0; i < kept.size(); ++i) {
-        if (!evict[i]) {
-            survivors.push_back(kept[i]);
+    // 3. Size cap: evict the oldest objects first, but never one some
+    // in-process user has pinned (a restore in flight, a warmer about
+    // to fetch) — eviction moves on to the next oldest instead.
+    for (const ScannedObject &o : kept) {
+        if (!maxBytes || total <= maxBytes)
+            break;
+        if (pins.count(o.digestHex))
             continue;
-        }
-        std::error_code ec;
-        rep.bytesFreed += kept[i].bytes;
-        fs::remove(objectPath(kept[i].digestHex), ec);
+        fs::remove(o.path, ec);
+        total -= o.bytes;
+        rep.bytesFreed += o.bytes;
         ++rep.evicted;
     }
-
-    entries_ = std::move(survivors);
-    byDigest.clear();
-    for (std::size_t i = 0; i < entries_.size(); ++i)
-        byDigest.emplace(entries_[i].digestHex, i);
     rep.bytesKept = total;
-    rewriteIndex();
+
+    // An older build's index names objects this sweep may just have
+    // removed; that build rebuilds it with its own `ckpt verify`.
+    fs::remove(dir_ + "/index.jsonl", ec);
 
     // Back to the shared lock: normal operation may resume.
     if (::flock(lockFd, LOCK_SH) != 0)
@@ -478,30 +371,8 @@ CheckpointLibrary::gc(std::uint64_t maxBytes)
     return rep;
 }
 
-void
-CheckpointLibrary::rewriteIndex()
-{
-    std::string body;
-    for (const LibraryEntry &e : entries_)
-        body += entryLine(e) + "\n";
-    std::string error;
-    if (!sim::writeFileAtomic(dir_, "index.jsonl", body, &error))
-        sim::fatal("cannot rewrite checkpoint index: %s",
-                   error.c_str());
-    // The append fd still points at the replaced inode; reopen so
-    // future appends land in the new index.
-    ::close(indexFd);
-    indexFd = ::open(indexPath().c_str(),
-                     O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (indexFd < 0)
-        sim::fatal("cannot reopen %s: %s", indexPath().c_str(),
-                   std::strerror(errno));
-}
-
 CheckpointLibrary::~CheckpointLibrary()
 {
-    if (indexFd >= 0)
-        ::close(indexFd);
     if (lockFd >= 0)
         ::close(lockFd); // releases the advisory lock
 }

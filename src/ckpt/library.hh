@@ -5,17 +5,27 @@
  * Layout of a library directory:
  *
  *     <dir>/objects/<digest>.vckpt   one archive per checkpoint
- *     <dir>/index.jsonl              append-only entry manifest
+ *     <dir>/.lock                    shared/exclusive flock (see open)
  *
- * The object file name is the key digest, so a fetch never needs the
- * index: it stats the object directly, which is what makes the
- * library safe to share between concurrent `--shard i/N` processes
- * without locks. Publication is atomic (temp + rename, see
- * sim::writeFileAtomic); two shards warming the same configuration race
- * benignly because identical keys produce byte-identical archives.
- * The index exists for enumeration (ls, gc, stats); a crash between
- * rename and index append leaves a valid but unindexed object that
- * verify() re-indexes.
+ * The objects directory is the library's only record. An object's
+ * file name is its key digest, and its archive's metadata section
+ * holds the key, position and warm-up seed, so a fetch stats the
+ * object directly and entries(), stats(), verify() and gc() all
+ * derive from one scan of the `.vckpt` files in `objects/`. There is
+ * no second record to keep in step, which is what makes the library
+ * safe to share between concurrent `--shard i/N` processes without
+ * locks. Publication is atomic (temp + rename, see
+ * sim::writeFileAtomic); two shards warming the same configuration
+ * race benignly because identical keys produce byte-identical
+ * archives, and a crash leaves either the whole object or a `.tmp.`
+ * file that gc() sweeps.
+ *
+ * The scan lists objects oldest first (modification time, ties
+ * broken by digest); gc() evicts in that order, so a byte budget
+ * drops the longest-published checkpoints. Libraries written by
+ * older builds also hold an `index.jsonl`; nothing reads it, and
+ * gc() deletes it, since after an eviction it names objects that
+ * are gone.
  *
  * The paper's methodology (Section 3.2.2) restores one Simics
  * checkpoint many times with different perturbation seeds; this
@@ -42,7 +52,11 @@ namespace varsim
 namespace ckpt
 {
 
-/** One indexed checkpoint, as `ls` shows it. */
+/**
+ * One object of the library, as `ls` shows it. Everything but the
+ * digest and size comes from the object's header and metadata,
+ * which are read without checking the payload.
+ */
 struct LibraryEntry
 {
     std::string digestHex;
@@ -52,6 +66,13 @@ struct LibraryEntry
 
     /** The key's canonical string (what the digest hashes). */
     std::string key;
+
+    /**
+     * Archive format from the header; 0 when the header or the
+     * metadata cannot be read (position, seed and key are then
+     * unset).
+     */
+    std::uint32_t format = 0;
 };
 
 /** Aggregate counters: persistent size plus this-session traffic. */
@@ -70,7 +91,7 @@ struct LibraryStats
     std::size_t published = 0;
 };
 
-/** What verify() found (and repaired). */
+/** What verify() found. */
 struct VerifyReport
 {
     std::size_t checked = 0;
@@ -84,7 +105,7 @@ struct VerifyReport
      */
     std::size_t format1 = 0;
 
-    /** One object on disk, in file-name order. */
+    /** One object on disk, oldest first. */
     struct Object
     {
         std::string digestHex;
@@ -94,16 +115,10 @@ struct VerifyReport
     };
     std::vector<Object> objects;
 
-    /** Valid objects that were missing from the index (repaired). */
-    std::size_t reindexed = 0;
-
-    /** Index entries whose object file has disappeared. */
-    std::size_t missing = 0;
-
     std::vector<std::string> problems;
 
-    /** True when every object is intact and indexed. */
-    bool clean() const { return corrupt == 0 && missing == 0; }
+    /** True when every object is intact. */
+    bool clean() const { return corrupt == 0; }
 
     std::string toString() const;
 };
@@ -127,9 +142,7 @@ class CheckpointLibrary
      * Open @p dir, creating the layout on first use.
      *
      * Every open holds a shared advisory flock(2) on `<dir>/.lock`
-     * for the library's lifetime (a dedicated file, not the index
-     * fd: rewriteIndex() replaces the index inode, which would drop
-     * a lock held there). gc() needs the exclusive lock, so a
+     * for the library's lifetime. gc() needs the exclusive lock, so a
      * maintenance sweep cannot run while any process — a serve
      * daemon, a campaign shard — has the library open, and vice
      * versa; both sides fail fast with a clear message instead of
@@ -153,30 +166,25 @@ class CheckpointLibrary
     /**
      * Store @p cp under @p key. Returns true when a new object was
      * written, false when the object already existed (another shard
-     * won the race, or a re-run republished). @p cp must be in the
-     * current format: a format-1 snapshot only ever comes from a
-     * fetch, whose object is already on disk.
+     * won the race, or a re-run republished) or could not be written
+     * (with a warning: a checkpoint is a cache entry, and the caller
+     * still holds its snapshot). @p cp must be in the current format:
+     * a format-1 snapshot only ever comes from a fetch, whose object
+     * is already on disk.
      */
     bool publish(const CheckpointKey &key, const core::Checkpoint &cp);
 
-    /** Indexed entries in publication order. */
+    /** Every object on disk, oldest first. */
     std::vector<LibraryEntry> entries() const;
 
-    /**
-     * Archive format of @p digestHex's object, from its header alone
-     * (0 when the object is missing or not an archive).
-     */
-    std::uint32_t objectFormat(const std::string &digestHex) const;
-
+    /** Object count and bytes on disk, plus this session's traffic. */
     LibraryStats stats() const;
 
     /**
-     * Re-parse every object on disk: counts intact and corrupt
-     * archives (and the intact ones still in format 1), repairs index
-     * entries for unindexed valid objects, reports index entries
-     * whose object vanished.
+     * Fully load every object on disk: counts intact and corrupt
+     * archives, and the intact ones still in format 1.
      */
-    VerifyReport verify();
+    VerifyReport verify() const;
 
     /**
      * Pin @p digestHex: gc() will not evict the object while any
@@ -184,7 +192,7 @@ class CheckpointLibrary
      * in-process only — cross-process protection is the `.lock`
      * flock, which excludes gc entirely while the library is open
      * elsewhere. Pinning an unknown digest is fine (it protects a
-     * concurrent publication about to be indexed).
+     * publication about to land).
      */
     void pin(const std::string &digestHex);
 
@@ -196,10 +204,10 @@ class CheckpointLibrary
 
     /**
      * Sweep temporary debris from killed writers and corrupt
-     * objects; when @p maxBytes is nonzero, evict oldest-published
-     * entries until the library fits, skipping pinned objects.
-     * Rewrites a compacted index. Fatal when another process holds
-     * the library open (needs the exclusive `.lock`).
+     * objects; when @p maxBytes is nonzero, evict the oldest objects
+     * until the library fits, skipping pinned ones. Deletes an older
+     * build's `index.jsonl`. Fatal when another process holds the
+     * library open (needs the exclusive `.lock`).
      */
     GcReport gc(std::uint64_t maxBytes = 0);
 
@@ -212,33 +220,17 @@ class CheckpointLibrary
     CheckpointLibrary() = default;
 
     std::string objectsDir() const { return dir_ + "/objects"; }
-    std::string indexPath() const { return dir_ + "/index.jsonl"; }
     std::string objectPath(const std::string &digestHex) const;
 
     /** fetch() without the counters: read, check, unpack. */
     bool load(const CheckpointKey &key, core::Checkpoint &cp) const;
 
-    /** Load index.jsonl into the entry list (dedup on digest). */
-    void replayIndex();
-
-    /** Append one entry line to the index (requires mu held). */
-    void appendIndexLine(const LibraryEntry &e);
-
-    /** Record @p e in memory unless already present (mu held). */
-    bool remember(const LibraryEntry &e);
-
-    /** Atomically rewrite the whole index from entries_ (mu held). */
-    void rewriteIndex();
-
     std::string dir_;
-    int indexFd = -1;
     int lockFd = -1; ///< shared flock on <dir>/.lock while open
 
-    /** Guards the in-memory index, pins and counters; fetch()
-     *  loads its object without it. */
+    /** Guards pins and counters, and orders publish() against gc();
+     *  fetch() loads its object without it. */
     mutable std::mutex mu;
-    std::vector<LibraryEntry> entries_;
-    std::map<std::string, std::size_t> byDigest;
     std::map<std::string, std::size_t> pins; ///< digest -> count
     std::size_t hits = 0;
     std::size_t misses = 0;

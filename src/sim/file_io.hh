@@ -3,18 +3,17 @@
  * The one way this tree reads a whole file into memory, and the one
  * way it durably writes one.
  *
- * Checkpoint archives, the result-store journal, the checkpoint
- * index, segment files on filesystems that refuse mmap, and serve
- * submissions are all read whole before they are parsed. Stream
+ * Checkpoint archives, the result-store journal, segment files on
+ * filesystems that refuse mmap, and serve submissions are all read
+ * whole before they are parsed. Stream
  * iterators pull such a file through a byte at a time and grow the
  * buffer by doubling; this reads it with one fstat-sized buffer and a
  * read(2) loop instead, which is an order of magnitude faster on the
  * multi-megabyte archives and journals and never over-allocates.
  *
- * Checkpoint archives and the checkpoint index, store segments and
- * compacted manifests, serve submissions and cancel markers are
- * written whole with writeFileAtomic, so a crash never leaves a torn
- * one behind.
+ * Checkpoint archives, store segments and compacted manifests,
+ * serve submissions and cancel markers are written whole with
+ * writeFileAtomic, so a crash never leaves a torn one behind.
  */
 
 #ifndef VARSIM_SIM_FILE_IO_HH

@@ -1,8 +1,8 @@
 /**
  * @file
  * Minimal flat-JSON line codec shared by the durable manifests in
- * this tree (campaign result store, checkpoint library index and
- * archive metadata) and the serve daemon's payloads.
+ * this tree (campaign result store, checkpoint archive metadata) and
+ * the serve daemon's payloads.
  *
  * A manifest is JSON Lines: one object per line, values limited to
  * numbers, strings, and arrays of strings — exactly what the writers

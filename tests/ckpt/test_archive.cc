@@ -224,16 +224,20 @@ TEST(CkptArchive, ReadsEveryFormatUpToItsOwnAndNamesIt)
             << r.error;
     }
 
-    // The header alone names the version, without a full load.
+    // The header and metadata alone name the version, without a
+    // full load.
     const std::string dir = scratchDir("peek");
     std::string err;
     ASSERT_TRUE(sim::writeFileAtomic(dir, "v1.vckpt",
                                      withVersion(bytes, 1), &err))
         << err;
-    EXPECT_EQ(ckpt::peekArchiveVersion(dir + "/v1.vckpt"), 1u);
-    EXPECT_EQ(ckpt::peekArchiveVersion(dir + "/none.vckpt"), 0u);
+    const auto v1 = ckpt::peekArchive(dir + "/v1.vckpt");
+    EXPECT_TRUE(v1.ok) << v1.error;
+    EXPECT_EQ(v1.version, 1u);
+    EXPECT_TRUE(v1.payload.empty());
+    EXPECT_EQ(ckpt::peekArchive(dir + "/none.vckpt").version, 0u);
     std::ofstream(dir + "/short.vckpt") << "VSIMCKPT";
-    EXPECT_EQ(ckpt::peekArchiveVersion(dir + "/short.vckpt"), 0u);
+    EXPECT_EQ(ckpt::peekArchive(dir + "/short.vckpt").version, 0u);
 }
 
 } // namespace

@@ -2,13 +2,16 @@
  * @file
  * Checkpoint-library tests: content-addressed publish/fetch, reopen
  * persistence, crash-safety (a killed writer leaves only swept-away
- * temporaries, never a corrupt published object), index self-repair,
- * and gc eviction.
+ * temporaries, never a corrupt published object), listing by a
+ * metadata peek, an older build's index ignored, a failed publish
+ * that warns, and gc eviction by age.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -73,6 +76,27 @@ soleObjectPath(const std::string &dir)
     return "";
 }
 
+std::string
+objectPath(const std::string &dir, const ckpt::CheckpointKey &key)
+{
+    return dir + "/objects/" + key.digestHex() + ".vckpt";
+}
+
+/**
+ * Date @p key's object @p secondsAgo back. The library lists and
+ * evicts oldest first by modification time, and two publishes in
+ * one clock tick share a time, so tests that assert an order set it.
+ */
+void
+age(const std::string &dir, const ckpt::CheckpointKey &key,
+    int secondsAgo)
+{
+    std::filesystem::last_write_time(
+        objectPath(dir, key),
+        std::filesystem::file_time_type::clock::now() -
+            std::chrono::seconds(secondsAgo));
+}
+
 TEST(CkptLibrary, PublishThenFetchRoundTrips)
 {
     const std::string dir = freshDir("roundtrip");
@@ -115,6 +139,8 @@ TEST(CkptLibrary, ReopenSeesPublishedEntries)
         lib->publish(makeKey(10), makeSnapshot(0x10));
         lib->publish(makeKey(20), makeSnapshot(0x20));
     }
+    age(dir, makeKey(10), 20);
+    age(dir, makeKey(20), 10);
     auto lib = ckpt::CheckpointLibrary::open(dir);
     const auto entries = lib->entries();
     ASSERT_EQ(entries.size(), 2u);
@@ -138,29 +164,6 @@ TEST(CkptLibrary, RepublishAndCrossProcessRaceReturnFalse)
     auto b = ckpt::CheckpointLibrary::open(dir);
     EXPECT_FALSE(b->publish(makeKey(), makeSnapshot()));
     EXPECT_EQ(b->stats().entries, 1u);
-}
-
-TEST(CkptLibrary, FetchNeedsNoIndexAndVerifyRebuildsIt)
-{
-    const std::string dir = freshDir("noindex");
-    {
-        auto lib = ckpt::CheckpointLibrary::open(dir);
-        lib->publish(makeKey(), makeSnapshot());
-    }
-    // Losing the index (crash between rename and append, or a
-    // deleted file) must not lose the object.
-    std::filesystem::remove(dir + "/index.jsonl");
-
-    auto lib = ckpt::CheckpointLibrary::open(dir);
-    EXPECT_TRUE(lib->entries().empty());
-
-    core::Checkpoint got;
-    EXPECT_TRUE(lib->fetch(makeKey(), got));
-
-    const auto rep = lib->verify();
-    EXPECT_TRUE(rep.clean()) << rep.toString();
-    EXPECT_EQ(rep.reindexed, 1u);
-    EXPECT_EQ(lib->entries().size(), 1u);
 }
 
 TEST(CkptLibrary, CorruptObjectIsAMissNeverAnAbort)
@@ -234,18 +237,6 @@ TEST(CkptLibrary, KilledWriterLeavesOnlySweptTemporaries)
     EXPECT_TRUE(lib->fetch(makeKey(), got));
 }
 
-TEST(CkptLibrary, VerifyReportsVanishedObjects)
-{
-    const std::string dir = freshDir("vanished");
-    auto lib = ckpt::CheckpointLibrary::open(dir);
-    lib->publish(makeKey(), makeSnapshot());
-    std::filesystem::remove(soleObjectPath(dir));
-
-    const auto rep = lib->verify();
-    EXPECT_FALSE(rep.clean());
-    EXPECT_EQ(rep.missing, 1u);
-}
-
 TEST(CkptLibrary, GcEvictsOldestBeyondTheByteBudget)
 {
     const std::string dir = freshDir("evict");
@@ -253,6 +244,9 @@ TEST(CkptLibrary, GcEvictsOldestBeyondTheByteBudget)
     lib->publish(makeKey(10), makeSnapshot(0x10));
     lib->publish(makeKey(20), makeSnapshot(0x20));
     lib->publish(makeKey(30), makeSnapshot(0x30));
+    age(dir, makeKey(10), 30);
+    age(dir, makeKey(20), 20);
+    age(dir, makeKey(30), 10);
 
     const auto entries = lib->entries();
     ASSERT_EQ(entries.size(), 3u);
@@ -269,7 +263,7 @@ TEST(CkptLibrary, GcEvictsOldestBeyondTheByteBudget)
     EXPECT_TRUE(lib->fetch(makeKey(20), got));
     EXPECT_TRUE(lib->fetch(makeKey(30), got));
 
-    // The compacted index survives a reopen.
+    // A reopen lists what is left.
     auto again = ckpt::CheckpointLibrary::open(dir);
     EXPECT_EQ(again->entries().size(), 2u);
 }
@@ -284,6 +278,9 @@ TEST(CkptLibrary, PinnedObjectsSurviveGcEviction)
     lib->publish(makeKey(10), makeSnapshot(0x10));
     lib->publish(makeKey(20), makeSnapshot(0x20));
     lib->publish(makeKey(30), makeSnapshot(0x30));
+    age(dir, makeKey(10), 30);
+    age(dir, makeKey(20), 20);
+    age(dir, makeKey(30), 10);
 
     const auto entries = lib->entries();
     ASSERT_EQ(entries.size(), 3u);
@@ -319,8 +316,8 @@ TEST(CkptLibrary, PinnedObjectsSurviveGcEviction)
 
 TEST(CkptLibrary, PinningUnknownDigestsIsHarmless)
 {
-    // Pinning a digest not (yet) in the index protects a
-    // publication in flight; it must not be an error.
+    // Pinning a digest not (yet) on disk protects a publication in
+    // flight; it must not be an error.
     const std::string dir = freshDir("pinunknown");
     auto lib = ckpt::CheckpointLibrary::open(dir);
     lib->pin("feedfacefeedface");
@@ -424,23 +421,162 @@ TEST(CkptLibrary, ConcurrentFetchesMatchSerial)
     EXPECT_EQ(st.entries, 6u);
 }
 
-TEST(CkptLibrary, TornIndexTailIsIgnoredButObjectStillServes)
+/** Everything entries() reports about each object, one line each. */
+std::string
+listing(const ckpt::CheckpointLibrary &lib)
 {
-    const std::string dir = freshDir("tornindex");
-    {
-        auto lib = ckpt::CheckpointLibrary::open(dir);
-        lib->publish(makeKey(), makeSnapshot());
-    }
-    // Simulate a crash mid-append: an unterminated half line.
-    {
-        std::ofstream f(dir + "/index.jsonl",
-                        std::ios::binary | std::ios::app);
-        f << "{\"digest\":\"0000";
-    }
+    std::string out;
+    for (const auto &e : lib.entries())
+        out += e.digestHex + " " + std::to_string(e.position) + " " +
+               std::to_string(e.warmupSeed) + " " +
+               std::to_string(e.bytes) + " " +
+               std::to_string(e.format) + " " + e.key + "\n";
+    return out;
+}
+
+TEST(CkptLibrary, LegacyIndexIsIgnored)
+{
+    // Older builds kept an index.jsonl beside the objects. A stale
+    // entry, a duplicate and a torn last line in one change nothing
+    // the library reports, and gc deletes the file.
+    const std::string dir = freshDir("legacyindex");
     auto lib = ckpt::CheckpointLibrary::open(dir);
-    EXPECT_EQ(lib->entries().size(), 1u);
+    lib->publish(makeKey(10), makeSnapshot(0x10));
+    lib->publish(makeKey(20), makeSnapshot(0x20));
+    age(dir, makeKey(10), 20);
+    age(dir, makeKey(20), 10);
+    const std::string before = listing(*lib);
+    const auto statsBefore = lib->stats();
+    const std::string verifyBefore = lib->verify().toString();
+
+    auto line = [](const ckpt::CheckpointKey &key,
+                   std::uint64_t bytes) {
+        return "{\"type\":\"ckpt\",\"digest\":\"" + key.digestHex() +
+               "\",\"bytes\":" + std::to_string(bytes) +
+               ",\"position\":" + std::to_string(key.position) +
+               ",\"seed\":" + std::to_string(key.warmupSeed) +
+               ",\"key\":\"" + key.canonical() + "\"}\n";
+    };
+    {
+        std::ofstream f(dir + "/index.jsonl", std::ios::binary);
+        f << line(makeKey(10), 100) << line(makeKey(10), 100)
+          << line(makeKey(99), 100) // no such object
+          << "{\"type\":\"ckpt\",\"digest\":\"0000";
+    }
+
+    EXPECT_EQ(listing(*lib), before);
+    EXPECT_EQ(lib->stats().entries, statsBefore.entries);
+    EXPECT_EQ(lib->stats().bytes, statsBefore.bytes);
+    EXPECT_EQ(lib->verify().toString(), verifyBefore);
     core::Checkpoint got;
-    EXPECT_TRUE(lib->fetch(makeKey(), got));
+    EXPECT_TRUE(lib->fetch(makeKey(10), got));
+    EXPECT_TRUE(lib->fetch(makeKey(20), got));
+    EXPECT_FALSE(lib->fetch(makeKey(99), got));
+
+    const auto gc = lib->gc();
+    EXPECT_EQ(gc.evicted + gc.removedCorrupt + gc.removedTmp, 0u);
+    EXPECT_FALSE(std::filesystem::exists(dir + "/index.jsonl"));
+    EXPECT_EQ(listing(*lib), before);
+}
+
+TEST(CkptLibrary, ListingPeeksMetadataAndNamesDamageFormatZero)
+{
+    // entries() reads each object's header, section table and
+    // metadata only. It agrees with a full load on intact objects,
+    // and lists a damaged one with format 0 without reading (or
+    // allocating) past the file's end.
+    const std::string dir = freshDir("peek");
+    auto lib = ckpt::CheckpointLibrary::open(dir);
+    std::vector<ckpt::CheckpointKey> keys;
+    for (std::uint64_t pos = 10; pos < 16; ++pos) {
+        keys.push_back(makeKey(pos, 7 + pos));
+        ASSERT_TRUE(lib->publish(
+            keys.back(), makeSnapshot(static_cast<std::uint8_t>(pos))));
+    }
+
+    auto entries = lib->entries();
+    ASSERT_EQ(entries.size(), keys.size());
+    for (const auto &e : entries) {
+        const std::string path =
+            dir + "/objects/" + e.digestHex + ".vckpt";
+        const auto r = ckpt::loadArchiveFile(path);
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_EQ(e.key, r.meta.keyCanonical);
+        EXPECT_EQ(e.position, r.meta.position);
+        EXPECT_EQ(e.warmupSeed, r.meta.warmupSeed);
+        EXPECT_EQ(e.format, r.version);
+        EXPECT_EQ(e.bytes, std::filesystem::file_size(path));
+    }
+
+    // The metadata section's length lives at bytes 20..27 (the first
+    // section-table entry).
+    auto setMetaLength = [&](const ckpt::CheckpointKey &key,
+                             std::uint64_t len) {
+        std::fstream f(objectPath(dir, key), std::ios::in |
+                                                 std::ios::out |
+                                                 std::ios::binary);
+        f.seekp(20);
+        for (int i = 0; i < 8; ++i)
+            f.put(static_cast<char>(len >> (8 * i)));
+    };
+    std::filesystem::resize_file(objectPath(dir, keys[0]), 20);
+    std::ofstream(objectPath(dir, keys[1]),
+                  std::ios::binary | std::ios::trunc)
+        << "not an archive at all, just some bytes";
+    setMetaLength(keys[2],
+                  std::filesystem::file_size(objectPath(dir, keys[2])));
+    setMetaLength(keys[3], std::uint64_t{1} << 62);
+    const std::size_t damaged = 4;
+
+    entries = lib->entries();
+    ASSERT_EQ(entries.size(), keys.size());
+    for (const auto &e : entries) {
+        const std::size_t k =
+            std::find_if(keys.begin(), keys.end(),
+                         [&](const ckpt::CheckpointKey &key) {
+                             return key.digestHex() == e.digestHex;
+                         }) -
+            keys.begin();
+        ASSERT_LT(k, keys.size());
+        EXPECT_EQ(e.bytes,
+                  std::filesystem::file_size(objectPath(dir, keys[k])));
+        if (k < damaged) {
+            EXPECT_EQ(e.format, 0u) << k;
+            EXPECT_EQ(e.position, 0u) << k;
+            EXPECT_TRUE(e.key.empty()) << k;
+        } else {
+            EXPECT_EQ(e.format, ckpt::kArchiveVersion) << k;
+            EXPECT_EQ(e.key, keys[k].canonical()) << k;
+        }
+    }
+    const auto rep = lib->verify();
+    EXPECT_EQ(rep.corrupt, damaged);
+    EXPECT_EQ(rep.ok, keys.size() - damaged);
+}
+
+TEST(CkptLibrary, FailedPublishWarnsAndTheCallerCarriesOn)
+{
+    // A checkpoint is a cache entry: a publish that cannot write
+    // (here objects/ turned into a regular file, ENOTDIR even for
+    // root) returns false instead of exiting the process, and the
+    // library reports what it can see without throwing.
+    const std::string dir = freshDir("publishfail");
+    auto lib = ckpt::CheckpointLibrary::open(dir);
+    ASSERT_TRUE(lib->publish(makeKey(10), makeSnapshot(0x10)));
+    std::filesystem::remove_all(dir + "/objects");
+    std::ofstream(dir + "/objects") << "not a directory";
+
+    EXPECT_FALSE(lib->publish(makeKey(20), makeSnapshot(0x20)));
+    core::Checkpoint got;
+    EXPECT_FALSE(lib->fetch(makeKey(10), got));
+    EXPECT_FALSE(lib->fetch(makeKey(20), got));
+    EXPECT_TRUE(lib->entries().empty());
+    const auto st = lib->stats();
+    EXPECT_EQ(st.entries, 0u);
+    EXPECT_EQ(st.bytes, 0u);
+    EXPECT_EQ(st.published, 1u);
+    EXPECT_EQ(st.misses, 2u);
+    EXPECT_TRUE(lib->verify().clean());
 }
 
 /** Rewrite the archive at @p path as format @p version, checksum
@@ -480,10 +616,12 @@ TEST(CkptLibrary, VerifyAndListNameEachObjectsFormat)
     ASSERT_NO_FATAL_FAILURE(restampVersion(
         dir + "/objects/" + oldKey.digestHex() + ".vckpt", 1));
 
-    EXPECT_EQ(lib->objectFormat(oldKey.digestHex()), 1u);
-    EXPECT_EQ(lib->objectFormat(newKey.digestHex()),
-              ckpt::kArchiveVersion);
-    EXPECT_EQ(lib->objectFormat("0123456789abcdef"), 0u);
+    const auto entries = lib->entries();
+    ASSERT_EQ(entries.size(), 2u);
+    for (const auto &e : entries)
+        EXPECT_EQ(e.format, e.digestHex == oldKey.digestHex()
+                                ? 1u
+                                : ckpt::kArchiveVersion);
 
     const auto rep = lib->verify();
     EXPECT_TRUE(rep.clean()) << rep.toString();

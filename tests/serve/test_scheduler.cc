@@ -18,6 +18,7 @@
 #include "campaign/campaign.hh"
 #include "campaign/knobs.hh"
 #include "serve/scheduler.hh"
+#include "serve/schema.hh"
 #include "sim/logging.hh"
 
 namespace
@@ -220,6 +221,64 @@ TEST(ServeScheduler, RejectsBadSubmissions)
         makeSub("t", "dup", smallFields(999)), &err));
     EXPECT_NE(err.find("different fields"), std::string::npos);
     sched.drain();
+}
+
+TEST(ServeScheduler, RefusesAndSkipsBudgetsThePlannerCannotSplit)
+{
+    // The budget planner runs pilotRuns runs per pilot length and
+    // must afford them: a spec it cannot split is refused at submit,
+    // and a stored one is skipped at restart instead of aborting the
+    // daemon while it resumes everyone else.
+    const std::string root = freshRoot("budget");
+    campaign::SpecFields bad = smallFields();
+    bad.fixedRuns = 0;
+    bad.budgetTxns = 5;
+    bad.pilotRuns = 6;
+    serve::Submission badSub;
+    badSub.tenant = "t";
+    badSub.name = "bad";
+    badSub.fields = bad;
+    badSub.fingerprintHex = "1";
+    std::string err;
+    {
+        serve::SchedulerConfig cfg;
+        cfg.root = root;
+        cfg.workers = 1;
+        serve::Scheduler sched(cfg);
+        EXPECT_FALSE(sched.submit(badSub, &err));
+        EXPECT_NE(err.find("cannot afford 6 pilot runs"),
+                  std::string::npos)
+            << err;
+        campaign::SpecFields noPilot = bad;
+        noPilot.fixedRuns = 4;
+        noPilot.budgetTxns = 1000;
+        noPilot.pilotRuns = 0;
+        badSub.fields = noPilot;
+        EXPECT_FALSE(sched.submit(badSub, &err));
+        EXPECT_NE(err.find("pilotRuns >= 2"), std::string::npos)
+            << err;
+    }
+
+    // What an older daemon acknowledged and stored.
+    badSub.fields = bad;
+    const std::string dir = root + "/tenants/t/bad";
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/submission.json")
+        << serve::encodeSubmission(badSub) << "\n";
+
+    serve::SchedulerConfig cfg;
+    cfg.root = root;
+    cfg.workers = 1;
+    serve::Scheduler sched(cfg);
+    ASSERT_TRUE(
+        sched.submit(makeSub("u", "good", smallFields()), &err))
+        << err;
+    EXPECT_EQ(sched.resumeAll(), 0u);
+    sched.drain();
+    serve::CampaignInfo info;
+    EXPECT_FALSE(sched.info("t/bad", info));
+    ASSERT_TRUE(sched.info("u/good", info));
+    EXPECT_EQ(info.state, "complete");
 }
 
 TEST(ServeScheduler, ConflictingConcurrentSubmitsNeverBothAck)

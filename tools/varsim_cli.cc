@@ -121,12 +121,13 @@
  *   create: --dir <library> plus the campaign flags above (the same
  *           grid/seed/checkpoint flags the campaign will use; needs
  *           --checkpoints >= 1) — pre-warms every snapshot
- *   ls:     --dir <library>            list stored checkpoints and
- *                                      each object's archive format
+ *   ls:     --dir <library>            list stored checkpoints,
+ *                                      oldest first, with each
+ *                                      object's archive format
  *   verify: --dir <library>            integrity-check every object,
  *                                      name its format and count
- *                                      format-1 ones, re-index
- *                                      strays; exit 1 on damage
+ *                                      format-1 ones; exit 1 on
+ *                                      damage
  *   gc:     --dir <library> [--max-bytes <n>]
  *                                      sweep debris/corruption and
  *                                      evict oldest over the cap
@@ -150,6 +151,7 @@
  *   varsim ckpt verify --dir ckpts
  */
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -508,6 +510,9 @@ cmdCompare(const Args &args)
     exp.numRuns = args.num("runs", 10);
     exp.baseSeed = args.num("seed", 1000);
     args.rejectUnread("varsim compare");
+    if (exp.numRuns < 2)
+        sim::fatal("compare needs --runs >= 2 (a t-test needs two "
+                   "runs a side; got %zu)", exp.numRuns);
 
     std::printf("comparing A vs B on %s, %zu runs each...\n",
                 workload::kindName(wl.kind), exp.numRuns);
@@ -541,40 +546,36 @@ cmdAnova(const Args &args)
 {
     campaign::SpecFields f = systemFieldsFromArgs(args);
     // Every run restores a checkpoint: no warm-up, and anova's own
-    // default run length.
+    // default run length and checkpoint count.
     f.warmupTxns = 0;
     f.measureTxns = args.num("txns", 200);
+    f.numCheckpoints = args.num("checkpoints", 5);
+    f.checkpointStep = args.num("step", f.checkpointStep);
+    f.strategy = args.str("strategy", f.strategy);
+    f.baseSeed = args.num("seed", f.baseSeed);
     const auto spec = buildSpecOrDie(f);
     const auto &sys = spec.configs.front().sys;
     const auto &wl = spec.wl;
-    const std::size_t numCkpts = args.num("checkpoints", 5);
-    const std::uint64_t step = args.num("step", 400);
+    const std::size_t numCkpts = spec.numCheckpoints;
+    const std::uint64_t lifetime = spec.checkpointStep * numCkpts;
     const std::size_t runs = args.num("runs", 6);
-    const std::string stratName =
-        args.str("strategy", "systematic");
-    core::SamplingStrategy strategy =
-        core::SamplingStrategy::Systematic;
-    if (stratName == "random")
-        strategy = core::SamplingStrategy::Random;
-    else if (stratName == "stratified")
-        strategy = core::SamplingStrategy::Stratified;
-    else if (stratName != "systematic")
-        sim::fatal("unknown strategy '%s'", stratName.c_str());
-    const std::uint64_t seed = args.num("seed", 1000);
     args.rejectUnread("varsim anova");
+    if (numCkpts < 2 || runs < 2)
+        sim::fatal("anova needs --checkpoints >= 2 and --runs >= 2 "
+                   "(variance between and within checkpoints; got "
+                   "%zu and %zu)", numCkpts, runs);
 
     const auto positions = core::planCheckpoints(
-        strategy, step * numCkpts, numCkpts, seed);
+        spec.strategy, lifetime, numCkpts, spec.baseSeed);
 
     std::printf("%s: %zu %s checkpoints over %llu txns, %zu runs "
                 "each\n",
                 workload::kindName(wl.kind), numCkpts,
-                stratName.c_str(),
-                static_cast<unsigned long long>(step * numCkpts),
-                runs);
+                f.strategy.c_str(),
+                static_cast<unsigned long long>(lifetime), runs);
 
     core::Simulation warmer(sys, wl);
-    warmer.seedPerturbation(seed);
+    warmer.seedPerturbation(spec.baseSeed);
     std::vector<std::vector<double>> groups;
     std::uint64_t done = 0;
     for (std::size_t c = 0; c < positions.size(); ++c) {
@@ -608,6 +609,17 @@ cmdPlan(const Args &args)
         lengths = {50, 150, 400};
     const std::size_t pilotRuns = args.num("runs", 6);
     args.rejectUnread("varsim plan");
+    if (budget < 3)
+        sim::fatal("plan needs --budget >= 3 (it keeps at least 3 "
+                   "runs; got %llu)",
+                   static_cast<unsigned long long>(budget));
+    if (lengths.size() < 2 ||
+        std::count(lengths.begin(), lengths.end(), 0u) > 0)
+        sim::fatal("plan needs two or more nonzero --pilot lengths "
+                   "to fit its CoV model");
+    if (pilotRuns < 2)
+        sim::fatal("plan needs --runs >= 2 (a pilot's CoV needs two "
+                   "runs; got %zu)", pilotRuns);
 
     std::printf("measuring pilots for the budget planner...\n");
     std::vector<std::pair<std::uint64_t, double>> pilots;
@@ -779,7 +791,6 @@ cmdCkpt(const std::string &action, const Args &args)
         std::printf("%zu checkpoint(s) in %s\n", entries.size(),
                     dir.c_str());
         for (const auto &e : entries) {
-            const std::uint32_t format = lib->objectFormat(e.digestHex);
             std::printf("  %s  pos %-8llu seed %-12llu %llu "
                         "byte(s)  format %s\n",
                         e.digestHex.c_str(),
@@ -787,8 +798,8 @@ cmdCkpt(const std::string &action, const Args &args)
                         static_cast<unsigned long long>(
                             e.warmupSeed),
                         static_cast<unsigned long long>(e.bytes),
-                        format ? std::to_string(format).c_str()
-                               : "? (unreadable)");
+                        e.format ? std::to_string(e.format).c_str()
+                                 : "? (unreadable)");
         }
         return 0;
     }
