@@ -185,20 +185,22 @@ campaignReport(const std::string &dir, double confidence)
             "ones)\n",
             store->ckptStats().dir.c_str());
 
-    // Each group's metric is fetched once; the pairs reuse it.
-    std::vector<std::vector<double>> cpt(h.numGroups);
+    // Each group's metric is fetched and summarized once; its lines
+    // and every pair read that summary (n = 0: too few runs).
+    std::vector<stats::Summary> sums(h.numGroups);
     for (std::size_t g = 0; g < h.numGroups; ++g) {
-        const auto &xs = cpt[g] = store->groupMetric(g);
+        const auto xs = store->groupMetric(g);
         rep.text += sim::format("\n%s:\n", groupLabel(h, g).c_str());
         if (xs.size() < 2) {
             rep.text += sim::format("  %zu run(s): too few for "
                                     "statistics\n", xs.size());
             continue;
         }
+        const stats::Summary &s = sums[g] = stats::summarize(xs);
         rep.text +=
-            "  " + core::analyze(xs).toString() + "\n";
+            "  " + core::analyze(s).toString() + "\n";
         const auto ci =
-            stats::meanConfidenceInterval(xs, confidence);
+            stats::meanConfidenceInterval(s, confidence);
         rep.text += sim::format(
             "  %.0f%% CI for the mean: [%.0f, %.0f]\n",
             100.0 * confidence, ci.lo, ci.hi);
@@ -226,14 +228,12 @@ campaignReport(const std::string &dir, double confidence)
                     wins += w;
                 if (!sWin.empty())
                     wins /= static_cast<double>(sWin.size());
-                const double mean =
-                    stats::summarize(xs).mean;
                 rep.text += sim::format(
                     "  sampled estimates: %.1f window(s)/run, "
                     "avg within-run CI half-width %.1f (%.2f%% "
                     "of the mean)\n",
                     wins, half,
-                    mean != 0.0 ? 100.0 * half / mean : 0.0);
+                    s.mean != 0.0 ? 100.0 * half / s.mean : 0.0);
             }
         }
     }
@@ -242,9 +242,9 @@ campaignReport(const std::string &dir, double confidence)
     for (std::size_t ck = 0; ck < slots; ++ck) {
         for (std::size_t a = 0; a < numConfigs; ++a) {
             for (std::size_t b = a + 1; b < numConfigs; ++b) {
-                const auto &xa = cpt[a * slots + ck];
-                const auto &xb = cpt[b * slots + ck];
-                if (xa.size() < 2 || xb.size() < 2)
+                const auto &sa = sums[a * slots + ck];
+                const auto &sb = sums[b * slots + ck];
+                if (sa.n < 2 || sb.n < 2)
                     continue;
                 if (!anyPair) {
                     rep.text += sim::format(
@@ -252,13 +252,11 @@ campaignReport(const std::string &dir, double confidence)
                         100.0 * confidence);
                     anyPair = true;
                 }
-                const auto cmp =
-                    core::compare(xa, xb, confidence);
                 rep.text += sim::format(
                     "  %s vs %s:\n    %s\n",
                     groupLabel(h, a * slots + ck).c_str(),
                     groupLabel(h, b * slots + ck).c_str(),
-                    cmp.verdict().c_str());
+                    core::judge(sa, sb, confidence).verdict().c_str());
             }
         }
     }
@@ -300,9 +298,9 @@ campaignMetricReport(const std::string &dir,
             continue;
         }
         any = true;
-        rep.text += "  " + core::analyze(xs).toString() + "\n";
-        const auto ci =
-            stats::meanConfidenceInterval(xs, confidence);
+        const stats::Summary s = stats::summarize(xs);
+        rep.text += "  " + core::analyze(s).toString() + "\n";
+        const auto ci = stats::meanConfidenceInterval(s, confidence);
         rep.text += sim::format(
             "  %.0f%% CI for the mean: [%.4g, %.4g]\n",
             100.0 * confidence, ci.lo, ci.hi);

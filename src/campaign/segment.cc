@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstring>
 #include <string_view>
+#include <system_error>
 #include <unordered_set>
 
 #include "ckpt/archive.hh"
@@ -142,27 +143,34 @@ struct SegmentParser
 {
     /** A view over an owned byte buffer (the direct-parse form). */
     static std::shared_ptr<SegmentView>
-    fromOwned(std::vector<std::uint8_t> bytes)
+    fromOwned(std::vector<std::uint8_t> bytes, const std::string &path)
     {
         std::shared_ptr<SegmentView> view(new SegmentView);
         view->owned = std::move(bytes);
         view->base = view->owned.data();
         view->size_ = view->owned.size();
+        view->path = path;
         return view;
     }
 
     /** A view over an established mapping. */
     static std::shared_ptr<SegmentView>
-    fromMapping(void *map, std::size_t len)
+    fromMapping(void *map, std::size_t len, const std::string &path)
     {
         std::shared_ptr<SegmentView> view(new SegmentView);
         view->mapping = map;
         view->mappingLen = len;
         view->base = static_cast<const std::uint8_t *>(map);
         view->size_ = len;
+        view->path = path;
         return view;
     }
 
+    /**
+     * Check the header, start the whole-file checksum on its own
+     * thread and walk the records while it runs. The checksum is
+     * left running on success.
+     */
     static SegmentLoad
     parse(std::shared_ptr<SegmentView> view)
     {
@@ -180,28 +188,55 @@ struct SegmentParser
             return failure(sim::format(
                 "unsupported segment version %u (this build "
                 "reads %u)", version, kSegmentVersion));
+
+        view->fnv = getLe<std::uint64_t>(base + size - 8);
+        SegmentView &v = *view;
+        const auto sum = [&v] {
+            v.computed = fnvBytes(v.base, v.size_ - 8);
+        };
+        try {
+            // Its own thread, not a HostThreadPool worker: those may
+            // be busy with simulations the open would queue behind.
+            view->checker = std::thread(sum);
+        } catch (const std::system_error &) {
+            sum(); // no thread to spare: check in line
+        }
+
+        SegmentLoad r = walk(*view);
+        if (!r.ok) {
+            // Damage that breaks the walk breaks the checksum too;
+            // the mismatch is the error a load reports, as when the
+            // checksum ran before the walk.
+            const std::string mismatch = view->checksumMismatch();
+            if (!mismatch.empty())
+                r.error = mismatch;
+            return r;
+        }
+        r.view = std::move(view);
+        return r;
+    }
+
+    /**
+     * The structural walk. Every frame is bounds-checked against the
+     * file, so bytes that fail the checksum are refused or indexed,
+     * never read out of bounds.
+     */
+    static SegmentLoad
+    walk(SegmentView &view)
+    {
+        const std::uint8_t *base = view.base;
+        const std::size_t size = view.size_;
         const auto dictCount = getLe<std::uint32_t>(base + 12);
         const auto runCount = getLe<std::uint64_t>(base + 16);
         const auto legacyCount = getLe<std::uint64_t>(base + 24);
 
-        // The trailing checksum first: it catches any bit flip or
-        // truncation, so the structural walk below only ever sees
-        // bytes the writer produced.
-        const std::uint64_t want =
-            getLe<std::uint64_t>(base + size - 8);
-        const std::uint64_t got = fnvBytes(base, size - 8);
-        if (want != got)
-            return failure(sim::format(
-                "checksum mismatch (stored %016llx, computed "
-                "%016llx)",
-                static_cast<unsigned long long>(want),
-                static_cast<unsigned long long>(got)));
-        view->fnv = want;
-
         const std::size_t end = size - 8; // body end
         std::size_t pos = 32;
 
-        view->dict.reserve(dictCount);
+        // Counts are not yet vouched for: reserve no more entries
+        // than the bytes could hold.
+        view.dict.reserve(
+            std::min<std::size_t>(dictCount, (end - pos) / 4));
         for (std::uint32_t d = 0; d < dictCount; ++d) {
             if (pos + 4 > end)
                 return failure(
@@ -212,15 +247,17 @@ struct SegmentParser
                 return failure(sim::format(
                     "dictionary entry %u declares %u bytes but "
                     "only %zu remain", d, len, end - pos));
-            view->dict.emplace_back(
+            view.dict.emplace_back(
                 reinterpret_cast<const char *>(base) + pos, len);
             pos += len;
-            if (d > 0 && view->dict[d] <= view->dict[d - 1])
+            if (d > 0 && view.dict[d] <= view.dict[d - 1])
                 return failure(
                     "dictionary names not sorted and unique");
         }
 
-        view->index.reserve(runCount);
+        view.index.reserve(static_cast<std::size_t>(
+            std::min<std::uint64_t>(runCount,
+                                    (end - pos) / kRecordFixed)));
         std::uint64_t lastG = 0, lastR = 0;
         for (std::uint64_t i = 0; i < runCount; ++i) {
             if (pos + kRecordFixed > end)
@@ -241,7 +278,7 @@ struct SegmentParser
             lastR = r;
             const auto m = getLe<std::uint32_t>(
                 base + pos + kRecordFixed - 4);
-            view->index.push_back(
+            view.index.push_back(
                 {g, r, pos});
             pos += kRecordFixed;
             if (static_cast<std::size_t>(m) * kMetricPair >
@@ -284,7 +321,6 @@ struct SegmentParser
 
         SegmentLoad r;
         r.ok = true;
-        r.view = std::move(view);
         return r;
     }
 };
@@ -292,8 +328,14 @@ struct SegmentParser
 SegmentLoad
 parseSegment(std::vector<std::uint8_t> bytes)
 {
-    return SegmentParser::parse(
-        SegmentParser::fromOwned(std::move(bytes)));
+    SegmentLoad r = SegmentParser::parse(
+        SegmentParser::fromOwned(std::move(bytes), ""));
+    // Nothing to do beside the checksum here: await it at once.
+    if (r.ok && !r.view->verify(&r.error)) {
+        r.ok = false;
+        r.view.reset();
+    }
+    return r;
 }
 
 SegmentLoad
@@ -315,7 +357,7 @@ loadSegmentFile(const std::string &path)
     void *map =
         ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
     if (map != MAP_FAILED) {
-        view = SegmentParser::fromMapping(map, len);
+        view = SegmentParser::fromMapping(map, len, path);
         ::close(fd); // the mapping outlives the descriptor
     } else {
         // mmap can fail on exotic filesystems; fall back to a read.
@@ -324,7 +366,7 @@ loadSegmentFile(const std::string &path)
         std::string error;
         if (!sim::readWholeFile(path, bytes, &error))
             return failure(error);
-        view = SegmentParser::fromOwned(std::move(bytes));
+        view = SegmentParser::fromOwned(std::move(bytes), path);
     }
 
     SegmentLoad r = SegmentParser::parse(std::move(view));
@@ -333,8 +375,34 @@ loadSegmentFile(const std::string &path)
     return r;
 }
 
+std::string
+SegmentView::checksumMismatch()
+{
+    if (checker.joinable())
+        checker.join();
+    if (computed == fnv)
+        return "";
+    return sim::format("checksum mismatch (stored %016llx, computed "
+                       "%016llx)",
+                       static_cast<unsigned long long>(fnv),
+                       static_cast<unsigned long long>(computed));
+}
+
+bool
+SegmentView::verify(std::string *error)
+{
+    const std::string mismatch = checksumMismatch();
+    if (mismatch.empty())
+        return true;
+    if (error)
+        *error = path.empty() ? mismatch : path + ": " + mismatch;
+    return false;
+}
+
 SegmentView::~SegmentView()
 {
+    if (checker.joinable())
+        checker.join(); // it reads the bytes unmapped below
     if (mapping)
         ::munmap(mapping, mappingLen);
 }

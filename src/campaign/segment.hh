@@ -40,6 +40,8 @@
  * misread: every frame is bounds-checked, record keys must strictly
  * increase, dictionary references must resolve, the declared frames
  * must exactly tile the file, and the trailing checksum must match.
+ * The checksum runs on its own thread while the walk indexes the
+ * records, and a load that fails both reports the checksum.
  */
 
 #ifndef VARSIM_CAMPAIGN_SEGMENT_HH
@@ -48,6 +50,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/store.hh"
@@ -123,6 +126,14 @@ class SegmentView
     /** The trailing whole-file checksum (manifest cross-check). */
     std::uint64_t checksum() const { return fnv; }
 
+    /**
+     * Wait for the whole-file checksum the load started beside its
+     * walk. False, with @p error set as a failed load would set
+     * SegmentLoad::error, when the bytes do not match it. Until this
+     * returns true the view is bounds-checked but not vouched for.
+     */
+    bool verify(std::string *error);
+
     ~SegmentView();
 
     SegmentView(const SegmentView &) = delete;
@@ -146,9 +157,21 @@ class SegmentView
     std::size_t mappingLen = 0;
     std::vector<std::uint8_t> owned; ///< backing when not mapped
 
+    /** Joins the checksum: "" when it matches, else the mismatch. */
+    std::string checksumMismatch();
+
+    std::string path; ///< the file mapped or read; empty when parsed
     std::vector<std::string> dict;
     std::vector<Entry> index; ///< sorted by (group, run)
-    std::uint64_t fnv = 0;
+    std::uint64_t fnv = 0;      ///< the stored trailing checksum
+    std::uint64_t computed = 0; ///< set by checker
+
+    /**
+     * Computes the checksum of the bytes above; joined by verify()
+     * or, for a view dropped unverified, by the destructor before
+     * the bytes go.
+     */
+    std::thread checker;
 };
 
 /** Outcome of loading a segment; never aborts on damage. */
@@ -163,14 +186,17 @@ struct SegmentLoad
 };
 
 /**
- * Validate and index @p bytes (the view takes ownership). Tests and
- * the damage sweeps use this direct form.
+ * Validate and index @p bytes (the view takes ownership), checksum
+ * included. Tests and the damage sweeps use this direct form.
  */
 SegmentLoad parseSegment(std::vector<std::uint8_t> bytes);
 
 /**
- * mmap (falling back to a plain read) and parse @p path. I/O errors
- * land in SegmentLoad.
+ * mmap (falling back to a plain read) and parse @p path. The walk's
+ * damage and I/O errors land in SegmentLoad; the whole-file checksum
+ * is still running on its own thread when this returns, and the
+ * caller awaits it with SegmentView::verify() once it has done what
+ * does not depend on it.
  */
 SegmentLoad loadSegmentFile(const std::string &path);
 

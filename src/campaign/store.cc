@@ -367,6 +367,11 @@ ResultStore::loadSegmentRecord(const sim::JsonLine &obj,
         *gone = file;
         return false;
     }
+    // Damage that fails the cross-checks below fails the checksum
+    // still running too; report the mismatch, as when it ran first.
+    if (l.ok && (l.view->checksum() != declaredFnv ||
+                 l.view->runCount() != declaredRuns))
+        l.ok = l.view->verify(&l.error);
     if (!l.ok)
         sim::fatal("%s:%zu: cannot load compacted segment: %s",
                    path.c_str(), lineNo, l.error.c_str());
@@ -405,6 +410,7 @@ ResultStore::replay(const std::string &path, std::string *gone)
 
     bool sawHeader = false;
     std::size_t lineNo = 0;
+    std::size_t segmentLine = 0;
     std::size_t dropped = 0;
     std::size_t pos = 0;
 
@@ -490,6 +496,7 @@ ResultStore::replay(const std::string &path, std::string *gone)
         } else if (type == "segment") {
             if (!loadSegmentRecord(obj, path, lineNo, gone))
                 return false;
+            segmentLine = lineNo;
         } else if (type == "plan") {
             plan_.valid = true;
             plan_.runLength = obj.num("run_length");
@@ -551,6 +558,10 @@ ResultStore::replay(const std::string &path, std::string *gone)
                       path.c_str(), lineNo, type.c_str());
         }
     }
+    // The segment's checksum ran beside the replay of the tail.
+    if (segment_ && !segment_->verify(&error))
+        sim::fatal("%s:%zu: cannot load compacted segment: %s",
+                   path.c_str(), segmentLine, error.c_str());
     if (!sawHeader)
         sim::fatal("%s has no header record; not a campaign store",
                    path.c_str());
@@ -702,9 +713,23 @@ ResultStore::metricNames() const
     std::set<std::string> extra;
     {
         std::lock_guard<std::mutex> lock(mu);
-        for (const auto &entry : runs)
-            for (const auto &kv : entry.second.metrics)
-                extra.insert(kv.first);
+        // Runs almost always repeat the previous run's names, in the
+        // same order; only a list that differs adds to the set.
+        const RunRecord *prev = nullptr;
+        for (const auto &entry : runs) {
+            const auto &m = entry.second.metrics;
+            const bool repeat =
+                prev && std::equal(m.begin(), m.end(),
+                                   prev->metrics.begin(),
+                                   prev->metrics.end(),
+                                   [](const auto &x, const auto &y) {
+                                       return x.first == y.first;
+                                   });
+            if (!repeat)
+                for (const auto &kv : m)
+                    extra.insert(kv.first);
+            prev = &entry.second;
+        }
         if (segment_)
             for (const std::string &name : segment_->dictionary())
                 extra.insert(name);
@@ -808,8 +833,11 @@ ResultStore::compactLocked()
         ::_exit(137);
 
     // Re-read what was just written: a compaction that cannot
-    // validate its own segment must not rewrite the manifest.
+    // validate its own segment must not rewrite the manifest. Nothing
+    // here can overlap the checksum, so it is awaited at once.
     SegmentLoad l = loadSegmentFile(segDir + "/" + name);
+    if (l.ok)
+        l.ok = l.view->verify(&l.error);
     if (!l.ok)
         sim::fatal("compaction of %s produced an unreadable "
                    "segment: %s", dir_.c_str(), l.error.c_str());

@@ -331,6 +331,9 @@ class ResultStore
     /**
      * Replay manifest lines into the in-memory index; false when
      * loadSegmentRecord() reports a deleted segment through @p gone.
+     * A loaded segment's checksum runs while the journal tail
+     * replays and is awaited before this returns; a mismatch is
+     * fatal.
      */
     bool replay(const std::string &path, std::string *gone);
 

@@ -36,13 +36,19 @@ VariabilityReport::toString() const
 }
 
 VariabilityReport
-analyze(const std::vector<double> &metric)
+analyze(const stats::Summary &summary)
 {
     VariabilityReport r;
-    r.summary = stats::summarize(metric);
-    r.coefficientOfVariation = r.summary.coefficientOfVariation();
-    r.rangeOfVariability = r.summary.rangeOfVariability();
+    r.summary = summary;
+    r.coefficientOfVariation = summary.coefficientOfVariation();
+    r.rangeOfVariability = summary.rangeOfVariability();
     return r;
+}
+
+VariabilityReport
+analyze(const std::vector<double> &metric)
+{
+    return analyze(stats::summarize(metric));
 }
 
 VariabilityReport
@@ -58,7 +64,7 @@ analyze(const std::vector<RunResult> &runs, const std::string &name)
 }
 
 std::string
-ComparisonReport::verdict() const
+Verdict::verdict() const
 {
     const char *winner = bIsBetter ? "B" : "A";
     if (!ciOverlap) {
@@ -92,39 +98,51 @@ ComparisonReport::toString() const
         ttest.pValueOneSided, verdict().c_str());
 }
 
-ComparisonReport
-compare(const std::vector<double> &a, const std::vector<double> &b,
-        double confidence)
+Verdict
+judge(const stats::Summary &a, const stats::Summary &b,
+      double confidence)
 {
-    VARSIM_ASSERT(a.size() >= 2 && b.size() >= 2,
+    VARSIM_ASSERT(a.n >= 2 && b.n >= 2,
                   "compare needs >= 2 runs per configuration");
-    ComparisonReport r;
-    r.a = stats::summarize(a);
-    r.b = stats::summarize(b);
-    r.bIsBetter = r.b.mean <= r.a.mean;
+    Verdict v;
+    v.bIsBetter = b.mean <= a.mean;
 
-    r.wrongConclusionRatio =
-        100.0 * stats::wrongConclusionRatioAuto(a, b);
-
-    r.ciA = stats::meanConfidenceInterval(a, confidence);
-    r.ciB = stats::meanConfidenceInterval(b, confidence);
-    r.ciOverlap = r.ciA.overlaps(r.ciB);
+    v.ciA = stats::meanConfidenceInterval(a, confidence);
+    v.ciB = stats::meanConfidenceInterval(b, confidence);
+    v.ciOverlap = v.ciA.overlaps(v.ciB);
 
     // One-sided test that the worse configuration's true mean
     // exceeds the better one's.
-    const std::vector<double> &worse = r.bIsBetter ? a : b;
-    const std::vector<double> &better = r.bIsBetter ? b : a;
-    r.ttest = worse.size() == better.size()
+    const stats::Summary &worse = v.bIsBetter ? a : b;
+    const stats::Summary &better = v.bIsBetter ? b : a;
+    v.ttest = worse.n == better.n
                   ? stats::pooledTTest(worse, better)
                   : stats::welchTTest(worse, better);
 
     const std::array<double, 5> levels = {0.10, 0.05, 0.025, 0.01,
                                           0.005};
-    r.smallestRejectedAlpha = 1.0;
     for (double alpha : levels) {
-        if (r.ttest.rejectsAtLevel(alpha))
-            r.smallestRejectedAlpha = alpha;
+        if (v.ttest.rejectsAtLevel(alpha))
+            v.smallestRejectedAlpha = alpha;
     }
+    return v;
+}
+
+ComparisonReport
+compare(const std::vector<double> &a, const std::vector<double> &b,
+        double confidence)
+{
+    ComparisonReport r;
+    r.a = stats::summarize(a);
+    r.b = stats::summarize(b);
+    static_cast<Verdict &>(r) = judge(r.a, r.b, confidence);
+
+    // The configuration with the larger mean is the "slower" one
+    // (wrongConclusionRatioAuto's rule, from the means just taken).
+    r.wrongConclusionRatio =
+        100.0 * (r.a.mean >= r.b.mean
+                     ? stats::wrongConclusionRatio(a, b)
+                     : stats::wrongConclusionRatio(b, a));
     return r;
 }
 

@@ -36,23 +36,21 @@ struct VariabilityReport
 VariabilityReport analyze(const std::vector<RunResult> &runs);
 VariabilityReport analyze(const std::vector<double> &metric);
 
+/** The same report from a summary already taken. */
+VariabilityReport analyze(const stats::Summary &summary);
+
 /** Summarize a named metric (see metricOf(results, name)). */
 VariabilityReport analyze(const std::vector<RunResult> &runs,
                           const std::string &name);
 
 /**
- * Full comparison of two configurations A and B per Section 5.1.
+ * The Section 5.1 verdict on configurations A and B, which needs
+ * only each side's summary: the two confidence intervals, whether
+ * they overlap, and the one-sided t-test of the worse mean against
+ * the better.
  */
-struct ComparisonReport
+struct Verdict
 {
-    stats::Summary a, b;
-
-    /**
-     * Fraction of single-run pairs contradicting the mean-based
-     * conclusion (Section 4.1's WCR), in percent.
-     */
-    double wrongConclusionRatio = 0.0;
-
     stats::ConfidenceInterval ciA, ciB;
     bool ciOverlap = true;
 
@@ -70,6 +68,29 @@ struct ComparisonReport
 
     /** Human-readable verdict of the methodology. */
     std::string verdict() const;
+};
+
+/**
+ * Judge summarized samples @p a and @p b (n >= 2 each; "cycles per
+ * transaction": lower is better) at the given confidence level.
+ */
+Verdict judge(const stats::Summary &a, const stats::Summary &b,
+              double confidence = 0.95);
+
+/**
+ * Full comparison of two configurations A and B per Section 5.1: the
+ * verdict plus what only the runs themselves give.
+ */
+struct ComparisonReport : Verdict
+{
+    stats::Summary a, b;
+
+    /**
+     * Fraction of single-run pairs contradicting the mean-based
+     * conclusion (Section 4.1's WCR), in percent.
+     */
+    double wrongConclusionRatio = 0.0;
+
     std::string toString() const;
 };
 

@@ -180,7 +180,7 @@ class CallbackEvent : public Event
 };
 
 /**
- * The event queue: a binary heap ordered by (tick, priority, seq).
+ * The event queue: a 4-ary heap ordered by (tick, priority, seq).
  *
  * Each Simulation owns exactly one queue; there are no global queues,
  * so independent simulations can run concurrently on host threads

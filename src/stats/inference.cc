@@ -5,7 +5,6 @@
 
 #include "sim/logging.hh"
 #include "stats/distributions.hh"
-#include "stats/summary.hh"
 
 namespace varsim
 {
@@ -21,14 +20,19 @@ ConfidenceInterval::overlaps(const ConfidenceInterval &other) const
 ConfidenceInterval
 meanConfidenceInterval(std::span<const double> xs, double confidence)
 {
-    VARSIM_ASSERT(xs.size() >= 2,
+    return meanConfidenceInterval(summarize(xs), confidence);
+}
+
+ConfidenceInterval
+meanConfidenceInterval(const Summary &s, double confidence)
+{
+    VARSIM_ASSERT(s.n >= 2,
                   "confidence interval needs >= 2 samples, got %zu",
-                  xs.size());
-    const Summary s = summarize(xs);
-    const double df = static_cast<double>(xs.size() - 1);
+                  s.n);
+    const double df = static_cast<double>(s.n - 1);
     const double t = tCriticalTwoSided(confidence, df);
     const double half =
-        t * s.stddev / std::sqrt(static_cast<double>(xs.size()));
+        t * s.stddev / std::sqrt(static_cast<double>(s.n));
     return {s.mean, s.mean - half, s.mean + half, confidence};
 }
 
@@ -74,15 +78,19 @@ TTestResult::rejectsAtLevel(double alpha) const
 TTestResult
 pooledTTest(std::span<const double> a, std::span<const double> b)
 {
-    VARSIM_ASSERT(a.size() == b.size(),
+    return pooledTTest(summarize(a), summarize(b));
+}
+
+TTestResult
+pooledTTest(const Summary &sa, const Summary &sb)
+{
+    VARSIM_ASSERT(sa.n == sb.n,
                   "pooledTTest requires equal sample sizes "
                   "(%zu vs %zu); use welchTTest otherwise",
-                  a.size(), b.size());
-    VARSIM_ASSERT(a.size() >= 2, "pooledTTest needs n >= 2");
+                  sa.n, sb.n);
+    VARSIM_ASSERT(sa.n >= 2, "pooledTTest needs n >= 2");
 
-    const double n = static_cast<double>(a.size());
-    const Summary sa = summarize(a);
-    const Summary sb = summarize(b);
+    const double n = static_cast<double>(sa.n);
     const double va = sa.stddev * sa.stddev;
     const double vb = sb.stddev * sb.stddev;
 
@@ -107,12 +115,16 @@ pooledTTest(std::span<const double> a, std::span<const double> b)
 TTestResult
 welchTTest(std::span<const double> a, std::span<const double> b)
 {
-    VARSIM_ASSERT(a.size() >= 2 && b.size() >= 2,
+    return welchTTest(summarize(a), summarize(b));
+}
+
+TTestResult
+welchTTest(const Summary &sa, const Summary &sb)
+{
+    VARSIM_ASSERT(sa.n >= 2 && sb.n >= 2,
                   "welchTTest needs n >= 2 in both samples");
-    const double na = static_cast<double>(a.size());
-    const double nb = static_cast<double>(b.size());
-    const Summary sa = summarize(a);
-    const Summary sb = summarize(b);
+    const double na = static_cast<double>(sa.n);
+    const double nb = static_cast<double>(sb.n);
     const double va = sa.stddev * sa.stddev / na;
     const double vb = sb.stddev * sb.stddev / nb;
 

@@ -26,6 +26,8 @@
 #include <span>
 #include <vector>
 
+#include "stats/summary.hh"
+
 namespace varsim
 {
 namespace stats
@@ -51,6 +53,10 @@ struct ConfidenceInterval
  * (paper equation in Section 5.1.1: ybar +/- t*s/sqrt(n)).
  */
 ConfidenceInterval meanConfidenceInterval(std::span<const double> xs,
+                                          double confidence);
+
+/** As above, from the summary of the sample (n >= 2). */
+ConfidenceInterval meanConfidenceInterval(const Summary &s,
                                           double confidence);
 
 /**
@@ -89,12 +95,18 @@ struct TTestResult
 TTestResult pooledTTest(std::span<const double> a,
                         std::span<const double> b);
 
+/** As above, from the two samples' summaries. */
+TTestResult pooledTTest(const Summary &a, const Summary &b);
+
 /**
  * Welch's two-sample t test: no equal-size or equal-variance
  * assumption. Alternative hypothesis mu_a > mu_b.
  */
 TTestResult welchTTest(std::span<const double> a,
                        std::span<const double> b);
+
+/** As above, from the two samples' summaries. */
+TTestResult welchTTest(const Summary &a, const Summary &b);
 
 /**
  * Wrong conclusion ratio (Section 4.1): given per-run results for a

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
@@ -20,6 +21,7 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -604,6 +606,57 @@ TEST(StoreCompaction, LiveReaderNeverSeesATornStore)
     EXPECT_EQ(reader->groupMetric(0).size(), 40u);
 }
 
+TEST(StoreCompaction, MetricNamesAreTheUnionOfSegmentAndTail)
+{
+    // Segment runs carry one name set; tail runs alternate two
+    // others of the same length, with an empty dump and a reordered
+    // list among them. The listing must be the built-ins plus the
+    // sorted union.
+    using Names = std::vector<std::string>;
+    const Names sets[] = {
+        {"system.kernel.dispatches", "system.mem.bus.l2_misses"},
+        {"system.cpu0.instructions", "system.mem.bus.l2_misses"},
+        {"a.first", "system.mem.l1_miss_ratio"},
+    };
+    const auto withNames = [](std::size_t g, std::size_t i,
+                              const Names &names) {
+        RunRecord r = record(g, i);
+        r.metrics.clear();
+        for (const std::string &n : names)
+            r.metrics.emplace_back(n, i + 0.5);
+        return r;
+    };
+    const std::string dir = freshDir("metricnames");
+    std::set<std::string> names;
+    {
+        auto store =
+            ResultStore::openOrCreate(dir, twoGroupHeader());
+        auto append = [&](const RunRecord &r) {
+            store->appendRun(r);
+            for (const auto &kv : r.metrics)
+                names.insert(kv.first);
+        };
+        for (std::size_t g = 0; g < 2; ++g)
+            for (std::size_t i = 0; i < 4; ++i)
+                append(withNames(g, i, sets[0]));
+        ASSERT_TRUE(store->compact().performed);
+        for (std::size_t g = 0; g < 2; ++g)
+            for (std::size_t i = 4; i < 12; ++i) {
+                Names n = sets[1 + i % 2];
+                if (i == 7)
+                    n.clear();
+                if (i == 10)
+                    std::reverse(n.begin(), n.end());
+                append(withNames(g, i, n));
+            }
+    }
+    Names want = {"cycles_per_txn", "runtime_ticks", "txns"};
+    want.insert(want.end(), names.begin(), names.end());
+    ASSERT_EQ(want.size(), 3u + 5u);
+    EXPECT_EQ(ResultStore::openReadOnly(dir)->metricNames(), want);
+    EXPECT_EQ(ResultStore::open(dir)->metricNames(), want);
+}
+
 TEST(StoreCompaction, ReaderReplaysWhenItsSegmentIsDeleted)
 {
     // A reader that read the manifest just before a compaction
@@ -682,6 +735,89 @@ TEST(StoreCompactionDeathTest, KillNineDuringCompactionLeavesStoreIntact)
     EXPECT_TRUE(res.performed);
     EXPECT_EQ(res.runs, 6u);
     EXPECT_EQ(campaignReport(dir).text, before);
+}
+
+/**
+ * A compacted store of 2 x 4 runs with one journal run after its
+ * segment, whose segment bytes then go through @p damage. Returns
+ * the store directory.
+ */
+template <class Damage>
+std::string
+damagedStore(const std::string &name, Damage damage)
+{
+    const std::string dir = freshDir(name);
+    std::string segPath;
+    {
+        auto store =
+            ResultStore::openOrCreate(dir, twoGroupHeader());
+        for (const RunRecord &r : sampleRecords())
+            store->appendRun(r);
+        segPath = dir + "/" + store->compact().segmentFile;
+        store->appendRun(record(0, 4));
+    }
+    std::vector<std::uint8_t> bytes;
+    {
+        std::ifstream f(segPath, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(f), {});
+    }
+    damage(bytes);
+    std::ofstream f(segPath, std::ios::binary | std::ios::trunc);
+    f.write(reinterpret_cast<const char *>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+    return dir;
+}
+
+/** Both opens of @p dir die reporting the segment's checksum. */
+void
+expectBothOpensDieOfChecksum(const std::string &dir)
+{
+    EXPECT_DEATH(ResultStore::openReadOnly(dir),
+                 "cannot load compacted segment: .*checksum mismatch");
+    EXPECT_DEATH(ResultStore::open(dir),
+                 "cannot load compacted segment: .*checksum mismatch");
+}
+
+TEST(StoreCompactionDeathTest, FlippedRecordKeyIsAChecksumMismatch)
+{
+    // The last record's run index gains 2^48: keys still increase,
+    // so the walk indexes it and only the checksum, awaited after
+    // the journal tail's replay, catches the damage.
+    expectBothOpensDieOfChecksum(
+        damagedStore("flipkey", [](std::vector<std::uint8_t> &b) {
+            const std::size_t lastRecord =
+                b.size() - 8 - (8 * 8 + 4 + 2 * 12);
+            b[lastRecord + 8 + 6] ^= 1;
+        }));
+}
+
+TEST(StoreCompactionDeathTest, FlippedDictionaryIsAChecksumMismatch)
+{
+    // The first metric name's first byte, after its u32 length.
+    expectBothOpensDieOfChecksum(
+        damagedStore("flipdict", [](std::vector<std::uint8_t> &b) {
+            b[32 + 4] ^= 0x20;
+        }));
+}
+
+TEST(StoreCompactionDeathTest, FlippedChecksumIsAChecksumMismatch)
+{
+    // The stored checksum no longer matches the manifest either;
+    // the mismatch with the bytes is what is reported.
+    expectBothOpensDieOfChecksum(
+        damagedStore("flipfnv", [](std::vector<std::uint8_t> &b) {
+            b[b.size() - 3] ^= 0x80;
+        }));
+}
+
+TEST(StoreCompactionDeathTest, TruncatedSegmentIsAChecksumMismatch)
+{
+    // The walk fails too; the checksum's verdict wins, as when it
+    // ran before the walk.
+    expectBothOpensDieOfChecksum(
+        damagedStore("truncated", [](std::vector<std::uint8_t> &b) {
+            b.resize(b.size() / 2);
+        }));
 }
 
 TEST(StoreCompactionDeathTest, MissingSegmentIsFatal)

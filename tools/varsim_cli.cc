@@ -39,7 +39,8 @@
  * Common options:
  *   --workload <name>      oltp|apache|specjbb|slashcode|ecperf|
  *                          barnes|ocean            (default oltp)
- *   --runs <n>             runs per configuration  (default 10)
+ *   --runs <n>             runs per configuration  (default 10;
+ *                          at most 2^20, a campaign's seed stride)
  *   --warmup <txns>        warmup transactions     (default 100)
  *   --txns <txns>          measured transactions   (default: the
  *                          workload's Table 3 count)
@@ -402,12 +403,13 @@ cmdRun(const Args &args)
 {
     campaign::SpecFields f = systemFieldsFromArgs(args);
     runFieldsFromArgs(args, f);
+    f.fixedRuns = args.num("runs", 10);
     const auto spec = buildSpecOrDie(f);
     const auto &sys = spec.configs.front().sys;
     const auto &wl = spec.wl;
     const auto &rc = spec.run;
     core::ExperimentConfig exp;
-    exp.numRuns = args.num("runs", 10);
+    exp.numRuns = spec.stop.fixedRuns;
     exp.baseSeed = args.num("seed", 1000);
     const std::string statsPath = args.str("stats", "");
     args.rejectUnread("varsim run");
@@ -500,6 +502,7 @@ cmdCompare(const Args &args)
     campaign::SpecFields fb = systemFieldsFromArgs(args, "-b");
     runFieldsFromArgs(args, fa);
     runFieldsFromArgs(args, fb);
+    fa.fixedRuns = fb.fixedRuns = args.num("runs", 10);
     const auto specA = buildSpecOrDie(fa);
     const auto specB = buildSpecOrDie(fb);
     const auto &sysA = specA.configs.front().sys;
@@ -507,7 +510,7 @@ cmdCompare(const Args &args)
     const auto &wl = specA.wl;
     const auto &rc = specA.run;
     core::ExperimentConfig exp;
-    exp.numRuns = args.num("runs", 10);
+    exp.numRuns = specA.stop.fixedRuns;
     exp.baseSeed = args.num("seed", 1000);
     args.rejectUnread("varsim compare");
     if (exp.numRuns < 2)
@@ -553,12 +556,13 @@ cmdAnova(const Args &args)
     f.checkpointStep = args.num("step", f.checkpointStep);
     f.strategy = args.str("strategy", f.strategy);
     f.baseSeed = args.num("seed", f.baseSeed);
+    f.fixedRuns = args.num("runs", 6);
     const auto spec = buildSpecOrDie(f);
     const auto &sys = spec.configs.front().sys;
     const auto &wl = spec.wl;
     const std::size_t numCkpts = spec.numCheckpoints;
     const std::uint64_t lifetime = spec.checkpointStep * numCkpts;
-    const std::size_t runs = args.num("runs", 6);
+    const std::size_t runs = spec.stop.fixedRuns;
     args.rejectUnread("varsim anova");
     if (numCkpts < 2 || runs < 2)
         sim::fatal("anova needs --checkpoints >= 2 and --runs >= 2 "
@@ -602,12 +606,13 @@ cmdPlan(const Args &args)
 {
     campaign::SpecFields f = systemFieldsFromArgs(args);
     f.warmupTxns = args.num("warmup", f.warmupTxns);
+    f.fixedRuns = args.num("runs", 6);
     const auto spec = buildSpecOrDie(f);
     const std::uint64_t budget = args.num("budget", 20000);
     std::vector<std::uint64_t> lengths = args.all("pilot");
     if (lengths.empty())
         lengths = {50, 150, 400};
-    const std::size_t pilotRuns = args.num("runs", 6);
+    const std::size_t pilotRuns = spec.stop.fixedRuns;
     args.rejectUnread("varsim plan");
     if (budget < 3)
         sim::fatal("plan needs --budget >= 3 (it keeps at least 3 "
