@@ -209,7 +209,7 @@ campaignReport(const std::string &dir, double confidence)
         // one, so the reader sees how much of the spread the
         // estimator itself contributes.
         const auto sEnabled =
-            store->groupMetricNamed(g, "sim.sampled.enabled");
+            store->groupMetricNamed(g, "sim.sampled.enabled", 1);
         if (!sEnabled.empty() && sEnabled.front() != 0.0) {
             const auto sLo = store->groupMetricNamed(
                 g, "sim.sampled.cpt_lo");

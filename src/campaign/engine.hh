@@ -32,12 +32,6 @@
 
 namespace varsim
 {
-
-namespace ckpt
-{
-class CheckpointLibrary;
-}
-
 namespace campaign
 {
 
@@ -62,23 +56,14 @@ struct CampaignOptions
     /**
      * Persistent checkpoint-library directory. Empty: warm-up
      * checkpoints are rebuilt in memory per invocation (classic
-     * behavior). Set: the library is consulted before any warm-up
-     * re-simulation and misses are published for the next process;
-     * safe to share between concurrent shards. Never changes run
-     * results — a restored snapshot is bit-identical to a re-warmed
-     * one.
+     * behavior). Set: a campaign that plans checkpoints opens its
+     * own handle on the library, consults it before any warm-up
+     * re-simulation and publishes misses for the next process;
+     * safe to share between concurrent shards, campaigns and
+     * daemon tenants. Never changes run results — a restored
+     * snapshot is bit-identical to a re-warmed one.
      */
     std::string ckptDir;
-
-    /**
-     * Borrowed, already-open checkpoint library (overrides ckptDir
-     * for access; ckptDir is still what gets recorded in the
-     * store's stats). The serve daemon hands every tenant's
-     * campaign the same instance so they share one on-disk cache,
-     * one advisory lock, and one pin table. Must outlive the
-     * campaign. nullptr: open ckptDir privately (CLI behavior).
-     */
-    ckpt::CheckpointLibrary *sharedLibrary = nullptr;
 
     /** Print per-round progress to stdout. */
     bool verbose = false;

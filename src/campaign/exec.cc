@@ -151,9 +151,11 @@ effectiveSpec(const CampaignSpec &spec, const PlanRecord &plan)
 class CheckpointWarmer
 {
   public:
+    /** @p lib may be null: checkpoints are then rebuilt in memory. */
     CheckpointWarmer(const CampaignSpec &spec,
-                     const CampaignOptions &opt)
-        : spec(spec), opt(opt)
+                     const CampaignOptions &opt,
+                     std::unique_ptr<ckpt::CheckpointLibrary> lib)
+        : spec(spec), opt(opt), lib(std::move(lib))
     {
         if (!spec.numCheckpoints)
             return;
@@ -163,18 +165,6 @@ class CheckpointWarmer
             spec.numCheckpoints, spec.baseSeed);
         cps.resize(spec.configs.size());
         ready.assign(spec.configs.size(), 0);
-        if (opt.sharedLibrary) {
-            lib = opt.sharedLibrary;
-        } else if (!opt.ckptDir.empty()) {
-            owned = ckpt::CheckpointLibrary::open(opt.ckptDir);
-            lib = owned.get();
-        }
-    }
-
-    ~CheckpointWarmer()
-    {
-        for (const std::string &hex : pinnedDigests)
-            lib->unpin(hex);
     }
 
     /**
@@ -198,9 +188,6 @@ class CheckpointWarmer
         // once (independent reads and checksums), but a hit beyond a
         // miss is unusable: the warmer must re-simulate *through* the
         // missing position, which re-derives the later ones anyway.
-        // Every restored object is pinned for the warmer's lifetime:
-        // another tenant's gc must not evict an object this campaign
-        // restores from.
         std::size_t prefix = 0;
         if (lib) {
             std::vector<char> hit(positions.size(), 0);
@@ -210,8 +197,8 @@ class CheckpointWarmer
                     hit[i] = lib->fetch(
                         keyFor(c, warmSeed, positions[i]), dst[i]);
                 });
-            for (; prefix < positions.size() && hit[prefix]; ++prefix)
-                pin(keyFor(c, warmSeed, positions[prefix]));
+            while (prefix < positions.size() && hit[prefix])
+                ++prefix;
         }
         restored += prefix;
         if (prefix == positions.size()) {
@@ -244,14 +231,8 @@ class CheckpointWarmer
             done = positions[i];
             dst[i] = warmer->checkpoint();
             ++warmed;
-            if (lib) {
-                const auto key =
-                    keyFor(c, warmSeed, positions[i]);
-                // Pin before publishing: no gc window between the
-                // object landing on disk and the pin existing.
-                pin(key);
-                lib->publish(key, dst[i]);
-            }
+            if (lib)
+                lib->publish(keyFor(c, warmSeed, positions[i]), dst[i]);
         }
     }
 
@@ -265,20 +246,12 @@ class CheckpointWarmer
         return cps[config][ck];
     }
 
-    ckpt::CheckpointLibrary *library() const { return lib; }
+    const ckpt::CheckpointLibrary *library() const { return lib.get(); }
 
     std::size_t restoredCount() const { return restored; }
     std::size_t warmedCount() const { return warmed; }
 
   private:
-    /** Pin @p key's object until the warmer dies. */
-    void
-    pin(const ckpt::CheckpointKey &key)
-    {
-        lib->pin(key.digestHex());
-        pinnedDigests.push_back(key.digestHex());
-    }
-
     ckpt::CheckpointKey
     keyFor(std::size_t c, std::uint64_t warmSeed,
            std::uint64_t position) const
@@ -296,9 +269,7 @@ class CheckpointWarmer
     std::vector<std::uint64_t> positions;
     std::vector<std::vector<core::Checkpoint>> cps;
     std::vector<char> ready;
-    std::unique_ptr<ckpt::CheckpointLibrary> owned;
-    ckpt::CheckpointLibrary *lib = nullptr;
-    std::vector<std::string> pinnedDigests;
+    std::unique_ptr<ckpt::CheckpointLibrary> lib;
     std::size_t restored = 0;
     std::size_t warmed = 0;
 };
@@ -314,7 +285,8 @@ warmCampaignCheckpoints(const CampaignSpec &spec,
     if (opt.ckptDir.empty())
         sim::fatal("pre-warming needs a library directory");
 
-    CheckpointWarmer warmer(spec, opt);
+    CheckpointWarmer warmer(spec, opt,
+                            ckpt::CheckpointLibrary::open(opt.ckptDir));
     for (std::size_t c = 0; c < spec.configs.size(); ++c)
         warmer.ensureConfig(c);
 
@@ -357,8 +329,14 @@ Execution::tryCreate(const CampaignSpec &spec,
         plan = planTheBudget(spec, *ex->store, ex->opt);
     ex->eff = effectiveSpec(spec, plan);
 
-    ex->warmer = std::make_unique<CheckpointWarmer>(ex->eff,
-                                                    ex->opt);
+    std::unique_ptr<ckpt::CheckpointLibrary> lib;
+    if (ex->eff.numCheckpoints && !opt.ckptDir.empty()) {
+        lib = ckpt::CheckpointLibrary::tryOpen(opt.ckptDir, err);
+        if (!lib)
+            return nullptr;
+    }
+    ex->warmer = std::make_unique<CheckpointWarmer>(ex->eff, ex->opt,
+                                                    std::move(lib));
     return ex;
 }
 

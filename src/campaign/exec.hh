@@ -52,10 +52,11 @@ class Execution
     /**
      * Open (or create) the store at @p dir for @p spec and prepare
      * to execute. Runs the budget-planning pilots synchronously when
-     * the spec has a budget and the store no recorded plan. Returns
-     * nullptr with @p err set on a bad spec, a locked store, or a
-     * fingerprint mismatch — the daemon turns that into an error
-     * reply; runCampaign() turns it into fatal().
+     * the spec has a budget and the store no recorded plan, then
+     * opens opt.ckptDir when the spec plans checkpoints. Returns
+     * nullptr with @p err set on a bad spec, a locked store, a
+     * fingerprint mismatch or a library it cannot open — the daemon
+     * fails that campaign; runCampaign() turns it into fatal().
      */
     static std::unique_ptr<Execution>
     tryCreate(const CampaignSpec &spec, const std::string &dir,

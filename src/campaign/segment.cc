@@ -63,13 +63,13 @@ failure(const std::string &why)
 } // anonymous namespace
 
 std::vector<std::uint8_t>
-buildSegment(const std::vector<RunRecord> &records)
+buildSegment(const std::vector<const RunRecord *> &records)
 {
     // Dictionary: sorted unique metric names across all records,
     // built from the distinct names (runs mostly repeat one set).
     std::unordered_set<std::string_view> seen;
-    for (const RunRecord &r : records)
-        for (const auto &kv : r.metrics)
+    for (const RunRecord *r : records)
+        for (const auto &kv : r->metrics)
             seen.insert(kv.first);
     std::vector<std::string> dict(seen.begin(), seen.end());
     std::sort(dict.begin(), dict.end());
@@ -82,8 +82,8 @@ buildSegment(const std::vector<RunRecord> &records)
 
     std::size_t metricPairs = 0;
     std::size_t dictBytes = 0;
-    for (const RunRecord &r : records)
-        metricPairs += r.metrics.size();
+    for (const RunRecord *r : records)
+        metricPairs += r->metrics.size();
     for (const std::string &name : dict)
         dictBytes += 4 + name.size();
 
@@ -106,7 +106,8 @@ buildSegment(const std::vector<RunRecord> &records)
         out.insert(out.end(), name.begin(), name.end());
     }
 
-    for (const RunRecord &r : records) {
+    for (const RunRecord *rec : records) {
+        const RunRecord &r = *rec;
         putLe<std::uint64_t>(out, r.group);
         putLe<std::uint64_t>(out, r.runIdx);
         putLe<std::uint64_t>(out, r.configIdx);

@@ -67,7 +67,7 @@ constexpr std::uint32_t kSegmentVersion = 1;
  * segment bytes with an empty legacy footer.
  */
 std::vector<std::uint8_t>
-buildSegment(const std::vector<RunRecord> &records);
+buildSegment(const std::vector<const RunRecord *> &records);
 
 /**
  * A parsed, validated segment. Read-only and immutable: accessors

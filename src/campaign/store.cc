@@ -228,6 +228,35 @@ ResultStore::walkPrefixLocked(std::size_t g, std::size_t maxRuns,
     }
 }
 
+template <class Visit>
+void
+ResultStore::walkAllLocked(Visit &&visit) const
+{
+    // One merge of the two sorted indexes; a key in both is the
+    // tail's (replay refuses the manifest order that could put one
+    // there).
+    std::size_t seg = 0;
+    auto segmentUpTo = [&](std::size_t end) {
+        for (; seg < end; ++seg) {
+            RunLoc loc;
+            loc.seg = {seg};
+            visit(loc);
+        }
+    };
+    for (const auto &entry : runs) {
+        const auto [g, i] = entry.first;
+        if (segment_) {
+            segmentUpTo(segment_->lowerBound(g, i));
+            if (segment_->at(seg, g, i).valid())
+                ++seg;
+        }
+        RunLoc loc;
+        loc.tail = &entry.second;
+        visit(loc);
+    }
+    segmentUpTo(segment_ ? segment_->runCount() : 0);
+}
+
 std::unique_ptr<ResultStore>
 ResultStore::openWriter(const std::string &dir,
                         const StoreHeader *create, std::string *err)
@@ -494,6 +523,14 @@ ResultStore::replay(const std::string &path, std::string *gone)
             header_.configNames = obj.list("configs");
             sawHeader = true;
         } else if (type == "segment") {
+            // Compaction writes the segment record before any run of
+            // the new journal tail, so a run in both indexes means a
+            // hand-merged manifest.
+            if (!runs.empty())
+                sim::fatal("%s:%zu: a segment record after run "
+                           "records; a compacted manifest names its "
+                           "segment before its journal tail",
+                           path.c_str(), lineNo);
             if (!loadSegmentRecord(obj, path, lineNo, gone))
                 return false;
             segmentLine = lineNo;
@@ -758,33 +795,6 @@ ResultStore::appendCkptStats(const CkptStatsRecord &rec)
     appendLine(ckptStatsLineFor(ckpt_));
 }
 
-std::vector<RunRecord>
-ResultStore::allRunsSortedLocked() const
-{
-    std::vector<RunRecord> out;
-    if (segment_)
-        for (std::size_t i = 0; i < segment_->runCount(); ++i)
-            out.push_back(segment_->materialize({i}));
-    for (const auto &entry : runs)
-        out.push_back(entry.second);
-    const auto key = [](const RunRecord &r) {
-        return std::make_pair(r.group, r.runIdx);
-    };
-    std::stable_sort(out.begin(), out.end(),
-                     [&](const RunRecord &a, const RunRecord &b) {
-                         return key(a) < key(b);
-                     });
-    // Keys are disjoint by construction (replay and append both
-    // drop duplicates); keep the first of any pair regardless so a
-    // hand-merged manifest cannot produce an unparseable segment.
-    out.erase(std::unique(out.begin(), out.end(),
-                          [&](const RunRecord &a, const RunRecord &b) {
-                              return key(a) == key(b);
-                          }),
-              out.end());
-    return out;
-}
-
 void
 ResultStore::maybeAutoCompactLocked()
 {
@@ -807,7 +817,17 @@ ResultStore::compactLocked()
     if (runs.empty())
         return res; // already one segment (or nothing recorded)
 
-    const std::vector<RunRecord> all = allRunsSortedLocked();
+    // Tail runs are read in place; segment runs are materialized
+    // into storage reserved up front, so the pointers stay valid.
+    std::vector<RunRecord> segmentRuns;
+    segmentRuns.reserve(segment_ ? segment_->runCount() : 0);
+    std::vector<const RunRecord *> all;
+    all.reserve(segmentRuns.capacity() + runs.size());
+    walkAllLocked([&](const RunLoc &loc) {
+        if (!loc.tail)
+            segmentRuns.push_back(segment_->materialize(loc.seg));
+        all.push_back(loc.tail ? loc.tail : &segmentRuns.back());
+    });
     const std::vector<std::uint8_t> bytes = buildSegment(all);
 
     const std::string segDir = dir_ + "/segments";
@@ -910,16 +930,28 @@ ResultStore::exportJsonl(std::ostream &os) const
     if (ckpt_.valid)
         os << ckptStatsLineFor(ckpt_) << '\n';
     // Canonical key order: freshly appended records carry metrics in
-    // registration order while compacted ones come back name-sorted,
-    // so sorting here makes the exported bytes independent of when
-    // (or whether) the store was compacted.
-    for (RunRecord r : allRunsSortedLocked()) {
+    // registration order while replayed and compacted ones come back
+    // name-sorted, so sorting here makes the exported bytes
+    // independent of when (or whether) the store was compacted. Only
+    // a record out of order is copied to sort it.
+    auto emit = [&](const RunRecord &r) {
         os << runLineFor(r) << '\n';
-        if (!r.metrics.empty()) {
-            std::sort(r.metrics.begin(), r.metrics.end());
+        if (r.metrics.empty())
+            return;
+        if (std::is_sorted(r.metrics.begin(), r.metrics.end())) {
             os << metricsLineFor(r) << '\n';
+            return;
         }
-    }
+        RunRecord sorted = r;
+        std::sort(sorted.metrics.begin(), sorted.metrics.end());
+        os << metricsLineFor(sorted) << '\n';
+    };
+    walkAllLocked([&](const RunLoc &loc) {
+        if (loc.tail)
+            emit(*loc.tail);
+        else
+            emit(segment_->materialize(loc.seg));
+    });
 }
 
 ResultStore::~ResultStore()

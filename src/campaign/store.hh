@@ -26,8 +26,10 @@
  * In memory a store is the journal tail (a map by (group, run)) and
  * the one segment's sorted index. Every per-group query is one walk
  * over the group's contiguous run prefix with two cursors, one in
- * each index, reading segment runs in place; a run in both is the
- * tail's.
+ * each index, reading segment runs in place; export and compaction
+ * merge the two indexes whole. Replay refuses a segment record after
+ * a run record, the one manifest order that could put a run in both
+ * indexes; a run in both would be the tail's.
  *
  * The store is the campaign's only authority on what has already
  * happened: the scheduler asks it which (group, run) cells exist and
@@ -364,9 +366,12 @@ class ResultStore
     void walkPrefixLocked(std::size_t g, std::size_t maxRuns,
                           Visit &&visit) const;
 
+    /** @p visit every run once, in (group, run) order. */
+    template <class Visit>
+    void walkAllLocked(Visit &&visit) const;
+
     CompactResult compactLocked();
     void maybeAutoCompactLocked();
-    std::vector<RunRecord> allRunsSortedLocked() const;
     /** @} */
 
     std::string dir_;

@@ -101,15 +101,21 @@ GcReport::toString() const
 }
 
 std::unique_ptr<CheckpointLibrary>
-CheckpointLibrary::open(const std::string &dir)
+CheckpointLibrary::tryOpen(const std::string &dir, std::string *err)
 {
+    auto fail = [&](std::string msg) {
+        if (err)
+            *err = std::move(msg);
+        return std::unique_ptr<CheckpointLibrary>();
+    };
+
     std::unique_ptr<CheckpointLibrary> lib(new CheckpointLibrary);
     lib->dir_ = dir;
     std::error_code ec;
     fs::create_directories(lib->objectsDir(), ec);
     if (ec)
-        sim::fatal("cannot create checkpoint library %s: %s",
-                   dir.c_str(), ec.message().c_str());
+        return fail(sim::format("cannot create checkpoint library %s: %s",
+                                dir.c_str(), ec.message().c_str()));
 
     // Reader/writer coexistence is by design (atomic, immutable
     // objects); the shared lock only excludes gc, whose
@@ -118,18 +124,28 @@ CheckpointLibrary::open(const std::string &dir)
     const std::string lockPath = dir + "/.lock";
     lib->lockFd = ::open(lockPath.c_str(), O_RDWR | O_CREAT, 0644);
     if (lib->lockFd < 0)
-        sim::fatal("cannot open %s: %s", lockPath.c_str(),
-                   std::strerror(errno));
+        return fail(sim::format("cannot open %s: %s", lockPath.c_str(),
+                                std::strerror(errno)));
     if (::flock(lib->lockFd, LOCK_SH | LOCK_NB) != 0) {
         if (errno == EWOULDBLOCK)
-            sim::fatal(
+            return fail(sim::format(
                 "checkpoint library %s is locked exclusively "
                 "(a gc sweep in progress?); retry when it "
-                "finishes", dir.c_str());
-        sim::fatal("cannot lock checkpoint library %s: %s",
-                   dir.c_str(), std::strerror(errno));
+                "finishes", dir.c_str()));
+        return fail(sim::format("cannot lock checkpoint library %s: %s",
+                                dir.c_str(), std::strerror(errno)));
     }
 
+    return lib;
+}
+
+std::unique_ptr<CheckpointLibrary>
+CheckpointLibrary::open(const std::string &dir)
+{
+    std::string err;
+    auto lib = tryOpen(dir, &err);
+    if (!lib)
+        sim::fatal("%s", err.c_str());
     return lib;
 }
 
@@ -141,20 +157,7 @@ CheckpointLibrary::objectPath(const std::string &digestHex) const
 
 bool
 CheckpointLibrary::fetch(const CheckpointKey &key,
-                         core::Checkpoint &cp)
-{
-    // Objects are immutable once renamed into place, so the load
-    // itself needs no lock: concurrent fetches read in parallel and
-    // mu covers only the traffic counters.
-    const bool hit = load(key, cp);
-    std::lock_guard<std::mutex> lock(mu);
-    ++(hit ? hits : misses);
-    return hit;
-}
-
-bool
-CheckpointLibrary::load(const CheckpointKey &key,
-                        core::Checkpoint &cp) const
+                         core::Checkpoint &cp) const
 {
     const std::string path = objectPath(key.digestHex());
     std::error_code ec;
@@ -187,7 +190,6 @@ CheckpointLibrary::publish(const CheckpointKey &key,
                   "format %u)", cp.format, kArchiveVersion);
     const std::string hex = key.digestHex();
 
-    std::lock_guard<std::mutex> lock(mu);
     // Already on disk: an earlier run, or another shard won the race
     // with identical bytes.
     std::error_code ec;
@@ -208,7 +210,6 @@ CheckpointLibrary::publish(const CheckpointKey &key,
                   "without it: %s", error.c_str());
         return false;
     }
-    ++published;
     return true;
 }
 
@@ -240,10 +241,6 @@ CheckpointLibrary::stats() const
         ++st.entries;
         st.bytes += o.bytes;
     }
-    std::lock_guard<std::mutex> lock(mu);
-    st.hits = hits;
-    st.misses = misses;
-    st.published = published;
     return st;
 }
 
@@ -269,37 +266,9 @@ CheckpointLibrary::verify() const
     return rep;
 }
 
-void
-CheckpointLibrary::pin(const std::string &digestHex)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    ++pins[digestHex];
-}
-
-void
-CheckpointLibrary::unpin(const std::string &digestHex)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    const auto it = pins.find(digestHex);
-    VARSIM_ASSERT(it != pins.end(),
-                  "unpin of %s without a matching pin",
-                  digestHex.c_str());
-    if (--it->second == 0)
-        pins.erase(it);
-}
-
-bool
-CheckpointLibrary::pinned(const std::string &digestHex) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return pins.count(digestHex) > 0;
-}
-
 GcReport
 CheckpointLibrary::gc(std::uint64_t maxBytes)
 {
-    std::lock_guard<std::mutex> lock(mu);
-
     // Upgrade to the exclusive library lock for the sweep. Any other
     // open of this library — another process's fetch/publish, or a
     // second in-process open — holds the shared lock and blocks the
@@ -345,14 +314,10 @@ CheckpointLibrary::gc(std::uint64_t maxBytes)
         kept.push_back(std::move(o));
     }
 
-    // 3. Size cap: evict the oldest objects first, but never one some
-    // in-process user has pinned (a restore in flight, a warmer about
-    // to fetch) — eviction moves on to the next oldest instead.
+    // 3. Size cap: evict the oldest objects first.
     for (const ScannedObject &o : kept) {
         if (!maxBytes || total <= maxBytes)
             break;
-        if (pins.count(o.digestHex))
-            continue;
         fs::remove(o.path, ec);
         total -= o.bytes;
         rep.bytesFreed += o.bytes;

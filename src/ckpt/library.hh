@@ -38,9 +38,7 @@
 #define VARSIM_CKPT_LIBRARY_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -75,20 +73,11 @@ struct LibraryEntry
     std::uint32_t format = 0;
 };
 
-/** Aggregate counters: persistent size plus this-session traffic. */
+/** What the library holds on disk. */
 struct LibraryStats
 {
     std::size_t entries = 0;
     std::uint64_t bytes = 0;
-
-    /** fetch() calls served from disk this session. */
-    std::size_t hits = 0;
-
-    /** fetch() calls that found nothing usable this session. */
-    std::size_t misses = 0;
-
-    /** publish() calls that wrote a new object this session. */
-    std::size_t published = 0;
 };
 
 /** What verify() found. */
@@ -139,15 +128,23 @@ class CheckpointLibrary
 {
   public:
     /**
-     * Open @p dir, creating the layout on first use.
+     * Open @p dir, creating the layout on first use; nullptr with
+     * @p err set when the directory cannot be created or the lock
+     * cannot be taken.
      *
      * Every open holds a shared advisory flock(2) on `<dir>/.lock`
-     * for the library's lifetime. gc() needs the exclusive lock, so a
-     * maintenance sweep cannot run while any process — a serve
-     * daemon, a campaign shard — has the library open, and vice
-     * versa; both sides fail fast with a clear message instead of
-     * deleting objects out from under a restore.
+     * for the handle's lifetime; it is the handle's only state.
+     * gc() needs the lock exclusively, so a maintenance sweep cannot
+     * run while any process — a serve daemon, a campaign, a shard —
+     * has the library open, and vice versa; both sides fail fast
+     * with a clear message instead of deleting objects out from
+     * under a restore. A served campaign opens its library with
+     * this, so a library it cannot open fails that campaign alone.
      */
+    static std::unique_ptr<CheckpointLibrary>
+    tryOpen(const std::string &dir, std::string *err);
+
+    /** tryOpen(), fatal on failure. */
     static std::unique_ptr<CheckpointLibrary>
     open(const std::string &dir);
 
@@ -157,11 +154,10 @@ class CheckpointLibrary
      * Look up @p key; on a hit, fill @p cp with the stored snapshot
      * and return true. A corrupt or mismatched object is a miss
      * (with a warning), never an abort: the caller re-warms. Safe to
-     * call from many threads at once: the archive is read, checked
-     * and unpacked without the library lock, which covers only the
-     * hit/miss counters.
+     * call from many threads at once: objects are immutable once
+     * published, so nothing is shared but the files.
      */
-    bool fetch(const CheckpointKey &key, core::Checkpoint &cp);
+    bool fetch(const CheckpointKey &key, core::Checkpoint &cp) const;
 
     /**
      * Store @p cp under @p key. Returns true when a new object was
@@ -177,7 +173,7 @@ class CheckpointLibrary
     /** Every object on disk, oldest first. */
     std::vector<LibraryEntry> entries() const;
 
-    /** Object count and bytes on disk, plus this session's traffic. */
+    /** Object count and bytes on disk. */
     LibraryStats stats() const;
 
     /**
@@ -187,27 +183,13 @@ class CheckpointLibrary
     VerifyReport verify() const;
 
     /**
-     * Pin @p digestHex: gc() will not evict the object while any
-     * pin is outstanding. Pins nest (a count per digest) and are
-     * in-process only — cross-process protection is the `.lock`
-     * flock, which excludes gc entirely while the library is open
-     * elsewhere. Pinning an unknown digest is fine (it protects a
-     * publication about to land).
-     */
-    void pin(const std::string &digestHex);
-
-    /** Release one pin of @p digestHex. */
-    void unpin(const std::string &digestHex);
-
-    /** True while @p digestHex has outstanding pins. */
-    bool pinned(const std::string &digestHex) const;
-
-    /**
      * Sweep temporary debris from killed writers and corrupt
      * objects; when @p maxBytes is nonzero, evict the oldest objects
-     * until the library fits, skipping pinned ones. Deletes an older
-     * build's `index.jsonl`. Fatal when another process holds the
-     * library open (needs the exclusive `.lock`).
+     * until the library fits. Deletes an older build's
+     * `index.jsonl`. Fatal when any other handle, in this process or
+     * another, holds the library open (needs the exclusive `.lock`);
+     * a publish() on this same handle must not overlap it, since the
+     * sweep removes writers' temporaries.
      */
     GcReport gc(std::uint64_t maxBytes = 0);
 
@@ -222,19 +204,8 @@ class CheckpointLibrary
     std::string objectsDir() const { return dir_ + "/objects"; }
     std::string objectPath(const std::string &digestHex) const;
 
-    /** fetch() without the counters: read, check, unpack. */
-    bool load(const CheckpointKey &key, core::Checkpoint &cp) const;
-
     std::string dir_;
     int lockFd = -1; ///< shared flock on <dir>/.lock while open
-
-    /** Guards pins and counters, and orders publish() against gc();
-     *  fetch() loads its object without it. */
-    mutable std::mutex mu;
-    std::map<std::string, std::size_t> pins; ///< digest -> count
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t published = 0;
 };
 
 } // namespace ckpt

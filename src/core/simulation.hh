@@ -98,9 +98,6 @@ class Simulation : public os::TxnSink
      */
     void setFastMode(bool on);
 
-    /** True while CPUs run the functional-warming fast engine. */
-    bool fastMode() const { return fastMode_; }
-
     /**
      * Sampled-estimate slots read by the sim.sampled.* metrics. The
      * sampling controller fills them; they stay zero (enabled=0) on

@@ -24,7 +24,6 @@
 #include "core/simulation.hh"
 #include "stats/anova2.hh"
 #include "stats/distributions.hh"
-#include "stats/histogram.hh"
 #include "stats/table.hh"
 #include "workload/workload.hh"
 

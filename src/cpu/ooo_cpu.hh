@@ -71,14 +71,6 @@ class OoOCpu : public BaseCpu
     /** Drop completed entries from the ROB front. */
     void retireCompleted();
 
-    /**
-     * Enforce the ROB-window and MSHR limits before dispatching the
-     * instruction at instrIdx.
-     * @return true if dispatch may proceed; false if stalled (a wait
-     *         state has been entered or a pay event scheduled).
-     */
-    bool windowAllowsDispatch();
-
     /** Advance the dispatch frontier by @p n instructions. */
     void addDispatch(std::uint64_t n);
 

@@ -47,9 +47,6 @@ class L2Controller : public sim::SimObject
     /** Wire up this node's L1s (for fills and back-probes). */
     void setL1s(L1Cache *icache, L1Cache *dcache);
 
-    /** This node's id on the bus. */
-    int nodeId() const { return node; }
-
     /**
      * Request from a local L1: obtain @p block_addr with read
      * (needWritable=false) or write permission. The L1 receives

@@ -531,12 +531,6 @@ Kernel::unserialize(sim::CheckpointIn &cp)
 }
 
 void
-Kernel::reattachAfterRestore()
-{
-    // Retained for API compatibility; unserialize() reattaches.
-}
-
-void
 Kernel::regStats(sim::statistics::Registry &r)
 {
     const std::string &n = name();

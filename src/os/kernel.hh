@@ -182,12 +182,6 @@ class Kernel : public sim::SimObject, public cpu::CpuHost
     void unserialize(sim::CheckpointIn &cp) override;
     void regStats(sim::statistics::Registry &r) override;
 
-    /**
-     * Re-attach restored running threads to their CPUs. Call after
-     * unserialize(), before endDrain().
-     */
-    void reattachAfterRestore();
-
   private:
     struct Mutex
     {

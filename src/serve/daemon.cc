@@ -70,15 +70,14 @@ Daemon::~Daemon()
 bool
 Daemon::start(std::string *err)
 {
-    // One shared library for every tenant: one pin table, one
-    // content-addressed object pool, one dedup domain.
+    // Held for the daemon's life as the library's gc lock: `varsim
+    // ckpt gc` refuses while the daemon runs, so a campaign's own
+    // open of the library never meets gc's exclusive lock.
     library = ckpt::CheckpointLibrary::open(cfg.root + "/ckpts");
 
     SchedulerConfig sc;
     sc.root = cfg.root;
     sc.workers = cfg.workers;
-    sc.library = library.get();
-    sc.ckptDir = cfg.root + "/ckpts";
     sched = std::make_unique<Scheduler>(sc);
 
     // Resume before listening: by the time a client can reconnect,

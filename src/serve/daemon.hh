@@ -72,9 +72,10 @@ class Daemon
     Daemon &operator=(const Daemon &) = delete;
 
     /**
-     * Open the shared checkpoint library, resume every durable
-     * in-flight campaign, bind the listen socket, and start the
-     * acceptor. False with @p err on a bind failure.
+     * Open <root>/ckpts (the handle that keeps `ckpt gc` out while
+     * the daemon runs), resume every durable in-flight campaign,
+     * bind the listen socket, and start the acceptor. False with
+     * @p err on a bind failure.
      */
     bool start(std::string *err);
 
@@ -107,6 +108,7 @@ class Daemon
                      std::uint64_t after);
 
     DaemonConfig cfg;
+    /** Held only for its shared lock on <root>/ckpts. */
     std::unique_ptr<ckpt::CheckpointLibrary> library;
     std::unique_ptr<Scheduler> sched;
     std::size_t resumed = 0;

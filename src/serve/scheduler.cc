@@ -5,7 +5,6 @@
 #include <filesystem>
 
 #include "campaign/knobs.hh"
-#include "ckpt/library.hh"
 #include "sim/file_io.hh"
 #include "sim/logging.hh"
 
@@ -18,8 +17,6 @@ namespace fs = std::filesystem;
 
 Scheduler::Scheduler(const SchedulerConfig &cfg) : cfg(cfg)
 {
-    if (this->cfg.ckptDir.empty())
-        this->cfg.ckptDir = this->cfg.root + "/ckpts";
     std::error_code ec;
     fs::create_directories(tenantsDir(), ec);
     if (ec)
@@ -440,9 +437,7 @@ Scheduler::startJob(Job &job)
 {
     campaign::CampaignOptions opt;
     opt.hostThreads = 1; // budget pilots run inline on this worker
-    opt.ckptDir = job.spec.numCheckpoints ? cfg.ckptDir : "";
-    opt.sharedLibrary =
-        job.spec.numCheckpoints ? cfg.library : nullptr;
+    opt.ckptDir = job.spec.numCheckpoints ? cfg.root + "/ckpts" : "";
 
     std::string err;
     auto exec = campaign::Execution::tryCreate(

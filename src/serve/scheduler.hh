@@ -46,32 +46,19 @@
 
 namespace varsim
 {
-
-namespace ckpt
-{
-class CheckpointLibrary;
-}
-
 namespace serve
 {
 
 struct SchedulerConfig
 {
-    /** Daemon root: tenants/ and (by default) ckpts/ live here. */
+    /**
+     * Daemon root: tenants/ and ckpts/ live here. Every campaign
+     * that plans checkpoints opens its own handle on <root>/ckpts.
+     */
     std::string root;
 
     /** Worker threads running campaign cells (0 = hardware). */
     std::size_t workers = 0;
-
-    /**
-     * Borrowed shared checkpoint library for every campaign
-     * (nullptr: campaigns with checkpoints each open root/ckpts).
-     */
-    ckpt::CheckpointLibrary *library = nullptr;
-
-    /** Directory recorded in store ckpt stats (and opened when
-     *  library == nullptr). Empty: default to <root>/ckpts. */
-    std::string ckptDir;
 };
 
 class Scheduler

@@ -1,6 +1,6 @@
 /**
  * @file
- * Fundamental simulation types and time conversion helpers.
+ * Fundamental simulation types.
  *
  * The simulated target runs at a 1 GHz system clock (Section 3.2.1 of
  * Alameldeen & Wood, HPCA 2003), so one simulation tick equals one
@@ -22,45 +22,8 @@ namespace sim
 /** Simulated time, in ticks. One tick == 1 ns == 1 cycle at 1 GHz. */
 using Tick = std::uint64_t;
 
-/** Signed tick difference. */
-using TickDelta = std::int64_t;
-
-/** A cycle count. Identical magnitude to Tick at a 1 GHz clock. */
-using Cycle = std::uint64_t;
-
 /** Sentinel for "never" / "not scheduled". */
 constexpr Tick maxTick = std::numeric_limits<Tick>::max();
-
-/** Ticks per nanosecond (the target clock is 1 GHz). */
-constexpr Tick ticksPerNs = 1;
-
-/** Convert a nanosecond count into ticks. */
-constexpr Tick
-nsToTicks(std::uint64_t ns)
-{
-    return ns * ticksPerNs;
-}
-
-/** Convert microseconds into ticks. */
-constexpr Tick
-usToTicks(std::uint64_t us)
-{
-    return nsToTicks(us * 1000);
-}
-
-/** Convert milliseconds into ticks. */
-constexpr Tick
-msToTicks(std::uint64_t ms)
-{
-    return usToTicks(ms * 1000);
-}
-
-/** Convert ticks back to (whole) nanoseconds. */
-constexpr std::uint64_t
-ticksToNs(Tick t)
-{
-    return t / ticksPerNs;
-}
 
 /** A physical memory address in the simulated target. */
 using Addr = std::uint64_t;

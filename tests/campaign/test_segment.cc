@@ -87,6 +87,16 @@ sampleRecords()
     return rs;
 }
 
+/** The segment bytes of @p rs (sorted, unique). */
+std::vector<std::uint8_t>
+segmentOf(const std::vector<RunRecord> &rs)
+{
+    std::vector<const RunRecord *> ptrs;
+    for (const RunRecord &r : rs)
+        ptrs.push_back(&r);
+    return buildSegment(ptrs);
+}
+
 /** @p bytes declaring @p count footer entries, FNV rewritten. */
 std::vector<std::uint8_t>
 withFooterCount(std::vector<std::uint8_t> bytes, std::uint64_t count)
@@ -156,7 +166,7 @@ expectEveryFlipRejected(const std::vector<std::uint8_t> &bytes)
 TEST(SegmentFormat, RoundTripAndLookup)
 {
     const auto rs = sampleRecords();
-    const auto bytes = buildSegment(rs);
+    const auto bytes = segmentOf(rs);
 
     const SegmentLoad l = parseSegment(bytes);
     ASSERT_TRUE(l.ok) << l.error;
@@ -194,7 +204,7 @@ TEST(SegmentFormat, RoundTripAndLookup)
 
 TEST(SegmentFormat, EmptySegmentParses)
 {
-    const auto bytes = buildSegment({});
+    const auto bytes = segmentOf({});
     const SegmentLoad l = parseSegment(bytes);
     ASSERT_TRUE(l.ok) << l.error;
     EXPECT_EQ(l.view->runCount(), 0u);
@@ -203,12 +213,12 @@ TEST(SegmentFormat, EmptySegmentParses)
 
 TEST(SegmentFormat, TruncationSweepRejectsEveryPrefix)
 {
-    expectEveryPrefixRejected(buildSegment(sampleRecords()));
+    expectEveryPrefixRejected(segmentOf(sampleRecords()));
 }
 
 TEST(SegmentFormat, BitFlipSweepRejectsEveryFlip)
 {
-    expectEveryFlipRejected(buildSegment(sampleRecords()));
+    expectEveryFlipRejected(segmentOf(sampleRecords()));
 }
 
 TEST(SegmentFormat, LegacySummaryFooterStillOpens)
@@ -218,8 +228,8 @@ TEST(SegmentFormat, LegacySummaryFooterStillOpens)
     // truncation and flip, and serve a store the same reports as
     // the JSONL journal it exports.
     const auto rs = sampleRecords();
-    const auto legacy = withLegacyFooter(buildSegment(rs), rs);
-    ASSERT_EQ(legacy.size(), buildSegment(rs).size() + 2 * 48);
+    const auto legacy = withLegacyFooter(segmentOf(rs), rs);
+    ASSERT_EQ(legacy.size(), segmentOf(rs).size() + 2 * 48);
 
     const SegmentLoad l = parseSegment(legacy);
     ASSERT_TRUE(l.ok) << l.error;

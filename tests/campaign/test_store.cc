@@ -482,4 +482,39 @@ TEST(ResultStoreDeathTest, SecondSegmentRecordIsFatal)
                      ": a second segment record");
 }
 
+TEST(ResultStoreDeathTest, SegmentRecordAfterARunIsFatal)
+{
+    // Compaction writes its segment record before any run of the new
+    // journal tail. A run line ahead of it (here the segment's own
+    // run, which would then sit in both indexes and be counted
+    // twice) means a hand-merged manifest.
+    const std::string dir = freshDir("segmentafterrun");
+    {
+        auto store =
+            ResultStore::openOrCreate(dir, twoGroupHeader());
+        store->appendRun(record(0, 0, 2.0));
+        ASSERT_EQ(store->compact().segmentFile,
+                  "segments/seg-000001.vseg");
+    }
+    const std::string path = dir + "/manifest.jsonl";
+    std::string manifest;
+    {
+        std::ifstream f(path, std::ios::binary);
+        manifest.assign(std::istreambuf_iterator<char>(f), {});
+    }
+    const std::size_t at = manifest.find("{\"type\":\"segment\"");
+    ASSERT_NE(at, std::string::npos);
+    manifest.insert(at,
+                    ResultStore::runLineFor(record(0, 0, 2.0)) + "\n");
+    {
+        std::ofstream f(path, std::ios::binary);
+        f << manifest;
+    }
+    const auto line = std::count(manifest.begin(), manifest.end(),
+                                 '\n');
+    EXPECT_DEATH(ResultStore::openReadOnly(dir),
+                 "manifest\\.jsonl:" + std::to_string(line) +
+                     ": a segment record after run records");
+}
+
 } // namespace

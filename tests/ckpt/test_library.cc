@@ -112,9 +112,6 @@ TEST(CkptLibrary, PublishThenFetchRoundTrips)
 
     const auto st = lib->stats();
     EXPECT_EQ(st.entries, 1u);
-    EXPECT_EQ(st.published, 1u);
-    EXPECT_EQ(st.hits, 1u);
-    EXPECT_EQ(st.misses, 0u);
     EXPECT_GT(st.bytes, cp.bytes.size());
 }
 
@@ -128,7 +125,7 @@ TEST(CkptLibrary, AnyKeyDeltaIsAMiss)
     EXPECT_FALSE(lib->fetch(makeKey(16, 7, 0), got)); // position
     EXPECT_FALSE(lib->fetch(makeKey(15, 8, 0), got)); // warm seed
     EXPECT_FALSE(lib->fetch(makeKey(15, 7, 1), got)); // system knob
-    EXPECT_EQ(lib->stats().misses, 3u);
+    EXPECT_TRUE(lib->fetch(makeKey(), got));
 }
 
 TEST(CkptLibrary, ReopenSeesPublishedEntries)
@@ -268,71 +265,6 @@ TEST(CkptLibrary, GcEvictsOldestBeyondTheByteBudget)
     EXPECT_EQ(again->entries().size(), 2u);
 }
 
-TEST(CkptLibrary, PinnedObjectsSurviveGcEviction)
-{
-    // The gc-vs-restore race: a warmer holds a digest it is about
-    // to restore/publish while a byte-budget gc sweeps. The pin
-    // must keep that object; eviction falls to the next-oldest.
-    const std::string dir = freshDir("pin");
-    auto lib = ckpt::CheckpointLibrary::open(dir);
-    lib->publish(makeKey(10), makeSnapshot(0x10));
-    lib->publish(makeKey(20), makeSnapshot(0x20));
-    lib->publish(makeKey(30), makeSnapshot(0x30));
-    age(dir, makeKey(10), 30);
-    age(dir, makeKey(20), 20);
-    age(dir, makeKey(30), 10);
-
-    const auto entries = lib->entries();
-    ASSERT_EQ(entries.size(), 3u);
-    const std::string oldest = entries[0].digestHex;
-    const std::uint64_t keepTwo =
-        entries[1].bytes + entries[2].bytes;
-
-    lib->pin(oldest);
-    EXPECT_TRUE(lib->pinned(oldest));
-
-    // Budget says evict one; the oldest is pinned, so the
-    // second-oldest goes instead.
-    const auto gc = lib->gc(keepTwo);
-    EXPECT_EQ(gc.evicted, 1u);
-    core::Checkpoint got;
-    EXPECT_TRUE(lib->fetch(makeKey(10), got));
-    EXPECT_FALSE(lib->fetch(makeKey(20), got));
-    EXPECT_TRUE(lib->fetch(makeKey(30), got));
-
-    // Pins nest: one unpin of a double pin still protects.
-    lib->pin(oldest);
-    lib->unpin(oldest);
-    EXPECT_TRUE(lib->pinned(oldest));
-    lib->unpin(oldest);
-    EXPECT_FALSE(lib->pinned(oldest));
-
-    // Fully unpinned, the object is evictable again.
-    const auto gc2 = lib->gc(entries[2].bytes);
-    EXPECT_EQ(gc2.evicted, 1u);
-    EXPECT_FALSE(lib->fetch(makeKey(10), got));
-    EXPECT_TRUE(lib->fetch(makeKey(30), got));
-}
-
-TEST(CkptLibrary, PinningUnknownDigestsIsHarmless)
-{
-    // Pinning a digest not (yet) on disk protects a publication in
-    // flight; it must not be an error.
-    const std::string dir = freshDir("pinunknown");
-    auto lib = ckpt::CheckpointLibrary::open(dir);
-    lib->pin("feedfacefeedface");
-    EXPECT_TRUE(lib->pinned("feedfacefeedface"));
-    lib->unpin("feedfacefeedface");
-    EXPECT_FALSE(lib->pinned("feedfacefeedface"));
-}
-
-TEST(CkptLibraryDeathTest, UnmatchedUnpinIsABug)
-{
-    const std::string dir = freshDir("unpinbug");
-    auto lib = ckpt::CheckpointLibrary::open(dir);
-    EXPECT_DEATH(lib->unpin("neverpinned"), "matching pin");
-}
-
 TEST(CkptLibraryDeathTest, GcRefusesWhileAnotherHandleIsOpen)
 {
     // Cross-process (and cross-handle) protection is the .lock
@@ -347,10 +279,10 @@ TEST(CkptLibraryDeathTest, GcRefusesWhileAnotherHandleIsOpen)
 
 TEST(CkptLibrary, ConcurrentFetchesMatchSerial)
 {
-    // fetch() reads, checks and unpacks an archive outside the
-    // library lock. Eight threads fetching a mix of present, absent
-    // and corrupt objects must each see exactly what a lone caller
-    // sees, and the traffic counters must account for every call.
+    // fetch() reads, checks and unpacks an archive with nothing
+    // shared but the files. Eight threads fetching a mix of present,
+    // absent and corrupt objects must each see, call by call, the
+    // result and payload a lone caller sees.
     const std::string dir = freshDir("concurrent");
     auto lib = ckpt::CheckpointLibrary::open(dir);
 
@@ -381,16 +313,11 @@ TEST(CkptLibrary, ConcurrentFetchesMatchSerial)
         f.put(static_cast<char>(c ^ 0x10));
         want[2] = {};
     }
-    const std::size_t present = 5, absent = 5; // corrupt is a miss
-
     for (std::size_t i = 0; i < keys.size(); ++i) {
         core::Checkpoint got;
         EXPECT_EQ(lib->fetch(keys[i], got), !want[i].empty()) << i;
         EXPECT_EQ(got.bytes, want[i].bytes) << i;
     }
-    const auto serial = lib->stats();
-    EXPECT_EQ(serial.hits, present);
-    EXPECT_EQ(serial.misses, absent);
 
     constexpr std::size_t kThreads = 8, kRounds = 2;
     std::atomic<std::size_t> wrong{0};
@@ -415,10 +342,7 @@ TEST(CkptLibrary, ConcurrentFetchesMatchSerial)
         t.join();
 
     EXPECT_EQ(wrong.load(), 0u);
-    const auto st = lib->stats();
-    EXPECT_EQ(st.hits - serial.hits, kThreads * kRounds * present);
-    EXPECT_EQ(st.misses - serial.misses, kThreads * kRounds * absent);
-    EXPECT_EQ(st.entries, 6u);
+    EXPECT_EQ(lib->stats().entries, 6u);
 }
 
 /** Everything entries() reports about each object, one line each. */
@@ -574,8 +498,6 @@ TEST(CkptLibrary, FailedPublishWarnsAndTheCallerCarriesOn)
     const auto st = lib->stats();
     EXPECT_EQ(st.entries, 0u);
     EXPECT_EQ(st.bytes, 0u);
-    EXPECT_EQ(st.published, 1u);
-    EXPECT_EQ(st.misses, 2u);
     EXPECT_TRUE(lib->verify().clean());
 }
 

@@ -309,6 +309,100 @@ TEST(ServeE2e, AbruptShutdownThenRestartResumes)
     daemon.shutdown();
 }
 
+/** A 2-configuration x 2-checkpoint grid. */
+campaign::SpecFields
+checkpointedFields()
+{
+    campaign::SpecFields f = smallFields(21, 2);
+    f.vary = {"l2-assoc=2,4"};
+    f.numCheckpoints = 2;
+    f.checkpointStep = 20;
+    return f;
+}
+
+TEST(ServeE2e, CheckpointedCampaignsOpenTheDaemonLibrary)
+{
+    // Every checkpointed campaign opens its own handle on
+    // <root>/ckpts: the first warms the library, a second with the
+    // same fields restores all of it, and both report as the CLI
+    // engine does over the same library. A library a campaign
+    // cannot open fails that campaign alone.
+    const std::string root = freshRoot("ckpts");
+    serve::DaemonConfig cfg;
+    cfg.root = root;
+    cfg.addr = sockAddr(root);
+    cfg.workers = 2;
+    serve::Daemon daemon(cfg);
+    std::string err;
+    ASSERT_TRUE(daemon.start(&err)) << err;
+    serve::Client client(cfg.addr);
+
+    // Watch campaign @p id to its terminal event and return it.
+    auto finish = [&](const std::string &id) {
+        serve::Event last;
+        EXPECT_TRUE(client.watch(
+            id, 0, [&](const serve::Event &ev) { last = ev; }, &err))
+            << err;
+        return last;
+    };
+    auto status = [&](const std::string &id) {
+        return campaign::campaignStatus(
+                   daemon.scheduler().storeDir(id))
+            .toString();
+    };
+
+    const campaign::SpecFields fields = checkpointedFields();
+    for (const char *name : {"first", "second"}) {
+        serve::Submission sub = makeSub("alice", name, fields);
+        ASSERT_TRUE(client.submit(sub, &err)) << err;
+        const serve::Event last = finish(sub.id());
+        ASSERT_EQ(last.kind, "complete") << last.message;
+    }
+    EXPECT_NE(status("alice/first").find("restored 0, warmed 4"),
+              std::string::npos)
+        << status("alice/first");
+    EXPECT_NE(status("alice/second").find("restored 4, warmed 0"),
+              std::string::npos)
+        << status("alice/second");
+
+    campaign::CampaignSpec spec;
+    ASSERT_TRUE(campaign::buildSpec(fields, spec, &err)) << err;
+    campaign::CampaignOptions opt;
+    opt.ckptDir = root + "/ckpts";
+    const auto cli = campaign::runCampaign(spec, root + "/cli", opt);
+    ASSERT_TRUE(cli.complete);
+    EXPECT_EQ(cli.checkpointsRestored, 4u);
+    const std::string want = campaign::campaignReport(root + "/cli").text;
+    for (const char *id : {"alice/first", "alice/second"}) {
+        std::string text;
+        ASSERT_TRUE(client.report(id, 0.95, "", text, &err)) << err;
+        EXPECT_EQ(text, want) << id;
+    }
+
+    // A lock file that cannot be opened: the next checkpointed
+    // campaign fails with a message naming the library, while a
+    // campaign without checkpoints completes beside it.
+    std::filesystem::remove(root + "/ckpts/.lock");
+    std::filesystem::create_directory(root + "/ckpts/.lock");
+    serve::Submission blocked = makeSub("bob", "blocked", fields);
+    ASSERT_TRUE(client.submit(blocked, &err)) << err;
+    serve::Submission plain = makeSub("carol", "plain", smallFields());
+    ASSERT_TRUE(client.submit(plain, &err)) << err;
+    const serve::Event failed = finish(blocked.id());
+    EXPECT_EQ(failed.kind, "failed");
+    EXPECT_NE(failed.message.find(root + "/ckpts"), std::string::npos)
+        << failed.message;
+    EXPECT_EQ(finish(plain.id()).kind, "complete");
+
+    ASSERT_TRUE(client.ping(&err)) << err;
+    serve::CampaignInfo info;
+    ASSERT_TRUE(client.info(blocked.id(), info, &err)) << err;
+    EXPECT_EQ(info.state, "failed");
+    ASSERT_TRUE(client.drain(&err)) << err;
+    daemon.wait();
+    daemon.shutdown();
+}
+
 TEST(ServeE2e, SoakManyClientsManyCampaigns)
 {
     // Defaults sized for ctest; the sanitized runner sets

@@ -77,9 +77,10 @@ TEST(EventQueueStress, RescheduleChurnPreservesOrder)
     // by index i).
     for (std::size_t k = 1; k < log.size(); ++k) {
         ASSERT_GE(log[k].first, log[k - 1].first);
-        if (log[k].first == log[k - 1].first)
+        if (log[k].first == log[k - 1].first) {
             EXPECT_GT(log[k].second, log[k - 1].second)
                 << "same-tick order must follow insertion sequence";
+        }
     }
 }
 

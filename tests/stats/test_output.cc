@@ -1,8 +1,7 @@
-/** @file Tests for the histogram and ASCII-table helpers. */
+/** @file Tests for the ASCII-table helpers. */
 
 #include <gtest/gtest.h>
 
-#include "stats/histogram.hh"
 #include "stats/table.hh"
 
 namespace varsim
@@ -11,58 +10,6 @@ namespace stats
 {
 namespace
 {
-
-TEST(Histogram, BinsCorrectly)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(0.5);  // bin 0
-    h.add(3.0);  // bin 1
-    h.add(9.9);  // bin 4
-    h.add(5.0);  // bin 2
-    EXPECT_EQ(h.count(0), 1u);
-    EXPECT_EQ(h.count(1), 1u);
-    EXPECT_EQ(h.count(2), 1u);
-    EXPECT_EQ(h.count(3), 0u);
-    EXPECT_EQ(h.count(4), 1u);
-    EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, ClampsOutOfRange)
-{
-    Histogram h(0.0, 10.0, 2);
-    h.add(-5.0);
-    h.add(50.0);
-    EXPECT_EQ(h.count(0), 1u);
-    EXPECT_EQ(h.count(1), 1u);
-}
-
-TEST(Histogram, BinEdges)
-{
-    Histogram h(10.0, 20.0, 4);
-    EXPECT_DOUBLE_EQ(h.binLo(0), 10.0);
-    EXPECT_DOUBLE_EQ(h.binHi(0), 12.5);
-    EXPECT_DOUBLE_EQ(h.binLo(3), 17.5);
-    EXPECT_DOUBLE_EQ(h.binHi(3), 20.0);
-}
-
-TEST(Histogram, RenderShowsBars)
-{
-    Histogram h(0.0, 2.0, 2);
-    for (int i = 0; i < 10; ++i)
-        h.add(0.5);
-    h.add(1.5);
-    const std::string s = h.render(10);
-    EXPECT_NE(s.find("##########"), std::string::npos);
-    EXPECT_NE(s.find("10"), std::string::npos);
-}
-
-TEST(Histogram, SpanAddsAll)
-{
-    Histogram h(0.0, 1.0, 1);
-    const std::vector<double> xs = {0.1, 0.2, 0.3};
-    h.add(std::span<const double>(xs.data(), xs.size()));
-    EXPECT_EQ(h.total(), 3u);
-}
 
 TEST(Table, RendersAlignedColumns)
 {

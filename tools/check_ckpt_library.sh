@@ -5,7 +5,9 @@
 # left by an older build (a stale entry, a duplicate, a torn last
 # line) changes nothing `ls` or `verify` print; and `gc` under a byte
 # budget one below the total evicts exactly the oldest object and
-# deletes that index.
+# deletes that index. Last, the lock across processes: while `varsim
+# serve` holds <root>/ckpts open, `ckpt gc` on it refuses ("in use"),
+# and after the daemon drains and exits the same gc runs.
 # Usage: tools/check_ckpt_library.sh <varsim binary> <work dir>
 set -eu
 v="$1" d="$2" lib="$2/lib"
@@ -51,3 +53,36 @@ grep -q "evicted 1 entry;" "$d/gc.log"
 $v ckpt verify --dir "$lib" >"$d/verify.after"
 $v ckpt ls --dir "$lib" >"$d/ls.after"
 grep -q "^3 checkpoint(s) in " "$d/ls.after"
+
+# gc refuses while a daemon has the library open. The trap drains,
+# then kills, so no exit path leaves the daemon running.
+r="$d/serve"
+mkdir -p "$r"
+$v serve --root "$r" --workers 1 >"$d/serve.log" 2>&1 &
+daemon=$!
+stop_daemon() {
+    $v client drain --root "$r" >/dev/null 2>&1 || true
+    kill "$daemon" 2>/dev/null || true
+    wait "$daemon" 2>/dev/null || true
+}
+trap stop_daemon EXIT
+trap 'exit 1' INT TERM
+up=0
+for _ in $(seq 1 100); do
+    if $v client ping --root "$r" >/dev/null 2>&1; then
+        up=1
+        break
+    fi
+    sleep 0.1
+done
+[ "$up" = 1 ]
+if $v ckpt gc --dir "$r/ckpts" >"$d/gc.busy" 2>&1; then
+    echo "ckpt gc ran while the daemon held the library" >&2
+    exit 1
+fi
+grep -q "in use" "$d/gc.busy"
+$v client drain --root "$r" >/dev/null
+wait "$daemon"
+trap - EXIT
+$v ckpt gc --dir "$r/ckpts" >"$d/gc.idle"
+grep -q "^removed 0 temp file(s)" "$d/gc.idle"

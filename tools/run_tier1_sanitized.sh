@@ -28,9 +28,8 @@ cmake --build "$build" -j "$jobs"
 # ctest discovers suites from the build, so a CMake wiring mistake
 # would silently drop one; assert the binaries this gate exists to
 # run (serialization, the cache image checks, the persistent
-# checkpoint library, the statistics paths — the histogram NaN/inf
-# regression in test_stats only proves anything under UBSan — and the
-# sampling engine) are actually present.
+# checkpoint library, the statistics paths and the sampling engine)
+# are actually present.
 for t in test_sim test_stats test_mem test_core test_campaign \
          test_ckpt test_sample; do
     [ -x "$build/tests/$t" ] || {
