@@ -1,7 +1,8 @@
 /**
  * @file
- * Directory-based MOSI coherence (SGI-Origin style): an alternative
- * CoherenceFabric to the broadcast snooping bus.
+ * Directory-based MOSI coherence (SGI-Origin style): the other
+ * ordering policy of the coherence engine (CoherenceFabric), beside
+ * the broadcast snooping bus.
  *
  * Each block has a home node (block-address interleaved, as for
  * DRAM). The home's directory entry tracks the owner cache (if any)
@@ -14,9 +15,10 @@
  *
  * Conflicting in-flight transactions to the same block are NACKed
  * and retried (blocking-directory discipline), and the per-request
- * latency perturbation of the paper's Section 3.3 applies
- * identically, so the variability methodology is protocol-agnostic —
- * which `bench_ablation_protocol` demonstrates.
+ * latency perturbation of the paper's Section 3.3 applies: both are
+ * the engine's order-point step, the one the bus runs, so the
+ * variability methodology is protocol-agnostic — which
+ * `bench_ablation_protocol` demonstrates.
  *
  * The directory content is *derived* state (who caches what); it is
  * never checkpointed but rebuilt from the restored cache tags
@@ -30,51 +32,30 @@
 #include <vector>
 
 #include "mem/addr_map.hh"
-#include "mem/addr_set.hh"
-#include "mem/dram.hh"
 #include "mem/fabric.hh"
-#include "sim/random.hh"
-#include "sim/sim_object.hh"
-#include "sim/statistics.hh"
 
 namespace varsim
 {
 namespace mem
 {
 
-class DirectoryFabric : public sim::SimObject,
-                        public CoherenceFabric
+class DirectoryFabric : public CoherenceFabric
 {
   public:
     DirectoryFabric(std::string name, sim::EventQueue &eq,
                     const MemConfig &cfg,
                     sim::Random &perturb_rng);
 
-    void addNode(L2Controller *l2) override;
+    /** Send the request to its home node, where it is serialized. */
     void sendRequest(const BusMsg &msg) override;
-
-    MemStats &stats() override { return stats_; }
-    const MemStats &stats() const override { return stats_; }
-
-    bool
-    blockBusy(sim::Addr block_addr) const override
-    {
-        return busy.contains(block_addr);
-    }
 
     /** Directory entry introspection (tests). */
     int ownerOf(sim::Addr block_addr) const;
     std::uint64_t sharersOf(sim::Addr block_addr) const;
 
-    bool warmTransition(int src, sim::Addr block,
-                        bool writable) override;
-    void warmEvict(int src, sim::Addr block) override;
-
-    void drain() override;
     void serialize(sim::CheckpointOut &cp) const override;
     void unserialize(sim::CheckpointIn &cp) override;
     void postRestore() override;
-    void regStats(sim::statistics::Registry &r) override;
 
   private:
     struct Entry
@@ -83,18 +64,17 @@ class DirectoryFabric : public sim::SimObject,
         std::uint64_t sharers = 0;///< bitmask of nodes with copies
     };
 
-    void process(BusMsg msg);
-    Entry &entry(sim::Addr block_addr);
+    /**
+     * Invalidate every other copy the entry knows of (GetM) or
+     * forward to the owner (GetS), and record the requestor.
+     */
+    Grant transition(const BusMsg &msg) override;
 
-    const MemConfig &cfg;
-    sim::Random &pertRng;
-    DramModel dram_;
-    std::vector<L2Controller *> nodes;
+    /** Ownership returns to memory; @p src leaves the sharers. */
+    void evicted(int src, sim::Addr block) override;
+
     AddrMap<Entry> dir;
-    AddrSet busy;
     std::vector<sim::Tick> homeNextFree;
-    MemStats stats_;
-    sim::statistics::Distribution queueDelayDist;
 };
 
 } // namespace mem

@@ -85,16 +85,15 @@ L1Cache::access(const MemRequest &req)
         l2.request(block, true, this);
 }
 
-void
-L1Cache::l2Response(sim::Addr block_addr, bool writable,
-                    sim::Tick delay)
+// Inline: every timed L1 miss fills through it.
+inline void
+L1Cache::fill(sim::Addr block_addr, bool writable)
 {
     CacheLine *line = array.find(block_addr);
     if (line == nullptr) {
         Victim victim;
-        auto [fresh, hadVictim] = array.allocate(block_addr, victim);
-        (void)hadVictim; // L1 evictions are silent: L2 is inclusive.
-        line = fresh;
+        // L1 evictions are silent: the L2 is inclusive.
+        line = array.allocate(block_addr, victim).first;
         line->state =
             writable ? LineState::Modified : LineState::Shared;
     } else {
@@ -102,6 +101,13 @@ L1Cache::l2Response(sim::Addr block_addr, bool writable,
             line->state = LineState::Modified;
         array.touch(*line);
     }
+}
+
+void
+L1Cache::l2Response(sim::Addr block_addr, bool writable,
+                    sim::Tick delay)
+{
+    fill(block_addr, writable);
 
     MshrEntry *entry = findMshr(block_addr);
     if (entry == nullptr)
@@ -142,23 +148,7 @@ L1Cache::warmAccess(sim::Addr addr, bool write)
     ++numMisses;
     const sim::Addr block = array.blockAlign(addr);
     const sim::Tick lat = l2.warmRequest(block, write, this);
-
-    // Functional fill, mirroring l2Response(). The L2's warm path
-    // may have victimized (and back-probed away) other L1 lines, but
-    // never the block it just filled for us.
-    CacheLine *line = array.find(block);
-    if (line == nullptr) {
-        Victim victim;
-        auto [fresh, hadVictim] = array.allocate(block, victim);
-        (void)hadVictim; // L1 evictions are silent: L2 is inclusive.
-        line = fresh;
-        line->state =
-            write ? LineState::Modified : LineState::Shared;
-    } else {
-        if (write)
-            line->state = LineState::Modified;
-        array.touch(*line);
-    }
+    fill(block, write);
     return lat;
 }
 

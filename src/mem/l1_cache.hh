@@ -114,6 +114,10 @@ class L1Cache : public sim::SimObject
         std::vector<MemRequest> reqs;
     };
 
+    /** Install @p block_addr, timed or warm: allocate a Shared or
+     *  Modified line, or grant write permission to a resident one. */
+    void fill(sim::Addr block_addr, bool writable);
+
     MshrEntry *findMshr(sim::Addr block_addr);
     /** Swap-remove the entry at @p index, recycling its requests. */
     void eraseMshr(std::size_t index);

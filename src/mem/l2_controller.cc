@@ -145,29 +145,39 @@ L2Controller::handleNack(sim::Addr block_addr)
            [this, block_addr, cmd] { issue(block_addr, cmd); });
 }
 
-void
-L2Controller::fillArrived(sim::Addr block_addr, bool writable)
+// Inline: every timed L2 miss fills through it.
+inline L2Controller::Fill
+L2Controller::fill(sim::Addr block_addr, bool writable)
 {
-    CacheLine *line = array.find(block_addr);
-    if (line == nullptr) {
+    Fill done{array.find(block_addr), sim::invalidAddr};
+    if (done.line == nullptr) {
         Victim victim;
         auto [fresh, hadVictim] = array.allocate(block_addr, victim);
         if (hadVictim) {
             backProbeL1s(victim.blockAddr, victim.aux, true);
             if (isOwnerState(victim.state)) {
                 ++numWritebacks;
-                issue(victim.blockAddr, BusCmd::PutM);
+                done.writeback = victim.blockAddr;
             }
         }
-        line = fresh;
-        line->state =
+        done.line = fresh;
+        done.line->state =
             writable ? LineState::Modified : LineState::Shared;
     } else {
         // Upgrade completion: data was already local.
         VARSIM_ASSERT(writable, "GetS fill for a resident block");
-        line->state = LineState::Modified;
-        array.touch(*line);
+        done.line->state = LineState::Modified;
+        array.touch(*done.line);
     }
+    return done;
+}
+
+void
+L2Controller::fillArrived(sim::Addr block_addr, bool writable)
+{
+    const sim::Addr writeback = fill(block_addr, writable).writeback;
+    if (writeback != sim::invalidAddr)
+        issue(writeback, BusCmd::PutM);
 
     DPRINTF(Coherence, "fill blk=%#llx w=%d",
             static_cast<unsigned long long>(block_addr),
@@ -246,31 +256,10 @@ L2Controller::warmRequest(sim::Addr block_addr, bool need_writable,
     const bool hadCopy = line != nullptr; // S/O -> M upgrade path
     const bool remote =
         bus.warmTransition(node, block_addr, need_writable);
-
-    // Fill, mirroring fillArrived(): the fabric transition never
-    // touches this node's copy of the requested block (snoops exclude
-    // the source node), so the lookup above is still authoritative —
-    // a resident line means an upgrade completion.
-    if (line == nullptr) {
-        Victim victim;
-        auto [fresh, hadVictim] = array.allocate(block_addr, victim);
-        if (hadVictim) {
-            backProbeL1s(victim.blockAddr, victim.aux, true);
-            if (isOwnerState(victim.state)) {
-                ++numWritebacks;
-                bus.warmEvict(node, victim.blockAddr);
-            }
-        }
-        line = fresh;
-        line->state =
-            need_writable ? LineState::Modified : LineState::Shared;
-    } else {
-        VARSIM_ASSERT(need_writable,
-                      "warm GetS fill for a resident block");
-        line->state = LineState::Modified;
-        array.touch(*line);
-    }
-    line->aux |= l1Bit(who);
+    const Fill done = fill(block_addr, need_writable);
+    if (done.writeback != sim::invalidAddr)
+        bus.warmEvict(node, done.writeback);
+    done.line->aux |= l1Bit(who);
 
     // Fixed-latency charge classified like the timed protocol would
     // have: upgrade, 3-hop owner forward, or memory fetch — without

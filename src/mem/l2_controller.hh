@@ -155,6 +155,21 @@ class L2Controller : public sim::SimObject
     /** Return a waiter vector's capacity to the recycling pool. */
     void releaseWaiters(std::vector<Waiter> &&waiters);
 
+    /** What fill() did. */
+    struct Fill
+    {
+        CacheLine *line;      ///< the filled line
+        sim::Addr writeback;  ///< evicted owned block, or invalidAddr
+    };
+
+    /**
+     * Install a granted GetS/GetM for @p block_addr, timed or warm:
+     * allocate a Shared or Modified line (evicting a victim and
+     * back-probing its L1 copies), or make the resident line Modified
+     * on an upgrade. The caller writes back the owned victim.
+     */
+    Fill fill(sim::Addr block_addr, bool writable);
+
     void maybePrefetch(sim::Addr filled_block);
 
     void issue(sim::Addr block_addr, BusCmd cmd);

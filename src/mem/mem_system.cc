@@ -1,5 +1,6 @@
 #include "mem/mem_system.hh"
 
+#include "mem/snoop_bus.hh"
 #include "sim/logging.hh"
 #include "sim/statistics.hh"
 
@@ -15,15 +16,12 @@ MemSystem::MemSystem(std::string name, sim::EventQueue &eq,
     VARSIM_ASSERT(cfg.numNodes >= 1 && cfg.numNodes <= kMaxNodes,
                   "need 1..%zu nodes, got %zu", kMaxNodes,
                   cfg.numNodes);
-    if (cfg.protocol == CoherenceProtocol::Snooping) {
-        bus_ = std::make_unique<SnoopBus>(this->name() + ".bus", eq,
-                                          cfg, pertRng);
-        fabric_ = bus_.get();
-    } else {
-        dir_ = std::make_unique<DirectoryFabric>(
+    if (cfg.protocol == CoherenceProtocol::Snooping)
+        fabric_ = std::make_unique<SnoopBus>(this->name() + ".bus", eq,
+                                             cfg, pertRng);
+    else
+        fabric_ = std::make_unique<DirectoryFabric>(
             this->name() + ".dir", eq, cfg, pertRng);
-        fabric_ = dir_.get();
-    }
     for (std::size_t n = 0; n < cfg.numNodes; ++n) {
         auto nodeName = this->name() + sim::format(".node%zu", n);
         l2s.push_back(std::make_unique<L2Controller>(
@@ -38,20 +36,12 @@ MemSystem::MemSystem(std::string name, sim::EventQueue &eq,
     }
 }
 
-SnoopBus &
-MemSystem::bus()
-{
-    VARSIM_ASSERT(bus_ != nullptr,
-                  "bus() on a directory-protocol system");
-    return *bus_;
-}
-
 DirectoryFabric &
 MemSystem::directory()
 {
-    VARSIM_ASSERT(dir_ != nullptr,
+    VARSIM_ASSERT(cfg.protocol == CoherenceProtocol::Directory,
                   "directory() on a snooping-protocol system");
-    return *dir_;
+    return static_cast<DirectoryFabric &>(*fabric_);
 }
 
 std::size_t
@@ -114,10 +104,7 @@ MemSystem::serialize(sim::CheckpointOut &cp) const
 void
 MemSystem::regStats(sim::statistics::Registry &r)
 {
-    if (bus_)
-        bus_->regStats(r);
-    else
-        dir_->regStats(r);
+    fabric_->regStats(r);
     for (const auto &l2 : l2s)
         l2->regStats(r);
     for (const auto &c : icaches)

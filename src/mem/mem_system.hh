@@ -1,8 +1,9 @@
 /**
  * @file
  * Wiring for the complete memory hierarchy of the target system: one
- * snooping bus/crossbar, and per node a split L1 pair plus a unified
- * L2 controller, with interleaved home-memory controllers.
+ * coherence fabric (the snooping bus/crossbar or the directory), and
+ * per node a split L1 pair plus a unified L2 controller, with
+ * interleaved home-memory controllers.
  */
 
 #ifndef VARSIM_MEM_MEM_SYSTEM_HH
@@ -15,7 +16,6 @@
 #include "mem/directory.hh"
 #include "mem/l1_cache.hh"
 #include "mem/l2_controller.hh"
-#include "mem/snoop_bus.hh"
 #include "sim/random.hh"
 #include "sim/sim_object.hh"
 
@@ -38,9 +38,6 @@ class MemSystem : public sim::SimObject
 
     /** The protocol engine (whichever protocol is configured). */
     CoherenceFabric &fabric() { return *fabric_; }
-
-    /** The snooping bus (only valid when protocol == Snooping). */
-    SnoopBus &bus();
 
     /** The directory (only valid when protocol == Directory). */
     DirectoryFabric &directory();
@@ -69,9 +66,7 @@ class MemSystem : public sim::SimObject
   private:
     MemConfig cfg;
     sim::Random pertRng;
-    std::unique_ptr<SnoopBus> bus_;
-    std::unique_ptr<DirectoryFabric> dir_;
-    CoherenceFabric *fabric_ = nullptr;
+    std::unique_ptr<CoherenceFabric> fabric_;
     std::vector<std::unique_ptr<L2Controller>> l2s;
     std::vector<std::unique_ptr<L1Cache>> icaches;
     std::vector<std::unique_ptr<L1Cache>> dcaches;

@@ -57,8 +57,12 @@ class CheckpointOut
                       "CheckpointOut::put requires a trivially "
                       "copyable type");
         putTag(sizeof(T));
-        const auto *p = reinterpret_cast<const std::uint8_t *>(&value);
-        buffer.insert(buffer.end(), p, p + sizeof(T));
+        // The bytes are exactly [&value, &value + sizeof(T)). A
+        // ranged insert of them, inlined at -O3, draws a false
+        // -Warray-bounds from GCC 12; resize + memcpy does not.
+        const std::size_t at = buffer.size();
+        buffer.resize(at + sizeof(T));
+        std::memcpy(buffer.data() + at, &value, sizeof(T));
     }
 
     /** Write a string (length-prefixed). */

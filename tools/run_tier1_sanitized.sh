@@ -97,6 +97,18 @@ fi
     exit 1
 }
 
+# The coherence engine, explicitly under instrumented checking: both
+# protocols' fill events capture `this` and the requestor, and their
+# node sets are `1 << node` shifts, all in the one shared fabric core,
+# so ASan/UBSan must see the random tester, the warm-vs-timed
+# differential and the directory and system suites run through it.
+"$build/tests/test_mem" \
+    --gtest_filter='*CoherenceRandom*:DirectoryTest.*:MemSystemTest.*' \
+    >/dev/null || {
+    echo "error: coherence suites failed under asan/ubsan" >&2
+    exit 1
+}
+
 # ---- Out-of-process compaction kill-9: the crash-ordering claim ----
 # VARSIM_STORE_CRASH_COMPACT kills `varsim campaign compact` after the
 # segment file lands but before the manifest points at it — the
