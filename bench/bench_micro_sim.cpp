@@ -43,6 +43,61 @@ BM_EventQueueScheduleDispatch(benchmark::State &state)
 BENCHMARK(BM_EventQueueScheduleDispatch);
 
 void
+BM_EventQueueMixedHorizon(benchmark::State &state)
+{
+    // The mix a 16-CPU run dispatches: ~40 events pending, ~1% of
+    // schedules 256 or more ticks ahead (the far heap), and far
+    // timers rescheduled before they fire, like the kernel's quantum.
+    sim::EventQueue eq;
+    std::vector<sim::Tick> deltas(4096);
+    sim::SplitMix64 rng(1);
+    for (auto &d : deltas)
+        d = rng.next() % 200 == 0 ? 256 + rng.next() % 20'000
+                                  : 1 + rng.next() % 128;
+    std::size_t next = 0;
+    class Hop : public sim::Event
+    {
+      public:
+        Hop(sim::EventQueue &q, const std::vector<sim::Tick> &d,
+            std::size_t &i)
+            : q_(q), d_(d), i_(i)
+        {}
+        void
+        process() override
+        {
+            q_.schedule(this, q_.curTick() + d_[i_++ % d_.size()]);
+        }
+
+      private:
+        sim::EventQueue &q_;
+        const std::vector<sim::Tick> &d_;
+        std::size_t &i_;
+    };
+    class Nop : public sim::Event
+    {
+      public:
+        void process() override {}
+    };
+    std::vector<std::unique_ptr<Hop>> hops;
+    for (int i = 0; i < 32; ++i) {
+        hops.push_back(std::make_unique<Hop>(eq, deltas, next));
+        eq.schedule(hops.back().get(), 1 + i);
+    }
+    std::vector<Nop> timers(8);
+    std::size_t timer = 0;
+    for (auto _ : state) {
+        for (int k = 0; k < 200; ++k)
+            eq.step();
+        eq.reschedule(&timers[timer++ % timers.size()],
+                      eq.curTick() + 20'000);
+        benchmark::DoNotOptimize(eq.curTick());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) * 200);
+}
+BENCHMARK(BM_EventQueueMixedHorizon);
+
+void
 BM_RandomNext(benchmark::State &state)
 {
     sim::Random rng(1);

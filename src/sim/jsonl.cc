@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 namespace varsim
@@ -138,13 +137,14 @@ parseNumber(const char *s, std::size_t n, std::size_t &i,
     return *len > 0 && toDouble({s + start, *len}, v);
 }
 
-} // anonymous namespace
-
-std::string
-jsonEscape(const std::string &s)
+/**
+ * Append @p s to @p out escaped for a JSON string: the quote, the
+ * backslash, newline, tab and carriage return (the parser reads back
+ * exactly these).
+ */
+void
+appendEscaped(std::string &out, const std::string &s)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
     for (char c : s) {
         switch (c) {
           case '"': out += "\\\""; break;
@@ -155,8 +155,9 @@ jsonEscape(const std::string &s)
           default: out += c;
         }
     }
-    return out;
 }
+
+} // anonymous namespace
 
 bool
 JsonLine::parse(std::string_view line)
@@ -329,39 +330,47 @@ JsonLine::realsWithPrefix(std::string_view prefix) const
 }
 
 void
-JsonWriter::sep()
+JsonWriter::beginField(const std::string &key)
 {
     if (body.size() > 1)
         body += ',';
+    body += '"';
+    appendEscaped(body, key);
+    body += "\":";
 }
 
 JsonWriter &
 JsonWriter::field(const std::string &key, const std::string &value)
 {
-    sep();
-    body += '"' + jsonEscape(key) + "\":\"" + jsonEscape(value) +
-            '"';
+    beginField(key);
+    body += '"';
+    appendEscaped(body, value);
+    body += '"';
     return *this;
 }
 
 JsonWriter &
 JsonWriter::field(const std::string &key, std::uint64_t value)
 {
-    sep();
-    body += '"' + jsonEscape(key) +
-            "\":" + std::to_string(value);
+    beginField(key);
+    char buf[24];
+    body.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
     return *this;
 }
 
 JsonWriter &
 JsonWriter::field(const std::string &key, double value)
 {
-    // %.17g round-trips IEEE754 doubles exactly: replayed metrics
-    // are bit-identical to the ones the simulator produced.
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    sep();
-    body += '"' + jsonEscape(key) + "\":" + buf;
+    // 17 significant digits round-trip IEEE754 doubles exactly:
+    // replayed metrics are bit-identical to the ones the simulator
+    // produced. to_chars at general precision 17 writes what
+    // printf's "%.17g" writes (nan, inf and -0 included; pinned by
+    // tests/sim/test_jsonl.cc) at a fraction of its cost.
+    beginField(key);
+    char buf[32];
+    body.append(buf, std::to_chars(buf, buf + sizeof(buf), value,
+                                   std::chars_format::general, 17)
+                         .ptr);
     return *this;
 }
 
@@ -369,12 +378,14 @@ JsonWriter &
 JsonWriter::field(const std::string &key,
                   const std::vector<std::string> &values)
 {
-    sep();
-    body += '"' + jsonEscape(key) + "\":[";
+    beginField(key);
+    body += '[';
     for (std::size_t i = 0; i < values.size(); ++i) {
         if (i)
             body += ',';
-        body += '"' + jsonEscape(values[i]) + '"';
+        body += '"';
+        appendEscaped(body, values[i]);
+        body += '"';
     }
     body += ']';
     return *this;

@@ -42,9 +42,6 @@ namespace varsim
 namespace sim
 {
 
-/** Escape a string for embedding in a JSON value. */
-std::string jsonEscape(const std::string &s);
-
 /** One parsed flat JSON object. */
 class JsonLine
 {
@@ -129,7 +126,8 @@ class JsonWriter
     std::string str() const { return body + "}"; }
 
   private:
-    void sep();
+    /** A comma unless first, then @p key quoted and a colon. */
+    void beginField(const std::string &key);
     std::string body = "{";
 };
 

@@ -10,6 +10,12 @@
  * accept/reject decision and the same answer from every accessor,
  * doubles compared by bits. One JsonLine is reused across the whole
  * corpus, the way replay reuses it, so stale state would show too.
+ *
+ * The writer side: JsonWriter formats doubles with std::to_chars, and
+ * every double must come out exactly as printf's "%.17g" printed it
+ * (seeded random bit patterns, with their NaN payloads, infinities,
+ * subnormals and -0), and every field must read back through the
+ * oracle as it was written.
  */
 
 #include <gtest/gtest.h>
@@ -501,6 +507,68 @@ TEST(JsonLineDifferential, MutationsMatchTheMapParser)
     // Both sides of the decision get exercised.
     EXPECT_GT(accepted, 500u);
     EXPECT_GT(rejected, 500u);
+}
+
+TEST(JsonWriterDifferential, DoublesWriteAsPrintf17g)
+{
+    Random rng(1917);
+    std::vector<double> values = specialDoubles(rng);
+    for (const std::uint64_t b :
+         {0x7ff0000000000001ull, 0x7ff4000000000000ull,
+          0x7ff8000000000001ull, 0xfff8000000000000ull,
+          0xffffffffffffffffull, 0x000fffffffffffffull,
+          0x8000000000000001ull})
+        values.push_back(std::bit_cast<double>(b)); // NaN payloads, edges
+    for (const double v : {1e15, 1e16, 1e17, 9.9999999999999998e16,
+                           1e-4, 9.9999999999999991e-5, 1e-5, 0.5,
+                           123456789.0, 2.5e-310})
+        values.push_back(v); // where %g switches to exponent form
+    for (int k = 0; k < 200'000; ++k) {
+        values.push_back(std::bit_cast<double>(rng.next()));
+        values.push_back(
+            static_cast<double>(rng.next() >> rng.uniformInt(0, 63)));
+    }
+
+    std::size_t nans = 0, subnormals = 0, mismatches = 0;
+    std::string first;
+    for (const double v : values) {
+        nans += std::isnan(v);
+        subnormals += std::fpclassify(v) == FP_SUBNORMAL;
+        JsonWriter w;
+        w.field("m", v);
+        const std::string want = "{\"m\":" + g17(v) + "}";
+        if (w.str() != want && mismatches++ == 0)
+            first = w.str() + " against " + want;
+    }
+    EXPECT_EQ(mismatches, 0u) << "first: " << first;
+    // The random patterns reach the NaN and subnormal encodings.
+    EXPECT_GT(nans, 100u);
+    EXPECT_GT(subnormals, 100u);
+}
+
+TEST(JsonWriterDifferential, FieldsReadBackThroughTheOracle)
+{
+    Random rng(2003);
+    const std::vector<std::string> texts = {
+        "", "run", "m:system.cpu0.ipc", "a\"b", "tab\there", "sl/ash",
+        "back\\slash", "new\nline", "m:z\r", "\"\\\n\t\r", "x\\",
+        std::string("nul\0mid", 7), "\xff\x01",
+    };
+    for (const std::string &key : texts) {
+        for (const std::string &value : texts) {
+            const std::uint64_t n = rng.next() >> rng.uniformInt(0, 63);
+            JsonWriter w;
+            w.field(key + "s", value)
+                .field(key + "n", n)
+                .field(key + "l", std::vector<std::string>{value, key});
+            MapLine line;
+            ASSERT_TRUE(line.parse(w.str())) << w.str();
+            EXPECT_EQ(line.str(key + "s"), value);
+            EXPECT_EQ(line.num(key + "n", 0), n);
+            EXPECT_EQ(line.list(key + "l"),
+                      (std::vector<std::string>{value, key}));
+        }
+    }
 }
 
 } // anonymous namespace

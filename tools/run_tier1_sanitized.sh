@@ -109,6 +109,17 @@ fi
     exit 1
 }
 
+# The event queue, explicitly under instrumented checking: the timing
+# wheel links raw Event pointers into its slots and the far heap keeps
+# entries that name them, so ASan is what proves that a descheduled,
+# rescheduled or destroyed event never stays linked, through the
+# differential test against the reference model and the churn and
+# tombstone suites of both tiers.
+"$build/tests/test_sim" --gtest_filter='EventQueue*' >/dev/null || {
+    echo "error: event queue suites failed under asan/ubsan" >&2
+    exit 1
+}
+
 # ---- Out-of-process compaction kill-9: the crash-ordering claim ----
 # VARSIM_STORE_CRASH_COMPACT kills `varsim campaign compact` after the
 # segment file lands but before the manifest points at it — the
