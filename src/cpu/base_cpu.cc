@@ -40,7 +40,6 @@ BaseCpu::runThread(ThreadContext *tc, sim::Tick delay)
     tc_ = tc;
     idle_ = false;
     ++stats_.contextSwitches;
-    resetFast();
     resetPipeline();
     scheduleIn(resumeEvent, delay);
 }
@@ -64,8 +63,22 @@ BaseCpu::setIdle()
     if (!idle_)
         idleSince = curTick();
     idle_ = true;
-    resetFast();
     resetPipeline();
+}
+
+void
+BaseCpu::resetPipeline()
+{
+    phase = Phase::Start;
+    remaining = 0;
+    owed = 0;
+    awaitingMem = false;
+}
+
+bool
+BaseCpu::quiescent() const
+{
+    return !awaitingMem && owed == 0 && phase == Phase::Start;
 }
 
 void
@@ -74,127 +87,150 @@ BaseCpu::setFastMode(bool on)
     if (fastMode_ == on)
         return;
     // Mode flips happen between drain periods: every CPU is parked
-    // at an op boundary with its debts settled, so the two engines
-    // hand the op stream to each other with no partial-op residue.
-    VARSIM_ASSERT(fastOwed == 0 && fastPhase == FastPhase::Start,
-                  "%s: fast-mode switch mid-op", name().c_str());
+    // at an op boundary with its debts settled, so both modes run
+    // the op stream on one phase and debt with no partial-op residue.
+    VARSIM_ASSERT(quiescent(), "%s: fast-mode switch mid-op",
+                  name().c_str());
     fastMode_ = on;
 }
 
 bool
-BaseCpu::payFastDebt()
+BaseCpu::stopAtBoundary()
 {
-    if (fastOwed == 0)
+    if (!host().draining() && !preemptPending)
+        return false;
+    if (!payDebt() || !pipelineEmpty())
         return true;
-    const sim::Tick d = fastOwed;
-    fastOwed = 0;
-    scheduleIn(resumeEvent, d);
+    if (host().draining()) {
+        host().drained(*this);
+        return true;
+    }
+    preemptPending = false;
+    host().preempted(*this);
+    return true;
+}
+
+bool
+BaseCpu::retireControl(const Op &op)
+{
+    (void)op;
+    ++stats_.branches;
     return false;
 }
 
 void
-BaseCpu::warmBranch(const Op &op)
+BaseCpu::memResponse(std::uint64_t tag)
 {
-    (void)op;
-    ++stats_.branches;
+    (void)tag;
+    VARSIM_ASSERT(awaitingMem, "%s: unexpected memory response",
+                  name().c_str());
+    awaitingMem = false;
+    resume();
+}
+
+inline bool
+BaseCpu::blockingAccess(mem::L1Cache &cache, sim::Addr addr,
+                        bool write)
+{
+    if (fastMode_) {
+        owed += cache.warmAccess(addr, write);
+        return true;
+    }
+    if (cache.tryAccess(addr, write))
+        return true;
+    if (payDebt()) {
+        awaitingMem = true;
+        cache.access({addr, write, &cache == &icache, nextTag++});
+    }
+    return false;
 }
 
 void
-BaseCpu::resumeFast()
+BaseCpu::resume()
 {
-    if (idle_ || tc_ == nullptr || resumeEvent.scheduled())
+    if (idle_ || tc_ == nullptr || awaitingMem ||
+        resumeEvent.scheduled()) {
         return;
+    }
 
+    // The attached thread changes only through the host, and every
+    // upcall to it returns from here: read its stream once per call.
+    OpStream &ops = tc_->stream();
+    FetchState &f = tc_->fetchState();
     while (true) {
-        switch (fastPhase) {
-          case FastPhase::Start: {
-            if (host().draining() || preemptPending) {
-                if (!payFastDebt())
-                    return;
-                if (host().draining()) {
-                    host().drained(*this);
-                    return;
-                }
-                preemptPending = false;
-                host().preempted(*this);
+        switch (phase) {
+          case Phase::Start:
+            if (stopAtBoundary())
                 return;
-            }
-            fastRemaining = instrCost(tc_->stream().current());
-            fastPhase = FastPhase::Instr;
+            remaining = instrCost(ops.current());
+            phase = Phase::Instr;
             break;
-          }
-          case FastPhase::Instr: {
-            // One cycle per instruction; fetch misses complete
-            // synchronously through the warm path and charge their
-            // fixed latency as debt.
-            FetchState &f = tc_->fetchState();
-            while (fastRemaining > 0) {
-                if (f.sinceBoundary == 0) {
-                    fastOwed += icache.warmAccess(
-                        f.blockAddr(icache.blockSize()), false);
+          case Phase::Instr:
+            while (remaining > 0) {
+                if (f.sinceBoundary == 0 &&
+                    !blockingAccess(icache,
+                                    f.blockAddr(icache.blockSize()),
+                                    false)) {
+                    return;
                 }
                 const std::uint64_t step =
-                    f.advanceWithinBlock(fastRemaining);
-                fastRemaining -= step;
-                fastOwed += step;
+                    f.advanceWithinBlock(remaining);
+                remaining -= step;
+                owed += step;
                 stats_.instructions += step;
-                if (fastOwed >= cfg.debtThreshold) {
-                    if (!payFastDebt())
+                if (owed >= cfg.debtThreshold) {
+                    if (!payDebt())
                         return;
                 }
             }
-            fastPhase = FastPhase::Finish;
+            phase = Phase::Data;
+            break;
+          case Phase::Data: {
+            // A Lock/Unlock is a synchronizing RMW on the lock word.
+            // It happens exactly once: paying the debt before the
+            // trap parks the CPU in Finish, and a re-entry that
+            // repeated the RMW would livelock when contending
+            // spinners keep stealing the line from each other.
+            const Op &op = ops.current();
+            if (op.kind == OpKind::Load || op.kind == OpKind::Store ||
+                op.kind == OpKind::Lock ||
+                op.kind == OpKind::Unlock) {
+                const bool done = blockingAccess(
+                    dcache, op.addr, op.kind != OpKind::Load);
+                if (!done && !awaitingMem)
+                    return; // paid the debt first: retry on resume
+                ++stats_.memOps;
+            }
+            phase = Phase::Finish;
+            if (awaitingMem)
+                return; // the miss's response finishes the op
             break;
           }
-          case FastPhase::Finish: {
-            const Op op = tc_->stream().current();
+          case Phase::Finish: {
+            const Op op = ops.current();
             switch (op.kind) {
               case OpKind::Compute:
-                tc_->stream().advance();
-                fastPhase = FastPhase::Start;
-                break;
               case OpKind::Load:
               case OpKind::Store:
-                fastOwed += dcache.warmAccess(
-                    op.addr, op.kind != OpKind::Load);
-                ++stats_.memOps;
-                tc_->stream().advance();
-                fastPhase = FastPhase::Start;
                 break;
               case OpKind::Branch:
               case OpKind::Call:
               case OpKind::Return:
               case OpKind::IndirectBranch:
-                warmBranch(op);
-                tc_->stream().advance();
-                fastPhase = FastPhase::Start;
-                break;
-              case OpKind::Lock:
-              case OpKind::Unlock:
-                // Synchronizing RMW on the lock word, then trap.
-                // The access must happen exactly once: paying its
-                // debt parks the CPU, and a re-entry that repeated
-                // the RMW would livelock when contending spinners
-                // keep stealing the line from each other.
-                fastOwed += dcache.warmAccess(op.addr, true);
-                ++stats_.memOps;
-                fastPhase = FastPhase::Trap;
+                retireControl(op);
                 break;
               default:
-                fastPhase = FastPhase::Trap;
-                break;
-            }
-            break;
-          }
-          case FastPhase::Trap: {
-            // OS-visible op: settle the debt, then trap so the
-            // scheduler sees the op at the right tick.
-            if (!payFastDebt())
+                // OS-visible op: settle the debt, then trap so the
+                // scheduler sees the op at the right tick.
+                if (!payDebt())
+                    return;
+                phase = Phase::Start;
+                host().syscall(*this, *tc_, op);
                 return;
-            const Op op = tc_->stream().current();
-            fastPhase = FastPhase::Start;
-            host().syscall(*this, *tc_, op);
-            return;
+            }
+            ops.advance();
+            phase = Phase::Start;
+            break;
           }
         }
     }
@@ -232,6 +268,8 @@ BaseCpu::instrCost(const Op &op)
 void
 BaseCpu::serialize(sim::CheckpointOut &cp) const
 {
+    VARSIM_ASSERT(quiescent(), "%s: checkpoint while not quiescent",
+                  name().c_str());
     cp.put(stats_);
     cp.put(nextTag);
     // A drain can begin with a quantum preemption already pending;
@@ -247,6 +285,7 @@ BaseCpu::unserialize(sim::CheckpointIn &cp)
     cp.get(stats_);
     cp.get(nextTag);
     cp.get(preemptPending);
+    resetPipeline();
 }
 
 void

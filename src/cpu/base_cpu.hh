@@ -1,9 +1,16 @@
 /**
  * @file
- * Common machinery for the two processor models the paper uses
- * (Section 3.2.4): a fast blocking model with an IPC of 1 given
- * perfect L1s (SimpleCpu), and a 4-wide out-of-order model with a
- * parameterizable reorder buffer in the spirit of TFsim (OoOCpu).
+ * The processor models the paper uses (Section 3.2.4) and the one
+ * blocking engine they share. BaseCpu::resume() is the blocking
+ * model: one instruction per cycle given perfect L1s, and a full
+ * stall on every miss (SimpleCpu is this engine under its model's
+ * name). Every model also runs it in fast mode, the functional
+ * warming of sampled runs: there a miss completes synchronously
+ * through the caches' warm path and its fixed latency joins the
+ * cycle debt. The two modes differ only in that one access step.
+ * The 4-wide out-of-order model in the spirit of TFsim (OoOCpu)
+ * keeps its own detailed loop, but takes its phase, debt, op
+ * boundary and control-op retire from here.
  *
  * A CPU executes the op stream of the thread the simulated OS has
  * dispatched onto it, converting ops into timing against the memory
@@ -123,8 +130,10 @@ struct CpuStats
 };
 
 /**
- * Base class: thread attachment protocol, drain/preempt flags, and
- * bookkeeping. The execution engine lives in subclasses' resume().
+ * The thread attachment protocol, the drain/preempt flags, the
+ * bookkeeping and the blocking engine (resume()). A model with a
+ * detailed engine of its own overrides resume() and hands fast mode
+ * back to BaseCpu::resume().
  */
 class BaseCpu : public sim::SimObject, public mem::MemClient
 {
@@ -162,14 +171,14 @@ class BaseCpu : public sim::SimObject, public mem::MemClient
     void resumeFromDrain();
 
     /**
-     * Functional-warming fast mode (sampling): when on, resume()
-     * routes to the shared blocking engine in resumeFast() — one
-     * cycle per instruction, misses completed synchronously through
-     * the caches' warm path at a fixed charged latency, branch
-     * predictors warmed through warmBranch() with no penalty. All
-     * architectural and microarchitectural *state* (caches,
-     * coherence, predictors, OS schedule) evolves exactly as the op
-     * stream dictates; only detailed timing is approximated.
+     * Functional-warming fast mode (sampling): when on, every model
+     * runs the blocking engine with its misses completed
+     * synchronously through the caches' warm path at a fixed charged
+     * latency, and control ops retired through retireControl() with
+     * no misprediction penalty. All architectural and
+     * microarchitectural *state* (caches, coherence, predictors, OS
+     * schedule) evolves exactly as the op stream dictates; only
+     * detailed timing is approximated.
      *
      * Only legal at a quiesced op boundary (between drain periods):
      * Simulation::setFastMode() is the supported entry point.
@@ -206,31 +215,69 @@ class BaseCpu : public sim::SimObject, public mem::MemClient
     const CpuStats &stats() const { return stats_; }
     CpuStats &stats() { return stats_; }
 
+    /** The blocking engine's miss completed. */
+    void memResponse(std::uint64_t tag) override;
+
     void serialize(sim::CheckpointOut &cp) const override;
     void unserialize(sim::CheckpointIn &cp) override;
     void regStats(sim::statistics::Registry &r) override;
 
   protected:
-    /** Subclass engine: (re)enter the dispatch loop. */
-    virtual void resume() = 0;
+    /** Where an engine is within the current op. */
+    enum class Phase : std::uint8_t
+    {
+        Start,  ///< op boundary: drain/preempt checks, fetch next op
+        Instr,  ///< charge the op's instruction cycles (with ifetch)
+        Data,   ///< perform the op's data access, if any
+        Finish, ///< retire the op or hand it to the OS
+    };
 
-    /** Subclass hook: clear per-dispatch scratch state. */
-    virtual void resetPipeline() = 0;
+    /** (Re)enter the engine: the blocking one, timed or fast. */
+    virtual void resume();
+
+    /** Clear per-dispatch scratch state. */
+    virtual void resetPipeline();
 
     /**
-     * Fast-mode hook: retire a control op (Branch, Call, Return,
-     * IndirectBranch), updating whatever predictor state the model
-     * keeps — outcomes recorded, tables trained — but charging no
-     * misprediction penalty. The base implementation only counts the
-     * branch (the blocking model keeps no predictor state).
+     * Settle the pipeline before an op boundary or an OS-visible op.
+     * @return false if the CPU parked waiting for in-flight work
+     * (its completion resumes the engine).
      */
-    virtual void warmBranch(const Op &op);
+    virtual bool pipelineEmpty() { return true; }
 
     /**
-     * The shared fast engine. Subclass resume() implementations must
-     * delegate here first when fastModeActive().
+     * Retire a control op (Branch, Call, Return, IndirectBranch):
+     * count it and train whatever predictor state the model keeps.
+     * The blocking model keeps none: it models no speculation.
+     * @return true if the op was mispredicted; the detailed engine
+     * charges the refill penalty for it, warming does not.
      */
-    void resumeFast();
+    virtual bool retireControl(const Op &op);
+
+    /** No miss in flight, no debt, parked at an op boundary. */
+    virtual bool quiescent() const;
+
+    /**
+     * Settle the cycle debt by scheduling a resume.
+     * @return true if there was no debt (continue immediately).
+     */
+    bool
+    payDebt()
+    {
+        if (owed == 0)
+            return true;
+        const sim::Tick d = owed;
+        owed = 0;
+        scheduleIn(resumeEvent, d);
+        return false;
+    }
+
+    /**
+     * The op boundary: honour a pending drain or preemption once
+     * the debt is paid and the pipeline is empty.
+     * @return true if the CPU stopped here (the engine returns).
+     */
+    bool stopAtBoundary();
 
     /** Instruction footprint of an op. */
     static std::uint64_t instrCost(const Op &op);
@@ -247,38 +294,28 @@ class BaseCpu : public sim::SimObject, public mem::MemClient
     CpuStats stats_;
     sim::EventFunctionWrapper resumeEvent;
 
+    Phase phase = Phase::Start;
+    std::uint64_t remaining = 0; ///< instructions left in this op
+    sim::Tick owed = 0;          ///< unsettled cycles (the debt)
+
   private:
-    enum class FastPhase : std::uint8_t
-    {
-        Start,  ///< op boundary: drain/preempt checks
-        Instr,  ///< charge instruction cycles (with ifetch warming)
-        Finish, ///< data access / predictor warming
-        Trap,   ///< warm access done: settle debt, enter the OS
-    };
-
     /**
-     * Settle fast-mode cycles by scheduling a resume.
-     * @return true if there was no debt (continue immediately).
+     * The blocking engine's one access step, the only place the two
+     * modes differ. Fast, the access completes through the warm path
+     * and its fixed latency joins the debt. Timed, a hit completes;
+     * a miss pays the debt first (the access is retried when the CPU
+     * resumes), then sends the request and parks the CPU until
+     * memResponse() (awaitingMem).
+     * @return true if the access completed.
      */
-    bool payFastDebt();
-
-    /** Clear fast-engine scratch state (dispatch/idle boundaries). */
-    void
-    resetFast()
-    {
-        fastPhase = FastPhase::Start;
-        fastRemaining = 0;
-        fastOwed = 0;
-    }
+    bool blockingAccess(mem::L1Cache &cache, sim::Addr addr,
+                        bool write);
 
     CpuHost *host_ = nullptr;
     sim::CpuId id_;
     sim::Tick idleSince = 0;
-
     bool fastMode_ = false;
-    FastPhase fastPhase = FastPhase::Start;
-    std::uint64_t fastRemaining = 0; ///< instrs left in current op
-    sim::Tick fastOwed = 0;          ///< unsettled fast-mode cycles
+    bool awaitingMem = false; ///< a blocking miss is in flight
 };
 
 } // namespace cpu

@@ -22,9 +22,7 @@ OoOCpu::resetPipeline()
     VARSIM_ASSERT(missQueue.empty(),
                   "%s: pipeline reset with misses in flight",
                   name().c_str());
-    phase = Phase::Start;
-    remaining = 0;
-    owed = 0;
+    BaseCpu::resetPipeline();
     ipcCarry = 0;
     instrIdx = 0;
     awaitingIFetch = false;
@@ -33,14 +31,20 @@ OoOCpu::resetPipeline()
 }
 
 bool
-OoOCpu::payDebt()
+OoOCpu::pipelineEmpty()
 {
-    if (owed == 0)
+    retireCompleted();
+    if (missQueue.empty())
         return true;
-    const sim::Tick d = owed;
-    owed = 0;
-    scheduleIn(resumeEvent, d);
+    awaitingRetire = true;
     return false;
+}
+
+bool
+OoOCpu::quiescent() const
+{
+    return BaseCpu::quiescent() && missQueue.empty() &&
+           !awaitingIFetch && !blockingData;
 }
 
 void
@@ -85,12 +89,10 @@ OoOCpu::memResponse(std::uint64_t tag)
                name().c_str(), static_cast<unsigned long long>(tag));
 }
 
-void
-OoOCpu::warmBranch(const Op &op)
+bool
+OoOCpu::retireControl(const Op &op)
 {
-    // Train every predictor structure exactly as the detailed engine
-    // does — outcomes recorded, tables and the RAS updated — but
-    // charge no refill penalty: fast mode warms state, not timing.
+    bool wrong = false;
     switch (op.kind) {
       case OpKind::Branch: {
         ++stats_.branches;
@@ -98,8 +100,7 @@ OoOCpu::warmBranch(const Op &op)
         const bool pred = yags.predict(op.addr);
         yags.recordOutcome(pred == taken);
         yags.update(op.addr, taken);
-        if (pred != taken)
-            ++stats_.mispredicts;
+        wrong = pred != taken;
         break;
       }
       case OpKind::Call:
@@ -107,27 +108,28 @@ OoOCpu::warmBranch(const Op &op)
         break;
       case OpKind::Return:
         ++stats_.branches;
-        if (ras.pop() != op.count)
-            ++stats_.mispredicts;
+        wrong = ras.pop() != op.count;
         break;
       case OpKind::IndirectBranch: {
         ++stats_.branches;
         const sim::Addr predicted = indirect.predict(op.addr);
         indirect.update(op.addr, op.count);
-        if (predicted != op.count)
-            ++stats_.mispredicts;
+        wrong = predicted != op.count;
         break;
       }
       default:
         break;
     }
+    if (wrong)
+        ++stats_.mispredicts;
+    return wrong;
 }
 
 void
 OoOCpu::resume()
 {
     if (fastModeActive()) {
-        resumeFast();
+        BaseCpu::resume();
         return;
     }
     if (idle_ || tc_ == nullptr || awaitingIFetch || blockingData ||
@@ -137,31 +139,18 @@ OoOCpu::resume()
 
     retireCompleted();
 
+    // As in the blocking engine: the thread cannot change under us.
+    OpStream &ops = tc_->stream();
+    FetchState &f = tc_->fetchState();
     while (true) {
         switch (phase) {
-          case Phase::Start: {
-            if (host().draining() || preemptPending) {
-                if (!payDebt())
-                    return;
-                retireCompleted();
-                if (!missQueue.empty()) {
-                    awaitingRetire = true;
-                    return;
-                }
-                if (host().draining()) {
-                    host().drained(*this);
-                    return;
-                }
-                preemptPending = false;
-                host().preempted(*this);
+          case Phase::Start:
+            if (stopAtBoundary())
                 return;
-            }
-            remaining = instrCost(tc_->stream().current());
+            remaining = instrCost(ops.current());
             phase = Phase::Instr;
             break;
-          }
-          case Phase::Instr: {
-            FetchState &f = tc_->fetchState();
+          case Phase::Instr:
             while (remaining > 0) {
                 if (f.sinceBoundary == 0) {
                     const sim::Addr ba =
@@ -209,9 +198,8 @@ OoOCpu::resume()
             }
             phase = Phase::Data;
             break;
-          }
           case Phase::Data: {
-            const Op &op = tc_->stream().current();
+            const Op &op = ops.current();
             if (op.kind == OpKind::Load ||
                 op.kind == OpKind::Store) {
                 const bool write = op.kind == OpKind::Store;
@@ -225,13 +213,8 @@ OoOCpu::resume()
                 // they complete.
                 if (op.kind == OpKind::Load && op.id == 1 &&
                     !missQueue.empty()) {
-                    if (!payDebt())
+                    if (!payDebt() || !pipelineEmpty())
                         return;
-                    retireCompleted();
-                    if (!missQueue.empty()) {
-                        awaitingRetire = true;
-                        return;
-                    }
                 }
                 // Miss: claim an MSHR; overlap with later work.
                 if (missQueue.size() >= cfg.mshrEntries) {
@@ -255,13 +238,8 @@ OoOCpu::resume()
                 op.kind == OpKind::Unlock) {
                 // Synchronizing RMW: drain the pipeline, then block
                 // on the store (acquire/release semantics).
-                if (!payDebt())
+                if (!payDebt() || !pipelineEmpty())
                     return;
-                retireCompleted();
-                if (!missQueue.empty()) {
-                    awaitingRetire = true;
-                    return;
-                }
                 if (!dcache.tryAccess(op.addr, true)) {
                     ++stats_.memOps;
                     blockingData = true;
@@ -275,69 +253,29 @@ OoOCpu::resume()
             break;
           }
           case Phase::Finish: {
-            const Op op = tc_->stream().current();
+            const Op op = ops.current();
             switch (op.kind) {
               case OpKind::Compute:
               case OpKind::Load:
               case OpKind::Store:
-                tc_->stream().advance();
-                phase = Phase::Start;
                 break;
-              case OpKind::Branch: {
-                ++stats_.branches;
-                const bool taken = op.id != 0;
-                const bool pred = yags.predict(op.addr);
-                yags.recordOutcome(pred == taken);
-                yags.update(op.addr, taken);
-                if (pred != taken) {
-                    ++stats_.mispredicts;
-                    owed += cfg.mispredictPenalty;
-                }
-                tc_->stream().advance();
-                phase = Phase::Start;
-                break;
-              }
+              case OpKind::Branch:
               case OpKind::Call:
-                ras.push(op.count);
-                tc_->stream().advance();
-                phase = Phase::Start;
-                break;
-              case OpKind::Return: {
-                ++stats_.branches;
-                const sim::Addr predicted = ras.pop();
-                if (predicted != op.count) {
-                    ++stats_.mispredicts;
+              case OpKind::Return:
+              case OpKind::IndirectBranch:
+                if (retireControl(op))
                     owed += cfg.mispredictPenalty;
-                }
-                tc_->stream().advance();
-                phase = Phase::Start;
                 break;
-              }
-              case OpKind::IndirectBranch: {
-                ++stats_.branches;
-                const sim::Addr predicted = indirect.predict(op.addr);
-                indirect.update(op.addr, op.count);
-                if (predicted != op.count) {
-                    ++stats_.mispredicts;
-                    owed += cfg.mispredictPenalty;
-                }
-                tc_->stream().advance();
-                phase = Phase::Start;
-                break;
-              }
               default:
                 // OS-visible op: drain, then trap to the host.
-                if (!payDebt())
+                if (!payDebt() || !pipelineEmpty())
                     return;
-                retireCompleted();
-                if (!missQueue.empty()) {
-                    awaitingRetire = true;
-                    return;
-                }
                 phase = Phase::Start;
                 host().syscall(*this, *tc_, op);
                 return;
             }
+            ops.advance();
+            phase = Phase::Start;
             break;
           }
         }
@@ -347,10 +285,6 @@ OoOCpu::resume()
 void
 OoOCpu::serialize(sim::CheckpointOut &cp) const
 {
-    VARSIM_ASSERT(missQueue.empty() && !awaitingIFetch &&
-                      !blockingData && owed == 0,
-                  "%s: checkpoint while not quiescent",
-                  name().c_str());
     BaseCpu::serialize(cp);
     yags.serialize(cp);
     ras.serialize(cp);
@@ -361,14 +295,13 @@ OoOCpu::serialize(sim::CheckpointOut &cp) const
 void
 OoOCpu::unserialize(sim::CheckpointIn &cp)
 {
+    // The base resets the pipeline; the partial-issue carry is
+    // serialized residue, restored after that reset.
     BaseCpu::unserialize(cp);
     yags.unserialize(cp);
     ras.unserialize(cp);
     indirect.unserialize(cp);
     cp.get(ipcCarry);
-    const std::uint32_t carry = ipcCarry;
-    resetPipeline();
-    ipcCarry = carry;
 }
 
 void

@@ -12,6 +12,12 @@
  * ROB window or the MSHRs fill, at which point dispatch stalls until
  * the oldest miss retires. Instruction-fetch misses and OS-visible
  * ops (locks, transaction boundaries) serialize the pipeline.
+ *
+ * The detailed loop is this model's own; its phase, debt and op
+ * boundary are BaseCpu's, with pipelineEmpty() retiring the miss
+ * queue. Control ops retire through one retireControl(), which the
+ * detailed loop charges a refill penalty for a misprediction and
+ * fast mode (BaseCpu's blocking engine, warming) does not.
  */
 
 #ifndef VARSIM_CPU_OOO_CPU_HH
@@ -27,7 +33,7 @@ namespace varsim
 namespace cpu
 {
 
-class OoOCpu : public BaseCpu
+class OoOCpu final : public BaseCpu
 {
   public:
     OoOCpu(std::string name, sim::EventQueue &eq,
@@ -48,25 +54,17 @@ class OoOCpu : public BaseCpu
   protected:
     void resume() override;
     void resetPipeline() override;
-    void warmBranch(const Op &op) override;
+    bool pipelineEmpty() override;
+    bool retireControl(const Op &op) override;
+    bool quiescent() const override;
 
   private:
-    enum class Phase : std::uint8_t
-    {
-        Start,
-        Instr,
-        Data,
-        Finish,
-    };
-
     struct MissEntry
     {
         std::uint64_t instrIdx;
         std::uint64_t tag;
         bool done;
     };
-
-    bool payDebt();
 
     /** Drop completed entries from the ROB front. */
     void retireCompleted();
@@ -78,9 +76,6 @@ class OoOCpu : public BaseCpu
     ReturnAddressStack ras;
     IndirectPredictor indirect;
 
-    Phase phase = Phase::Start;
-    std::uint64_t remaining = 0;
-    sim::Tick owed = 0;
     std::uint32_t ipcCarry = 0;
     std::uint64_t instrIdx = 0;
     std::deque<MissEntry> missQueue;

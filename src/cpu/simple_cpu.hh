@@ -5,11 +5,11 @@
  * and stalls completely on every miss. This is the model behind most
  * of the paper's results (Experiments in Sections 4.1.1, 4.2, 4.3).
  *
- * Implementation note: instruction cycles accumulate as "time debt"
+ * It is BaseCpu's blocking engine run timed; this class only gives
+ * the model its name. Instruction cycles accumulate as "time debt"
  * that is settled whenever the CPU interacts with the outside world
  * (a cache miss, a syscall, a preemption, or when the debt crosses a
- * threshold). L1 hits therefore cost no event-queue traffic, which
- * keeps multi-run experiments cheap.
+ * threshold), so L1 hits cost no event-queue traffic.
  */
 
 #ifndef VARSIM_CPU_SIMPLE_CPU_HH
@@ -22,41 +22,10 @@ namespace varsim
 namespace cpu
 {
 
-class SimpleCpu : public BaseCpu
+class SimpleCpu final : public BaseCpu
 {
   public:
-    SimpleCpu(std::string name, sim::EventQueue &eq,
-              const CpuConfig &cfg, mem::L1Cache &icache,
-              mem::L1Cache &dcache, sim::CpuId id);
-
-    void memResponse(std::uint64_t tag) override;
-
-    void serialize(sim::CheckpointOut &cp) const override;
-    void unserialize(sim::CheckpointIn &cp) override;
-
-  protected:
-    void resume() override;
-    void resetPipeline() override;
-
-  private:
-    enum class Phase : std::uint8_t
-    {
-        Start,  ///< op boundary: drain/preempt checks, fetch next op
-        Instr,  ///< charge the op's instruction cycles (with ifetch)
-        Data,   ///< perform the op's data access, if any
-        Finish, ///< retire the op or hand it to the OS
-    };
-
-    /**
-     * Settle accumulated cycles by scheduling a resume.
-     * @return true if there was no debt (continue immediately).
-     */
-    bool payDebt();
-
-    Phase phase = Phase::Start;
-    std::uint64_t remaining = 0; ///< instructions left in this op
-    sim::Tick owed = 0;          ///< unsettled cycles
-    bool awaitingMem = false;
+    using BaseCpu::BaseCpu;
 };
 
 } // namespace cpu

@@ -71,9 +71,10 @@ L2Controller::releaseWaiters(std::vector<Waiter> &&waiters)
     waiterPool.push_back(std::move(waiters));
 }
 
-void
-L2Controller::request(sim::Addr block_addr, bool need_writable,
-                      L1Cache *who)
+// Inline: every timed and warm L1 miss probes through it.
+inline L2Controller::Probe
+L2Controller::lookup(sim::Addr block_addr, bool need_writable,
+                     L1Cache *who)
 {
     CacheLine *line = array.findAndTouch(block_addr);
     const bool hit =
@@ -83,6 +84,15 @@ L2Controller::request(sim::Addr block_addr, bool need_writable,
     if (hit) {
         ++numHits;
         line->aux |= l1Bit(who);
+    }
+    return {line, hit};
+}
+
+void
+L2Controller::request(sim::Addr block_addr, bool need_writable,
+                      L1Cache *who)
+{
+    if (lookup(block_addr, need_writable, who).hit) {
         DPRINTF(Cache, "L2 hit blk=%#llx w=%d",
                 static_cast<unsigned long long>(block_addr),
                 int(need_writable));
@@ -241,19 +251,12 @@ L2Controller::warmRequest(sim::Addr block_addr, bool need_writable,
     VARSIM_ASSERT(tbes.empty(),
                   "warm request on %s with %zu pending TBEs",
                   name().c_str(), tbes.size());
-    CacheLine *line = array.findAndTouch(block_addr);
-    const bool hit =
-        line != nullptr &&
-        (need_writable ? line->state == LineState::Modified
-                       : isValidState(line->state));
-    if (hit) {
-        ++numHits;
-        line->aux |= l1Bit(who);
+    const Probe probe = lookup(block_addr, need_writable, who);
+    if (probe.hit)
         return cfg.l2HitLatency;
-    }
 
     ++numMisses;
-    const bool hadCopy = line != nullptr; // S/O -> M upgrade path
+    const bool hadCopy = probe.line != nullptr; // S/O -> M upgrade path
     const bool remote =
         bus.warmTransition(node, block_addr, need_writable);
     const Fill done = fill(block_addr, need_writable);

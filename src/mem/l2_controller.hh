@@ -155,6 +155,21 @@ class L2Controller : public sim::SimObject
     /** Return a waiter vector's capacity to the recycling pool. */
     void releaseWaiters(std::vector<Waiter> &&waiters);
 
+    /** What lookup() found. */
+    struct Probe
+    {
+        CacheLine *line; ///< the block's line, or nullptr
+        bool hit;        ///< the line grants the permission asked
+    };
+
+    /**
+     * The hit test of both request paths, timed and warm: find and
+     * touch @p block_addr's line and, on a hit, count it and record
+     * @p who's copy.
+     */
+    Probe lookup(sim::Addr block_addr, bool need_writable,
+                 L1Cache *who);
+
     /** What fill() did. */
     struct Fill
     {

@@ -4,7 +4,10 @@
  * using scripted op streams and a scripted host:
  *  - SimpleCpu is IPC 1 given warm L1s and stalls fully on misses;
  *  - OoOCpu overlaps independent misses (MLP) bounded by its ROB,
- *    the knob of the paper's Experiment 2.
+ *    the knob of the paper's Experiment 2;
+ *  - fast mode (functional warming) completes misses as debt, does
+ *    a Lock's RMW once, and trains the OoO predictors exactly as
+ *    the detailed engine does, without its penalty.
  */
 
 #include <gtest/gtest.h>
@@ -74,7 +77,8 @@ class TestThread : public ThreadContext
 };
 
 /**
- * Host that advances TxnEnd/Yield ops and idles the CPU on End,
+ * Host that advances TxnEnd/Yield/Lock/Unlock ops (every lock is
+ * granted) and idles the CPU on End,
  * recording the tick of every syscall.
  */
 class TestHost : public CpuHost
@@ -89,6 +93,8 @@ class TestHost : public CpuHost
         switch (op.kind) {
           case OpKind::TxnEnd:
           case OpKind::Yield:
+          case OpKind::Lock:
+          case OpKind::Unlock:
             tc.stream().advance();
             cpu.continueThread(0);
             return;
@@ -471,6 +477,119 @@ TEST_F(CpuTest, OoODrainWaitsForOutstandingMisses)
     EXPECT_EQ(host->drains, 1);
     EXPECT_EQ(ms->pendingTransactions(), 0u)
         << "drain must complete outstanding misses";
+}
+
+/** The fixed charge of a warm access that misses to DRAM. */
+sim::Tick
+coldWarmLatency()
+{
+    const mem::MemConfig c = memCfg();
+    return c.l2HitLatency + c.netTraversal + c.dramLatency +
+           c.netTraversal;
+}
+
+TEST_F(CpuTest, FastLoadMissIsDebtNotAnEvent)
+{
+    buildSimple();
+    warmCode(kCode);
+    cpu0->setFastMode(true);
+    TestThread t({{OpKind::Load, 0, 0x9000, 0},
+                  {OpKind::TxnEnd, 0, 0, 0},
+                  {OpKind::End, 0, 0, 0}},
+                 kCode);
+    host->epoch = eq.curTick();
+    const std::uint64_t before = eq.numDispatched();
+    cpu0->runThread(&t, 0);
+    eq.run();
+    EXPECT_EQ(host->tickOf(OpKind::TxnEnd), 1u + coldWarmLatency());
+    EXPECT_EQ(ms->dcache(0).misses(), 1u);
+    // The dispatch kick, the debt paid before the TxnEnd trap and
+    // the continue after it: no memory event, no response.
+    EXPECT_EQ(eq.numDispatched() - before, 3u);
+}
+
+TEST_F(CpuTest, FastLockAccessesItsWordOnce)
+{
+    buildSimple();
+    warmCode(kCode);
+    cpu0->setFastMode(true);
+    // The cold lock word makes the Lock owe a debt, paid before its
+    // trap; the re-entry after that payment must not repeat the RMW.
+    TestThread t({{OpKind::Lock, 0, 0x9000, 0},
+                  {OpKind::TxnEnd, 0, 0, 0},
+                  {OpKind::End, 0, 0, 0}},
+                 kCode);
+    host->epoch = eq.curTick();
+    cpu0->runThread(&t, 0);
+    eq.run();
+    EXPECT_EQ(host->tickOf(OpKind::Lock), 1u + coldWarmLatency());
+    EXPECT_EQ(ms->dcache(0).misses(), 1u);
+    EXPECT_EQ(ms->dcache(0).hits(), 0u) << "the RMW was repeated";
+    EXPECT_EQ(cpu0->stats().memOps, 1u);
+}
+
+/** What retiring a control-op script left behind. */
+struct ControlRetire
+{
+    CpuStats stats;
+    std::uint64_t lookups = 0;
+    std::uint64_t correct = 0;
+    sim::Tick txnEnd = 0;
+};
+
+ControlRetire
+retireOnOoO(const std::vector<Op> &ops, bool fast)
+{
+    sim::EventQueue eq;
+    mem::MemSystem ms("mem", eq, memCfg());
+    TestHost host(eq);
+    CpuConfig cfg;
+    cfg.model = CpuConfig::Model::OutOfOrder;
+    OoOCpu cpu("cpu0", eq, cfg, ms.icache(0), ms.dcache(0), 0);
+    cpu.setHost(&host);
+    for (sim::Addr b = 0; b < 64; ++b)
+        ms.icache(0).warmAccess(kCode + b * 64, false);
+    cpu.setFastMode(fast);
+    TestThread t(ops, kCode);
+    cpu.runThread(&t, 0);
+    eq.run();
+    return {cpu.stats(), cpu.directionPredictor().lookups(),
+            cpu.directionPredictor().correct(),
+            host.tickOf(OpKind::TxnEnd)};
+}
+
+TEST_F(CpuTest, OoOWarmingTrainsPredictorsLikeDetail)
+{
+    std::vector<Op> ops;
+    for (int i = 0; i < 96; ++i) {
+        ops.push_back({OpKind::Branch, 0, kCode + 0x40 * (i % 3),
+                       (i * 7 + i * i) % 3 == 0});
+        if (i % 4 == 0)
+            ops.push_back({OpKind::Call, 0x5000u + i, 0, 0});
+        if (i % 4 == 2) // every other return goes elsewhere
+            ops.push_back({OpKind::Return,
+                           0x5000u + i - 2 + (i % 8 == 2), 0, 0});
+        if (i % 5 == 0)
+            ops.push_back({OpKind::IndirectBranch,
+                           0x6000u + 0x40 * (i % 15 / 5), kCode + 0x40,
+                           0});
+    }
+    const std::uint64_t instrs = ops.size();
+    ops.push_back({OpKind::TxnEnd, 0, 0, 0});
+    ops.push_back({OpKind::End, 0, 0, 0});
+
+    const ControlRetire detail = retireOnOoO(ops, false);
+    const ControlRetire warm = retireOnOoO(ops, true);
+    EXPECT_GT(detail.stats.mispredicts, 0u);
+    EXPECT_GT(detail.lookups, detail.correct);
+    EXPECT_EQ(warm.stats.branches, detail.stats.branches);
+    EXPECT_EQ(warm.stats.mispredicts, detail.stats.mispredicts);
+    EXPECT_EQ(warm.lookups, detail.lookups);
+    EXPECT_EQ(warm.correct, detail.correct);
+    // Warming charges one cycle per instruction and no penalty.
+    EXPECT_EQ(warm.txnEnd, instrs);
+    EXPECT_GE(detail.txnEnd,
+              detail.stats.mispredicts * CpuConfig{}.mispredictPenalty);
 }
 
 TEST_F(CpuTest, StatsCountContextSwitches)

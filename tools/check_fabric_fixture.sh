@@ -1,10 +1,12 @@
 #!/bin/sh
 # The simulator's bytes on both coherence fabrics: `varsim run` with
 # the bus and with the directory (timed and sampled, 4 and 16 CPUs,
-# plus a sampled 16-node Apache run) must print the same registry
-# dumps (names, order and values) and the same report as the `*.stats`
-# and `*.out` files beside the fixture, and `ckpt create` must write
-# checkpoint objects with the same checksums as its `ckpt-*.cksum`.
+# plus a sampled 16-node Apache run and a sampled 16-node OoO OLTP
+# run on the bus) must print the same registry dumps (names, order
+# and values) and the same report as the `*.stats` and `*.out` files
+# beside the fixture, and `ckpt create` with either CPU model must
+# write checkpoint objects with the same checksums as its
+# `ckpt-*.cksum` (OoO objects carry the predictors and issue carry).
 # The report's `host:` line (wall time, MIPS) is dropped before the
 # comparison. Regenerate the fixture (`--regenerate`) only for a
 # deliberate change of the simulated model.
@@ -44,11 +46,22 @@ done
 run apache16-sampled-directory --workload apache --cpus 16 \
     --model ooo --protocol directory --txns 1000 \
     --sample stratified:500:16:64
+run oltp16-ooo-sampled-snooping --workload oltp --cpus 16 \
+    --model ooo --protocol snooping --txns 600 \
+    --sample stratified:100:15:25
+
+# ckpt <name> <ckpt create flags...>
+ckpt() {
+    name="$1"
+    shift
+    $v ckpt create --dir "$w/lib-$name" --workload oltp --cpus 4 \
+        --checkpoints 2 --step 100 --vary l2-assoc=2,4 "$@" \
+        >/dev/null 2>&1
+    (cd "$w/lib-$name/objects" && cksum *.vckpt) >"$w/ckpt-$name.cksum"
+    check "ckpt-$name.cksum" "$w/ckpt-$name.cksum"
+}
 
 for p in snooping directory; do
-    $v ckpt create --dir "$w/lib-$p" --workload oltp --cpus 4 \
-        --checkpoints 2 --step 100 --vary l2-assoc=2,4 \
-        --protocol "$p" >/dev/null 2>&1
-    (cd "$w/lib-$p/objects" && cksum *.vckpt) >"$w/ckpt-$p.cksum"
-    check "ckpt-$p.cksum" "$w/ckpt-$p.cksum"
+    ckpt "$p" --protocol "$p"
+    ckpt "ooo-$p" --model ooo --protocol "$p"
 done

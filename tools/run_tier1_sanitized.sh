@@ -28,10 +28,10 @@ cmake --build "$build" -j "$jobs"
 # ctest discovers suites from the build, so a CMake wiring mistake
 # would silently drop one; assert the binaries this gate exists to
 # run (serialization, the cache image checks, the persistent
-# checkpoint library, the statistics paths and the sampling engine)
-# are actually present.
+# checkpoint library, the statistics paths, the CPU engines and the
+# sampling engine) are actually present.
 for t in test_sim test_stats test_mem test_core test_campaign \
-         test_ckpt test_sample; do
+         test_ckpt test_cpu test_sample; do
     [ -x "$build/tests/$t" ] || {
         echo "error: $build/tests/$t was not built" >&2
         exit 1
@@ -117,6 +117,19 @@ fi
 # tombstone suites of both tiers.
 "$build/tests/test_sim" --gtest_filter='EventQueue*' >/dev/null || {
     echo "error: event queue suites failed under asan/ubsan" >&2
+    exit 1
+}
+
+# The CPU engines, explicitly under instrumented checking: the
+# blocking engine (timed, and every model's functional warming) and
+# the OoO engine share one phase, debt and miss state, which must
+# carry across fast/detailed mode switches and checkpoints, so
+# ASan/UBSan must see the engine unit tests and the sampled runs and
+# window placements that switch modes mid-run.
+"$build/tests/test_cpu" >/dev/null &&
+"$build/tests/test_sample" \
+    --gtest_filter='Sampled*:WindowPlacement.*' >/dev/null || {
+    echo "error: cpu engine suites failed under asan/ubsan" >&2
     exit 1
 }
 
