@@ -14,6 +14,7 @@
 #include <unordered_set>
 
 #include "ckpt/archive.hh"
+#include "ckpt/key.hh"
 #include "sim/file_io.hh"
 #include "sim/logging.hh"
 
@@ -60,7 +61,68 @@ failure(const std::string &why)
     return r;
 }
 
+/** The little-endian 64-bit word at @p p, which may be unaligned. */
+std::uint64_t
+loadWord(const std::uint8_t *p)
+{
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof w);
+    if constexpr (std::endian::native == std::endian::big)
+        w = __builtin_bswap64(w);
+    return w;
+}
+
+/**
+ * One step of format 2's checksum: xxHash64's round. Multiplying the
+ * word before it is added turns a flipped bit into a wide difference,
+ * and the rotation carries high bits down, so no pattern of flips in
+ * two words cancels whatever the data. An xor-multiply step maps a
+ * flip of bit 63 to a flip of bit 63, which the next word's bit 63
+ * undoes.
+ */
+std::uint64_t
+laneRound(std::uint64_t acc, std::uint64_t w)
+{
+    return std::rotl(acc + w * 0xc2b2ae3d27d4eb4full, 31) *
+           0x9e3779b185ebca87ull;
+}
+
+/** Format 2's checksum (see segmentChecksum()). */
+std::uint64_t
+laneChecksum(const std::uint8_t *p, std::size_t n)
+{
+    std::uint64_t lane[4];
+    for (std::uint64_t k = 0; k < 4; ++k)
+        lane[k] = ckpt::kFnvOffsetBasis + k;
+    // Four independent chains keep the multiplier busy where one
+    // chain waits out each multiply's latency.
+    const std::size_t words = n / 8;
+    std::size_t j = 0;
+    for (; j + 4 <= words; j += 4)
+        for (std::size_t k = 0; k < 4; ++k)
+            lane[k] = laneRound(lane[k], loadWord(p + 8 * (j + k)));
+    for (; j < words; ++j)
+        lane[j % 4] = laneRound(lane[j % 4], loadWord(p + 8 * j));
+
+    std::uint64_t h = ckpt::kFnvOffsetBasis;
+    for (const std::uint64_t l : lane)
+        h = laneRound(h, l);
+    if (n % 8 != 0) {
+        std::uint8_t last[8] = {};
+        std::memcpy(last, p + 8 * words, n % 8);
+        h = laneRound(h, loadWord(last));
+    }
+    return laneRound(h, n);
+}
+
 } // anonymous namespace
+
+std::uint64_t
+segmentChecksum(std::uint32_t version, const std::uint8_t *p,
+                std::size_t n)
+{
+    return version == 1 ? fnvBytes(p, n) : laneChecksum(p, n);
+}
 
 std::vector<std::uint8_t>
 buildSegment(const std::vector<const RunRecord *> &records)
@@ -135,7 +197,8 @@ buildSegment(const std::vector<const RunRecord *> &records)
         }
     }
 
-    putLe<std::uint64_t>(out, fnvBytes(out.data(), out.size()));
+    putLe<std::uint64_t>(
+        out, segmentChecksum(kSegmentVersion, out.data(), out.size()));
     return out;
 }
 
@@ -168,9 +231,8 @@ struct SegmentParser
     }
 
     /**
-     * Check the header, start the whole-file checksum on its own
-     * thread and walk the records while it runs. The checksum is
-     * left running on success.
+     * Check the header, then start the whole-file checksum and the
+     * walk, each on its own thread, and leave them running.
      */
     static SegmentLoad
     parse(std::shared_ptr<SegmentView> view)
@@ -185,34 +247,31 @@ struct SegmentParser
             return failure(
                 "bad magic (not a varsim result segment)");
         const auto version = getLe<std::uint32_t>(base + 8);
-        if (version != kSegmentVersion)
+        if (version < 1 || version > kSegmentVersion)
             return failure(sim::format(
                 "unsupported segment version %u (this build "
-                "reads %u)", version, kSegmentVersion));
+                "reads 1..%u)", version, kSegmentVersion));
 
+        view->version_ = version;
         view->fnv = getLe<std::uint64_t>(base + size - 8);
         SegmentView &v = *view;
-        const auto sum = [&v] {
-            v.computed = fnvBytes(v.base, v.size_ - 8);
+        // Their own threads, not HostThreadPool workers: those may be
+        // busy with simulations the open would queue behind. With no
+        // thread to spare the work runs in line.
+        const auto start = [](std::thread &t, auto work) {
+            try {
+                t = std::thread(work);
+            } catch (const std::system_error &) {
+                work();
+            }
         };
-        try {
-            // Its own thread, not a HostThreadPool worker: those may
-            // be busy with simulations the open would queue behind.
-            view->checker = std::thread(sum);
-        } catch (const std::system_error &) {
-            sum(); // no thread to spare: check in line
-        }
+        start(v.checker, [&v] {
+            v.computed = segmentChecksum(v.version_, v.base, v.size_ - 8);
+        });
+        start(v.walker, [&v] { v.walkError = walk(v).error; });
 
-        SegmentLoad r = walk(*view);
-        if (!r.ok) {
-            // Damage that breaks the walk breaks the checksum too;
-            // the mismatch is the error a load reports, as when the
-            // checksum ran before the walk.
-            const std::string mismatch = view->checksumMismatch();
-            if (!mismatch.empty())
-                r.error = mismatch;
-            return r;
-        }
+        SegmentLoad r;
+        r.ok = true;
         r.view = std::move(view);
         return r;
     }
@@ -331,7 +390,7 @@ parseSegment(std::vector<std::uint8_t> bytes)
 {
     SegmentLoad r = SegmentParser::parse(
         SegmentParser::fromOwned(std::move(bytes), ""));
-    // Nothing to do beside the checksum here: await it at once.
+    // Nothing to do beside the walk and the checksum: await them.
     if (r.ok && !r.view->verify(&r.error)) {
         r.ok = false;
         r.view.reset();
@@ -348,15 +407,18 @@ loadSegmentFile(const std::string &path)
                                    path.c_str(),
                                    std::strerror(errno)));
     struct stat sb;
-    if (::fstat(fd, &sb) != 0 || sb.st_size <= 0) {
+    if (::fstat(fd, &sb) != 0) {
         ::close(fd);
         return failure(sim::format("cannot stat %s", path.c_str()));
     }
     const std::size_t len = static_cast<std::size_t>(sb.st_size);
 
     std::shared_ptr<SegmentView> view;
-    void *map =
-        ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
+    // An empty file cannot be mapped: it is read (as no bytes) and
+    // refused by the parse like any short file.
+    void *map = len == 0 ? MAP_FAILED
+                         : ::mmap(nullptr, len, PROT_READ,
+                                  MAP_PRIVATE, fd, 0);
     if (map != MAP_FAILED) {
         view = SegmentParser::fromMapping(map, len, path);
         ::close(fd); // the mapping outlives the descriptor
@@ -389,21 +451,48 @@ SegmentView::checksumMismatch()
                        static_cast<unsigned long long>(computed));
 }
 
+std::string
+SegmentView::located(const std::string &why) const
+{
+    return path.empty() ? why : path + ": " + why;
+}
+
+bool
+SegmentView::awaitIndex(std::string *error)
+{
+    if (walker.joinable())
+        walker.join();
+    if (walkError.empty())
+        return true;
+    // Damage that breaks the walk breaks the checksum too; the
+    // mismatch is the error a load reports, as when the checksum ran
+    // before the walk.
+    const std::string mismatch = checksumMismatch();
+    if (error)
+        *error = located(mismatch.empty() ? walkError : mismatch);
+    return false;
+}
+
 bool
 SegmentView::verify(std::string *error)
 {
+    if (!awaitIndex(error))
+        return false;
     const std::string mismatch = checksumMismatch();
     if (mismatch.empty())
         return true;
     if (error)
-        *error = path.empty() ? mismatch : path + ": " + mismatch;
+        *error = located(mismatch);
     return false;
 }
 
 SegmentView::~SegmentView()
 {
+    // Both threads read the bytes unmapped below.
+    if (walker.joinable())
+        walker.join();
     if (checker.joinable())
-        checker.join(); // it reads the bytes unmapped below
+        checker.join();
     if (mapping)
         ::munmap(mapping, mappingLen);
 }

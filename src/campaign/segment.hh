@@ -6,11 +6,11 @@
  * of compaction, in one checksummed, length-framed, mmap-able file —
  * the same container conventions as the checkpoint archives in
  * src/ckpt/archive.hh (little-endian fixed-width integers, trailing
- * whole-file FNV-1a 64 checksum, parse-never-aborts). Layout:
+ * whole-file checksum, parse-never-aborts). Layout:
  *
  *     offset  size  field
  *     0       8     magic "VSIMSEG1"
- *     8       4     format version (currently 1)
+ *     8       4     format version: 2 is written, 1 and 2 are read
  *     12      4     dictionary entry count D
  *     16      8     run record count R
  *     24      8     legacy footer entry count G (written as 0)
@@ -28,7 +28,18 @@
  *                   writers stored per-group running summaries
  *                   here, which no reader used; an older reader
  *                   given G = 0 recomputes them from the records.
- *     end-8   8     FNV-1a 64 checksum over every preceding byte
+ *     end-8   8     checksum over every preceding byte: format 1
+ *                   byte-wise FNV-1a 64, format 2 the word-lane
+ *                   checksum of segmentChecksum()
+ *
+ * The two formats differ only in the checksum. Byte-wise FNV-1a is
+ * one serial xor-multiply per byte; format 2 runs xxHash64's round
+ * over 64-bit words in four independent lanes, about 7x faster, and
+ * the round is a bijection of the lane for a fixed word and of the
+ * word for a fixed lane, so any change confined to one of those
+ * words is always detected. A build that reads only
+ * format 1 refuses a format-2 segment ("unsupported segment version
+ * 2"); compact() rewrites a format-1 segment as format 2.
  *
  * Metric doubles travel as raw IEEE-754 bits, so a segment round
  * trip is bit-exact by construction (the JSONL journal achieves the
@@ -40,8 +51,9 @@
  * misread: every frame is bounds-checked, record keys must strictly
  * increase, dictionary references must resolve, the declared frames
  * must exactly tile the file, and the trailing checksum must match.
- * The checksum runs on its own thread while the walk indexes the
- * records, and a load that fails both reports the checksum.
+ * A load checks the header, then the checksum and the walk that
+ * indexes the records each run on their own thread while the caller
+ * goes on; a load that fails both reports the checksum.
  */
 
 #ifndef VARSIM_CAMPAIGN_SEGMENT_HH
@@ -60,11 +72,25 @@ namespace varsim
 namespace campaign
 {
 
-constexpr std::uint32_t kSegmentVersion = 1;
+/** The format compaction writes; every version up to it is read. */
+constexpr std::uint32_t kSegmentVersion = 2;
+
+/**
+ * The trailing checksum a format-@p version segment keeps over its
+ * first @p n bytes. Format 1: byte-wise FNV-1a 64. Format 2:
+ * xxHash64's round r(a, w) = rotl(a + w * 0xc2b2ae3d27d4eb4f, 31) *
+ * 0x9e3779b185ebca87 over the little-endian 64-bit words, word j into
+ * lane j % 4, lane k starting from the FNV basis plus k; then, from
+ * the FNV basis, the four lanes, the n % 8 bytes after the last whole
+ * word as one zero-padded word (if any) and n itself are folded in
+ * with the same round.
+ */
+std::uint64_t segmentChecksum(std::uint32_t version,
+                              const std::uint8_t *p, std::size_t n);
 
 /**
  * Serialize @p records (must be sorted by (group, run), unique) into
- * segment bytes with an empty legacy footer.
+ * format-kSegmentVersion bytes with an empty legacy footer.
  */
 std::vector<std::uint8_t>
 buildSegment(const std::vector<const RunRecord *> &records);
@@ -126,11 +152,21 @@ class SegmentView
     /** The trailing whole-file checksum (manifest cross-check). */
     std::uint64_t checksum() const { return fnv; }
 
+    /** The format the header names (which checksum it carries). */
+    std::uint32_t version() const { return version_; }
+
     /**
-     * Wait for the whole-file checksum the load started beside its
-     * walk. False, with @p error set as a failed load would set
-     * SegmentLoad::error, when the bytes do not match it. Until this
-     * returns true the view is bounds-checked but not vouched for.
+     * Wait for the walk the load started. False, with @p error set as
+     * a failed load would set SegmentLoad::error, when the records do
+     * not frame; no accessor may be used before this returns true.
+     * The records are then bounds-checked but not vouched for.
+     */
+    bool awaitIndex(std::string *error);
+
+    /**
+     * awaitIndex(), then wait for the whole-file checksum. False,
+     * with @p error set as for awaitIndex(), when the bytes do not
+     * match it either.
      */
     bool verify(std::string *error);
 
@@ -160,18 +196,24 @@ class SegmentView
     /** Joins the checksum: "" when it matches, else the mismatch. */
     std::string checksumMismatch();
 
+    /** @p why, or the path it concerns and @p why. */
+    std::string located(const std::string &why) const;
+
     std::string path; ///< the file mapped or read; empty when parsed
     std::vector<std::string> dict;
     std::vector<Entry> index; ///< sorted by (group, run)
+    std::uint32_t version_ = 0;
     std::uint64_t fnv = 0;      ///< the stored trailing checksum
     std::uint64_t computed = 0; ///< set by checker
+    std::string walkError;      ///< set by walker; empty: it framed
 
     /**
-     * Computes the checksum of the bytes above; joined by verify()
-     * or, for a view dropped unverified, by the destructor before
-     * the bytes go.
+     * Compute the checksum and build dict and index from the bytes
+     * above; joined by verify() and awaitIndex() or, for a view
+     * dropped before, by the destructor before the bytes go.
      */
     std::thread checker;
+    std::thread walker;
 };
 
 /** Outcome of loading a segment; never aborts on damage. */
@@ -192,11 +234,12 @@ struct SegmentLoad
 SegmentLoad parseSegment(std::vector<std::uint8_t> bytes);
 
 /**
- * mmap (falling back to a plain read) and parse @p path. The walk's
- * damage and I/O errors land in SegmentLoad; the whole-file checksum
- * is still running on its own thread when this returns, and the
- * caller awaits it with SegmentView::verify() once it has done what
- * does not depend on it.
+ * mmap (falling back to a plain read) @p path and check its header.
+ * I/O errors and a bad header land in SegmentLoad; the walk and the
+ * whole-file checksum are still running on their own threads when
+ * this returns, and the caller awaits them with
+ * SegmentView::awaitIndex() and SegmentView::verify() once it has
+ * done what does not depend on them.
  */
 SegmentLoad loadSegmentFile(const std::string &path);
 

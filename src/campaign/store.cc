@@ -9,10 +9,13 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <filesystem>
-#include <iterator>
+#include <map>
+#include <numeric>
 #include <ostream>
 #include <string_view>
+#include <unordered_map>
 
 #include "campaign/segment.hh"
 #include "sim/file_io.hh"
@@ -94,19 +97,6 @@ parseHex64(const std::string &s, std::uint64_t *out)
     return true;
 }
 
-/** Registry metric @p name of a journal run; false when it lacks it. */
-bool
-registryValue(const RunRecord &r, const std::string &name, double *v)
-{
-    for (const auto &kv : r.metrics) {
-        if (kv.first == name) {
-            *v = kv.second;
-            return true;
-        }
-    }
-    return false;
-}
-
 } // anonymous namespace
 
 std::string
@@ -180,22 +170,459 @@ ResultStore::ckptStatsLineFor(const CkptStatsRecord &r)
     return w.str();
 }
 
+/**
+ * The journal tail: one fixed-size record per run, sorted by (group,
+ * run), and every run's metric values in one arena. A run's metric
+ * names are a list of ids into the store's interned names; runs
+ * almost always repeat one list, which is kept once.
+ *
+ * Replay stages runs in manifest order and finds them through an
+ * open-addressed hash until seal() sorts them; from then on lookups
+ * binary-search and an append inserts in place.
+ */
+class ResultStore::TailIndex
+{
+  public:
+    static constexpr std::uint32_t kNoNames = UINT32_MAX;
+
+    struct Run
+    {
+        std::uint64_t group = 0;
+        std::uint64_t run = 0;
+        std::uint64_t config = 0;
+        std::uint64_t ckpt = 0;
+        std::uint64_t seed = 0;
+        double cyclesPerTxn = 0.0;
+        std::uint64_t runtimeTicks = 0;
+        std::uint64_t txns = 0;
+        std::size_t values = 0;         ///< its first value in the arena
+        std::uint32_t names = kNoNames; ///< its name list; none: no metrics
+    };
+
+    /** Reads one metric out of tail runs, finding it once per list. */
+    class Reader
+    {
+      public:
+        Reader(const TailIndex &t, std::string_view name) : t(t)
+        {
+            const auto it = t.ids.find(name);
+            if (it != t.ids.end())
+                id = it->second;
+        }
+
+        bool
+        get(const Run &r, double *v)
+        {
+            if (r.names != list) {
+                list = r.names;
+                pos = t.position(list, id);
+            }
+            if (pos == SIZE_MAX)
+                return false;
+            *v = t.values[r.values + pos];
+            return true;
+        }
+
+      private:
+        const TailIndex &t;
+        std::uint32_t id = kNoNames;
+        std::uint32_t list = kNoNames;
+        std::size_t pos = SIZE_MAX;
+    };
+
+    std::size_t size() const { return runs.size(); }
+    const Run &operator[](std::size_t pos) const { return runs[pos]; }
+
+    /** Position of the first run not below (g, i); sorted runs only. */
+    std::size_t
+    lowerBound(std::uint64_t g, std::uint64_t i) const
+    {
+        return static_cast<std::size_t>(
+            std::lower_bound(runs.begin(), runs.end(),
+                             std::make_pair(g, i),
+                             [](const Run &r, const auto &key) {
+                                 return std::make_pair(r.group, r.run) <
+                                        key;
+                             }) -
+            runs.begin());
+    }
+
+    /** The run at position @p pos if it is (g, i), else nullptr. */
+    const Run *
+    at(std::size_t pos, std::uint64_t g, std::uint64_t i) const
+    {
+        if (pos >= runs.size() || runs[pos].group != g ||
+            runs[pos].run != i)
+            return nullptr;
+        return &runs[pos];
+    }
+
+    std::size_t
+    runsInGroup(std::uint64_t g) const
+    {
+        return lowerBound(g + 1, 0) - lowerBound(g, 0);
+    }
+
+    /** Run (g, i), or nullptr; staged runs through the hash. */
+    const Run *
+    find(std::uint64_t g, std::uint64_t i) const
+    {
+        if (slots.empty())
+            return at(lowerBound(g, i), g, i);
+        for (std::size_t s = slotOf(g, i);; s = (s + 1) & (slots.size() - 1)) {
+            if (!slots[s])
+                return nullptr;
+            const Run &r = runs[slots[s] - 1];
+            if (r.group == g && r.run == i)
+                return &r;
+        }
+    }
+
+    Run *
+    find(std::uint64_t g, std::uint64_t i)
+    {
+        return const_cast<Run *>(std::as_const(*this).find(g, i));
+    }
+
+    /** Replay: add @p r, which the index does not hold yet. */
+    void
+    stage(const Run &r)
+    {
+        if (2 * (runs.size() + 1) > slots.size())
+            rehash(std::max<std::size_t>(1024, 2 * slots.size()));
+        runs.push_back(r);
+        place(runs.size());
+    }
+
+    /** A companion's metrics, reduced and stored; not yet a run's. */
+    struct Dump
+    {
+        std::uint32_t names = kNoNames; ///< kNoNames: no number in it
+        std::size_t values = 0;
+    };
+
+    /** Replay: reduce a companion line's "m:" fields to a Dump. */
+    Dump dump(const sim::JsonLine &line);
+
+    /** Replay: @p d becomes the metrics of @p r (none if it has none). */
+    static void
+    attach(Run &r, const Dump &d)
+    {
+        r.names = d.names;
+        r.values = d.values;
+    }
+
+    /** End of replay: sort the staged runs, drop what replay used. */
+    void
+    seal()
+    {
+        std::sort(runs.begin(), runs.end(),
+                  [](const Run &a, const Run &b) {
+                      return std::make_pair(a.group, a.run) <
+                             std::make_pair(b.group, b.run);
+                  });
+        release(slots);
+        release(shapes);
+        release(shapeByFields);
+        release(lastFields);
+        release(fields);
+        release(fieldValues);
+    }
+
+    void insert(const RunRecord &rec);
+
+    RunRecord materialize(const Run &r) const;
+
+    /** The metric names the runs carry, each once. */
+    std::vector<std::string> metricNames() const;
+
+  private:
+    /** One "m:" field of a companion: its name, and if a number. */
+    struct RawField
+    {
+        std::uint32_t id = 0;
+        bool number = false;
+    };
+
+    /** A companion field sequence, reduced to what a run keeps. */
+    struct Shape
+    {
+        std::uint32_t list = kNoNames;
+        std::vector<std::uint32_t> perm; ///< list position -> field
+    };
+
+    struct List
+    {
+        std::size_t first = 0; ///< in listIds
+        std::uint32_t size = 0;
+    };
+
+    /** Empty @p c and free its storage (`c = {}` keeps a vector's). */
+    template <class C>
+    static void
+    release(C &c)
+    {
+        C().swap(c);
+    }
+
+    std::size_t
+    slotOf(std::uint64_t g, std::uint64_t i) const
+    {
+        std::uint64_t h = (g * 0x9e3779b97f4a7c15ull) ^ i;
+        h *= 0xbf58476d1ce4e5b9ull;
+        return static_cast<std::size_t>(h ^ (h >> 29)) &
+               (slots.size() - 1);
+    }
+
+    /** Put run number @p n (1-based) into the hash. */
+    void
+    place(std::size_t n)
+    {
+        const Run &r = runs[n - 1];
+        std::size_t s = slotOf(r.group, r.run);
+        while (slots[s])
+            s = (s + 1) & (slots.size() - 1);
+        slots[s] = n;
+    }
+
+    void
+    rehash(std::size_t capacity)
+    {
+        slots.assign(capacity, 0);
+        for (std::size_t n = 1; n <= runs.size(); ++n)
+            place(n);
+    }
+
+    std::uint32_t intern(std::string_view name);
+    std::uint32_t listOf(const std::vector<std::uint32_t> &ids);
+    std::uint32_t shapeOf(const std::vector<RawField> &raw);
+
+    /** Where name @p id sits in list @p l, or SIZE_MAX. */
+    std::size_t
+    position(std::uint32_t l, std::uint32_t id) const
+    {
+        if (l == kNoNames)
+            return SIZE_MAX;
+        for (std::size_t k = 0; k < lists[l].size; ++k)
+            if (listIds[lists[l].first + k] == id)
+                return k;
+        return SIZE_MAX;
+    }
+
+    std::vector<Run> runs;
+    std::vector<double> values;
+
+    /** 1-based run positions while staging; empty once sealed. */
+    std::vector<std::size_t> slots;
+
+    /** Interned, by id; a deque, so the keys of ids stay valid. */
+    std::deque<std::string> names;
+    std::unordered_map<std::string_view, std::uint32_t> ids;
+
+    std::vector<List> lists;
+    std::vector<std::uint32_t> listIds;
+    std::map<std::vector<std::uint32_t>, std::uint32_t> listByIds;
+
+    // Replay only; seal() drops them.
+    /** Shapes by field sequence (id * 2 + number); 0 has no fields. */
+    std::vector<Shape> shapes{Shape{}};
+    std::map<std::vector<std::uint32_t>, std::uint32_t> shapeByFields{
+        {{}, 0}};
+
+    /** The last companion's fields and shape, and buffers reused per line. */
+    std::vector<RawField> lastFields, fields;
+    std::uint32_t lastShape = 0;
+    std::vector<double> fieldValues;
+};
+
+std::uint32_t
+ResultStore::TailIndex::intern(std::string_view name)
+{
+    const auto it = ids.find(name);
+    if (it != ids.end())
+        return it->second;
+    const auto id = static_cast<std::uint32_t>(names.size());
+    ids.emplace(names.emplace_back(name), id);
+    return id;
+}
+
+std::uint32_t
+ResultStore::TailIndex::listOf(const std::vector<std::uint32_t> &l)
+{
+    if (l.empty())
+        return kNoNames;
+    const auto it = listByIds.find(l);
+    if (it != listByIds.end())
+        return it->second;
+    const auto id = static_cast<std::uint32_t>(lists.size());
+    lists.push_back({listIds.size(), static_cast<std::uint32_t>(l.size())});
+    listIds.insert(listIds.end(), l.begin(), l.end());
+    listByIds.emplace(l, id);
+    return id;
+}
+
+std::uint32_t
+ResultStore::TailIndex::shapeOf(const std::vector<RawField> &raw)
+{
+    std::vector<std::uint32_t> key;
+    key.reserve(raw.size());
+    for (const RawField &f : raw)
+        key.push_back(2 * f.id + f.number);
+    const auto it = shapeByFields.find(key);
+    if (it != shapeByFields.end())
+        return it->second;
+
+    // What the run keeps: key order, a repeated key's last copy, and
+    // only the keys whose kept copy is a number. The stable sort
+    // leaves the copies of a key in line order.
+    std::vector<std::uint32_t> order(raw.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                         return names[raw[a].id] < names[raw[b].id];
+                     });
+    Shape shape;
+    std::vector<std::uint32_t> kept;
+    for (std::size_t k = 0; k < order.size(); ++k) {
+        const RawField &f = raw[order[k]];
+        if ((k + 1 < order.size() && raw[order[k + 1]].id == f.id) ||
+            !f.number)
+            continue;
+        shape.perm.push_back(order[k]);
+        kept.push_back(f.id);
+    }
+    shape.list = listOf(kept);
+    shapes.push_back(std::move(shape));
+    const auto id = static_cast<std::uint32_t>(shapes.size() - 1);
+    shapeByFields.emplace(std::move(key), id);
+    return id;
+}
+
+ResultStore::TailIndex::Dump
+ResultStore::TailIndex::dump(const sim::JsonLine &line)
+{
+    // A companion almost always carries the fields of the one before,
+    // in the same order: names are compared against that sequence and
+    // interned only from the first difference on.
+    std::size_t k = 0;
+    bool same = true;
+    fieldValues.clear();
+    line.visitWithPrefix("m:", [&](std::string_view name,
+                                   const double *v) {
+        const bool number = v != nullptr;
+        if (same && (k == lastFields.size() ||
+                     lastFields[k].number != number ||
+                     names[lastFields[k].id] != name)) {
+            same = false;
+            fields.assign(lastFields.begin(), lastFields.begin() + k);
+        }
+        if (!same)
+            fields.push_back({intern(name), number});
+        fieldValues.push_back(number ? *v : 0.0);
+        ++k;
+    });
+    if (same && k != lastFields.size()) {
+        same = false;
+        fields.assign(lastFields.begin(), lastFields.begin() + k);
+    }
+    if (!same) {
+        lastFields.swap(fields);
+        lastShape = shapeOf(lastFields);
+    }
+    const Shape &shape = shapes[lastShape];
+    Dump d;
+    d.names = shape.list;
+    d.values = values.size();
+    for (const std::uint32_t f : shape.perm)
+        values.push_back(fieldValues[f]);
+    return d;
+}
+
+void
+ResultStore::TailIndex::insert(const RunRecord &rec)
+{
+    VARSIM_ASSERT(slots.empty(), "append into a replay in progress");
+    Run r;
+    r.group = rec.group;
+    r.run = rec.runIdx;
+    r.config = rec.configIdx;
+    r.ckpt = rec.ckptIdx;
+    r.seed = rec.seed;
+    r.cyclesPerTxn = rec.cyclesPerTxn;
+    r.runtimeTicks = rec.runtimeTicks;
+    r.txns = rec.txns;
+    // Kept as given, registration order and all, like the record.
+    std::vector<std::uint32_t> l;
+    l.reserve(rec.metrics.size());
+    for (const auto &kv : rec.metrics)
+        l.push_back(intern(kv.first));
+    r.names = listOf(l);
+    r.values = values.size();
+    for (const auto &kv : rec.metrics)
+        values.push_back(kv.second);
+    runs.insert(runs.begin() + static_cast<std::ptrdiff_t>(
+                                   lowerBound(r.group, r.run)),
+                r);
+}
+
+RunRecord
+ResultStore::TailIndex::materialize(const Run &r) const
+{
+    RunRecord rec;
+    rec.group = r.group;
+    rec.configIdx = r.config;
+    rec.ckptIdx = r.ckpt;
+    rec.runIdx = r.run;
+    rec.seed = r.seed;
+    rec.cyclesPerTxn = r.cyclesPerTxn;
+    rec.runtimeTicks = r.runtimeTicks;
+    rec.txns = r.txns;
+    if (r.names != kNoNames) {
+        const List &l = lists[r.names];
+        rec.metrics.reserve(l.size);
+        for (std::size_t k = 0; k < l.size; ++k)
+            rec.metrics.emplace_back(names[listIds[l.first + k]],
+                                     values[r.values + k]);
+    }
+    return rec;
+}
+
+std::vector<std::string>
+ResultStore::TailIndex::metricNames() const
+{
+    // A list dumped for a companion the replay then skipped belongs
+    // to no run, and a name only a dropped field had is in no list.
+    std::vector<bool> listed(lists.size(), false);
+    for (const Run &r : runs)
+        if (r.names != kNoNames)
+            listed[r.names] = true;
+    std::vector<bool> carried(names.size(), false);
+    for (std::size_t l = 0; l < lists.size(); ++l)
+        for (std::size_t k = 0; listed[l] && k < lists[l].size; ++k)
+            carried[listIds[lists[l].first + k]] = true;
+    std::vector<std::string> out;
+    for (std::size_t id = 0; id < names.size(); ++id)
+        if (carried[id])
+            out.push_back(names[id]);
+    return out;
+}
+
 struct ResultStore::RunLoc
 {
-    const RunRecord *tail = nullptr; ///< the run, when in the tail
-    SegmentView::Ref seg;            ///< the run, when in the segment
+    const TailIndex::Run *tail = nullptr; ///< the run, when in the tail
+    SegmentView::Ref seg; ///< the run, when in the segment
 
     bool found() const { return tail || seg.valid(); }
 };
+
+ResultStore::ResultStore() : tail_(std::make_unique<TailIndex>()) {}
 
 ResultStore::RunLoc
 ResultStore::locateLocked(std::size_t g, std::size_t i) const
 {
     RunLoc loc;
-    const auto it = runs.find({g, i});
-    if (it != runs.end())
-        loc.tail = &it->second;
-    else if (segment_)
+    loc.tail = tail_->find(g, i);
+    if (!loc.tail && segment_)
         loc.seg = segment_->find(g, i);
     return loc;
 }
@@ -208,13 +635,13 @@ ResultStore::walkPrefixLocked(std::size_t g, std::size_t maxRuns,
     // Two cursors, each at the first entry not below (g, i): both
     // indexes are sorted by (group, run) and unique, so run i is at
     // a cursor or nowhere, and a cursor that holds it steps past.
-    auto tail = runs.lower_bound({g, 0});
+    std::size_t tail = tail_->lowerBound(g, 0);
     std::size_t seg = segment_ ? segment_->lowerBound(g, 0) : 0;
     for (std::size_t i = 0; i < maxRuns; ++i) {
         RunLoc loc;
-        if (tail != runs.end() && tail->first.first == g &&
-            tail->first.second == i)
-            loc.tail = &(tail++)->second;
+        loc.tail = tail_->at(tail, g, i);
+        if (loc.tail)
+            ++tail;
         if (segment_) {
             const SegmentView::Ref ref = segment_->at(seg, g, i);
             if (ref.valid()) {
@@ -243,15 +670,15 @@ ResultStore::walkAllLocked(Visit &&visit) const
             visit(loc);
         }
     };
-    for (const auto &entry : runs) {
-        const auto [g, i] = entry.first;
+    for (std::size_t t = 0; t < tail_->size(); ++t) {
+        const TailIndex::Run &r = (*tail_)[t];
         if (segment_) {
-            segmentUpTo(segment_->lowerBound(g, i));
-            if (segment_->at(seg, g, i).valid())
+            segmentUpTo(segment_->lowerBound(r.group, r.run));
+            if (segment_->at(seg, r.group, r.run).valid())
                 ++seg;
         }
         RunLoc loc;
-        loc.tail = &entry.second;
+        loc.tail = &r;
         visit(loc);
     }
     segmentUpTo(segment_ ? segment_->runCount() : 0);
@@ -376,7 +803,8 @@ ResultStore::openReadOnly(const std::string &dir)
 bool
 ResultStore::loadSegmentRecord(const sim::JsonLine &obj,
                                const std::string &path,
-                               std::size_t lineNo, std::string *gone)
+                               std::size_t lineNo, SegmentLoad &load,
+                               std::string *gone)
 {
     const std::string file = obj.str("file");
     if (segment_)
@@ -390,7 +818,9 @@ ResultStore::loadSegmentRecord(const sim::JsonLine &obj,
                    "checksum '%s'", path.c_str(), lineNo,
                    obj.str("fnv").c_str());
 
-    SegmentLoad l = loadSegmentFile(dir_ + "/" + file);
+    SegmentLoad l = std::move(load);
+    if (l.ok)
+        l.ok = l.view->awaitIndex(&l.error);
     if (!l.ok && gone && *gone != file &&
         !std::filesystem::exists(dir_ + "/" + file)) {
         *gone = file;
@@ -437,11 +867,85 @@ ResultStore::replay(const std::string &path, std::string *gone)
     if (!sim::readWholeFile(path, data, &error))
         sim::fatal("%s", error.c_str());
 
-    bool sawHeader = false;
+    // Two passes. The first parses every line once and reduces run
+    // and metrics records to their values; at the first segment
+    // record it starts loading the segment, whose walk indexes it on
+    // its own thread meanwhile. The second decides, prints and
+    // applies every line in order, as one pass would, and only it
+    // reads the segment's index.
+    struct Line
+    {
+        enum class Kind : std::uint8_t
+        {
+            Record,
+            Run,
+            Metrics,
+            Malformed,
+            Torn
+        };
+        Kind kind;
+        std::size_t no;
+        std::size_t at; ///< Record, Torn: offset in data; else index
+    };
+    struct Companion
+    {
+        std::size_t group, run;
+        TailIndex::Dump dump;
+    };
+    std::vector<Line> lines;
+    std::vector<TailIndex::Run> runs;
+    std::vector<Companion> companions;
+    SegmentLoad load;
+    bool loading = false;
+
+    JsonLine obj;
     std::size_t lineNo = 0;
+    for (std::size_t pos = 0; pos < data.size();) {
+        ++lineNo;
+        const std::size_t nl = data.find('\n', pos);
+        if (nl == std::string::npos) {
+            lines.push_back({Line::Kind::Torn, lineNo, pos});
+            break;
+        }
+        const std::string_view line(data.data() + pos, nl - pos);
+        const std::size_t at = pos;
+        pos = nl + 1;
+        if (line.empty())
+            continue;
+        if (!obj.parse(line)) {
+            lines.push_back({Line::Kind::Malformed, lineNo, 0});
+            continue;
+        }
+        const std::string type = obj.str("type");
+        if (type == "run") {
+            TailIndex::Run r;
+            r.group = obj.num("group");
+            r.config = obj.num("config");
+            r.ckpt = obj.num("checkpoint");
+            r.run = obj.num("run");
+            r.seed = obj.num("seed");
+            r.cyclesPerTxn = obj.real("cycles_per_txn");
+            r.runtimeTicks = obj.num("runtime_ticks");
+            r.txns = obj.num("txns");
+            lines.push_back({Line::Kind::Run, lineNo, runs.size()});
+            runs.push_back(r);
+        } else if (type == "metrics") {
+            lines.push_back(
+                {Line::Kind::Metrics, lineNo, companions.size()});
+            companions.push_back(
+                {obj.num("group"), obj.num("run"), tail_->dump(obj)});
+        } else {
+            if (type == "segment" && !loading) {
+                loading = true;
+                load = loadSegmentFile(dir_ + "/" + obj.str("file"));
+            }
+            lines.push_back({Line::Kind::Record, lineNo, at});
+        }
+    }
+
+    bool sawHeader = false;
     std::size_t segmentLine = 0;
     std::size_t dropped = 0;
-    std::size_t pos = 0;
 
     // Appends write a "run" line and its "metrics" companion
     // adjacently under one lock, so a companion always refers to the
@@ -453,11 +957,9 @@ ResultStore::replay(const std::string &path, std::string *gone)
                                                    SIZE_MAX};
     bool lastRunDropped = false;
 
-    JsonLine obj;
-    while (pos < data.size()) {
-        ++lineNo;
-        const std::size_t nl = data.find('\n', pos);
-        if (nl == std::string::npos) {
+    for (const Line &l : lines) {
+        lineNo = l.no;
+        if (l.kind == Line::Kind::Torn) {
             // An unterminated final line never completed its single
             // write(2), so the record was never acknowledged.
             // Discard it from the replay. Only the lock-holding
@@ -468,7 +970,7 @@ ResultStore::replay(const std::string &path, std::string *gone)
                 sim::warn("%s: discarding torn final line %zu "
                           "(crash during append)", path.c_str(),
                           lineNo);
-                if (::ftruncate(fd, static_cast<off_t>(pos)) != 0)
+                if (::ftruncate(fd, static_cast<off_t>(l.at)) != 0)
                     sim::fatal(
                         "cannot truncate torn tail of %s: %s",
                         path.c_str(), std::strerror(errno));
@@ -477,124 +979,112 @@ ResultStore::replay(const std::string &path, std::string *gone)
                             "%zu (an append may be in progress)",
                             path.c_str(), lineNo);
             }
-            break;
-        }
-        const std::string_view line(data.data() + pos, nl - pos);
-        pos = nl + 1;
-        if (line.empty())
-            continue;
-        if (!obj.parse(line)) {
+        } else if (l.kind == Line::Kind::Malformed) {
             // Newline-terminated damage is not a torn append; the
             // records around it are still genuine — keep going,
             // but tell the user.
             sim::warn("%s:%zu: malformed record skipped",
                       path.c_str(), lineNo);
             ++dropped;
-            continue;
-        }
-        const std::string type = obj.str("type");
-        if (type == "header") {
-            header_.version = static_cast<int>(obj.num("version"));
-            if (header_.version != 1 && header_.version != 2)
-                sim::fatal("%s:%zu: unsupported manifest version "
-                           "%d (this build reads versions 1 and "
-                           "2); refusing to guess at its records",
-                           path.c_str(), lineNo, header_.version);
-            if (!parseHex64(obj.str("fingerprint"),
-                            &header_.fingerprint))
-                sim::fatal("%s:%zu: header fingerprint '%s' is not "
-                           "a 64-bit hex value; refusing to resume "
-                           "against an unidentifiable store",
-                           path.c_str(), lineNo,
-                           obj.str("fingerprint").c_str());
-            const std::uint64_t groups = obj.num("groups");
-            const std::uint64_t ckpts = obj.num("checkpoints");
-            if (groups > kMaxGroups || ckpts > kMaxGroups)
-                sim::fatal("%s:%zu: header declares %llu group(s) "
-                           "and %llu checkpoint(s); this build reads "
-                           "at most %zu of each",
-                           path.c_str(), lineNo,
-                           static_cast<unsigned long long>(groups),
-                           static_cast<unsigned long long>(ckpts),
-                           kMaxGroups);
-            header_.numGroups = groups;
-            header_.numCheckpoints = ckpts;
-            header_.workload = obj.str("workload");
-            header_.configNames = obj.list("configs");
-            sawHeader = true;
-        } else if (type == "segment") {
-            // Compaction writes the segment record before any run of
-            // the new journal tail, so a run in both indexes means a
-            // hand-merged manifest.
-            if (!runs.empty())
-                sim::fatal("%s:%zu: a segment record after run "
-                           "records; a compacted manifest names its "
-                           "segment before its journal tail",
-                           path.c_str(), lineNo);
-            if (!loadSegmentRecord(obj, path, lineNo, gone))
-                return false;
-            segmentLine = lineNo;
-        } else if (type == "plan") {
-            plan_.valid = true;
-            plan_.runLength = obj.num("run_length");
-            plan_.numRuns = obj.num("num_runs");
-        } else if (type == "ckpt_stats") {
-            ckpt_.valid = true;
-            ckpt_.dir = obj.str("dir");
-            ckpt_.restored = obj.num("restored");
-            ckpt_.warmed = obj.num("warmed");
-            ckpt_.entries = obj.num("entries");
-            ckpt_.bytes = obj.num("bytes");
-        } else if (type == "run") {
-            RunRecord r;
-            r.group = obj.num("group");
-            r.configIdx = obj.num("config");
-            r.ckptIdx = obj.num("checkpoint");
-            r.runIdx = obj.num("run");
-            r.seed = obj.num("seed");
-            r.cyclesPerTxn = obj.real("cycles_per_txn");
-            r.runtimeTicks = obj.num("runtime_ticks");
-            r.txns = obj.num("txns");
-            lastRunKey = {r.group, r.runIdx};
-            if (locateLocked(r.group, r.runIdx).found()) {
+        } else if (l.kind == Line::Kind::Run) {
+            const TailIndex::Run &r = runs[l.at];
+            lastRunKey = {r.group, r.run};
+            if (locateLocked(r.group, r.run).found()) {
                 sim::warn("%s:%zu: duplicate run record (group "
                           "%zu, run %zu) dropped (first record "
-                          "wins)", path.c_str(), lineNo, r.group,
-                          r.runIdx);
+                          "wins)", path.c_str(), lineNo,
+                          lastRunKey.first, lastRunKey.second);
                 lastRunDropped = true;
             } else {
-                runs.emplace(lastRunKey, std::move(r));
+                tail_->stage(r);
                 lastRunDropped = false;
             }
-        } else if (type == "metrics") {
+        } else if (l.kind == Line::Kind::Metrics) {
             // Companion record: attach the dump to its run. The run
             // record always precedes it (both are appended under one
             // lock), so an orphan means a hand-edited manifest.
-            const std::size_t g = obj.num("group");
-            const std::size_t i = obj.num("run");
-            if (lastRunDropped && lastRunKey.first == g &&
-                lastRunKey.second == i)
+            const Companion &c = companions[l.at];
+            if (lastRunDropped && lastRunKey.first == c.group &&
+                lastRunKey.second == c.run)
                 continue; // the dropped duplicate's companion
-            const auto it = runs.find({g, i});
-            if (it == runs.end()) {
+            TailIndex::Run *run = tail_->find(c.group, c.run);
+            if (!run) {
                 sim::warn("%s:%zu: metrics record for unknown run "
                           "(group %zu, run %zu) skipped",
-                          path.c_str(), lineNo, g, i);
+                          path.c_str(), lineNo, c.group, c.run);
                 continue;
             }
-            if (!it->second.metrics.empty()) {
+            if (run->names != TailIndex::kNoNames) {
                 sim::warn("%s:%zu: extra metrics record for "
                           "(group %zu, run %zu) ignored (the "
                           "run's first dump wins)",
-                          path.c_str(), lineNo, g, i);
+                          path.c_str(), lineNo, c.group, c.run);
                 continue;
             }
-            it->second.metrics = obj.realsWithPrefix("m:");
+            TailIndex::attach(*run, c.dump);
         } else {
-            sim::warn("%s:%zu: unknown record type '%s' skipped",
-                      path.c_str(), lineNo, type.c_str());
+            obj.parse(std::string_view(data).substr(
+                l.at, data.find('\n', l.at) - l.at));
+            const std::string type = obj.str("type");
+            if (type == "header") {
+                header_.version = static_cast<int>(obj.num("version"));
+                if (header_.version != 1 && header_.version != 2)
+                    sim::fatal("%s:%zu: unsupported manifest version "
+                               "%d (this build reads versions 1 and "
+                               "2); refusing to guess at its records",
+                               path.c_str(), lineNo, header_.version);
+                if (!parseHex64(obj.str("fingerprint"),
+                                &header_.fingerprint))
+                    sim::fatal("%s:%zu: header fingerprint '%s' is "
+                               "not a 64-bit hex value; refusing to "
+                               "resume against an unidentifiable "
+                               "store", path.c_str(), lineNo,
+                               obj.str("fingerprint").c_str());
+                const std::uint64_t groups = obj.num("groups");
+                const std::uint64_t ckpts = obj.num("checkpoints");
+                if (groups > kMaxGroups || ckpts > kMaxGroups)
+                    sim::fatal("%s:%zu: header declares %llu group(s) "
+                               "and %llu checkpoint(s); this build "
+                               "reads at most %zu of each",
+                               path.c_str(), lineNo,
+                               static_cast<unsigned long long>(groups),
+                               static_cast<unsigned long long>(ckpts),
+                               kMaxGroups);
+                header_.numGroups = groups;
+                header_.numCheckpoints = ckpts;
+                header_.workload = obj.str("workload");
+                header_.configNames = obj.list("configs");
+                sawHeader = true;
+            } else if (type == "segment") {
+                // Compaction writes the segment record before any run
+                // of the new journal tail, so a run in both indexes
+                // means a hand-merged manifest.
+                if (tail_->size() != 0)
+                    sim::fatal("%s:%zu: a segment record after run "
+                               "records; a compacted manifest names "
+                               "its segment before its journal tail",
+                               path.c_str(), lineNo);
+                if (!loadSegmentRecord(obj, path, lineNo, load, gone))
+                    return false;
+                segmentLine = lineNo;
+            } else if (type == "plan") {
+                plan_.valid = true;
+                plan_.runLength = obj.num("run_length");
+                plan_.numRuns = obj.num("num_runs");
+            } else if (type == "ckpt_stats") {
+                ckpt_.valid = true;
+                ckpt_.dir = obj.str("dir");
+                ckpt_.restored = obj.num("restored");
+                ckpt_.warmed = obj.num("warmed");
+                ckpt_.entries = obj.num("entries");
+                ckpt_.bytes = obj.num("bytes");
+            } else {
+                sim::warn("%s:%zu: unknown record type '%s' skipped",
+                          path.c_str(), lineNo, type.c_str());
+            }
         }
     }
+    tail_->seal();
     // The segment's checksum ran beside the replay of the tail.
     if (segment_ && !segment_->verify(&error))
         sim::fatal("%s:%zu: cannot load compacted segment: %s",
@@ -641,9 +1131,7 @@ std::size_t
 ResultStore::runsInGroup(std::size_t group) const
 {
     std::lock_guard<std::mutex> lock(mu);
-    const auto lo = runs.lower_bound({group, 0});
-    const auto hi = runs.lower_bound({group + 1, 0});
-    return static_cast<std::size_t>(std::distance(lo, hi)) +
+    return tail_->runsInGroup(group) +
            (segment_ ? segment_->runsInGroup(group) : 0);
 }
 
@@ -651,7 +1139,7 @@ std::size_t
 ResultStore::totalRuns() const
 {
     std::lock_guard<std::mutex> lock(mu);
-    return runs.size() + (segment_ ? segment_->runCount() : 0);
+    return tail_->size() + (segment_ ? segment_->runCount() : 0);
 }
 
 std::size_t
@@ -665,7 +1153,7 @@ std::size_t
 ResultStore::tailRunCount() const
 {
     std::lock_guard<std::mutex> lock(mu);
-    return runs.size();
+    return tail_->size();
 }
 
 std::vector<RunRecord>
@@ -674,7 +1162,7 @@ ResultStore::groupRuns(std::size_t group) const
     std::lock_guard<std::mutex> lock(mu);
     std::vector<RunRecord> out;
     walkPrefixLocked(group, SIZE_MAX, [&](const RunLoc &loc) {
-        out.push_back(loc.tail ? *loc.tail
+        out.push_back(loc.tail ? tail_->materialize(*loc.tail)
                                : segment_->materialize(loc.seg));
         return true;
     });
@@ -692,14 +1180,16 @@ ResultStore::groupMetricNamed(std::size_t group,
                         : name == "runtime_ticks" ? 1
                         : name == "txns"          ? 2
                                                   : -1;
-    // Resolve the segment's dictionary index once, not per run.
+    // Resolve the name once, not per run: the segment's dictionary
+    // index, and the tail's position once per name list.
     const int dictIdx = segment_ ? segment_->dictIndex(name) : -1;
+    TailIndex::Reader tailValue(*tail_, name);
 
     // A run without the metric (recorded by an older binary) ends
     // the prefix: everything returned is comparable.
     std::vector<double> xs;
     walkPrefixLocked(group, maxRuns, [&](const RunLoc &loc) {
-        const RunRecord *r = loc.tail;
+        const TailIndex::Run *r = loc.tail;
         double v;
         if (builtin == 0)
             v = r ? r->cyclesPerTxn : segment_->cyclesPerTxn(loc.seg);
@@ -709,7 +1199,7 @@ ResultStore::groupMetricNamed(std::size_t group,
         else if (builtin == 2)
             v = static_cast<double>(r ? r->txns
                                       : segment_->txns(loc.seg));
-        else if (r ? !registryValue(*r, name, &v)
+        else if (r ? !tailValue.get(*r, &v)
                    : dictIdx < 0 ||
                          !segment_->metricValue(
                              loc.seg,
@@ -731,7 +1221,7 @@ ResultStore::appendRun(const RunRecord &rec)
                   rec.group, rec.runIdx);
         return;
     }
-    runs.emplace(std::make_pair(rec.group, rec.runIdx), rec);
+    tail_->insert(rec);
     appendLine(runLineFor(rec));
 
     // The registry dump travels as a companion record so the "run"
@@ -747,31 +1237,17 @@ ResultStore::metricNames() const
 {
     std::vector<std::string> out = {"cycles_per_txn",
                                     "runtime_ticks", "txns"};
-    std::set<std::string> extra;
+    std::vector<std::string> extra;
     {
         std::lock_guard<std::mutex> lock(mu);
-        // Runs almost always repeat the previous run's names, in the
-        // same order; only a list that differs adds to the set.
-        const RunRecord *prev = nullptr;
-        for (const auto &entry : runs) {
-            const auto &m = entry.second.metrics;
-            const bool repeat =
-                prev && std::equal(m.begin(), m.end(),
-                                   prev->metrics.begin(),
-                                   prev->metrics.end(),
-                                   [](const auto &x, const auto &y) {
-                                       return x.first == y.first;
-                                   });
-            if (!repeat)
-                for (const auto &kv : m)
-                    extra.insert(kv.first);
-            prev = &entry.second;
-        }
+        extra = tail_->metricNames();
         if (segment_)
-            for (const std::string &name : segment_->dictionary())
-                extra.insert(name);
+            extra.insert(extra.end(), segment_->dictionary().begin(),
+                         segment_->dictionary().end());
     }
-    out.insert(out.end(), extra.begin(), extra.end());
+    std::sort(extra.begin(), extra.end());
+    out.insert(out.end(), extra.begin(),
+               std::unique(extra.begin(), extra.end()));
     return out;
 }
 
@@ -798,7 +1274,7 @@ ResultStore::appendCkptStats(const CkptStatsRecord &rec)
 void
 ResultStore::maybeAutoCompactLocked()
 {
-    if (fd < 0 || runs.size() < kAutoCompactTail)
+    if (fd < 0 || tail_->size() < kAutoCompactTail)
         return;
     const CompactResult r = compactLocked();
     if (r.performed)
@@ -814,19 +1290,23 @@ ResultStore::compactLocked()
     if (fd < 0)
         sim::fatal("cannot compact campaign store %s: opened "
                    "read-only", dir_.c_str());
-    if (runs.empty())
-        return res; // already one segment (or nothing recorded)
+    // Already one segment in the current format (or nothing
+    // recorded); a format-1 segment is rewritten even with no tail.
+    if (tail_->size() == 0 &&
+        (!segment_ || segment_->version() == kSegmentVersion))
+        return res;
 
-    // Tail runs are read in place; segment runs are materialized
-    // into storage reserved up front, so the pointers stay valid.
-    std::vector<RunRecord> segmentRuns;
-    segmentRuns.reserve(segment_ ? segment_->runCount() : 0);
+    // Materialized into storage reserved up front, so the pointers
+    // stay valid.
+    std::vector<RunRecord> records;
+    records.reserve(tail_->size() +
+                    (segment_ ? segment_->runCount() : 0));
     std::vector<const RunRecord *> all;
-    all.reserve(segmentRuns.capacity() + runs.size());
+    all.reserve(records.capacity());
     walkAllLocked([&](const RunLoc &loc) {
-        if (!loc.tail)
-            segmentRuns.push_back(segment_->materialize(loc.seg));
-        all.push_back(loc.tail ? loc.tail : &segmentRuns.back());
+        records.push_back(loc.tail ? tail_->materialize(*loc.tail)
+                                   : segment_->materialize(loc.seg));
+        all.push_back(&records.back());
     });
     const std::vector<std::uint8_t> bytes = buildSegment(all);
 
@@ -891,7 +1371,7 @@ ResultStore::compactLocked()
                    std::strerror(errno));
 
     segment_ = std::move(l.view);
-    runs.clear();
+    tail_ = std::make_unique<TailIndex>();
     ++nextSegmentSeq;
 
     // Delete every segment file the new manifest does not name: the
@@ -947,10 +1427,8 @@ ResultStore::exportJsonl(std::ostream &os) const
         os << metricsLineFor(sorted) << '\n';
     };
     walkAllLocked([&](const RunLoc &loc) {
-        if (loc.tail)
-            emit(*loc.tail);
-        else
-            emit(segment_->materialize(loc.seg));
+        emit(loc.tail ? tail_->materialize(*loc.tail)
+                      : segment_->materialize(loc.seg));
     });
 }
 

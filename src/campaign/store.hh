@@ -23,13 +23,18 @@
  * replays to the same records, the same reports, and the same
  * resume decisions as its pure-JSONL twin.
  *
- * In memory a store is the journal tail (a map by (group, run)) and
- * the one segment's sorted index. Every per-group query is one walk
- * over the group's contiguous run prefix with two cursors, one in
- * each index, reading segment runs in place; export and compaction
- * merge the two indexes whole. Replay refuses a segment record after
- * a run record, the one manifest order that could put a run in both
- * indexes; a run in both would be the tail's.
+ * In memory a store is the journal tail's flat index and the one
+ * segment's index, both sorted by (group, run). A tail run is one
+ * fixed-size record: its metric names are interned once per store,
+ * each distinct name list is kept (and, on replay, sorted) once, and
+ * its values sit in one arena, so a replayed run allocates no string
+ * and no node. Every per-group query is one walk over the group's
+ * contiguous run prefix with a cursor in each index, reading both in
+ * place; RunRecords are built only for groupRuns(), export and
+ * compaction, which merge the two indexes whole. Replay refuses a
+ * segment record after a run record, the one manifest order that
+ * could put a run in both indexes; a run in both would be the
+ * tail's.
  *
  * The store is the campaign's only authority on what has already
  * happened: the scheduler asks it which (group, run) cells exist and
@@ -45,10 +50,8 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,6 +68,7 @@ namespace campaign
 {
 
 class SegmentView; // campaign/segment.hh
+struct SegmentLoad;
 
 /**
  * Most cell groups, and most checkpoints, one campaign may declare.
@@ -319,7 +323,7 @@ class ResultStore
     ResultStore &operator=(const ResultStore &) = delete;
 
   private:
-    ResultStore() = default;
+    ResultStore();
 
     /**
      * open() and tryOpenOrCreate(): lock, open the manifest, then
@@ -333,24 +337,29 @@ class ResultStore
     /**
      * Replay manifest lines into the in-memory index; false when
      * loadSegmentRecord() reports a deleted segment through @p gone.
-     * A loaded segment's checksum runs while the journal tail
-     * replays and is awaited before this returns; a mismatch is
-     * fatal.
+     * A loaded segment is walked while the journal tail is parsed,
+     * and its checksum runs until the tail is replayed and is
+     * awaited before this returns; a mismatch is fatal.
      */
     bool replay(const std::string &path, std::string *gone);
 
     /**
-     * Load and verify the "segment" record; any bad reference, a
-     * second segment record included, is fatal. A reader passes
-     * @p gone: a missing file not already named there (a compaction
-     * deleted it) goes into *gone and returns false instead.
+     * Finish the "segment" record with @p load, the load its replay
+     * started for it: any bad reference, a second segment record
+     * included, is fatal. A reader passes @p gone: a missing file not
+     * already named there (a compaction deleted it) goes into *gone
+     * and returns false instead.
      */
     bool loadSegmentRecord(const sim::JsonLine &obj,
                            const std::string &path,
-                           std::size_t lineNo, std::string *gone);
+                           std::size_t lineNo, SegmentLoad &load,
+                           std::string *gone);
 
     /** Write one line + '\n' with fsync; requires mu held. */
     void appendLine(const std::string &line);
+
+    /** The journal tail's run index (campaign/store.cc). */
+    class TailIndex;
 
     /** Where a run lives: the journal tail, the segment, or nowhere. */
     struct RunLoc;
@@ -387,7 +396,7 @@ class ResultStore
     mutable std::mutex mu;
 
     /** Journal-tail runs (records appended since last compaction). */
-    std::map<std::pair<std::size_t, std::size_t>, RunRecord> runs;
+    std::unique_ptr<TailIndex> tail_;
 
     /** The compacted segment the manifest references, if any. */
     std::shared_ptr<SegmentView> segment_;

@@ -1,6 +1,5 @@
 #include "sim/jsonl.hh"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -300,33 +299,10 @@ JsonLine::list(std::string_view key) const
     return out;
 }
 
-std::vector<std::pair<std::string, double>>
-JsonLine::realsWithPrefix(std::string_view prefix) const
+bool
+JsonLine::quotedNumber(std::string_view text, double *v)
 {
-    std::vector<const Field *> hits;
-    for (const Field &f : fields)
-        if (f.kind != Kind::Array && text(f.key).starts_with(prefix))
-            hits.push_back(&f);
-    // Key order; a stable sort keeps a repeated key's copies in line
-    // order, so the last of each run of equal keys is the one kept.
-    const auto byKey = [&](const Field *a, const Field *b) {
-        return text(a->key) < text(b->key);
-    };
-    if (!std::is_sorted(hits.begin(), hits.end(), byKey))
-        std::stable_sort(hits.begin(), hits.end(), byKey);
-
-    std::vector<std::pair<std::string, double>> out;
-    out.reserve(hits.size());
-    for (std::size_t k = 0; k < hits.size(); ++k) {
-        const Field &f = *hits[k];
-        if (k + 1 < hits.size() && text(hits[k + 1]->key) == text(f.key))
-            continue; // a later copy of the key wins
-        double v = f.number;
-        if (f.kind != Kind::Number && !toDouble(text(f.value), &v))
-            continue; // quoted string under the prefix: not a metric
-        out.emplace_back(text(f.key).substr(prefix.size()), v);
-    }
-    return out;
+    return toDouble(text, v);
 }
 
 void

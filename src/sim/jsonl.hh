@@ -24,8 +24,9 @@
  * (same digits, same correctly rounded double, a fraction of the
  * cost), and strtod decides whenever from_chars refuses the token,
  * stops short of its end or yields a NaN (`+1.5`, `1e400`, `-nan`).
- * num() is strtoull of the text by the same rule. realsWithPrefix()
- * hands back every numeric field under a prefix in key order.
+ * num() is strtoull of the text by the same rule. visitWithPrefix()
+ * hands every field under a key prefix to a callback, in line order,
+ * without allocating.
  */
 
 #ifndef VARSIM_SIM_JSONL_HH
@@ -34,7 +35,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace varsim
@@ -67,14 +67,30 @@ class JsonLine
     list(std::string_view key) const;
 
     /**
-     * Every numeric field whose key starts with @p prefix, prefix
-     * stripped, in key (lexicographic) order. Non-numeric values
-     * under the prefix are skipped. Used to re-inflate open-schema
-     * records (e.g. per-run metric dumps) whose key set the reader
-     * cannot know in advance.
+     * Call visit(name, value) for every scalar field whose key starts
+     * with @p prefix, in line order, with the prefix stripped from
+     * the name. The value points at the field's number, or is nullptr
+     * when it holds none; a quoted value is a number when all of it
+     * reads as one, as in real(). A key may repeat: a reader that
+     * wants one value per key keeps the last copy, and drops the key
+     * when that copy is not a number. Used to re-inflate open-schema
+     * records (per-run metric dumps) whose key set the reader cannot
+     * know in advance.
      */
-    std::vector<std::pair<std::string, double>>
-    realsWithPrefix(std::string_view prefix) const;
+    template <class Visit>
+    void
+    visitWithPrefix(std::string_view prefix, Visit &&visit) const
+    {
+        for (const Field &f : fields) {
+            const std::string_view key = text(f.key);
+            if (f.kind == Kind::Array || !key.starts_with(prefix))
+                continue;
+            double v = f.number;
+            const bool number =
+                f.kind == Kind::Number || quotedNumber(text(f.value), &v);
+            visit(key.substr(prefix.size()), number ? &v : nullptr);
+        }
+    }
 
   private:
     /** Bytes [off, off + len) of buf, or items for an array. */
@@ -99,6 +115,9 @@ class JsonLine
     {
         return {buf.data() + s.off, s.len};
     }
+
+    /** @p text read as a number by strtod's rule; false if it is none. */
+    static bool quotedNumber(std::string_view text, double *v);
 
     /** Last scalar (or array) field named @p key; nullptr if none. */
     const Field *last(std::string_view key, bool array) const;

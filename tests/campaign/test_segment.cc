@@ -1,7 +1,8 @@
 /**
  * @file
- * Compacted binary segment tests: format round-trips, damage
- * rejection sweeps, and the compaction-is-a-no-op contract — a
+ * Compacted binary segment tests: format round-trips, both checksum
+ * formats and their damage rejection sweeps, and the
+ * compaction-is-a-no-op contract — a
  * compacted store must replay to byte-identical reports and
  * bit-identical resume decisions versus its pure-JSONL twin, survive
  * kill -9 mid-compaction, and stay readable under a live writer.
@@ -28,9 +29,11 @@
 #include "campaign/campaign.hh"
 #include "campaign/segment.hh"
 #include "ckpt/archive.hh"
+#include "ckpt/key.hh"
 #include "core/varsim.hh"
 #include "sim/jsonl.hh"
 #include "sim/logging.hh"
+#include "sim/random.hh"
 
 namespace
 {
@@ -97,17 +100,39 @@ segmentOf(const std::vector<RunRecord> &rs)
     return buildSegment(ptrs);
 }
 
-/** @p bytes declaring @p count footer entries, FNV rewritten. */
+/** @p bytes with the trailing checksum their header's format names. */
+std::vector<std::uint8_t>
+resealed(std::vector<std::uint8_t> bytes)
+{
+    bytes.resize(bytes.size() - 8);
+    ckpt::putLe<std::uint64_t>(
+        bytes, segmentChecksum(ckpt::getLe<std::uint32_t>(&bytes[8]),
+                               bytes.data(), bytes.size()));
+    return bytes;
+}
+
+/**
+ * @p bytes as a format-1 writer (every build before format 2) left
+ * them: the same frames, version 1 and byte-wise FNV-1a.
+ */
+std::vector<std::uint8_t>
+asFormat1(std::vector<std::uint8_t> bytes)
+{
+    bytes[8] = 1;
+    bytes.resize(bytes.size() - 8);
+    ckpt::putLe<std::uint64_t>(
+        bytes, ckpt::fnvBytes(bytes.data(), bytes.size()));
+    return bytes;
+}
+
+/** @p bytes declaring @p count footer entries, checksum rewritten. */
 std::vector<std::uint8_t>
 withFooterCount(std::vector<std::uint8_t> bytes, std::uint64_t count)
 {
     std::vector<std::uint8_t> le;
     ckpt::putLe<std::uint64_t>(le, count);
     std::copy(le.begin(), le.end(), bytes.begin() + 24);
-    bytes.resize(bytes.size() - 8);
-    ckpt::putLe<std::uint64_t>(
-        bytes, ckpt::fnvBytes(bytes.data(), bytes.size()));
-    return bytes;
+    return resealed(std::move(bytes));
 }
 
 /**
@@ -135,6 +160,81 @@ withLegacyFooter(std::vector<std::uint8_t> bytes,
     }
     bytes.insert(bytes.end() - 8, footer.begin(), footer.end());
     return withFooterCount(std::move(bytes), byGroup.size());
+}
+
+std::vector<std::uint8_t>
+readBytes(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(f),
+                                     {});
+}
+
+void
+writeBytes(const std::string &path, const std::vector<std::uint8_t> &b)
+{
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(reinterpret_cast<const char *>(b.data()),
+            static_cast<std::streamsize>(b.size()));
+}
+
+/**
+ * Rewrite the segment of the compacted store @p dir as a format-1
+ * writer would have left it, and the checksum its manifest records.
+ */
+void
+rewriteAsFormat1(const std::string &dir)
+{
+    const std::string path = dir + "/manifest.jsonl";
+    std::string manifest;
+    {
+        std::ifstream f(path, std::ios::binary);
+        manifest.assign(std::istreambuf_iterator<char>(f), {});
+    }
+    const std::size_t at = manifest.find("{\"type\":\"segment\"");
+    ASSERT_NE(at, std::string::npos);
+    sim::JsonLine seg;
+    ASSERT_TRUE(seg.parse(std::string_view(manifest).substr(
+        at, manifest.find('\n', at) - at)));
+    const std::string file = dir + "/" + seg.str("file");
+    const auto v1 = asFormat1(readBytes(file));
+    writeBytes(file, v1);
+    const std::string fnv = seg.str("fnv");
+    manifest.replace(manifest.find(fnv), fnv.size(),
+                     sim::format("%016llx",
+                                 static_cast<unsigned long long>(
+                                     ckpt::getLe<std::uint64_t>(
+                                         &v1[v1.size() - 8]))));
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f << manifest;
+}
+
+/** Format 2's checksum, written out from its definition. */
+std::uint64_t
+referenceLaneChecksum(const std::uint8_t *p, std::size_t n)
+{
+    const auto round = [](std::uint64_t acc, std::uint64_t w) {
+        acc += w * 0xc2b2ae3d27d4eb4full;
+        acc = (acc << 31) | (acc >> 33);
+        return acc * 0x9e3779b185ebca87ull;
+    };
+    std::uint64_t lane[4];
+    for (std::uint64_t k = 0; k < 4; ++k)
+        lane[k] = ckpt::kFnvOffsetBasis + k;
+    std::size_t j = 0;
+    for (; 8 * j + 8 <= n; ++j)
+        lane[j % 4] =
+            round(lane[j % 4], ckpt::getLe<std::uint64_t>(p + 8 * j));
+    std::uint64_t h = ckpt::kFnvOffsetBasis;
+    for (const std::uint64_t l : lane)
+        h = round(h, l);
+    if (8 * j < n) {
+        std::uint64_t last = 0;
+        for (std::size_t i = 8 * j; i < n; ++i)
+            last |= std::uint64_t{p[i]} << (8 * (i - 8 * j));
+        h = round(h, last);
+    }
+    return round(h, n);
 }
 
 void
@@ -293,6 +393,224 @@ TEST(SegmentFormat, LegacySummaryFooterStillOpens)
         campaignMetricReport(twin, "system.mem.bus.l2_misses").text);
     EXPECT_EQ(campaignMetricReport(dir, "list").text,
               campaignMetricReport(twin, "list").text);
+}
+
+TEST(SegmentFormat, ChecksumsFollowTheirDefinitions)
+{
+    // Every length, including the words' tail bytes, from aligned
+    // and unaligned starts.
+    sim::Random rng(1729);
+    std::vector<std::uint8_t> bytes(300);
+    for (auto &b : bytes)
+        b = static_cast<std::uint8_t>(rng.next());
+    for (std::size_t start = 0; start < 8; ++start) {
+        for (std::size_t n = 0; n + start <= bytes.size(); ++n) {
+            const std::uint8_t *p = bytes.data() + start;
+            EXPECT_EQ(segmentChecksum(1, p, n), ckpt::fnvBytes(p, n));
+            EXPECT_EQ(segmentChecksum(2, p, n), referenceLaneChecksum(p, n))
+                << n << " bytes from offset " << start;
+        }
+    }
+    const auto seg = segmentOf(sampleRecords());
+    EXPECT_EQ(ckpt::getLe<std::uint32_t>(&seg[8]), kSegmentVersion);
+    EXPECT_EQ(kSegmentVersion, 2u);
+    EXPECT_EQ(parseSegment(seg).view->version(), 2u);
+}
+
+/** @p bytes with @p delta xored into its word @p w (bytes 8w on). */
+std::vector<std::uint8_t>
+withWordXor(std::vector<std::uint8_t> bytes, std::size_t w,
+            std::uint64_t delta)
+{
+    for (std::size_t i = 0; i < 8 && 8 * w + i < bytes.size(); ++i)
+        bytes[8 * w + i] ^= static_cast<std::uint8_t>(delta >> (8 * i));
+    return bytes;
+}
+
+TEST(SegmentFormat, AnyChangeToOneWordChangesTheChecksum)
+{
+    // Each round is a bijection of the lane for a fixed word and of
+    // the word for a fixed lane, so a change confined to one 8-byte
+    // word, or to the bytes after the last whole word (folded in as
+    // one zero-padded word), always reaches the checksum.
+    sim::Random rng(99);
+    std::vector<std::uint8_t> bytes(93);
+    for (auto &b : bytes)
+        b = static_cast<std::uint8_t>(rng.next());
+    const std::uint64_t want = segmentChecksum(2, bytes.data(), 93);
+    for (std::size_t w = 0; w < 12; ++w) {
+        for (int k = 0; k < 64; ++k) {
+            std::uint64_t delta =
+                k < 8 ? 0xffull << (8 * k) : rng.next() >> (k % 64);
+            if (w == 11) // the 5 bytes after the last whole word
+                delta &= 0xffffffffffull;
+            if (delta == 0)
+                delta = 1;
+            const auto changed = withWordXor(bytes, w, delta);
+            EXPECT_NE(segmentChecksum(2, changed.data(), 93), want)
+                << "word " << w << " xor " << delta;
+        }
+    }
+}
+
+TEST(SegmentFormat, FlipsInTwoWordsChangeTheChecksum)
+{
+    // Every pair of one-bit flips in two different words, in one lane
+    // or two, the partial last word included. An xor-multiply step
+    // would miss some: (x ^ 2^63) * p == (x * p) ^ 2^63 for any odd p,
+    // so bit 63 flipped in any two words cancels.
+    sim::Random rng(4242);
+    std::vector<std::uint8_t> bytes(93);
+    for (auto &b : bytes)
+        b = static_cast<std::uint8_t>(rng.next());
+    const std::uint64_t want = segmentChecksum(2, bytes.data(), 93);
+    const auto bitsOf = [](std::size_t w) { return w == 11 ? 40 : 64; };
+    std::size_t tried = 0, missed = 0;
+    std::string first;
+    for (std::size_t w1 = 0; w1 < 12; ++w1)
+        for (std::size_t w2 = w1 + 1; w2 < 12; ++w2)
+            for (int b1 = 0; b1 < bitsOf(w1); ++b1)
+                for (int b2 = 0; b2 < bitsOf(w2); ++b2) {
+                    const auto changed = withWordXor(
+                        withWordXor(bytes, w1, 1ull << b1), w2,
+                        1ull << b2);
+                    ++tried;
+                    if (segmentChecksum(2, changed.data(), 93) != want)
+                        continue;
+                    if (missed++ == 0)
+                        first = sim::format("bit %d of word %zu and bit "
+                                            "%d of word %zu",
+                                            b1, w1, b2, w2);
+                }
+    EXPECT_EQ(missed, 0u) << "first: " << first;
+    EXPECT_EQ(tried, 55u * 64 * 64 + 11u * 64 * 40);
+}
+
+TEST(SegmentFormat, Format2RefusesEveryByteChangeAndTruncation)
+{
+    // A small segment; every byte takes three seeded other values, and
+    // every prefix is tried, through both load paths.
+    const auto rs = sampleRecords();
+    const auto bytes = segmentOf({rs[0], rs[1], rs[5]});
+    const std::string path = freshDir("sweep") + ".vseg";
+    sim::Random rng(2027);
+    std::size_t tried = 0;
+    const auto refused = [&](const std::vector<std::uint8_t> &b,
+                             const std::string &what) {
+        ++tried;
+        EXPECT_FALSE(parseSegment(b).ok) << what << " parsed";
+        writeBytes(path, b);
+        SegmentLoad l = loadSegmentFile(path);
+        std::string error;
+        EXPECT_FALSE(l.ok && l.view->verify(&error))
+            << what << " loaded";
+    };
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        for (int k = 0; k < 3; ++k) {
+            auto changed = bytes;
+            changed[i] ^= static_cast<std::uint8_t>(rng.uniformInt(1, 255));
+            refused(changed, "a change of byte " + std::to_string(i));
+        }
+    }
+    for (std::size_t n = 0; n < bytes.size(); ++n)
+        refused(std::vector<std::uint8_t>(bytes.begin(),
+                                          bytes.begin() + n),
+                "a " + std::to_string(n) + "-byte prefix");
+    EXPECT_EQ(tried, 4 * bytes.size());
+    std::filesystem::remove(path);
+}
+
+TEST(SegmentFormat, Format1SegmentsStillOpen)
+{
+    // Every build before format 2 wrote format 1: the same frames
+    // under byte-wise FNV-1a. They open to the same records and
+    // refuse damage as before; an unknown format is refused by name.
+    const auto rs = sampleRecords();
+    const auto v1 = asFormat1(segmentOf(rs));
+    const SegmentLoad l = parseSegment(v1);
+    ASSERT_TRUE(l.ok) << l.error;
+    EXPECT_EQ(l.view->version(), 1u);
+    ASSERT_EQ(l.view->runCount(), rs.size());
+    for (const RunRecord &want : rs) {
+        const RunRecord got =
+            l.view->materialize(l.view->find(want.group, want.runIdx));
+        EXPECT_EQ(ResultStore::runLineFor(got),
+                  ResultStore::runLineFor(want));
+        EXPECT_EQ(ResultStore::metricsLineFor(got),
+                  ResultStore::metricsLineFor(want));
+    }
+    expectEveryPrefixRejected(v1);
+    expectEveryFlipRejected(v1);
+
+    auto v3 = segmentOf(rs);
+    v3[8] = 3;
+    const SegmentLoad newer = parseSegment(resealed(v3));
+    EXPECT_FALSE(newer.ok);
+    EXPECT_EQ(newer.error,
+              "unsupported segment version 3 (this build reads 1..2)");
+}
+
+TEST(SegmentFormat, EmptyFileIsTooSmall)
+{
+    const std::string path = freshDir("empty") + ".vseg";
+    { std::ofstream f(path, std::ios::binary | std::ios::trunc); }
+    const SegmentLoad l = loadSegmentFile(path);
+    EXPECT_FALSE(l.ok);
+    EXPECT_EQ(l.error, path + ": file too small (0 bytes)");
+    std::filesystem::remove(path);
+}
+
+TEST(StoreCompaction, Format1StoreReadsAndCompactsToFormat2)
+{
+    // A store an older build compacted (format 1) reads exactly like
+    // the same store compacted now, and compact() rewrites its
+    // segment as format 2 though its journal tail is empty.
+    const std::string older = freshDir("format1");
+    const std::string now = freshDir("format2");
+    {
+        auto store = ResultStore::openOrCreate(now, twoGroupHeader());
+        for (const RunRecord &r : sampleRecords())
+            store->appendRun(r);
+        ASSERT_TRUE(store->compact().performed);
+    }
+    std::filesystem::copy(now, older,
+                          std::filesystem::copy_options::recursive);
+    rewriteAsFormat1(older);
+    const std::string segment = older + "/segments/seg-000001.vseg";
+    ASSERT_EQ(readBytes(segment)[8], 1);
+
+    const auto exported = [](const std::string &dir) {
+        std::ostringstream os;
+        ResultStore::openReadOnly(dir)->exportJsonl(os);
+        return os.str();
+    };
+    const auto expectSameOutputs = [&] {
+        EXPECT_EQ(campaignStatus(older).toString(),
+                  campaignStatus(now).toString());
+        EXPECT_EQ(campaignReport(older).text, campaignReport(now).text);
+        for (const std::string metric :
+             {"system.mem.bus.l2_misses", "runtime_ticks", "list"})
+            EXPECT_EQ(campaignMetricReport(older, metric).text,
+                      campaignMetricReport(now, metric).text)
+                << metric;
+        EXPECT_EQ(exported(older), exported(now));
+    };
+    expectSameOutputs();
+
+    {
+        auto store = ResultStore::open(older);
+        EXPECT_EQ(store->tailRunCount(), 0u);
+        const auto res = store->compact();
+        EXPECT_TRUE(res.performed);
+        EXPECT_EQ(res.runs, sampleRecords().size());
+        EXPECT_EQ(res.segmentFile, "segments/seg-000002.vseg");
+        EXPECT_FALSE(store->compact().performed);
+    }
+    const auto upgraded = readBytes(older + "/segments/seg-000002.vseg");
+    ASSERT_GT(upgraded.size(), 8u);
+    EXPECT_EQ(ckpt::getLe<std::uint32_t>(&upgraded[8]), 2u);
+    EXPECT_FALSE(std::filesystem::exists(segment));
+    expectSameOutputs();
 }
 
 TEST(StoreCompaction, CompactReopenPreservesEverything)
@@ -749,14 +1067,15 @@ TEST(StoreCompactionDeathTest, KillNineDuringCompactionLeavesStoreIntact)
 
 /**
  * A compacted store of 2 x 4 runs with one journal run after its
- * segment, whose segment bytes then go through @p damage. Returns
- * the store directory.
+ * segment, written in segment format @p format, whose segment bytes
+ * then go through @p damage. Returns the store directory.
  */
 template <class Damage>
 std::string
-damagedStore(const std::string &name, Damage damage)
+damagedStore(const std::string &name, std::uint32_t format,
+             Damage damage)
 {
-    const std::string dir = freshDir(name);
+    const std::string dir = freshDir(name + std::to_string(format));
     std::string segPath;
     {
         auto store =
@@ -766,26 +1085,33 @@ damagedStore(const std::string &name, Damage damage)
         segPath = dir + "/" + store->compact().segmentFile;
         store->appendRun(record(0, 4));
     }
-    std::vector<std::uint8_t> bytes;
-    {
-        std::ifstream f(segPath, std::ios::binary);
-        bytes.assign(std::istreambuf_iterator<char>(f), {});
-    }
+    if (format == 1)
+        rewriteAsFormat1(dir);
+    std::vector<std::uint8_t> bytes = readBytes(segPath);
+    EXPECT_EQ(bytes[8], format);
     damage(bytes);
-    std::ofstream f(segPath, std::ios::binary | std::ios::trunc);
-    f.write(reinterpret_cast<const char *>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
+    writeBytes(segPath, bytes);
     return dir;
 }
 
-/** Both opens of @p dir die reporting the segment's checksum. */
+/**
+ * Both opens die reporting the segment's checksum when @p damage hits
+ * a compacted store's segment, in either format.
+ */
+template <class Damage>
 void
-expectBothOpensDieOfChecksum(const std::string &dir)
+expectBothOpensDieOfChecksum(const std::string &name, Damage damage)
 {
-    EXPECT_DEATH(ResultStore::openReadOnly(dir),
-                 "cannot load compacted segment: .*checksum mismatch");
-    EXPECT_DEATH(ResultStore::open(dir),
-                 "cannot load compacted segment: .*checksum mismatch");
+    for (const std::uint32_t format : {1u, 2u}) {
+        SCOPED_TRACE("segment format " + std::to_string(format));
+        const std::string dir = damagedStore(name, format, damage);
+        EXPECT_DEATH(
+            ResultStore::openReadOnly(dir),
+            "cannot load compacted segment: .*checksum mismatch");
+        EXPECT_DEATH(
+            ResultStore::open(dir),
+            "cannot load compacted segment: .*checksum mismatch");
+    }
 }
 
 TEST(StoreCompactionDeathTest, FlippedRecordKeyIsAChecksumMismatch)
@@ -794,20 +1120,19 @@ TEST(StoreCompactionDeathTest, FlippedRecordKeyIsAChecksumMismatch)
     // so the walk indexes it and only the checksum, awaited after
     // the journal tail's replay, catches the damage.
     expectBothOpensDieOfChecksum(
-        damagedStore("flipkey", [](std::vector<std::uint8_t> &b) {
+        "flipkey", [](std::vector<std::uint8_t> &b) {
             const std::size_t lastRecord =
                 b.size() - 8 - (8 * 8 + 4 + 2 * 12);
             b[lastRecord + 8 + 6] ^= 1;
-        }));
+        });
 }
 
 TEST(StoreCompactionDeathTest, FlippedDictionaryIsAChecksumMismatch)
 {
     // The first metric name's first byte, after its u32 length.
     expectBothOpensDieOfChecksum(
-        damagedStore("flipdict", [](std::vector<std::uint8_t> &b) {
-            b[32 + 4] ^= 0x20;
-        }));
+        "flipdict",
+        [](std::vector<std::uint8_t> &b) { b[32 + 4] ^= 0x20; });
 }
 
 TEST(StoreCompactionDeathTest, FlippedChecksumIsAChecksumMismatch)
@@ -815,9 +1140,8 @@ TEST(StoreCompactionDeathTest, FlippedChecksumIsAChecksumMismatch)
     // The stored checksum no longer matches the manifest either;
     // the mismatch with the bytes is what is reported.
     expectBothOpensDieOfChecksum(
-        damagedStore("flipfnv", [](std::vector<std::uint8_t> &b) {
-            b[b.size() - 3] ^= 0x80;
-        }));
+        "flipfnv",
+        [](std::vector<std::uint8_t> &b) { b[b.size() - 3] ^= 0x80; });
 }
 
 TEST(StoreCompactionDeathTest, TruncatedSegmentIsAChecksumMismatch)
@@ -825,9 +1149,8 @@ TEST(StoreCompactionDeathTest, TruncatedSegmentIsAChecksumMismatch)
     // The walk fails too; the checksum's verdict wins, as when it
     // ran before the walk.
     expectBothOpensDieOfChecksum(
-        damagedStore("truncated", [](std::vector<std::uint8_t> &b) {
-            b.resize(b.size() / 2);
-        }));
+        "truncated",
+        [](std::vector<std::uint8_t> &b) { b.resize(b.size() / 2); });
 }
 
 TEST(StoreCompactionDeathTest, MissingSegmentIsFatal)

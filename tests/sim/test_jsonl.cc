@@ -8,7 +8,9 @@
  * line of a seeded corpus (writer output plus hand edits) and of its
  * seeded byte flips, truncations and insertions must get the same
  * accept/reject decision and the same answer from every accessor,
- * doubles compared by bits. One JsonLine is reused across the whole
+ * doubles compared by bits. The oracle's realsWithPrefix() is what
+ * visitWithPrefix() must add up to once each key keeps its last copy
+ * and only numbers stay. One JsonLine is reused across the whole
  * corpus, the way replay reuses it, so stale state would show too.
  *
  * The writer side: JsonWriter formats doubles with std::to_chars, and
@@ -20,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <cfloat>
@@ -30,6 +33,8 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/jsonl.hh"
@@ -264,6 +269,45 @@ bits(double v)
     return std::bit_cast<std::uint64_t>(v);
 }
 
+/** One visited field: its name, and its value when it is a number. */
+struct Visited
+{
+    std::string name;
+    bool number;
+    double value;
+};
+
+std::vector<Visited>
+visitAll(const JsonLine &line, const std::string &prefix)
+{
+    std::vector<Visited> out;
+    line.visitWithPrefix(prefix, [&](std::string_view name,
+                                     const double *v) {
+        out.push_back({std::string(name), v != nullptr, v ? *v : 0.0});
+    });
+    return out;
+}
+
+/**
+ * The visit read one value per key: key order, each key's last copy,
+ * numbers only (what the store keeps of a metrics record).
+ */
+std::vector<std::pair<std::string, double>>
+keptReals(const JsonLine &line, const std::string &prefix)
+{
+    std::vector<Visited> hits = visitAll(line, prefix);
+    std::stable_sort(hits.begin(), hits.end(),
+                     [](const Visited &a, const Visited &b) {
+                         return a.name < b.name;
+                     });
+    std::vector<std::pair<std::string, double>> out;
+    for (std::size_t k = 0; k < hits.size(); ++k)
+        if ((k + 1 == hits.size() || hits[k + 1].name != hits[k].name) &&
+            hits[k].number)
+            out.emplace_back(hits[k].name, hits[k].value);
+    return out;
+}
+
 /** Every accessor of @p got must answer like @p want's. */
 void
 expectSame(const MapLine &want, const JsonLine &got,
@@ -288,7 +332,7 @@ expectSame(const MapLine &want, const JsonLine &got,
     for (const std::string &p : prefixes) {
         SCOPED_TRACE("prefix '" + p + "' of line '" + line + "'");
         const auto w = want.realsWithPrefix(p);
-        const auto g = got.realsWithPrefix(p);
+        const auto g = keptReals(got, p);
         ASSERT_EQ(g.size(), w.size());
         for (std::size_t i = 0; i < w.size(); ++i) {
             EXPECT_EQ(g[i].first, w[i].first);
@@ -451,6 +495,33 @@ const std::vector<std::string> kHandEdits = {
     std::string("{\"m:z\":\"1\0" "5\"}", 10),
     std::string("{\"nul\0key\":1}", 13),
 };
+
+TEST(JsonLine, VisitWithPrefixGoesInLineOrder)
+{
+    // Every scalar field under the prefix, repeats and non-numbers
+    // included, in line order; arrays and other keys are not visited.
+    JsonLine line;
+    ASSERT_TRUE(line.parse(
+        "{\"m:b\":2,\"x\":9,\"m:a\":\"1.5\",\"m:l\":[\"3\"],"
+        "\"m:b\":\"text\",\"m:\":-inf,\"mm\":4}"));
+    const std::vector<Visited> got = visitAll(line, "m:");
+    ASSERT_EQ(got.size(), 4u);
+    const char *names[] = {"b", "a", "b", ""};
+    const bool numbers[] = {true, true, false, true};
+    for (std::size_t k = 0; k < got.size(); ++k) {
+        EXPECT_EQ(got[k].name, names[k]) << k;
+        EXPECT_EQ(got[k].number, numbers[k]) << k;
+    }
+    EXPECT_EQ(got[0].value, 2.0);
+    EXPECT_EQ(got[1].value, 1.5);
+    EXPECT_EQ(got[3].value, -std::numeric_limits<double>::infinity());
+    // The last copy of "b" is text, so a reader keeps no "b".
+    EXPECT_EQ(keptReals(line, "m:"),
+              (std::vector<std::pair<std::string, double>>{
+                  {"", -std::numeric_limits<double>::infinity()},
+                  {"a", 1.5}}));
+    EXPECT_EQ(visitAll(line, "").size(), 6u);
+}
 
 TEST(JsonLineDifferential, HandEditsMatchTheMapParser)
 {

@@ -27,9 +27,10 @@ cmake --build "$build" -j "$jobs"
 
 # ctest discovers suites from the build, so a CMake wiring mistake
 # would silently drop one; assert the binaries this gate exists to
-# run (serialization, the cache image checks, the persistent
-# checkpoint library, the statistics paths, the CPU engines and the
-# sampling engine) are actually present.
+# run (serialization and the JSONL parser, the cache image checks,
+# the result store and its segments, the persistent checkpoint
+# library, the statistics paths, the CPU engines and the sampling
+# engine) are actually present.
 for t in test_sim test_stats test_mem test_core test_campaign \
          test_ckpt test_cpu test_sample; do
     [ -x "$build/tests/$t" ] || {
@@ -75,13 +76,22 @@ fi
 }
 
 # The segment store's corruption claims, explicitly under instrumented
-# memory checking: the truncation/bit-flip sweeps hand the parser every
-# malformed frame a torn disk could produce, and ASan is what proves
-# the rejects happen without reading past a mapping (named rerun for
-# the same reason as the golden above).
+# memory checking: the truncation, bit-flip and byte-change sweeps
+# hand the parser every malformed frame a torn disk could produce,
+# and the format-2 checksum reads the mapping as unaligned 64-bit
+# words, so ASan/UBSan are what prove the rejects happen without
+# reading past a mapping. The store suites drive the journal tail's
+# flat index (its staging hash, name lists and value arena) through
+# replay, appends and the differential against the map replay, and
+# the JSONL suites the parser and its prefix visit beneath it (named
+# reruns for the same reason as the golden above).
 "$build/tests/test_campaign" \
-    --gtest_filter='SegmentFormat.*:StoreCompaction*' >/dev/null || {
-    echo "error: segment-store suites failed under asan/ubsan" >&2
+    --gtest_filter='SegmentFormat.*:StoreCompaction*:ResultStore*:TailIndex*' \
+    >/dev/null &&
+"$build/tests/test_sim" --gtest_filter='JsonLine*:JsonWriter*' \
+    >/dev/null || {
+    echo "error: segment, store or jsonl suites failed under" \
+        "asan/ubsan" >&2
     exit 1
 }
 
