@@ -31,10 +31,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iostream>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "bench/common.hh"
@@ -72,26 +69,16 @@ benchWorkload()
     return wl;
 }
 
+/** One row of the record (bench::writeRecord). */
 void
-emitJson(std::ostream &os, const std::vector<Row> &rows)
+rowJson(std::ostream &os, const Row &r)
 {
-    os << "{\n  \"bench\": \"ckpt_restore\",\n"
-       << "  \"quick\": " << (bench::quick() ? "true" : "false")
-       << ",\n  \"host_concurrency\": "
-       << std::thread::hardware_concurrency()
-       << ",\n  \"results\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
-        os << "    {\"workload\": \"" << r.cell
-           << "\", \"mode\": \"" << r.mode
-           << "\", \"sim_ticks\": " << r.simTicks
-           << ", \"txns\": " << r.txns
-           << ", \"wall_seconds\": " << r.wallSeconds
-           << ", \"ticks_per_sec\": " << r.ticksPerSec()
-           << ", \"txns_per_sec\": " << r.txnsPerSec() << "}"
-           << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
+    os << "\"workload\": \"" << r.cell << "\", \"mode\": \"" << r.mode
+       << "\", \"sim_ticks\": " << r.simTicks
+       << ", \"txns\": " << r.txns
+       << ", \"wall_seconds\": " << r.wallSeconds
+       << ", \"ticks_per_sec\": " << r.ticksPerSec()
+       << ", \"txns_per_sec\": " << r.txnsPerSec();
 }
 
 } // anonymous namespace
@@ -229,13 +216,7 @@ main(int argc, char **argv)
     std::printf("total: rewarm %.4fs, restore %.4fs (%.1fx)\n",
                 rewarmWall, restoreWall, rewarmWall / restoreWall);
 
-    if (!jsonPath.empty()) {
-        std::ofstream f(jsonPath);
-        emitJson(f, rows);
-        std::printf("wrote %s\n", jsonPath.c_str());
-    } else {
-        emitJson(std::cout, rows);
-    }
+    bench::writeRecord(jsonPath, "ckpt_restore", rows, rowJson);
 
     if (keepDir.empty())
         std::filesystem::remove_all(dir);

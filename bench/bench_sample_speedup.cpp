@@ -33,8 +33,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <fstream>
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -127,24 +125,16 @@ timedRun(const Case &c, const std::string &spec, const char *mode,
             wall, r.sampled.ipcMean};
 }
 
+/** One row of the record (bench::writeRecord). */
 void
-emitJson(std::ostream &os, const std::vector<Row> &rows)
+rowJson(std::ostream &os, const Row &r)
 {
-    os << "{\n  \"bench\": \"sample_speedup\",\n"
-       << "  \"quick\": " << (bench::quick() ? "true" : "false")
-       << ",\n  \"results\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
-        os << "    {\"workload\": \"" << r.workload
-           << "\", \"mode\": \"" << r.mode
-           << "\", \"sim_ticks\": " << r.simTicks
-           << ", \"txns\": " << r.txns
-           << ", \"wall_seconds\": " << r.wallSeconds
-           << ", \"ticks_per_sec\": " << r.ticksPerSec()
-           << ", \"txns_per_sec\": " << r.txnsPerSec() << "}"
-           << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
+    os << "\"workload\": \"" << r.workload << "\", \"mode\": \""
+       << r.mode << "\", \"sim_ticks\": " << r.simTicks
+       << ", \"txns\": " << r.txns
+       << ", \"wall_seconds\": " << r.wallSeconds
+       << ", \"ticks_per_sec\": " << r.ticksPerSec()
+       << ", \"txns_per_sec\": " << r.txnsPerSec();
 }
 
 } // anonymous namespace
@@ -208,12 +198,6 @@ main(int argc, char **argv)
                              : "MISSED TARGET");
     }
 
-    if (!jsonPath.empty()) {
-        std::ofstream fo(jsonPath);
-        emitJson(fo, rows);
-        std::printf("wrote %s\n", jsonPath.c_str());
-    } else {
-        emitJson(std::cout, rows);
-    }
+    bench::writeRecord(jsonPath, "sample_speedup", rows, rowJson);
     return allMet ? 0 : 1;
 }

@@ -34,8 +34,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iostream>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -94,29 +92,20 @@ benchFields(std::uint64_t seed)
     return f;
 }
 
+/** One row of the record (bench::writeRecord). */
 void
-emitJson(std::ostream &os, const std::vector<Row> &rows)
+rowJson(std::ostream &os, const Row &r)
 {
-    os << "{\n  \"bench\": \"serve_throughput\",\n"
-       << "  \"quick\": " << (bench::quick() ? "true" : "false")
-       << ",\n  \"host_concurrency\": "
-       << std::thread::hardware_concurrency()
-       << ",\n  \"results\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
-        os << "    {\"workload\": \"oltp\", \"mode\": \""
-           << r.mode << "\", \"sim_ticks\": " << r.simTicks
-           << ", \"campaigns\": " << r.campaigns
-           << ", \"wall_seconds\": " << r.wallSeconds
-           << ", \"ticks_per_sec\": " << r.ticksPerSec()
-           << ", \"campaigns_per_sec\": " << r.campaignsPerSec()
-           << ", \"submit_p50_ms\": " << r.submitP50Ms
-           << ", \"submit_p99_ms\": " << r.submitP99Ms
-           << ", \"first_result_p50_ms\": " << r.firstP50Ms
-           << ", \"first_result_p99_ms\": " << r.firstP99Ms
-           << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
+    os << "\"workload\": \"oltp\", \"mode\": \"" << r.mode
+       << "\", \"sim_ticks\": " << r.simTicks
+       << ", \"campaigns\": " << r.campaigns
+       << ", \"wall_seconds\": " << r.wallSeconds
+       << ", \"ticks_per_sec\": " << r.ticksPerSec()
+       << ", \"campaigns_per_sec\": " << r.campaignsPerSec()
+       << ", \"submit_p50_ms\": " << r.submitP50Ms
+       << ", \"submit_p99_ms\": " << r.submitP99Ms
+       << ", \"first_result_p50_ms\": " << r.firstP50Ms
+       << ", \"first_result_p99_ms\": " << r.firstP99Ms;
 }
 
 /** One client-count measurement; false on any service error. */
@@ -276,12 +265,6 @@ main(int argc, char **argv)
             row.submitP99Ms, row.firstP50Ms, row.firstP99Ms);
     }
 
-    if (!jsonPath.empty()) {
-        std::ofstream f(jsonPath);
-        emitJson(f, rows);
-        std::printf("wrote %s\n", jsonPath.c_str());
-    } else {
-        emitJson(std::cout, rows);
-    }
+    bench::writeRecord(jsonPath, "serve_throughput", rows, rowJson);
     return 0;
 }

@@ -25,10 +25,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iostream>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "bench/common.hh"
@@ -147,27 +144,17 @@ multiRun(const WorkloadSpec &spec, std::size_t num_runs, int repeat)
             wall};
 }
 
+/** One row of the record (bench::writeRecord). */
 void
-emitJson(std::ostream &os, const std::vector<Row> &rows)
+rowJson(std::ostream &os, const Row &r)
 {
-    os << "{\n  \"bench\": \"sim_throughput\",\n"
-       << "  \"quick\": " << (bench::quick() ? "true" : "false")
-       << ",\n  \"host_concurrency\": "
-       << std::thread::hardware_concurrency()
-       << ",\n  \"results\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
-        os << "    {\"workload\": \"" << r.workload
-           << "\", \"mode\": \"" << r.mode
-           << "\", \"host_threads\": " << r.hostThreads
-           << ", \"sim_ticks\": " << r.simTicks
-           << ", \"txns\": " << r.txns
-           << ", \"wall_seconds\": " << r.wallSeconds
-           << ", \"ticks_per_sec\": " << r.ticksPerSec()
-           << ", \"txns_per_sec\": " << r.txnsPerSec() << "}"
-           << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
+    os << "\"workload\": \"" << r.workload << "\", \"mode\": \""
+       << r.mode << "\", \"host_threads\": " << r.hostThreads
+       << ", \"sim_ticks\": " << r.simTicks
+       << ", \"txns\": " << r.txns
+       << ", \"wall_seconds\": " << r.wallSeconds
+       << ", \"ticks_per_sec\": " << r.ticksPerSec()
+       << ", \"txns_per_sec\": " << r.txnsPerSec();
 }
 
 } // anonymous namespace
@@ -230,12 +217,6 @@ main(int argc, char **argv)
                     m.wallSeconds);
     }
 
-    if (!jsonPath.empty()) {
-        std::ofstream f(jsonPath);
-        emitJson(f, rows);
-        std::printf("wrote %s\n", jsonPath.c_str());
-    } else {
-        emitJson(std::cout, rows);
-    }
+    bench::writeRecord(jsonPath, "sim_throughput", rows, rowJson);
     return 0;
 }

@@ -30,10 +30,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/common.hh"
@@ -175,25 +173,15 @@ timeOpenReport(const std::string &dir, std::string *report)
     return best;
 }
 
+/** One row of the record (bench::writeRecord). */
 void
-emitJson(std::ostream &os, const std::vector<Row> &rows)
+rowJson(std::ostream &os, const Row &r)
 {
-    os << "{\n  \"bench\": \"store_open\",\n"
-       << "  \"quick\": " << (bench::quick() ? "true" : "false")
-       << ",\n  \"host_concurrency\": "
-       << std::thread::hardware_concurrency()
-       << ",\n  \"results\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
-        os << "    {\"workload\": \"" << r.runs
-           << (r.wide ? "_runs_wide" : "_runs")
-           << "\", \"mode\": \"" << r.mode
-           << "\", \"runs\": " << r.runs
-           << ", \"open_report_seconds\": " << r.seconds
-           << ", \"ticks_per_sec\": " << r.runsPerSec() << "}"
-           << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
+    os << "\"workload\": \"" << r.runs
+       << (r.wide ? "_runs_wide" : "_runs") << "\", \"mode\": \""
+       << r.mode << "\", \"runs\": " << r.runs
+       << ", \"open_report_seconds\": " << r.seconds
+       << ", \"ticks_per_sec\": " << r.runsPerSec();
 }
 
 } // namespace
@@ -280,11 +268,8 @@ main(int argc, char **argv)
     }
     std::filesystem::remove_all(dir);
 
-    if (!jsonPath.empty()) {
-        std::ofstream f(jsonPath);
-        emitJson(f, rows);
-        std::printf("wrote %s\n", jsonPath.c_str());
-    }
+    if (!jsonPath.empty())
+        bench::writeRecord(jsonPath, "store_open", rows, rowJson);
 
     if (!identical)
         return 1;

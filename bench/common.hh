@@ -16,7 +16,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iostream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/varsim.hh"
 
@@ -98,6 +102,37 @@ class Stopwatch
   private:
     std::chrono::steady_clock::time_point start;
 };
+
+/**
+ * Write a bench's perf record, the file tools/perfcmp.py reads: the
+ * envelope every emitter shares (its name, the quick flag and the
+ * host's core count) around @p rows, each an object whose fields
+ * @p rowJson(os, row) writes. To @p path ("wrote <path>" on stdout),
+ * or to stdout itself when @p path is empty.
+ */
+template <typename Row, typename RowJson>
+void
+writeRecord(const std::string &path, const char *bench,
+            const std::vector<Row> &rows, RowJson rowJson)
+{
+    std::ofstream file;
+    if (!path.empty())
+        file.open(path);
+    std::ostream &os = path.empty() ? std::cout : file;
+    os << "{\n  \"bench\": \"" << bench << "\",\n"
+       << "  \"quick\": " << (quick() ? "true" : "false")
+       << ",\n  \"host_concurrency\": "
+       << std::thread::hardware_concurrency()
+       << ",\n  \"results\": [\n";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        os << "    {";
+        rowJson(os, rows[i]);
+        os << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+    }
+    os << "  ]\n}\n";
+    if (!path.empty())
+        std::printf("wrote %s\n", path.c_str());
+}
 
 /** Simple textual min/avg/max strip for "figure" outputs. */
 inline std::string

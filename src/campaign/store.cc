@@ -801,6 +801,14 @@ ResultStore::openReadOnly(const std::string &dir)
 }
 
 bool
+ResultStore::exists(const std::string &dir)
+{
+    std::error_code ec;
+    const auto size = std::filesystem::file_size(manifestPath(dir), ec);
+    return !ec && size > 0;
+}
+
+bool
 ResultStore::loadSegmentRecord(const sim::JsonLine &obj,
                                const std::string &path,
                                std::size_t lineNo, SegmentLoad &load,

@@ -194,6 +194,14 @@ class ResultStore
     static std::unique_ptr<ResultStore>
     openReadOnly(const std::string &dir);
 
+    /**
+     * True when @p dir holds a store openReadOnly() can read: its
+     * manifest exists and is not empty (a writer creating it
+     * appends the header next). The daemon checks it before a
+     * report, so a campaign with no store yet is an error reply.
+     */
+    static bool exists(const std::string &dir);
+
     const StoreHeader &header() const { return header_; }
 
     /** True if (group, runIdx) already has a recorded run. */

@@ -121,9 +121,8 @@ BaseCpu::retireControl(const Op &op)
 void
 BaseCpu::memResponse(std::uint64_t tag)
 {
-    (void)tag;
-    VARSIM_ASSERT(awaitingMem, "%s: unexpected memory response",
-                  name().c_str());
+    VARSIM_ASSERT(awaitingMem && tag == blockingTag,
+                  "%s: unexpected memory response", name().c_str());
     awaitingMem = false;
     resume();
 }
@@ -138,10 +137,8 @@ BaseCpu::blockingAccess(mem::L1Cache &cache, sim::Addr addr,
     }
     if (cache.tryAccess(addr, write))
         return true;
-    if (payDebt()) {
-        awaitingMem = true;
-        cache.access({addr, write, &cache == &icache, nextTag++});
-    }
+    if (payDebt())
+        sendBlocking(cache, addr, write);
     return false;
 }
 

@@ -215,7 +215,7 @@ class BaseCpu : public sim::SimObject, public mem::MemClient
     const CpuStats &stats() const { return stats_; }
     CpuStats &stats() { return stats_; }
 
-    /** The blocking engine's miss completed. */
+    /** The blocking miss completed: resume the engine. */
     void memResponse(std::uint64_t tag) override;
 
     void serialize(sim::CheckpointOut &cp) const override;
@@ -279,6 +279,19 @@ class BaseCpu : public sim::SimObject, public mem::MemClient
      */
     bool stopAtBoundary();
 
+    /**
+     * Send a miss that parks the engine (awaitingMem) until
+     * memResponse() sees its tag: the blocking engine's every miss,
+     * the OoO engine's fetch misses and synchronizing stores.
+     */
+    void
+    sendBlocking(mem::L1Cache &cache, sim::Addr addr, bool write)
+    {
+        awaitingMem = true;
+        blockingTag = nextTag;
+        cache.access({addr, write, &cache == &icache, nextTag++});
+    }
+
     /** Instruction footprint of an op. */
     static std::uint64_t instrCost(const Op &op);
 
@@ -297,6 +310,8 @@ class BaseCpu : public sim::SimObject, public mem::MemClient
     Phase phase = Phase::Start;
     std::uint64_t remaining = 0; ///< instructions left in this op
     sim::Tick owed = 0;          ///< unsettled cycles (the debt)
+    bool awaitingMem = false;    ///< a blocking miss is in flight
+    std::uint64_t blockingTag = 0; ///< its request tag
 
   private:
     /**
@@ -304,8 +319,7 @@ class BaseCpu : public sim::SimObject, public mem::MemClient
      * modes differ. Fast, the access completes through the warm path
      * and its fixed latency joins the debt. Timed, a hit completes;
      * a miss pays the debt first (the access is retried when the CPU
-     * resumes), then sends the request and parks the CPU until
-     * memResponse() (awaitingMem).
+     * resumes), then sends it through sendBlocking().
      * @return true if the access completed.
      */
     bool blockingAccess(mem::L1Cache &cache, sim::Addr addr,
@@ -315,7 +329,6 @@ class BaseCpu : public sim::SimObject, public mem::MemClient
     sim::CpuId id_;
     sim::Tick idleSince = 0;
     bool fastMode_ = false;
-    bool awaitingMem = false; ///< a blocking miss is in flight
 };
 
 } // namespace cpu

@@ -25,9 +25,7 @@ OoOCpu::resetPipeline()
     BaseCpu::resetPipeline();
     ipcCarry = 0;
     instrIdx = 0;
-    awaitingIFetch = false;
     awaitingRetire = false;
-    blockingData = false;
 }
 
 bool
@@ -43,8 +41,7 @@ OoOCpu::pipelineEmpty()
 bool
 OoOCpu::quiescent() const
 {
-    return BaseCpu::quiescent() && missQueue.empty() &&
-           !awaitingIFetch && !blockingData;
+    return BaseCpu::quiescent() && missQueue.empty();
 }
 
 void
@@ -65,14 +62,8 @@ OoOCpu::addDispatch(std::uint64_t n)
 void
 OoOCpu::memResponse(std::uint64_t tag)
 {
-    if (awaitingIFetch && tag == ifetchTag) {
-        awaitingIFetch = false;
-        resume();
-        return;
-    }
-    if (blockingData) {
-        blockingData = false;
-        resume();
+    if (awaitingMem && tag == blockingTag) {
+        BaseCpu::memResponse(tag);
         return;
     }
     for (MissEntry &e : missQueue) {
@@ -132,8 +123,8 @@ OoOCpu::resume()
         BaseCpu::resume();
         return;
     }
-    if (idle_ || tc_ == nullptr || awaitingIFetch || blockingData ||
-        awaitingRetire || resumeEvent.scheduled()) {
+    if (idle_ || tc_ == nullptr || awaitingMem || awaitingRetire ||
+        resumeEvent.scheduled()) {
         return;
     }
 
@@ -159,9 +150,7 @@ OoOCpu::resume()
                         // Fetch misses serialize the front end.
                         if (!payDebt())
                             return;
-                        awaitingIFetch = true;
-                        ifetchTag = nextTag;
-                        icache.access({ba, false, true, nextTag++});
+                        sendBlocking(icache, ba, false);
                         return;
                     }
                 }
@@ -242,8 +231,7 @@ OoOCpu::resume()
                     return;
                 if (!dcache.tryAccess(op.addr, true)) {
                     ++stats_.memOps;
-                    blockingData = true;
-                    dcache.access({op.addr, true, false, nextTag++});
+                    sendBlocking(dcache, op.addr, true);
                     phase = Phase::Finish;
                     return;
                 }

@@ -79,10 +79,7 @@ class OoOCpu final : public BaseCpu
     std::uint32_t ipcCarry = 0;
     std::uint64_t instrIdx = 0;
     std::deque<MissEntry> missQueue;
-    bool awaitingIFetch = false;
-    std::uint64_t ifetchTag = 0;
     bool awaitingRetire = false; ///< stalled on the oldest miss
-    bool blockingData = false;   ///< Lock/Unlock store in flight
 };
 
 } // namespace cpu

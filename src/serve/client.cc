@@ -9,25 +9,10 @@ namespace varsim
 namespace serve
 {
 
-namespace
-{
-
-/** Extract a daemon error reply into @p err; true when error. */
 bool
-isError(const sim::JsonLine &rep, std::string *err)
-{
-    if (rep.str("type") != "error")
-        return false;
-    if (err)
-        *err = rep.str("message", "daemon error");
-    return true;
-}
-
-} // anonymous namespace
-
-bool
-Client::roundTrip(const std::string &payload, sim::JsonLine &rep,
-                  std::string *err, int timeoutMs)
+Client::exchange(const std::string &payload, int timeoutMs,
+                 sim::JsonLine &frame,
+                 const std::function<bool()> &more, std::string *err)
 {
     const int fd = connectTo(addr, err);
     if (fd < 0)
@@ -35,18 +20,28 @@ Client::roundTrip(const std::string &payload, sim::JsonLine &rep,
     FrameIo io(fd);
     if (timeoutMs > 0)
         io.setRecvTimeout(timeoutMs);
-    std::string reply;
-    if (!io.send(payload) || !io.recv(reply)) {
-        if (err)
-            *err = io.errorText();
-        return false;
+    if (!io.send(payload))
+        return failWith(err, io.errorText());
+    for (std::string reply;;) {
+        if (!io.recv(reply))
+            return failWith(err, io.errorText());
+        if (!frame.parse(reply))
+            return failWith(err, "unparseable daemon reply");
+        const std::string type = frame.str("type");
+        if (type == "error")
+            return failWith(err,
+                            frame.str("message", "daemon error"));
+        if (type == "end" || !more())
+            return true;
     }
-    if (!rep.parse(reply)) {
-        if (err)
-            *err = "unparseable daemon reply";
-        return false;
-    }
-    return !isError(rep, err);
+}
+
+bool
+Client::roundTrip(const std::string &payload, sim::JsonLine &rep,
+                  std::string *err, int timeoutMs)
+{
+    return exchange(payload, timeoutMs, rep, [] { return false; },
+                    err);
 }
 
 bool
@@ -57,17 +52,13 @@ Client::ping(std::string *err)
     sim::JsonLine rep;
     if (!roundTrip(w.str(), rep, err))
         return false;
-    if (rep.num("schema") !=
-        static_cast<std::uint64_t>(kSchemaVersion)) {
-        if (err)
-            *err = sim::format(
-                "daemon speaks schema %llu, this client %d",
-                static_cast<unsigned long long>(
-                    rep.num("schema")),
-                kSchemaVersion);
-        return false;
-    }
-    return true;
+    const std::uint64_t schema = rep.num("schema");
+    return schema == static_cast<std::uint64_t>(kSchemaVersion) ||
+           failWith(err,
+                    sim::format("daemon speaks schema %llu, this "
+                                "client %d",
+                                static_cast<unsigned long long>(schema),
+                                kSchemaVersion));
 }
 
 bool
@@ -95,39 +86,17 @@ Client::status(const std::string &tenant,
     w.field("req", std::string("status"));
     if (!tenant.empty())
         w.field("tenant", tenant);
-
-    const int fd = connectTo(addr, err);
-    if (fd < 0)
-        return false;
-    FrameIo io(fd);
-    io.setRecvTimeout(30000);
-    if (!io.send(w.str())) {
-        if (err)
-            *err = io.errorText();
-        return false;
-    }
     out.clear();
-    for (;;) {
-        std::string payload;
-        if (!io.recv(payload)) {
-            if (err)
-                *err = io.errorText();
-            return false;
-        }
-        sim::JsonLine obj;
-        if (!obj.parse(payload)) {
-            if (err)
-                *err = "unparseable daemon reply";
-            return false;
-        }
-        if (isError(obj, err))
-            return false;
-        if (obj.str("type") == "end")
+    sim::JsonLine frame;
+    return exchange(
+        w.str(), 30000, frame,
+        [&] {
+            CampaignInfo info;
+            if (decodeInfo(frame, info))
+                out.push_back(std::move(info));
             return true;
-        CampaignInfo info;
-        if (decodeInfo(obj, info))
-            out.push_back(std::move(info));
-    }
+        },
+        err);
 }
 
 bool
@@ -140,12 +109,8 @@ Client::info(const std::string &id, CampaignInfo &out,
     sim::JsonLine rep;
     if (!roundTrip(w.str(), rep, err))
         return false;
-    if (!decodeInfo(rep, out)) {
-        if (err)
-            *err = "malformed campaign info reply";
-        return false;
-    }
-    return true;
+    return decodeInfo(rep, out) ||
+           failWith(err, "malformed campaign info reply");
 }
 
 bool
@@ -157,52 +122,26 @@ Client::watch(const std::string &id, std::uint64_t afterSeq,
     w.field("req", std::string("watch"));
     w.field("id", id);
     w.field("after", afterSeq);
-
-    const int fd = connectTo(addr, err);
-    if (fd < 0)
-        return false;
-    FrameIo io(fd);
     // No receive timeout: a quiet campaign can legitimately sit
     // between events for as long as a cell takes to simulate.
-    if (!io.send(w.str())) {
-        if (err)
-            *err = io.errorText();
-        return false;
-    }
+    sim::JsonLine frame;
     bool sawTerminal = false;
-    for (;;) {
-        std::string payload;
-        if (!io.recv(payload)) {
-            if (err)
-                *err = io.errorText();
-            return false;
-        }
-        sim::JsonLine obj;
-        if (!obj.parse(payload)) {
-            if (err)
-                *err = "unparseable daemon reply";
-            return false;
-        }
-        if (isError(obj, err))
-            return false;
-        if (obj.str("type") == "end") {
-            // A cursor already past the terminal event sees no
-            // events at all; the end frame's state field is what
-            // distinguishes "finished" from a daemon drain.
-            const std::string st = obj.str("state");
-            if (st == "complete" || st == "cancelled" ||
-                st == "failed")
-                sawTerminal = true;
-            break;
-        }
-        Event ev;
-        if (!decodeEvent(obj, ev))
-            continue;
-        if (ev.kind == "complete" || ev.kind == "cancelled" ||
-            ev.kind == "failed")
-            sawTerminal = true;
-        onEvent(ev);
-    }
+    if (!exchange(
+            w.str(), 0, frame,
+            [&] {
+                Event ev;
+                if (decodeEvent(frame, ev)) {
+                    sawTerminal |= terminalState(ev.kind);
+                    onEvent(ev);
+                }
+                return true;
+            },
+            err))
+        return false;
+    // A cursor already past the terminal event sees no events at
+    // all; the end frame's state field is what distinguishes
+    // "finished" from a daemon drain.
+    sawTerminal |= terminalState(frame.str("state"));
     if (!sawTerminal && err)
         *err = "stream ended before the campaign finished "
                "(daemon draining?)";

@@ -72,8 +72,18 @@ class Client
     bool drain(std::string *err);
 
   private:
-    /** Connect, send @p payload, read one reply frame.
-     *  @p timeoutMs bounds the wait for the reply (0 = forever). */
+    /**
+     * The one reply reader: connect, send @p payload, then parse
+     * reply frames into @p frame until @p more returns false, an
+     * end frame arrives (true, left in @p frame), or an error frame
+     * does (false with its message in @p err). @p timeoutMs bounds
+     * each wait for a frame (0 = forever).
+     */
+    bool exchange(const std::string &payload, int timeoutMs,
+                  sim::JsonLine &frame,
+                  const std::function<bool()> &more, std::string *err);
+
+    /** exchange() for a request answered by one frame. */
     bool roundTrip(const std::string &payload, sim::JsonLine &rep,
                    std::string *err, int timeoutMs = 30000);
 

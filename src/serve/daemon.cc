@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "campaign/engine.hh"
+#include "campaign/store.hh"
 #include "ckpt/library.hh"
 #include "sim/jsonl.hh"
 #include "sim/logging.hh"
@@ -52,10 +53,8 @@ parseId(const std::string &id, std::string *err)
         validName(id.substr(0, slash)) &&
         validName(id.substr(slash + 1)))
         return true;
-    if (err)
-        *err = "bad campaign id '" + id +
-               "' (want <tenant>/<name>)";
-    return false;
+    return failWith(err, "bad campaign id '" + id +
+                             "' (want <tenant>/<name>)");
 }
 
 } // anonymous namespace
@@ -220,12 +219,13 @@ Daemon::handleConnection(int fd)
             io.send(errorFrame(err));
             return;
         }
+        CampaignInfo info;
+        if (!sched->info(id, info)) {
+            io.send(errorFrame("unknown campaign " + id));
+            return;
+        }
         if (req == "info") {
-            CampaignInfo info;
-            if (!sched->info(id, info))
-                io.send(errorFrame("unknown campaign " + id));
-            else
-                io.send(encodeInfo(info));
+            io.send(encodeInfo(info));
             return;
         }
         if (req == "watch") {
@@ -241,10 +241,13 @@ Daemon::handleConnection(int fd)
         }
         // report: render through the same code path as `varsim
         // campaign report`. The read-only store open takes no lock,
-        // so this works even while the campaign is running.
-        CampaignInfo info;
-        if (!sched->info(id, info)) {
-            io.send(errorFrame("unknown campaign " + id));
+        // so this works even while the campaign is running; a
+        // campaign that has no store yet answers with an error, not
+        // the CLI's fatal.
+        const std::string dir = sched->storeDir(id);
+        if (!campaign::ResultStore::exists(dir)) {
+            io.send(errorFrame("campaign " + id + " is " + info.state +
+                               " and has no results to report"));
             return;
         }
         const double confidence = obj.has("confidence")
@@ -253,10 +256,9 @@ Daemon::handleConnection(int fd)
         const std::string metric = obj.str("metric");
         const campaign::CampaignReport rep =
             metric.empty()
-                ? campaign::campaignReport(sched->storeDir(id),
-                                           confidence)
-                : campaign::campaignMetricReport(
-                      sched->storeDir(id), metric, confidence);
+                ? campaign::campaignReport(dir, confidence)
+                : campaign::campaignMetricReport(dir, metric,
+                                                 confidence);
         sim::JsonWriter w;
         w.field("type", std::string("ok"));
         w.field("text", rep.text);

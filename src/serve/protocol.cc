@@ -136,16 +136,11 @@ bool
 Address::parse(const std::string &text, Address &out,
                std::string *err)
 {
-    auto fail = [&](std::string msg) {
-        if (err)
-            *err = std::move(msg);
-        return false;
-    };
     if (text.rfind("unix:", 0) == 0) {
         out.isUnix = true;
         out.path = text.substr(5);
         if (out.path.empty())
-            return fail("unix address wants a socket path");
+            return failWith(err, "unix address wants a socket path");
         return true;
     }
     if (text.rfind("tcp:", 0) == 0) {
@@ -160,13 +155,13 @@ Address::parse(const std::string &text, Address &out,
         const long port = std::strtol(rest.c_str(), &end, 10);
         if (end == rest.c_str() || *end != '\0' || port <= 0 ||
             port > 65535)
-            return fail("tcp address wants tcp:<port> or "
-                        "tcp:<host>:<port>");
+            return failWith(err, "tcp address wants tcp:<port> or "
+                                 "tcp:<host>:<port>");
         out.port = static_cast<int>(port);
         return true;
     }
-    return fail("address wants unix:<path> or tcp:[host:]<port> "
-                "(got '" + text + "')");
+    return failWith(err, "address wants unix:<path> or "
+                         "tcp:[host:]<port> (got '" + text + "')");
 }
 
 std::string
@@ -181,13 +176,81 @@ namespace
 {
 
 int
-failSock(int fd, std::string *err, const std::string &msg)
+failSock(int fd, std::string *err, std::string msg)
 {
-    if (err)
-        *err = msg;
     if (fd >= 0)
         ::close(fd);
+    failWith(err, std::move(msg));
     return -1;
+}
+
+/**
+ * The one socket setup listenOn() and connectTo() share: a stream
+ * socket of @p addr's family and its address, then bound and
+ * listening (@p listen) or connected. Returns the fd, or -1 with
+ * @p err set.
+ */
+int
+openSocket(const Address &addr, bool listen, std::string *err)
+{
+    if (addr.isUnix && addr.path.size() >= sizeof(sockaddr_un{}.sun_path))
+        return failSock(-1, err,
+                        "unix socket path too long: " + addr.path);
+    const int fd = ::socket(addr.isUnix ? AF_UNIX : AF_INET,
+                            SOCK_STREAM, 0);
+    if (fd < 0)
+        return failSock(-1, err,
+                        sim::format("socket: %s", std::strerror(errno)));
+    sockaddr_storage sa{};
+    socklen_t len = 0;
+    if (addr.isUnix) {
+        sockaddr_un un{};
+        un.sun_family = AF_UNIX;
+        std::strncpy(un.sun_path, addr.path.c_str(),
+                     sizeof(un.sun_path) - 1);
+        std::memcpy(&sa, &un, len = sizeof(un));
+        if (listen)
+            ::unlink(addr.path.c_str()); // stale socket from a kill -9
+    } else {
+        sockaddr_in in{};
+        in.sin_family = AF_INET;
+        in.sin_port = htons(static_cast<std::uint16_t>(addr.port));
+        if (::inet_pton(AF_INET, addr.host.c_str(), &in.sin_addr) != 1)
+            return failSock(fd, err,
+                            std::string(listen ? "bad listen host "
+                                               : "bad connect host ") +
+                                addr.host);
+        std::memcpy(&sa, &in, len = sizeof(in));
+        if (listen) {
+            const int one = 1;
+            ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one,
+                         sizeof(one));
+        }
+    }
+    const auto *any = reinterpret_cast<const sockaddr *>(&sa);
+    if (!listen) {
+        if (::connect(fd, any, len) == 0)
+            return fd;
+        const char *why = std::strerror(errno);
+        const std::string where =
+            addr.isUnix
+                ? addr.path
+                : sim::format("%s:%d", addr.host.c_str(), addr.port);
+        return failSock(fd, err,
+                        sim::format("connect %s: %s (daemon running?)",
+                                    where.c_str(), why));
+    }
+    if (::bind(fd, any, len) != 0)
+        return failSock(
+            fd, err,
+            addr.isUnix ? sim::format("bind %s: %s", addr.path.c_str(),
+                                      std::strerror(errno))
+                        : sim::format("bind port %d: %s", addr.port,
+                                      std::strerror(errno)));
+    if (::listen(fd, 64) != 0)
+        return failSock(fd, err,
+                        sim::format("listen: %s", std::strerror(errno)));
+    return fd;
 }
 
 } // anonymous namespace
@@ -195,101 +258,13 @@ failSock(int fd, std::string *err, const std::string &msg)
 int
 listenOn(const Address &addr, std::string *err)
 {
-    if (addr.isUnix) {
-        if (addr.path.size() >= sizeof(sockaddr_un{}.sun_path))
-            return failSock(-1, err, "unix socket path too long: " +
-                                         addr.path);
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0)
-            return failSock(-1, err,
-                            sim::format("socket: %s",
-                                        std::strerror(errno)));
-        ::unlink(addr.path.c_str()); // stale socket from a kill -9
-        sockaddr_un sa{};
-        sa.sun_family = AF_UNIX;
-        std::strncpy(sa.sun_path, addr.path.c_str(),
-                     sizeof(sa.sun_path) - 1);
-        if (::bind(fd, reinterpret_cast<sockaddr *>(&sa),
-                   sizeof(sa)) != 0)
-            return failSock(fd, err,
-                            sim::format("bind %s: %s",
-                                        addr.path.c_str(),
-                                        std::strerror(errno)));
-        if (::listen(fd, 64) != 0)
-            return failSock(fd, err,
-                            sim::format("listen: %s",
-                                        std::strerror(errno)));
-        return fd;
-    }
-
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return failSock(-1, err,
-                        sim::format("socket: %s",
-                                    std::strerror(errno)));
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(static_cast<std::uint16_t>(addr.port));
-    if (::inet_pton(AF_INET, addr.host.c_str(), &sa.sin_addr) != 1)
-        return failSock(fd, err, "bad listen host " + addr.host);
-    if (::bind(fd, reinterpret_cast<sockaddr *>(&sa),
-               sizeof(sa)) != 0)
-        return failSock(fd, err,
-                        sim::format("bind port %d: %s", addr.port,
-                                    std::strerror(errno)));
-    if (::listen(fd, 64) != 0)
-        return failSock(fd, err,
-                        sim::format("listen: %s",
-                                    std::strerror(errno)));
-    return fd;
+    return openSocket(addr, true, err);
 }
 
 int
 connectTo(const Address &addr, std::string *err)
 {
-    if (addr.isUnix) {
-        if (addr.path.size() >= sizeof(sockaddr_un{}.sun_path))
-            return failSock(-1, err, "unix socket path too long: " +
-                                         addr.path);
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0)
-            return failSock(-1, err,
-                            sim::format("socket: %s",
-                                        std::strerror(errno)));
-        sockaddr_un sa{};
-        sa.sun_family = AF_UNIX;
-        std::strncpy(sa.sun_path, addr.path.c_str(),
-                     sizeof(sa.sun_path) - 1);
-        if (::connect(fd, reinterpret_cast<sockaddr *>(&sa),
-                      sizeof(sa)) != 0)
-            return failSock(
-                fd, err,
-                sim::format("connect %s: %s (daemon running?)",
-                            addr.path.c_str(),
-                            std::strerror(errno)));
-        return fd;
-    }
-
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return failSock(-1, err,
-                        sim::format("socket: %s",
-                                    std::strerror(errno)));
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(static_cast<std::uint16_t>(addr.port));
-    if (::inet_pton(AF_INET, addr.host.c_str(), &sa.sin_addr) != 1)
-        return failSock(fd, err, "bad connect host " + addr.host);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&sa),
-                  sizeof(sa)) != 0)
-        return failSock(
-            fd, err,
-            sim::format("connect %s:%d: %s (daemon running?)",
-                        addr.host.c_str(), addr.port,
-                        std::strerror(errno)));
-    return fd;
+    return openSocket(addr, false, err);
 }
 
 } // namespace serve

@@ -30,11 +30,21 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 
 namespace varsim
 {
 namespace serve
 {
+
+/** Set *@p err (when @p err is given) to @p msg; returns false. */
+inline bool
+failWith(std::string *err, std::string msg)
+{
+    if (err)
+        *err = std::move(msg);
+    return false;
+}
 
 /** Frame magic; bump the digit when the framing itself changes. */
 constexpr const char *kFrameMagic = "VSRV1";

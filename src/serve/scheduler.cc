@@ -15,6 +15,36 @@ namespace serve
 
 namespace fs = std::filesystem;
 
+namespace
+{
+
+/** The wire names of Job::State, in its order. */
+const char *const kStateNames[] = {"queued", "running", "complete",
+                                   "cancelled", "failed"};
+
+/**
+ * Run @p work, turning a throw into false with its message in
+ * @p what. A worker must not let one escape: the pool swallows it,
+ * and a job its worker left without bookkeeping never settles
+ * (watchers spin, drain() hangs, the tenant's share stays inflated).
+ */
+template <typename Work>
+bool
+guarded(const char *doing, std::string &what, Work &&work)
+{
+    try {
+        work();
+        return true;
+    } catch (const std::exception &e) {
+        what = e.what();
+    } catch (...) {
+        what = std::string("unknown exception ") + doing;
+    }
+    return false;
+}
+
+} // anonymous namespace
+
 Scheduler::Scheduler(const SchedulerConfig &cfg) : cfg(cfg)
 {
     std::error_code ec;
@@ -57,14 +87,8 @@ Scheduler::cellsExecuted() const
 bool
 Scheduler::submit(const Submission &sub, std::string *err)
 {
-    auto fail = [&](std::string msg) {
-        if (err)
-            *err = std::move(msg);
-        return false;
-    };
-
     if (!validName(sub.tenant) || !validName(sub.name))
-        return fail("bad tenant or campaign name");
+        return failWith(err, "bad tenant or campaign name");
 
     // Rebuild the spec through the same path the CLI uses, then
     // check the client's fingerprint echo: a mismatch means the
@@ -72,83 +96,67 @@ Scheduler::submit(const Submission &sub, std::string *err)
     campaign::CampaignSpec spec;
     std::string why;
     if (!campaign::buildSpec(sub.fields, spec, &why))
-        return fail("invalid campaign spec: " + why);
+        return failWith(err, "invalid campaign spec: " + why);
     const std::string fp = sim::format(
         "%016llx",
         static_cast<unsigned long long>(spec.fingerprint()));
     if (fp != sub.fingerprintHex)
-        return fail(sim::format(
-            "spec fingerprint mismatch: client sent %s, daemon "
-            "derives %s — client/daemon schema skew, refusing",
-            sub.fingerprintHex.c_str(), fp.c_str()));
+        return failWith(
+            err, sim::format(
+                     "spec fingerprint mismatch: client sent %s, daemon "
+                     "derives %s — client/daemon schema skew, refusing",
+                     sub.fingerprintHex.c_str(), fp.c_str()));
 
     const std::string id = sub.id();
     const std::string payload = encodeSubmission(sub);
+    // Idempotent resubmit of the same campaign is an ack; same id
+    // with different fields is a conflict.
+    auto readmit = [&](const Job &job) {
+        return encodeSubmission(job.sub) == payload ||
+               failWith(err, "campaign " + id +
+                                 " already exists with different "
+                                 "fields");
+    };
 
     {
         std::lock_guard<std::mutex> lock(mu);
         if (draining)
-            return fail("daemon is draining; not accepting new "
-                        "campaigns");
+            return failWith(err, "daemon is draining; not accepting "
+                                 "new campaigns");
         const auto it = jobs.find(id);
-        if (it != jobs.end()) {
-            // Idempotent resubmit of the same campaign is an ack;
-            // same id with different fields is a conflict.
-            if (encodeSubmission(it->second->sub) == payload)
-                return true;
-            return fail("campaign " + id +
-                        " already exists with different fields");
-        }
+        if (it != jobs.end())
+            return readmit(*it->second);
         // One durable write per id at a time: concurrent first-time
         // submits would otherwise race temp+rename on the same file
         // and could ack an in-memory job whose on-disk record is
         // the *other* client's fields.
         if (!admitting.insert(id).second)
-            return fail("campaign " + id +
-                        " is being submitted by another client; "
-                        "retry");
+            return failWith(err, "campaign " + id +
+                                     " is being submitted by another "
+                                     "client; retry");
     }
-    auto unadmit = [&] {
-        std::lock_guard<std::mutex> lock(mu);
-        admitting.erase(id);
-    };
 
     const std::string dir = tenantsDir() + "/" + id;
     std::error_code ec;
     fs::create_directories(dir, ec);
-    if (ec) {
-        unadmit();
-        return fail("cannot create " + dir + ": " + ec.message());
-    }
     // Durable before acknowledged: a kill -9 after the ack must
     // find the submission on disk to resume it.
-    if (!sim::writeFileAtomic(dir, "submission.json", payload + "\n",
-                              err)) {
-        unadmit();
-        return false;
-    }
+    const bool durable =
+        ec ? failWith(err,
+                      "cannot create " + dir + ": " + ec.message())
+           : sim::writeFileAtomic(dir, "submission.json",
+                                  payload + "\n", err);
 
     {
         std::lock_guard<std::mutex> lock(mu);
         admitting.erase(id);
+        if (!durable)
+            return false;
+        // resumeAll() may have admitted it from disk meanwhile.
         const auto it = jobs.find(id);
-        if (it != jobs.end()) {
-            // resumeAll() admitted it from disk meanwhile; ack only
-            // if what it admitted is what this client sent.
-            if (encodeSubmission(it->second->sub) == payload)
-                return true;
-            return fail("campaign " + id +
-                        " already exists with different fields");
-        }
-        auto job = std::make_unique<Job>();
-        job->sub = sub;
-        job->dir = dir;
-        job->spec = std::move(spec);
-        job->order = nextOrder++;
-        auto &tenant = tenants[sub.tenant];
-        if (tenant.firstSeen == 0)
-            tenant.firstSeen = job->order + 1;
-        jobs.emplace(id, std::move(job));
+        if (it != jobs.end())
+            return readmit(*it->second);
+        admitLocked(sub, dir, std::move(spec));
     }
     pool->post([this] { pump(); });
     return true;
@@ -159,36 +167,25 @@ Scheduler::cancel(const std::string &id, std::string *err)
 {
     std::unique_lock<std::mutex> lock(mu);
     const auto it = jobs.find(id);
-    if (it == jobs.end()) {
-        if (err)
-            *err = "unknown campaign " + id;
-        return false;
-    }
+    if (it == jobs.end())
+        return failWith(err, "unknown campaign " + id);
     Job &job = *it->second;
-    if (job.state == "complete" || job.state == "cancelled" ||
-        job.state == "failed")
-        return true; // terminal already; cancel is idempotent
+    if (job.terminal())
+        return true; // cancel is idempotent
 
     // Durable first: the marker is what a restarted daemon reads.
     // The two fsyncs are slow; drop mu for them (jobs are never
     // erased, so the reference stays valid) and revalidate after.
     const std::string dir = job.dir;
     lock.unlock();
-    std::string werr;
     if (!sim::writeFileAtomic(dir, "cancelled",
-                              std::string("cancelled\n"), &werr)) {
-        if (err)
-            *err = werr;
+                              std::string("cancelled\n"), err))
         return false;
-    }
     lock.lock();
-    if (job.state == "complete" || job.state == "cancelled" ||
-        job.state == "failed")
-        return true; // reached terminal while we were writing
-    job.cancelRequested = true;
-    job.frontier.clear();
-    if (job.inFlight == 0 && !job.starting)
-        finishJob(job, "cancelled", "");
+    if (!job.terminal()) { // it may have ended while we wrote
+        job.cancelRequested = true;
+        settleLocked(job);
+    }
     return true;
 }
 
@@ -197,20 +194,9 @@ Scheduler::status(const std::string &tenant) const
 {
     std::lock_guard<std::mutex> lock(mu);
     std::vector<CampaignInfo> out;
-    for (const auto &kv : jobs) {
-        const Job &job = *kv.second;
-        if (!tenant.empty() && job.sub.tenant != tenant)
-            continue;
-        CampaignInfo info;
-        info.id = kv.first;
-        info.state = job.state;
-        info.priority = job.sub.priority;
-        info.recorded = job.recorded;
-        info.target = job.target;
-        info.inFlight = job.inFlight;
-        info.error = job.error;
-        out.push_back(std::move(info));
-    }
+    for (const auto &kv : jobs)
+        if (tenant.empty() || kv.second->sub.tenant == tenant)
+            out.push_back(kv.second->info());
     return out;
 }
 
@@ -221,15 +207,22 @@ Scheduler::info(const std::string &id, CampaignInfo &out) const
     const auto it = jobs.find(id);
     if (it == jobs.end())
         return false;
-    const Job &job = *it->second;
-    out.id = id;
-    out.state = job.state;
-    out.priority = job.sub.priority;
-    out.recorded = job.recorded;
-    out.target = job.target;
-    out.inFlight = job.inFlight;
-    out.error = job.error;
+    out = it->second->info();
     return true;
+}
+
+CampaignInfo
+Scheduler::Job::info() const
+{
+    CampaignInfo out;
+    out.id = sub.id();
+    out.state = kStateNames[static_cast<int>(state)];
+    out.priority = sub.priority;
+    out.recorded = recorded;
+    out.target = target;
+    out.inFlight = inFlight;
+    out.error = error;
+    return out;
 }
 
 bool
@@ -249,9 +242,7 @@ Scheduler::waitEvents(const std::string &id,
         afterSeq = job.events.size();
 
     auto fresh = [&] {
-        return job.events.size() > afterSeq ||
-               job.state == "complete" ||
-               job.state == "cancelled" || job.state == "failed";
+        return job.events.size() > afterSeq || job.terminal();
     };
     if (timeoutMs > 0 && !fresh())
         eventCv.wait_for(lock,
@@ -262,9 +253,7 @@ Scheduler::waitEvents(const std::string &id,
     for (std::size_t i = afterSeq; i < job.events.size(); ++i)
         out.push_back(job.events[i]);
     if (terminal)
-        *terminal = (job.state == "complete" ||
-                     job.state == "cancelled" ||
-                     job.state == "failed") &&
+        *terminal = job.terminal() &&
                     afterSeq + out.size() == job.events.size();
     return true;
 }
@@ -310,29 +299,19 @@ Scheduler::resumeAll()
                 continue;
             }
 
-            const std::string id = sub.id();
             const bool cancelled =
                 fs::exists(dir + "/cancelled");
             {
                 std::lock_guard<std::mutex> lock(mu);
-                if (jobs.count(id))
+                if (jobs.count(sub.id()))
                     continue;
-                auto job = std::make_unique<Job>();
-                job->sub = sub;
-                job->dir = dir;
-                job->spec = std::move(spec);
-                job->order = nextOrder++;
-                auto &tenant = tenants[sub.tenant];
-                if (tenant.firstSeen == 0)
-                    tenant.firstSeen = job->order + 1;
+                Job &job = admitLocked(sub, dir, std::move(spec));
                 if (cancelled) {
                     // Visible in status, never scheduled.
-                    job->state = "cancelled";
-                    job->cancelRequested = true;
-                    jobs.emplace(id, std::move(job));
+                    job.state = Job::State::Cancelled;
+                    job.cancelRequested = true;
                     continue;
                 }
-                jobs.emplace(id, std::move(job));
             }
             // Re-enqueued like a fresh submission: the store knows
             // what already ran, Execution schedules only the rest,
@@ -350,16 +329,27 @@ Scheduler::drain()
     std::unique_lock<std::mutex> lock(mu);
     draining = true;
     eventCv.wait(lock, [this] {
-        if (stopped)
-            return true; // forced shutdown aborts the drain
-        for (const auto &kv : jobs) {
-            const std::string &s = kv.second->state;
-            if (s != "complete" && s != "cancelled" &&
-                s != "failed")
-                return false;
-        }
-        return true;
+        // A forced shutdown aborts the drain.
+        return stopped ||
+               std::all_of(jobs.begin(), jobs.end(), [](const auto &kv) {
+                   return kv.second->terminal();
+               });
     });
+}
+
+Scheduler::Job &
+Scheduler::admitLocked(const Submission &sub, const std::string &dir,
+                       campaign::CampaignSpec spec)
+{
+    auto job = std::make_unique<Job>();
+    job->sub = sub;
+    job->dir = dir;
+    job->spec = std::move(spec);
+    job->order = nextOrder++;
+    auto &tenant = tenants[sub.tenant];
+    if (tenant.firstSeen == 0)
+        tenant.firstSeen = job->order + 1;
+    return *jobs.emplace(sub.id(), std::move(job)).first->second;
 }
 
 bool
@@ -367,9 +357,9 @@ Scheduler::jobHasWork(const Job &job) const
 {
     if (job.cancelRequested)
         return false;
-    if (job.state == "queued" && !job.starting)
+    if (job.state == Job::State::Queued && !job.starting)
         return true;
-    return job.state == "running" && !job.frontier.empty();
+    return job.state == Job::State::Running && !job.frontier.empty();
 }
 
 Scheduler::Job *
@@ -417,7 +407,7 @@ Scheduler::pump()
     if (!job)
         return; // token outlived its work (cancel, double-post)
 
-    if (job->state == "queued") {
+    if (job->state == Job::State::Queued) {
         job->starting = true;
         lock.unlock();
         startJob(*job);
@@ -444,22 +434,17 @@ Scheduler::startJob(Job &job)
         job.spec, job.dir + "/store", opt, &err);
 
     std::unique_lock<std::mutex> lock(mu);
-    if (job.cancelRequested) {
-        job.starting = false;
-        finishJob(job, "cancelled", "");
+    if (!exec)
+        job.fail(err);
+    job.starting = false;
+    if (settleLocked(job))
         return;
-    }
-    if (!exec) {
-        job.starting = false;
-        finishJob(job, "failed", err);
-        return;
-    }
     job.exec = std::move(exec);
-    job.state = "running";
-    // starting stays true across the unlock: it is what keeps
-    // cancel() from finishJob()ing — and freeing exec — while
-    // refillJob() walks the store outside mu. refillJob clears it
-    // under mu, as the end-of-round path does.
+    job.state = Job::State::Running;
+    // Held again across the unlock, as the end-of-round path holds
+    // it: starting keeps cancel() from finishing the job — and
+    // freeing exec — while refillJob() walks the store outside mu.
+    job.starting = true;
     lock.unlock();
 
     refillJob(job);
@@ -469,39 +454,30 @@ void
 Scheduler::refillJob(Job &job)
 {
     // Outside mu: recomputing decisions replays store state and may
-    // contend only on the store's own mutex. An escaped exception
-    // would leave starting=true forever (the pool swallows it), so
-    // convert throws into a terminal failed state.
+    // contend only on the store's own mutex.
     std::vector<campaign::Cell> cells;
     std::uint64_t target = 0;
     std::uint64_t recorded = 0;
-    try {
+    std::string what;
+    const bool ok = guarded("recomputing frontier", what, [&] {
         cells = job.exec->pendingCells();
         for (const auto &d : job.exec->decisions())
             target += d.target;
         recorded = job.exec->resultStore().totalRuns();
-    } catch (const std::exception &e) {
-        std::lock_guard<std::mutex> lock(mu);
-        job.starting = false;
-        failJob(job, e.what());
-        return;
-    } catch (...) {
-        std::lock_guard<std::mutex> lock(mu);
-        job.starting = false;
-        failJob(job, "unknown exception recomputing frontier");
-        return;
-    }
+    });
 
     std::unique_lock<std::mutex> lock(mu);
     job.starting = false;
-    job.target = target;
-    job.recorded = recorded;
-    if (job.cancelRequested) {
-        finishJob(job, "cancelled", "");
-        return;
+    if (ok) {
+        job.target = target;
+        job.recorded = recorded;
+    } else {
+        job.fail(what);
     }
+    if (settleLocked(job))
+        return;
     if (cells.empty()) {
-        finishJob(job, "complete", "");
+        finishJob(job, Job::State::Complete);
         return;
     }
     job.frontier.assign(cells.begin(), cells.end());
@@ -519,59 +495,35 @@ Scheduler::refillJob(Job &job)
 void
 Scheduler::runCell(Job &job, const campaign::Cell &cell)
 {
-    // An exception here must still run the bookkeeping below:
-    // the pool swallows throws, and a job with phantom inFlight
-    // never terminates (watchers spin, drain() hangs) while its
-    // tenant's fair share stays inflated.
     campaign::RunRecord rec;
-    bool threw = false;
     std::string what;
-    try {
+    const bool ok = guarded("running cell", what, [&] {
         job.exec->prepareCell(cell);
         rec = job.exec->runCell(cell);
-    } catch (const std::exception &e) {
-        threw = true;
-        what = e.what();
-    } catch (...) {
-        threw = true;
-        what = "unknown exception running cell";
-    }
+    });
 
     std::unique_lock<std::mutex> lock(mu);
     --job.inFlight;
     auto &tenant = tenants[job.sub.tenant];
     --tenant.inFlight;
-    if (threw) {
-        failJob(job, what);
-        return;
+    if (ok) {
+        ++tenant.served;
+        ++executed;
+        ++job.recorded;
+        Event ev;
+        ev.kind = "run";
+        ev.group = rec.group;
+        ev.runIdx = rec.runIdx;
+        ev.value = rec.cyclesPerTxn;
+        ev.recorded = job.recorded;
+        ev.target = job.target;
+        emit(job, ev);
+    } else {
+        job.fail(what);
     }
-    ++tenant.served;
-    ++executed;
-    ++job.recorded;
-
-    Event ev;
-    ev.kind = "run";
-    ev.group = rec.group;
-    ev.runIdx = rec.runIdx;
-    ev.value = rec.cyclesPerTxn;
-    ev.recorded = job.recorded;
-    ev.target = job.target;
-    emit(job, ev);
-
-    if (job.cancelRequested) {
-        if (job.inFlight == 0 && !job.starting)
-            finishJob(job, "cancelled", "");
+    if (settleLocked(job))
         return;
-    }
-    if (job.failRequested) {
-        // Another worker's cell threw; the last one out fails the
-        // job with that first error.
-        if (job.inFlight == 0 && !job.starting)
-            finishJob(job, "failed", job.error);
-        return;
-    }
-    if (job.frontier.empty() && job.inFlight == 0 &&
-        !job.starting && job.state == "running") {
+    if (job.frontier.empty() && !job.held()) {
         // Last cell of the round: this worker recomputes the
         // frontier (adaptive extension or completion).
         job.starting = true;
@@ -580,47 +532,43 @@ Scheduler::runCell(Job &job, const campaign::Cell &cell)
     }
 }
 
+bool
+Scheduler::settleLocked(Job &job)
+{
+    if (!job.cancelRequested && !job.failRequested)
+        return false;
+    job.frontier.clear();
+    if (!job.terminal() && !job.held())
+        finishJob(job, job.cancelRequested ? Job::State::Cancelled
+                                           : Job::State::Failed);
+    return true;
+}
+
 void
 Scheduler::emit(Job &job, Event ev)
 {
     ev.seq = job.events.size() + 1;
-    ev.campaignId = job.sub.tenant + "/" + job.sub.name;
+    ev.campaignId = job.sub.id();
     job.events.push_back(std::move(ev));
     eventCv.notify_all();
 }
 
 void
-Scheduler::failJob(Job &job, const std::string &what)
-{
-    job.frontier.clear();
-    if (job.error.empty())
-        job.error = what;
-    job.failRequested = true;
-    if (job.inFlight == 0 && !job.starting)
-        finishJob(job,
-                  job.cancelRequested ? "cancelled" : "failed",
-                  job.error);
-}
-
-void
-Scheduler::finishJob(Job &job, const std::string &state,
-                     const std::string &error)
+Scheduler::finishJob(Job &job, Job::State state)
 {
     if (job.exec) {
-        if (state == "complete")
+        if (state == Job::State::Complete)
             job.exec->recordCkptStats();
         job.recorded = job.exec->resultStore().totalRuns();
         job.exec.reset(); // releases the store's write lock
     }
     job.state = state;
-    job.error = error;
     Event ev;
-    ev.kind = state;
+    ev.kind = kStateNames[static_cast<int>(state)];
     ev.recorded = job.recorded;
     ev.target = job.target;
-    ev.message = error;
+    ev.message = job.error;
     emit(job, ev);
-    eventCv.notify_all();
 }
 
 } // namespace serve

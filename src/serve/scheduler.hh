@@ -131,20 +131,23 @@ class Scheduler
   private:
     struct Job
     {
+        /** Queued, running, then a terminal state (these last). */
+        enum class State { Queued, Running, Complete, Cancelled, Failed };
+
         Submission sub;
         std::string dir; ///< <root>/tenants/<tenant>/<name>
         campaign::CampaignSpec spec;
 
-        /** queued|running|complete|cancelled|failed */
-        std::string state = "queued";
-        std::string error;
+        State state = State::Queued;
+        std::string error; ///< the first failure, kept to the end
 
         std::unique_ptr<campaign::Execution> exec;
         std::deque<campaign::Cell> frontier;
         std::size_t inFlight = 0;
+        /** A start or refill runs outside mu. */
         bool starting = false;
         bool cancelRequested = false;
-        /** A cell or refill threw: fail once the job is idle. */
+        /** A cell, start or refill failed. */
         bool failRequested = false;
 
         std::uint64_t recorded = 0;
@@ -152,6 +155,23 @@ class Scheduler
 
         std::vector<Event> events;
         std::uint64_t order = 0; ///< admission order (FIFO ties)
+
+        bool terminal() const { return state >= State::Complete; }
+
+        /** A worker holds a piece of the job outside mu. */
+        bool held() const { return inFlight != 0 || starting; }
+
+        /** Ask for a failed end; the first error is its message. */
+        void
+        fail(const std::string &what)
+        {
+            if (error.empty())
+                error = what;
+            failRequested = true;
+        }
+
+        /** The scheduler-eye view status replies carry. */
+        CampaignInfo info() const;
     };
 
     struct Tenant
@@ -176,16 +196,24 @@ class Scheduler
     /** Recompute the frontier after a round drains. mu held out. */
     void refillJob(Job &job);
 
-    /** Record a thrown cell/refill error on @p job and fail it
-     *  once no other worker still holds a piece of it. */
-    void failJob(Job &job, const std::string &what);
+    /**
+     * The settle rule, the one way a job ends on request: a job
+     * with a cancel or failure request dispatches nothing more, and
+     * once no worker holds it, it moves to that terminal state (a
+     * cancel wins; the first error stays the message). Returns
+     * true when the job is ending. mu held.
+     */
+    bool settleLocked(Job &job);
+
+    /** Create the job for @p sub and count its tenant. mu held. */
+    Job &admitLocked(const Submission &sub, const std::string &dir,
+                     campaign::CampaignSpec spec);
 
     /** Append an event + notify watchers. mu held. */
     void emit(Job &job, Event ev);
 
     /** Enter a terminal state. mu held. */
-    void finishJob(Job &job, const std::string &state,
-                   const std::string &error);
+    void finishJob(Job &job, Job::State state);
 
     bool jobHasWork(const Job &job) const;
 

@@ -74,43 +74,38 @@ bool
 decodeSubmission(const JsonLine &obj, Submission &out,
                  std::string *err)
 {
-    auto fail = [&](std::string msg) {
-        if (err)
-            *err = std::move(msg);
-        return false;
-    };
-
     const std::uint64_t schema = obj.num("schema");
     if (schema != static_cast<std::uint64_t>(kSchemaVersion))
-        return fail(sim::format(
-            "unsupported submission schema %llu (this daemon "
-            "speaks %d); rebuild the client",
-            static_cast<unsigned long long>(schema),
-            kSchemaVersion));
+        return failWith(err, sim::format(
+                                 "unsupported submission schema %llu "
+                                 "(this daemon speaks %d); rebuild the "
+                                 "client",
+                                 static_cast<unsigned long long>(schema),
+                                 kSchemaVersion));
 
     out.tenant = obj.str("tenant");
     out.name = obj.str("name");
     if (!validName(out.tenant))
-        return fail("bad tenant name '" + out.tenant +
-                    "' (want [A-Za-z0-9_.-]{1,64}, no leading "
-                    "dot)");
+        return failWith(err, "bad tenant name '" + out.tenant +
+                                 "' (want [A-Za-z0-9_.-]{1,64}, no "
+                                 "leading dot)");
     if (!validName(out.name))
-        return fail("bad campaign name '" + out.name +
-                    "' (want [A-Za-z0-9_.-]{1,64}, no leading "
-                    "dot)");
+        return failWith(err, "bad campaign name '" + out.name +
+                                 "' (want [A-Za-z0-9_.-]{1,64}, no "
+                                 "leading dot)");
     out.priority =
         static_cast<int>(std::strtol(obj.str("priority", "0")
                                          .c_str(), nullptr, 10));
     out.fingerprintHex = obj.str("fingerprint");
     if (out.fingerprintHex.empty())
-        return fail("submission carries no spec fingerprint");
+        return failWith(err, "submission carries no spec fingerprint");
 
     campaign::SpecFields f;
     for (const std::string &kv : obj.list("base")) {
         const auto eq = kv.find('=');
         if (eq == std::string::npos || eq == 0)
-            return fail("bad base knob '" + kv +
-                        "' (want knob=value)");
+            return failWith(err, "bad base knob '" + kv +
+                                     "' (want knob=value)");
         f.base[kv.substr(0, eq)] = kv.substr(eq + 1);
     }
     f.vary = obj.list("vary");
@@ -174,6 +169,13 @@ decodeEvent(const JsonLine &obj, Event &out)
     out.target = obj.num("target");
     out.message = obj.str("message");
     return !out.kind.empty();
+}
+
+bool
+terminalState(const std::string &state)
+{
+    return state == "complete" || state == "cancelled" ||
+           state == "failed";
 }
 
 std::string

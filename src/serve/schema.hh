@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "campaign/knobs.hh"
+#include "serve/protocol.hh"
 #include "sim/jsonl.hh"
 
 namespace varsim
@@ -118,6 +119,12 @@ struct CampaignInfo
     std::uint64_t inFlight = 0;
     std::string error;
 };
+
+/**
+ * True when @p state, a CampaignInfo::state or an Event::kind, is
+ * one a campaign ends in: complete, cancelled or failed.
+ */
+bool terminalState(const std::string &state);
 
 std::string encodeInfo(const CampaignInfo &info);
 bool decodeInfo(const sim::JsonLine &obj, CampaignInfo &out);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -413,6 +414,64 @@ TEST(ServeScheduler, CancelIsDurable)
     serve::CampaignInfo info;
     ASSERT_TRUE(sched.info("t/big", info));
     EXPECT_EQ(info.state, "cancelled");
+}
+
+TEST(ServeScheduler, CancelMidRoundEndsTheStreamWithCancelled)
+{
+    const std::string root = freshRoot("cancelmid");
+    serve::SchedulerConfig cfg;
+    cfg.root = root;
+    cfg.workers = 2;
+    serve::Scheduler sched(cfg);
+    std::string err;
+    campaign::SpecFields big = smallFields();
+    big.fixedRuns = 50;
+    ASSERT_TRUE(sched.submit(makeSub("t", "big", big), &err)) << err;
+
+    // Wait for the first recorded run, then cancel mid-round.
+    std::vector<serve::Event> events;
+    bool terminal = false;
+    for (std::uint64_t seen = 0;;) {
+        std::vector<serve::Event> batch;
+        ASSERT_TRUE(
+            sched.waitEvents("t/big", seen, 1000, batch, &terminal));
+        ASSERT_FALSE(terminal);
+        seen += batch.size();
+        if (std::any_of(batch.begin(), batch.end(), [](const auto &e) {
+                return e.kind == "run";
+            }))
+            break;
+    }
+    ASSERT_TRUE(sched.cancel("t/big", &err)) << err;
+    sched.drain();
+
+    ASSERT_TRUE(sched.waitEvents("t/big", 0, 0, events, &terminal));
+    ASSERT_TRUE(terminal);
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events.back().kind, "cancelled");
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        EXPECT_EQ(events[i].seq, i + 1);
+        if (i + 1 < events.size()) {
+            EXPECT_TRUE(events[i].kind == "run" ||
+                        events[i].kind == "round")
+                << events[i].kind << " before the end";
+        }
+    }
+
+    serve::CampaignInfo info;
+    ASSERT_TRUE(sched.info("t/big", info));
+    EXPECT_EQ(info.state, "cancelled");
+    const auto store =
+        campaign::ResultStore::openReadOnly(sched.storeDir("t/big"));
+    EXPECT_EQ(info.recorded, store->totalRuns());
+    EXPECT_LT(store->totalRuns(), 50u);
+    EXPECT_EQ(events.back().recorded, store->totalRuns());
+
+    // A second cancel is a no-op: acked, and no event follows.
+    ASSERT_TRUE(sched.cancel("t/big", &err)) << err;
+    std::vector<serve::Event> after;
+    ASSERT_TRUE(sched.waitEvents("t/big", 0, 0, after, &terminal));
+    EXPECT_EQ(after.size(), events.size());
 }
 
 TEST(ServeScheduler, HardStopThenResumeCompletesEverything)

@@ -65,11 +65,12 @@ smallFields(std::uint64_t seed = 11, std::uint64_t runs = 2)
 
 serve::Submission
 makeSub(const std::string &tenant, const std::string &name,
-        const campaign::SpecFields &fields)
+        const campaign::SpecFields &fields, int priority = 0)
 {
     serve::Submission sub;
     sub.tenant = tenant;
     sub.name = name;
+    sub.priority = priority;
     sub.fields = fields;
     return sub; // Client::submit stamps the fingerprint
 }
@@ -166,6 +167,119 @@ TEST(ServeE2e, SubmitRejectionsCarryDaemonMessages)
     EXPECT_FALSE(client.submit(dup2, &err));
     EXPECT_NE(err.find("different fields"), std::string::npos);
 
+    daemon.shutdown();
+}
+
+TEST(ServeE2e, WatchFromTheEndSeesOnlyTheEndFrame)
+{
+    const std::string root = freshRoot("watchend");
+    serve::DaemonConfig cfg;
+    cfg.root = root;
+    cfg.addr = sockAddr(root);
+    cfg.workers = 1;
+    serve::Daemon daemon(cfg);
+    std::string err;
+    ASSERT_TRUE(daemon.start(&err)) << err;
+    serve::Client client(cfg.addr);
+
+    serve::Submission sub = makeSub("t", "done", smallFields());
+    ASSERT_TRUE(client.submit(sub, &err)) << err;
+    std::size_t count = 0;
+    ASSERT_TRUE(client.watch(
+        sub.id(), 0, [&](const serve::Event &) { ++count; }, &err))
+        << err;
+    ASSERT_GT(count, 0u);
+
+    // A cursor at the last event replays nothing: the end frame's
+    // state is the only proof that the campaign finished.
+    std::size_t replayed = 0;
+    EXPECT_TRUE(client.watch(
+        sub.id(), count, [&](const serve::Event &) { ++replayed; },
+        &err))
+        << err;
+    EXPECT_EQ(replayed, 0u);
+    daemon.shutdown();
+}
+
+TEST(ServeE2e, StatusFiltersByTenant)
+{
+    const std::string root = freshRoot("statusfilter");
+    serve::DaemonConfig cfg;
+    cfg.root = root;
+    cfg.addr = sockAddr(root);
+    cfg.workers = 2;
+    serve::Daemon daemon(cfg);
+    std::string err;
+    ASSERT_TRUE(daemon.start(&err)) << err;
+    serve::Client client(cfg.addr);
+
+    for (int i = 0; i < 3; ++i) {
+        serve::Submission sub = makeSub(i == 1 ? "bob" : "alice",
+                                        "c" + std::to_string(i),
+                                        smallFields());
+        ASSERT_TRUE(client.submit(sub, &err)) << err;
+    }
+    std::vector<serve::CampaignInfo> infos;
+    ASSERT_TRUE(client.status("alice", infos, &err)) << err;
+    ASSERT_EQ(infos.size(), 2u);
+    for (const auto &info : infos)
+        EXPECT_EQ(info.id.rfind("alice/", 0), 0u) << info.id;
+    ASSERT_TRUE(client.status("bob", infos, &err)) << err;
+    ASSERT_EQ(infos.size(), 1u);
+    EXPECT_EQ(infos.front().id, "bob/c1");
+    ASSERT_TRUE(client.status("", infos, &err)) << err;
+    EXPECT_EQ(infos.size(), 3u);
+    ASSERT_TRUE(client.drain(&err)) << err;
+    daemon.wait();
+    daemon.shutdown();
+}
+
+TEST(ServeE2e, ReportOfACampaignWithoutAStoreIsAnError)
+{
+    // One worker, one tenant: campaign a holds the worker while b,
+    // submitted at a lower priority, is cancelled still queued and
+    // so never gets a store. Reporting b must be an error reply: an
+    // exit would take the daemon, and a with it, down.
+    const std::string root = freshRoot("nostore");
+    serve::DaemonConfig cfg;
+    cfg.root = root;
+    cfg.addr = sockAddr(root);
+    cfg.workers = 1;
+    serve::Daemon daemon(cfg);
+    std::string err;
+    ASSERT_TRUE(daemon.start(&err)) << err;
+    serve::Client client(cfg.addr);
+
+    serve::Submission a = makeSub("t", "a", smallFields(11, 40));
+    ASSERT_TRUE(client.submit(a, &err)) << err;
+    serve::Submission b = makeSub("t", "b", smallFields(12, 2), -1);
+    ASSERT_TRUE(client.submit(b, &err)) << err;
+    ASSERT_TRUE(client.cancel(b.id(), &err)) << err;
+    serve::CampaignInfo info;
+    ASSERT_TRUE(client.info(b.id(), info, &err)) << err;
+    EXPECT_EQ(info.state, "cancelled");
+    EXPECT_EQ(info.recorded, 0u);
+
+    std::string text;
+    for (const char *metric : {"", "cycles_per_txn"}) {
+        err.clear();
+        EXPECT_FALSE(client.report(b.id(), 0.95, metric, text, &err))
+            << metric;
+        EXPECT_NE(err.find(b.id()), std::string::npos) << err;
+        EXPECT_NE(err.find("cancelled"), std::string::npos) << err;
+    }
+    ASSERT_TRUE(client.ping(&err)) << err;
+
+    serve::Event last;
+    ASSERT_TRUE(client.watch(
+        a.id(), 0, [&](const serve::Event &ev) { last = ev; }, &err))
+        << err;
+    EXPECT_EQ(last.kind, "complete");
+    ASSERT_TRUE(client.info(a.id(), info, &err)) << err;
+    EXPECT_EQ(info.recorded, 40u);
+    ASSERT_TRUE(client.report(a.id(), 0.95, "", text, &err)) << err;
+    ASSERT_TRUE(client.drain(&err)) << err;
+    daemon.wait();
     daemon.shutdown();
 }
 

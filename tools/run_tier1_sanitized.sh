@@ -286,6 +286,30 @@ grep -q "6 campaign(s) resumed" "$soak_root/daemon2.log" || {
     exit 1
 }
 
+# A seventh campaign at the lowest priority of an existing tenant
+# stays queued behind that tenant's resumed campaigns; cancelled
+# there, it never gets a store. Reporting it must be an error reply
+# from a daemon that stays up, not a fatal that takes every
+# tenant's campaign down with it.
+"$tsan_build/tools/varsim" client submit \
+    --root "$soak_root" --tenant soak0 --name queued --priority -1 \
+    --workload oltp --cpus 2 --warmup 5 --txns 20 --runs 2 \
+    --seed 407 >/dev/null
+"$tsan_build/tools/varsim" client cancel --root "$soak_root" \
+    --id soak0/queued >/dev/null
+if "$tsan_build/tools/varsim" client report --root "$soak_root" \
+       --id soak0/queued >"$soak_root/report-queued.log" 2>&1; then
+    echo "error: report of a campaign with no store succeeded" >&2
+    kill "$daemon_pid" 2>/dev/null || true
+    exit 1
+fi
+"$tsan_build/tools/varsim" client ping --root "$soak_root" \
+    >/dev/null || {
+    echo "error: daemon down after a report with no store; log:" >&2
+    cat "$soak_root/daemon2.log" >&2
+    exit 1
+}
+
 "$tsan_build/tools/varsim" client drain --root "$soak_root" || {
     echo "error: drain after restart failed" >&2
     kill "$daemon_pid" 2>/dev/null || true
@@ -306,4 +330,5 @@ for i in $(seq 1 6); do
 done
 
 echo "serve daemon clean under thread sanitizer (200-campaign" \
-    "soak) and kill-9/restart resumed all campaigns"
+    "soak), kill-9/restart resumed all campaigns, and a report" \
+    "of a queued cancelled campaign left the daemon up"
