@@ -80,11 +80,6 @@ class SamplingController
     /** True if the workload ended during run(). */
     bool workloadEnded() const { return ended_; }
 
-    /** Per-window series (tests and diagnostics). */
-    const std::vector<double> &windowCpt() const { return cpt_; }
-    const std::vector<double> &windowIpc() const { return ipc_; }
-    const std::vector<double> &windowL2Miss() const { return miss_; }
-
   private:
     /** Cumulative counters a window is a difference of. */
     struct Snapshot

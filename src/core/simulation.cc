@@ -208,20 +208,15 @@ Simulation::checkpoint()
     bootIfNeeded();
     quiesce();
 
-    sim::CheckpointOut cp;
-    cp.put(eq.curTick());
-    cp.put(txnCount);
-    mem_->serialize(cp);
-    for (const auto &c : cpus_)
-        c->serialize(cp);
-    kernel_->serialize(cp);
-    wl_->serialize(cp);
+    sim::CheckpointOut bytes;
+    sim::CheckpointIo cp(bytes);
+    walk(cp);
 
     // Resume execution; checkpointing is non-destructive.
     kernel_->endDrain();
 
     Checkpoint out;
-    out.bytes = cp.bytes();
+    out.bytes = bytes.bytes();
     return out;
 }
 
@@ -233,22 +228,31 @@ Simulation::restore(const SystemConfig &sys,
     VARSIM_ASSERT(!cp.empty(), "restore from an empty checkpoint");
     auto simn = std::make_unique<Simulation>(sys, wl);
     sim::CheckpointIn in(cp.bytes, cp.format);
-
-    sim::Tick when = 0;
-    in.get(when);
-    simn->eq.restoreTick(when);
-    in.get(simn->txnCount);
-    simn->mem_->unserialize(in);
-    for (const auto &c : simn->cpus_)
-        c->unserialize(in);
-    simn->kernel_->unserialize(in);
-    simn->wl_->unserialize(in);
+    sim::CheckpointIo io(in);
+    simn->walk(io);
     VARSIM_ASSERT(in.exhausted(),
                   "checkpoint has trailing bytes: config mismatch?");
-
-    simn->booted = true;
     simn->kernel_->endDrain();
     return simn;
+}
+
+void
+Simulation::walk(sim::CheckpointIo &cp)
+{
+    sim::Tick when = eq.curTick();
+    cp.field(when);
+    cp.field(txnCount);
+    mem_->checkpoint(cp);
+    for (const auto &c : cpus_)
+        c->checkpoint(cp);
+    kernel_->checkpoint(cp);
+    wl_->checkpoint(cp);
+    if (cp.loading()) {
+        // Nothing in the walk schedules an event, so the clock can
+        // jump once every object holds its restored state.
+        eq.restoreTick(when);
+        booted = true;
+    }
 }
 
 cpu::CpuStats

@@ -160,6 +160,12 @@ class Simulation : public os::TxnSink
     void bootIfNeeded();
     void quiesce();
 
+    /**
+     * The one walk checkpoint() and restore() share: tick,
+     * transaction count, memory, CPUs, kernel, workload.
+     */
+    void walk(sim::CheckpointIo &cp);
+
     SystemConfig sys_;
     workload::WorkloadParams wlParams;
     sim::EventQueue eq;

@@ -263,26 +263,20 @@ BaseCpu::instrCost(const Op &op)
 }
 
 void
-BaseCpu::serialize(sim::CheckpointOut &cp) const
+BaseCpu::checkpoint(sim::CheckpointIo &cp)
 {
-    VARSIM_ASSERT(quiescent(), "%s: checkpoint while not quiescent",
-                  name().c_str());
-    cp.put(stats_);
-    cp.put(nextTag);
+    cp.field(stats_);
+    cp.field(nextTag);
     // A drain can begin with a quantum preemption already pending;
     // the CPU parks at its op boundary without consuming the flag.
     // Dropping it across a restore would skip that context switch
     // and fork the schedule from the original's.
-    cp.put(preemptPending);
-}
-
-void
-BaseCpu::unserialize(sim::CheckpointIn &cp)
-{
-    cp.get(stats_);
-    cp.get(nextTag);
-    cp.get(preemptPending);
-    resetPipeline();
+    cp.field(preemptPending);
+    if (cp.loading())
+        resetPipeline();
+    else
+        VARSIM_ASSERT(quiescent(), "%s: checkpoint while not quiescent",
+                      name().c_str());
 }
 
 void

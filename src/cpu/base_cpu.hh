@@ -193,7 +193,7 @@ class BaseCpu : public sim::SimObject, public mem::MemClient
      * when restoring a checkpoint. Follow with resumeFromDrain().
      *
      * Deliberately does NOT reset the pipeline: the CPU's own
-     * unserialize() already did, and then reinstated serialized
+     * checkpoint() restore already did, and then reinstated saved
      * residue (e.g. the OoO model's partial-issue carry) that a
      * second reset here would destroy, forking the restored timing
      * from the original's.
@@ -218,8 +218,7 @@ class BaseCpu : public sim::SimObject, public mem::MemClient
     /** The blocking miss completed: resume the engine. */
     void memResponse(std::uint64_t tag) override;
 
-    void serialize(sim::CheckpointOut &cp) const override;
-    void unserialize(sim::CheckpointIn &cp) override;
+    void checkpoint(sim::CheckpointIo &cp) override;
     void regStats(sim::statistics::Registry &r) override;
 
   protected:

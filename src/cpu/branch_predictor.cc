@@ -100,39 +100,19 @@ YagsPredictor::update(sim::Addr pc, bool taken)
 }
 
 void
-YagsPredictor::serialize(sim::CheckpointOut &cp) const
+YagsPredictor::checkpoint(sim::CheckpointIo &cp)
 {
-    cp.put(choicePht);
-    cp.put(history);
-    cp.put(numLookups);
-    cp.put(numCorrect);
-    auto putCache = [&cp](const std::vector<CacheEntry> &c) {
-        for (const auto &e : c) {
-            cp.put(e.tag);
-            cp.put(e.counter);
-            cp.put(e.valid);
+    cp.field(choicePht);
+    cp.field(history);
+    cp.field(numLookups);
+    cp.field(numCorrect);
+    for (auto *cache : {&takenCache, &notTakenCache}) {
+        for (auto &e : *cache) {
+            cp.field(e.tag);
+            cp.field(e.counter);
+            cp.field(e.valid);
         }
-    };
-    putCache(takenCache);
-    putCache(notTakenCache);
-}
-
-void
-YagsPredictor::unserialize(sim::CheckpointIn &cp)
-{
-    cp.get(choicePht);
-    cp.get(history);
-    cp.get(numLookups);
-    cp.get(numCorrect);
-    auto getCache = [&cp](std::vector<CacheEntry> &c) {
-        for (auto &e : c) {
-            cp.get(e.tag);
-            cp.get(e.counter);
-            cp.get(e.valid);
-        }
-    };
-    getCache(takenCache);
-    getCache(notTakenCache);
+    }
 }
 
 ReturnAddressStack::ReturnAddressStack(std::size_t entries)
@@ -162,19 +142,11 @@ ReturnAddressStack::pop()
 }
 
 void
-ReturnAddressStack::serialize(sim::CheckpointOut &cp) const
+ReturnAddressStack::checkpoint(sim::CheckpointIo &cp)
 {
-    cp.put(stack);
-    cp.put(top);
-    cp.put(count);
-}
-
-void
-ReturnAddressStack::unserialize(sim::CheckpointIn &cp)
-{
-    cp.get(stack);
-    cp.get(top);
-    cp.get(count);
+    cp.field(stack);
+    cp.field(top);
+    cp.field(count);
 }
 
 IndirectPredictor::IndirectPredictor(std::size_t entries,
@@ -214,25 +186,14 @@ IndirectPredictor::update(sim::Addr pc, sim::Addr target)
 }
 
 void
-IndirectPredictor::serialize(sim::CheckpointOut &cp) const
-{
-    for (const auto &e : table) {
-        cp.put(e.tag);
-        cp.put(e.target);
-        cp.put(e.valid);
-    }
-    cp.put(history);
-}
-
-void
-IndirectPredictor::unserialize(sim::CheckpointIn &cp)
+IndirectPredictor::checkpoint(sim::CheckpointIo &cp)
 {
     for (auto &e : table) {
-        cp.get(e.tag);
-        cp.get(e.target);
-        cp.get(e.valid);
+        cp.field(e.tag);
+        cp.field(e.target);
+        cp.field(e.valid);
     }
-    cp.get(history);
+    cp.field(history);
 }
 
 } // namespace cpu

@@ -58,8 +58,7 @@ class YagsPredictor : public sim::Serializable
             ++numCorrect;
     }
 
-    void serialize(sim::CheckpointOut &cp) const override;
-    void unserialize(sim::CheckpointIn &cp) override;
+    void checkpoint(sim::CheckpointIo &cp) override;
 
   private:
     struct CacheEntry
@@ -100,8 +99,7 @@ class ReturnAddressStack : public sim::Serializable
     /** Current depth (saturates at capacity). */
     std::size_t depth() const { return count; }
 
-    void serialize(sim::CheckpointOut &cp) const override;
-    void unserialize(sim::CheckpointIn &cp) override;
+    void checkpoint(sim::CheckpointIo &cp) override;
 
   private:
     std::vector<sim::Addr> stack;
@@ -125,8 +123,7 @@ class IndirectPredictor : public sim::Serializable
     /** Train with the actual target and update path history. */
     void update(sim::Addr pc, sim::Addr target);
 
-    void serialize(sim::CheckpointOut &cp) const override;
-    void unserialize(sim::CheckpointIn &cp) override;
+    void checkpoint(sim::CheckpointIo &cp) override;
 
   private:
     struct Entry

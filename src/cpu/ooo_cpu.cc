@@ -271,25 +271,15 @@ OoOCpu::resume()
 }
 
 void
-OoOCpu::serialize(sim::CheckpointOut &cp) const
+OoOCpu::checkpoint(sim::CheckpointIo &cp)
 {
-    BaseCpu::serialize(cp);
-    yags.serialize(cp);
-    ras.serialize(cp);
-    indirect.serialize(cp);
-    cp.put(ipcCarry);
-}
-
-void
-OoOCpu::unserialize(sim::CheckpointIn &cp)
-{
-    // The base resets the pipeline; the partial-issue carry is
-    // serialized residue, restored after that reset.
-    BaseCpu::unserialize(cp);
-    yags.unserialize(cp);
-    ras.unserialize(cp);
-    indirect.unserialize(cp);
-    cp.get(ipcCarry);
+    // A restore resets the pipeline in the base; the partial-issue
+    // carry is saved residue, restored after that reset.
+    BaseCpu::checkpoint(cp);
+    yags.checkpoint(cp);
+    ras.checkpoint(cp);
+    indirect.checkpoint(cp);
+    cp.field(ipcCarry);
 }
 
 void

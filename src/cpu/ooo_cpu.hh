@@ -45,8 +45,7 @@ class OoOCpu final : public BaseCpu
     /** Direction predictor accuracy (for stats/tests). */
     const YagsPredictor &directionPredictor() const { return yags; }
 
-    void serialize(sim::CheckpointOut &cp) const override;
-    void unserialize(sim::CheckpointIn &cp) override;
+    void checkpoint(sim::CheckpointIo &cp) override;
 
     /** Base CPU counters plus branch-predictor accuracy. */
     void regStats(sim::statistics::Registry &r) override;

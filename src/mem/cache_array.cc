@@ -163,27 +163,19 @@ CacheArray::countValid() const
 }
 
 void
-CacheArray::serialize(sim::CheckpointOut &cp) const
+CacheArray::checkpoint(sim::CheckpointIo &cp)
 {
-    cp.put<std::uint64_t>(sets);
-    cp.put<std::uint64_t>(ways);
-    cp.put<std::uint64_t>(blockBytes);
-    // A line has no padding and a free way is all-zero bytes, so the
-    // vector's bytes are a function of the simulated state alone.
-    cp.put(lines);
-}
-
-void
-CacheArray::unserialize(sim::CheckpointIn &cp)
-{
-    std::uint64_t ck_sets = 0, ck_ways = 0, ck_block = 0;
-    cp.get(ck_sets);
-    cp.get(ck_ways);
-    cp.get(ck_block);
+    // A save writes this array's own geometry, in the current format,
+    // and a full line vector, so every check below is the restore's:
+    // the geometry match, the cold start, format 1 and a short vector.
+    std::size_t ck_sets = sets, ck_ways = ways, ck_block = blockBytes;
+    cp.field(ck_sets);
+    cp.field(ck_ways);
+    cp.field(ck_block);
     const bool format1 = cp.format() == 1;
     if (format1) {
         std::uint64_t useCounter = 0; // format 1's next stamp
-        cp.get(useCounter);
+        cp.field(useCounter);
     }
 
     if (ck_sets != sets || ck_ways != ways ||
@@ -196,10 +188,10 @@ CacheArray::unserialize(sim::CheckpointIn &cp)
         // every block, which keeps the coherence invariants intact.
         if (format1) {
             std::vector<Format1Line> other;
-            cp.get(other);
+            cp.field(other);
         } else {
             std::vector<CacheLine> other;
-            cp.get(other);
+            cp.field(other);
         }
         std::fill(lines.begin(), lines.end(), CacheLine{});
         return;
@@ -210,10 +202,12 @@ CacheArray::unserialize(sim::CheckpointIn &cp)
     // hold a short vector, and find() indexes sets * ways lines.
     const std::size_t at = cp.offset();
     if (format1) {
-        unserializeFormat1(cp, at);
+        restoreFormat1(cp, at);
         return;
     }
-    cp.get(lines);
+    // A line has no padding and a free way is all-zero bytes, so the
+    // vector's bytes are a function of the simulated state alone.
+    cp.field(lines);
     if (lines.size() != sets * ways) {
         sim::panic("checkpoint cache image at offset %zu holds %zu "
                    "lines, its %zu sets x %zu ways need %zu",
@@ -222,10 +216,10 @@ CacheArray::unserialize(sim::CheckpointIn &cp)
 }
 
 void
-CacheArray::unserializeFormat1(sim::CheckpointIn &cp, std::size_t at)
+CacheArray::restoreFormat1(sim::CheckpointIo &cp, std::size_t at)
 {
     std::vector<Format1Line> old;
-    cp.get(old);
+    cp.field(old);
     if (old.size() != sets * ways) {
         sim::panic("checkpoint cache image at offset %zu holds %zu "
                    "lines, its %zu sets x %zu ways need %zu",

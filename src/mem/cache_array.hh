@@ -202,18 +202,13 @@ class CacheArray : public sim::Serializable
     }
 
     /**
-     * Write format sim::kCheckpointFormat: the geometry, then the
-     * line vector as it is in memory.
+     * The geometry, then the line vector as it is in memory (format
+     * sim::kCheckpointFormat). A restore also reads format 1's 24-byte
+     * lines (whole address, state, aux, 64-bit use stamp), whose ranks
+     * follow from stamp order, and restores an image of a different
+     * geometry cold.
      */
-    void serialize(sim::CheckpointOut &cp) const override;
-
-    /**
-     * Read an image of format @p cp.format(): the current layout, or
-     * format 1's 24-byte lines (whole address, state, aux, 64-bit use
-     * stamp), whose ranks follow from stamp order. An image of a
-     * different geometry restores the array cold.
-     */
-    void unserialize(sim::CheckpointIn &cp) override;
+    void checkpoint(sim::CheckpointIo &cp) override;
 
   private:
     /** First line of @p block_addr's set (shift/mask, no division). */
@@ -243,7 +238,7 @@ class CacheArray : public sim::Serializable
     void promote(CacheLine *set, CacheLine &line);
 
     /** Restore a format-1 line vector starting at offset @p at. */
-    void unserializeFormat1(sim::CheckpointIn &cp, std::size_t at);
+    void restoreFormat1(sim::CheckpointIo &cp, std::size_t at);
 
     std::size_t sets;
     std::size_t ways;

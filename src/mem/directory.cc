@@ -111,19 +111,12 @@ DirectoryFabric::evicted(int src, sim::Addr block)
 }
 
 void
-DirectoryFabric::serialize(sim::CheckpointOut &cp) const
+DirectoryFabric::checkpoint(sim::CheckpointIo &cp)
 {
-    cp.put(homeNextFree);
-    CoherenceFabric::serialize(cp);
-    // `dir` is intentionally not serialized: it is derived from the
+    cp.field(homeNextFree);
+    CoherenceFabric::checkpoint(cp);
+    // `dir` is intentionally not checkpointed: it is derived from the
     // cache tags and rebuilt in postRestore().
-}
-
-void
-DirectoryFabric::unserialize(sim::CheckpointIn &cp)
-{
-    cp.get(homeNextFree);
-    CoherenceFabric::unserialize(cp);
 }
 
 void

@@ -53,8 +53,7 @@ class DirectoryFabric : public CoherenceFabric
     int ownerOf(sim::Addr block_addr) const;
     std::uint64_t sharersOf(sim::Addr block_addr) const;
 
-    void serialize(sim::CheckpointOut &cp) const override;
-    void unserialize(sim::CheckpointIn &cp) override;
+    void checkpoint(sim::CheckpointIo &cp) override;
     void postRestore() override;
 
   private:

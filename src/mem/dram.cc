@@ -29,17 +29,10 @@ DramModel::schedule(sim::Addr block_addr, sim::Tick now)
 }
 
 void
-DramModel::serialize(sim::CheckpointOut &cp) const
+DramModel::checkpoint(sim::CheckpointIo &cp)
 {
-    cp.put(nextFree);
-    cp.put(numAccesses);
-}
-
-void
-DramModel::unserialize(sim::CheckpointIn &cp)
-{
-    cp.get(nextFree);
-    cp.get(numAccesses);
+    cp.field(nextFree);
+    cp.field(numAccesses);
 }
 
 } // namespace mem

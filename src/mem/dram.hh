@@ -35,8 +35,7 @@ class DramModel : public sim::Serializable
 
     std::uint64_t accesses() const { return numAccesses; }
 
-    void serialize(sim::CheckpointOut &cp) const override;
-    void unserialize(sim::CheckpointIn &cp) override;
+    void checkpoint(sim::CheckpointIo &cp) override;
 
   private:
     const MemConfig &cfg;

@@ -120,19 +120,12 @@ CoherenceFabric::drain()
 }
 
 void
-CoherenceFabric::serialize(sim::CheckpointOut &cp) const
+CoherenceFabric::checkpoint(sim::CheckpointIo &cp)
 {
-    VARSIM_ASSERT(busy.empty(), "checkpoint with busy blocks in %s",
-                  name().c_str());
-    cp.put(stats_);
-    dram.serialize(cp);
-}
-
-void
-CoherenceFabric::unserialize(sim::CheckpointIn &cp)
-{
-    cp.get(stats_);
-    dram.unserialize(cp);
+    VARSIM_ASSERT(cp.loading() || busy.empty(),
+                  "checkpoint with busy blocks in %s", name().c_str());
+    cp.field(stats_);
+    dram.checkpoint(cp);
 }
 
 void

@@ -88,13 +88,6 @@ class CoherenceFabric : public sim::SimObject
     /** Statistics counters owned by the fabric. */
     const MemStats &stats() const { return stats_; }
 
-    /** True if a transaction is in flight for @p block_addr. */
-    bool
-    blockBusy(sim::Addr block_addr) const
-    {
-        return busy.contains(block_addr);
-    }
-
     // ---- functional warming (sampling fast mode) ----
 
     /**
@@ -121,15 +114,14 @@ class CoherenceFabric : public sim::SimObject
     /**
      * Re-derive the protocol's cache-dependent state (the snoop
      * filter, the directory's sharer sets) after the caches have been
-     * restored. Called by MemSystem at the end of unserialize().
+     * restored. Called by MemSystem at the end of a restore.
      */
     virtual void postRestore() = 0;
 
     void drain() override;
-    /** Statistics and DRAM; a protocol writes its ordering state
+    /** Statistics and DRAM; a protocol names its ordering state
      *  first, then calls this. */
-    void serialize(sim::CheckpointOut &cp) const override;
-    void unserialize(sim::CheckpointIn &cp) override;
+    void checkpoint(sim::CheckpointIo &cp) override;
     void regStats(sim::statistics::Registry &r) override;
 
   protected:

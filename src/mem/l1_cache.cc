@@ -173,20 +173,13 @@ L1Cache::drain()
 }
 
 void
-L1Cache::serialize(sim::CheckpointOut &cp) const
+L1Cache::checkpoint(sim::CheckpointIo &cp)
 {
-    VARSIM_ASSERT(mshr.empty(), "checkpoint with pending L1 misses");
-    array.serialize(cp);
-    cp.put(numHits);
-    cp.put(numMisses);
-}
-
-void
-L1Cache::unserialize(sim::CheckpointIn &cp)
-{
-    array.unserialize(cp);
-    cp.get(numHits);
-    cp.get(numMisses);
+    VARSIM_ASSERT(cp.loading() || mshr.empty(),
+                  "checkpoint with pending L1 misses");
+    array.checkpoint(cp);
+    cp.field(numHits);
+    cp.field(numMisses);
 }
 
 void

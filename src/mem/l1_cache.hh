@@ -96,8 +96,7 @@ class L1Cache : public sim::SimObject
     std::uint64_t misses() const { return numMisses; }
 
     void drain() override;
-    void serialize(sim::CheckpointOut &cp) const override;
-    void unserialize(sim::CheckpointIn &cp) override;
+    void checkpoint(sim::CheckpointIo &cp) override;
     void regStats(sim::statistics::Registry &r) override;
 
   private:

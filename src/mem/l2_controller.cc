@@ -302,26 +302,16 @@ L2Controller::drain()
 }
 
 void
-L2Controller::serialize(sim::CheckpointOut &cp) const
+L2Controller::checkpoint(sim::CheckpointIo &cp)
 {
-    VARSIM_ASSERT(tbes.empty(), "checkpoint with pending L2 TBEs");
-    array.serialize(cp);
-    cp.put(numHits);
-    cp.put(numMisses);
-    cp.put(numWritebacks);
-    cp.put(numRetries);
-    cp.put(numPrefetches);
-}
-
-void
-L2Controller::unserialize(sim::CheckpointIn &cp)
-{
-    array.unserialize(cp);
-    cp.get(numHits);
-    cp.get(numMisses);
-    cp.get(numWritebacks);
-    cp.get(numRetries);
-    cp.get(numPrefetches);
+    VARSIM_ASSERT(cp.loading() || tbes.empty(),
+                  "checkpoint with pending L2 TBEs");
+    array.checkpoint(cp);
+    cp.field(numHits);
+    cp.field(numMisses);
+    cp.field(numWritebacks);
+    cp.field(numRetries);
+    cp.field(numPrefetches);
 }
 
 void

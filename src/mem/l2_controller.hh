@@ -122,8 +122,7 @@ class L2Controller : public sim::SimObject
     std::uint64_t prefetches() const { return numPrefetches; }
 
     void drain() override;
-    void serialize(sim::CheckpointOut &cp) const override;
-    void unserialize(sim::CheckpointIn &cp) override;
+    void checkpoint(sim::CheckpointIo &cp) override;
     void regStats(sim::statistics::Registry &r) override;
 
   private:

@@ -89,16 +89,19 @@ MemSystem::drain()
 }
 
 void
-MemSystem::serialize(sim::CheckpointOut &cp) const
+MemSystem::checkpoint(sim::CheckpointIo &cp)
 {
-    pertRng.serialize(cp);
-    fabric_->serialize(cp);
+    pertRng.checkpoint(cp);
+    fabric_->checkpoint(cp);
     for (const auto &l2 : l2s)
-        l2->serialize(cp);
+        l2->checkpoint(cp);
     for (const auto &c : icaches)
-        c->serialize(cp);
+        c->checkpoint(cp);
     for (const auto &c : dcaches)
-        c->serialize(cp);
+        c->checkpoint(cp);
+    // The snoop filter and the directory follow from every L2's tags.
+    if (cp.loading())
+        fabric_->postRestore();
 }
 
 void
@@ -119,20 +122,6 @@ MemSystem::regStats(sim::statistics::Registry &r)
     r.regFormula(name() + ".l2_miss_ratio",
                  [this] { return totalStats().l2MissRatio(); },
                  "misses over all L2 lookups, all nodes");
-}
-
-void
-MemSystem::unserialize(sim::CheckpointIn &cp)
-{
-    pertRng.unserialize(cp);
-    fabric_->unserialize(cp);
-    for (const auto &l2 : l2s)
-        l2->unserialize(cp);
-    for (const auto &c : icaches)
-        c->unserialize(cp);
-    for (const auto &c : dcaches)
-        c->unserialize(cp);
-    fabric_->postRestore();
 }
 
 } // namespace mem

@@ -57,8 +57,7 @@ class MemSystem : public sim::SimObject
     MemStats totalStats() const;
 
     void drain() override;
-    void serialize(sim::CheckpointOut &cp) const override;
-    void unserialize(sim::CheckpointIn &cp) override;
+    void checkpoint(sim::CheckpointIo &cp) override;
 
     /** Registers the fabric, every cache, and aggregate ratios. */
     void regStats(sim::statistics::Registry &r) override;

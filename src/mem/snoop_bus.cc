@@ -72,19 +72,12 @@ SnoopBus::transition(const BusMsg &msg)
 }
 
 void
-SnoopBus::serialize(sim::CheckpointOut &cp) const
+SnoopBus::checkpoint(sim::CheckpointIo &cp)
 {
-    cp.put(nextOrderTick);
-    CoherenceFabric::serialize(cp);
-    // `holders` is intentionally not serialized: it is derived from
+    cp.field(nextOrderTick);
+    CoherenceFabric::checkpoint(cp);
+    // `holders` is intentionally not checkpointed: it is derived from
     // the cache tags and rebuilt in postRestore().
-}
-
-void
-SnoopBus::unserialize(sim::CheckpointIn &cp)
-{
-    cp.get(nextOrderTick);
-    CoherenceFabric::unserialize(cp);
 }
 
 void

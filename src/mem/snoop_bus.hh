@@ -50,8 +50,7 @@ class SnoopBus : public CoherenceFabric
      *  traversal later. */
     void sendRequest(const BusMsg &msg) override;
 
-    void serialize(sim::CheckpointOut &cp) const override;
-    void unserialize(sim::CheckpointIn &cp) override;
+    void checkpoint(sim::CheckpointIo &cp) override;
     void postRestore() override;
 
   private:

@@ -448,85 +448,52 @@ Kernel::endDrain()
 }
 
 void
-Kernel::serialize(sim::CheckpointOut &cp) const
+Kernel::checkpoint(sim::CheckpointIo &cp)
 {
-    VARSIM_ASSERT(fullyDrained(), "kernel checkpoint while running");
     // Which thread sits on each CPU.
-    for (const auto *c : cpus) {
-        const auto *t = static_cast<const Thread *>(
-            const_cast<cpu::BaseCpu *>(c)->currentThread());
-        cp.put<sim::ThreadId>(t != nullptr ? t->tid()
-                                           : sim::invalidThreadId);
-    }
-    for (const auto &q : runQueues) {
-        cp.put<std::uint64_t>(q.size());
-        for (sim::ThreadId tid : q)
-            cp.put(tid);
-    }
-    cp.put<std::uint64_t>(mutexes.size());
-    for (const auto &m : mutexes) {
-        cp.put(m.lockWord);
-        cp.put(m.owner);
-        cp.put(m.waiters);
-    }
-    cp.put<std::uint64_t>(barriers.size());
-    for (const auto &b : barriers) {
-        cp.put(b.expected);
-        cp.put(b.waiting);
-    }
-    for (const auto &t : threads)
-        t->serialize(cp);
-    cp.put<std::uint64_t>(numFinished);
-    cp.put(stats_);
-}
-
-void
-Kernel::unserialize(sim::CheckpointIn &cp)
-{
     std::vector<sim::ThreadId> running(cpus.size());
-    for (auto &tid : running)
-        cp.get(tid);
-    for (auto &q : runQueues) {
-        std::uint64_t n = 0;
-        cp.get(n);
-        q.clear();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            sim::ThreadId tid;
-            cp.get(tid);
-            q.push_back(tid);
-        }
+    for (std::size_t i = 0; i < cpus.size(); ++i) {
+        const auto *t =
+            static_cast<const Thread *>(cpus[i]->currentThread());
+        running[i] = t != nullptr ? t->tid() : sim::invalidThreadId;
+        cp.field(running[i]);
     }
-    std::uint64_t nm = 0;
-    cp.get(nm);
+    for (auto &q : runQueues)
+        cp.elements(q, [&](sim::ThreadId &tid) { cp.field(tid); });
+    std::size_t nm = mutexes.size();
+    cp.field(nm);
     VARSIM_ASSERT(nm == mutexes.size(),
                   "checkpoint mutex count mismatch");
     for (auto &m : mutexes) {
-        cp.get(m.lockWord);
-        cp.get(m.owner);
-        cp.get(m.waiters);
+        cp.field(m.lockWord);
+        cp.field(m.owner);
+        cp.field(m.waiters);
     }
-    std::uint64_t nb = 0;
-    cp.get(nb);
+    std::size_t nb = barriers.size();
+    cp.field(nb);
     VARSIM_ASSERT(nb == barriers.size(),
                   "checkpoint barrier count mismatch");
     for (auto &b : barriers) {
-        cp.get(b.expected);
-        cp.get(b.waiting);
+        cp.field(b.expected);
+        cp.field(b.waiting);
     }
     for (const auto &t : threads)
-        t->unserialize(cp);
-    std::uint64_t fin = 0;
-    cp.get(fin);
-    numFinished = static_cast<std::size_t>(fin);
-    cp.get(stats_);
+        t->checkpoint(cp);
+    cp.field(numFinished);
+    cp.field(stats_);
 
-    // Re-attach running threads; execution restarts at endDrain().
-    draining_ = true;
-    for (std::size_t i = 0; i < cpus.size(); ++i) {
-        cpuDrained[i] = true;
-        cpus[i]->attachThread(
-            running[i] != sim::invalidThreadId ? &thread(running[i])
-                                               : nullptr);
+    if (cp.loading()) {
+        // Re-attach running threads; execution restarts at
+        // endDrain().
+        draining_ = true;
+        for (std::size_t i = 0; i < cpus.size(); ++i) {
+            cpuDrained[i] = true;
+            cpus[i]->attachThread(running[i] != sim::invalidThreadId
+                                      ? &thread(running[i])
+                                      : nullptr);
+        }
+    } else {
+        VARSIM_ASSERT(fullyDrained(), "kernel checkpoint while running");
     }
 }
 

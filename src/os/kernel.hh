@@ -178,8 +178,7 @@ class Kernel : public sim::SimObject, public cpu::CpuHost
     /** Collected scheduling events. */
     const std::vector<SchedEvent> &traceEvents() const { return trace; }
 
-    void serialize(sim::CheckpointOut &cp) const override;
-    void unserialize(sim::CheckpointIn &cp) override;
+    void checkpoint(sim::CheckpointIo &cp) override;
     void regStats(sim::statistics::Registry &r) override;
 
   private:

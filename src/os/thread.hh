@@ -72,27 +72,15 @@ class Thread : public cpu::ThreadContext, public sim::Serializable
     std::int32_t heldLocks = 0;
 
     void
-    serialize(sim::CheckpointOut &cp) const override
+    checkpoint(sim::CheckpointIo &cp) override
     {
-        cp.put(state);
-        cp.put(lastCpu);
-        cp.put(fetch);
-        cp.put(sleepUntil);
-        cp.put(txnsCompleted);
-        cp.put(lockBlocks);
-        cp.put(heldLocks);
-    }
-
-    void
-    unserialize(sim::CheckpointIn &cp) override
-    {
-        cp.get(state);
-        cp.get(lastCpu);
-        cp.get(fetch);
-        cp.get(sleepUntil);
-        cp.get(txnsCompleted);
-        cp.get(lockBlocks);
-        cp.get(heldLocks);
+        cp.field(state);
+        cp.field(lastCpu);
+        cp.field(fetch);
+        cp.field(sleepUntil);
+        cp.field(txnsCompleted);
+        cp.field(lockBlocks);
+        cp.field(heldLocks);
     }
 
   private:

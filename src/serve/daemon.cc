@@ -291,7 +291,6 @@ Daemon::handleWatch(FrameIo &io, const std::string &id,
         for (const Event &ev : events)
             if (!io.send(encodeEvent(ev)))
                 return; // subscriber vanished
-        after += events.size();
         if (terminal || stopping.load()) {
             CampaignInfo info;
             const std::string state =

@@ -226,9 +226,8 @@ Scheduler::Job::info() const
 }
 
 bool
-Scheduler::waitEvents(const std::string &id,
-                      std::uint64_t afterSeq, int timeoutMs,
-                      std::vector<Event> &out,
+Scheduler::waitEvents(const std::string &id, std::uint64_t &cursor,
+                      int timeoutMs, std::vector<Event> &out,
                       bool *terminal) const
 {
     std::unique_lock<std::mutex> lock(mu);
@@ -237,12 +236,13 @@ Scheduler::waitEvents(const std::string &id,
         return false;
     const Job &job = *it->second;
     // A cursor past the end (bogus client, or state from a prior
-    // daemon life) must not make terminal detection unreachable.
-    if (afterSeq > job.events.size())
-        afterSeq = job.events.size();
+    // daemon life) must not make terminal detection unreachable, nor
+    // count events that do not exist.
+    if (cursor > job.events.size())
+        cursor = job.events.size();
 
     auto fresh = [&] {
-        return job.events.size() > afterSeq || job.terminal();
+        return job.events.size() > cursor || job.terminal();
     };
     if (timeoutMs > 0 && !fresh())
         eventCv.wait_for(lock,
@@ -250,11 +250,11 @@ Scheduler::waitEvents(const std::string &id,
                          fresh);
 
     out.clear();
-    for (std::size_t i = afterSeq; i < job.events.size(); ++i)
+    for (std::size_t i = cursor; i < job.events.size(); ++i)
         out.push_back(job.events[i]);
+    cursor = job.events.size();
     if (terminal)
-        *terminal = job.terminal() &&
-                    afterSeq + out.size() == job.events.size();
+        *terminal = job.terminal();
     return true;
 }
 

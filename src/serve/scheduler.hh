@@ -95,13 +95,14 @@ class Scheduler
     bool info(const std::string &id, CampaignInfo &out) const;
 
     /**
-     * Copy campaign @p id's events with seq > @p afterSeq into
-     * @p out, blocking up to @p timeoutMs for the first new one
-     * (0 = no wait). Returns false when the id is unknown.
-     * @p terminal is set when the campaign has reached a terminal
-     * state AND every event up to it has been returned.
+     * Copy campaign @p id's events with seq > @p cursor into @p out,
+     * blocking up to @p timeoutMs for the first new one (0 = no
+     * wait), and leave @p cursor at the last event's seq. A cursor
+     * past the end is clamped to it first. Returns false when the id
+     * is unknown. @p terminal is set when the campaign has reached a
+     * terminal state AND every event up to it has been returned.
      */
-    bool waitEvents(const std::string &id, std::uint64_t afterSeq,
+    bool waitEvents(const std::string &id, std::uint64_t &cursor,
                     int timeoutMs, std::vector<Event> &out,
                     bool *terminal) const;
 

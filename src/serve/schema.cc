@@ -145,7 +145,8 @@ encodeEvent(const Event &ev)
         w.field("run", ev.runIdx);
         w.field("value", ev.value);
     }
-    if (ev.kind == "run" || ev.kind == "round") {
+    if (ev.kind == "run" || ev.kind == "round" ||
+        terminalState(ev.kind)) {
         w.field("recorded", ev.recorded);
         w.field("target", ev.target);
     }

@@ -97,7 +97,7 @@ struct Event
     std::uint64_t runIdx = 0;
     double value = 0.0; ///< cycles_per_txn of the recorded run
 
-    // kind=run and kind=round: campaign-wide progress
+    // kind=run, kind=round and the terminal kinds: campaign progress
     std::uint64_t recorded = 0;
     std::uint64_t target = 0;
 

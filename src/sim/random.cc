@@ -114,17 +114,10 @@ Random::normal(double mean, double sigma)
 }
 
 void
-Random::serialize(CheckpointOut &cp) const
-{
-    for (auto word : s)
-        cp.put(word);
-}
-
-void
-Random::unserialize(CheckpointIn &cp)
+Random::checkpoint(CheckpointIo &cp)
 {
     for (auto &word : s)
-        cp.get(word);
+        cp.field(word);
 }
 
 std::shared_ptr<const ZipfSampler::Table>

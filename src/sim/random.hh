@@ -28,8 +28,7 @@ namespace varsim
 namespace sim
 {
 
-class CheckpointIn;
-class CheckpointOut;
+class CheckpointIo;
 
 /**
  * SplitMix64 sequence generator; primarily used for seeding other
@@ -91,11 +90,8 @@ class Random
     /** Re-seed, discarding current state. */
     void seed(std::uint64_t seed);
 
-    /** Serialize generator state into a checkpoint. */
-    void serialize(CheckpointOut &cp) const;
-
-    /** Restore generator state from a checkpoint. */
-    void unserialize(CheckpointIn &cp);
+    /** Save or restore the generator state (see CheckpointIo). */
+    void checkpoint(CheckpointIo &cp);
 
     /** Equality: same internal state (useful in tests). */
     bool operator==(const Random &other) const = default;

@@ -10,15 +10,17 @@
  * a workload's lifetime (Figure 9). This module provides the
  * equivalent facility: a simple, deterministic, tagged binary archive.
  *
- * Every value written is prefixed (in debug builds of the archive
- * itself, always) with a one-byte type tag, so mismatched
- * serialize/unserialize code fails loudly instead of silently
- * misinterpreting bytes.
+ * Every value written is prefixed with a one-byte type tag, so a
+ * snapshot read under the wrong layout fails loudly instead of
+ * silently misinterpreting bytes. Each object states its layout once,
+ * in one checkpoint(CheckpointIo &) function that both saving and
+ * restoring run.
  */
 
 #ifndef VARSIM_SIM_SERIALIZE_HH
 #define VARSIM_SIM_SERIALIZE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -243,11 +245,92 @@ class CheckpointIn
 };
 
 /**
+ * One checkpoint pass as an object sees it, in either direction. An
+ * object states its layout once, in its checkpoint() function:
+ * field() puts each value when saving and gets it back when
+ * restoring, through the archives above, so the two directions
+ * cannot disagree on order or type. The few steps that belong to one
+ * direction test loading().
+ */
+class CheckpointIo
+{
+  public:
+    /** A save pass appending to @p out. */
+    explicit CheckpointIo(CheckpointOut &out) : out_(&out) {}
+
+    /** A restore pass reading from @p in. */
+    explicit CheckpointIo(CheckpointIn &in) : in_(&in) {}
+
+    /** True when restoring: values flow into the object. */
+    bool loading() const { return in_ != nullptr; }
+
+    // Counts, positions and cache geometry are size_t fields; every
+    // snapshot holds them as tagged 8-byte values.
+    static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
+                  "size_t fields are checkpointed as 8 bytes");
+
+    /** Put @p value when saving, get it when restoring. */
+    template <typename T>
+    void
+    field(T &value)
+    {
+        if (in_)
+            in_->get(value);
+        else
+            out_->put(value);
+    }
+
+    /**
+     * A container as a u64 count, then each element through @p each,
+     * which names the element's members (so no padding reaches a
+     * snapshot). Restoring appends one element at a time after a
+     * capped reservation, so a corrupt count runs into the reader's
+     * underrun check, not a giant allocation.
+     */
+    template <typename C, typename Each>
+    void
+    elements(C &items, Each &&each)
+    {
+        std::uint64_t n = items.size();
+        field(n);
+        if (in_) {
+            items.clear();
+            if constexpr (requires { items.reserve(std::size_t{}); })
+                items.reserve(static_cast<std::size_t>(
+                    std::min<std::uint64_t>(n, 4096)));
+        }
+        for (std::uint64_t i = 0; i < n; ++i) {
+            if (in_)
+                items.emplace_back();
+            each(items[i]);
+        }
+    }
+
+    /** The snapshot's layout version (kCheckpointFormat on save). */
+    std::uint32_t
+    format() const
+    {
+        return in_ ? in_->format() : kCheckpointFormat;
+    }
+
+    /** Offset of the next value in the snapshot. */
+    std::size_t
+    offset() const
+    {
+        return in_ ? in_->offset() : out_->size();
+    }
+
+  private:
+    CheckpointOut *out_ = nullptr;
+    CheckpointIn *in_ = nullptr;
+};
+
+/**
  * Interface for objects that participate in checkpointing.
  *
  * Checkpoints are only taken with the system *drained* (no in-flight
  * memory transactions, no pending events other than re-armable
- * housekeeping timers), so implementations serialize architectural
+ * housekeeping timers), so implementations checkpoint architectural
  * state only.
  */
 class Serializable
@@ -255,11 +338,28 @@ class Serializable
   public:
     virtual ~Serializable() = default;
 
-    /** Write this object's state into @p cp. */
-    virtual void serialize(CheckpointOut &cp) const = 0;
+    /**
+     * Name this object's state through @p cp, once, in snapshot
+     * order: the same function saves and restores it.
+     */
+    virtual void checkpoint(CheckpointIo &cp) = 0;
 
-    /** Restore this object's state from @p cp. */
-    virtual void unserialize(CheckpointIn &cp) = 0;
+    /** Write this object's state into @p out. */
+    void
+    serialize(CheckpointOut &out) const
+    {
+        // A save pass only reads the object it walks.
+        CheckpointIo cp(out);
+        const_cast<Serializable *>(this)->checkpoint(cp);
+    }
+
+    /** Restore this object's state from @p in. */
+    void
+    unserialize(CheckpointIn &in)
+    {
+        CheckpointIo cp(in);
+        checkpoint(cp);
+    }
 };
 
 } // namespace sim

@@ -80,12 +80,6 @@ class SimObject : public Serializable
     }
 
     /**
-     * Called after construction (or after unserialize) to arm
-     * recurring events. Default: nothing.
-     */
-    virtual void startup() {}
-
-    /**
      * Cancel recurring events so the system can reach a quiescent,
      * checkpointable state. Default: nothing.
      */
@@ -100,11 +94,8 @@ class SimObject : public Serializable
      */
     virtual void regStats(statistics::Registry &) {}
 
-    /** Default serialization: stateless component. */
-    void serialize(CheckpointOut &) const override {}
-
-    /** Default unserialization: stateless component. */
-    void unserialize(CheckpointIn &) override {}
+    /** Default: a stateless component checkpoints nothing. */
+    void checkpoint(CheckpointIo &) override {}
 
   private:
     std::string name_;

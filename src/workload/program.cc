@@ -1,7 +1,5 @@
 #include "workload/program.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace varsim
@@ -53,47 +51,21 @@ SyntheticProgram::advance()
 }
 
 void
-SyntheticProgram::serialize(sim::CheckpointOut &cp) const
+SyntheticProgram::checkpoint(sim::CheckpointIo &cp)
 {
-    rng.serialize(cp);
-    cp.put(txnIndex_);
+    rng.checkpoint(cp);
+    cp.field(txnIndex_);
     // Field-wise, not a raw vector dump: Op has interior padding,
     // and snapshot bytes must be a pure function of simulated state
     // (the persistent library content-addresses them; two shards
     // warming the same key must publish byte-identical archives).
-    cp.put<std::uint64_t>(buf.size());
-    for (const cpu::Op &op : buf) {
-        cp.put(op.kind);
-        cp.put(op.count);
-        cp.put(op.addr);
-        cp.put(op.id);
-    }
-    cp.put<std::uint64_t>(pos);
-}
-
-void
-SyntheticProgram::unserialize(sim::CheckpointIn &cp)
-{
-    rng.unserialize(cp);
-    cp.get(txnIndex_);
-    std::uint64_t n = 0;
-    cp.get(n);
-    buf.clear();
-    // Clamp the reservation: a corrupt length must hit the reader's
-    // underrun check, not a giant allocation.
-    buf.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(n, 4096)));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        cpu::Op op;
-        cp.get(op.kind);
-        cp.get(op.count);
-        cp.get(op.addr);
-        cp.get(op.id);
-        buf.push_back(op);
-    }
-    std::uint64_t p = 0;
-    cp.get(p);
-    pos = static_cast<std::size_t>(p);
+    cp.elements(buf, [&](cpu::Op &op) {
+        cp.field(op.kind);
+        cp.field(op.count);
+        cp.field(op.addr);
+        cp.field(op.id);
+    });
+    cp.field(pos);
 }
 
 namespace emit

@@ -63,11 +63,7 @@ class SyntheticProgram : public cpu::OpStream
     const cpu::Op &current() override;
     void advance() override;
 
-    /** Transactions generated so far for this thread. */
-    std::uint64_t txnIndex() const { return txnIndex_; }
-
-    void serialize(sim::CheckpointOut &cp) const override;
-    void unserialize(sim::CheckpointIn &cp) override;
+    void checkpoint(sim::CheckpointIo &cp) override;
 
   private:
     void refill();

@@ -61,17 +61,10 @@ Workload::addProgram(std::unique_ptr<SyntheticProgram> p)
 }
 
 void
-Workload::serialize(sim::CheckpointOut &cp) const
+Workload::checkpoint(sim::CheckpointIo &cp)
 {
     for (const auto &p : programs)
-        p->serialize(cp);
-}
-
-void
-Workload::unserialize(sim::CheckpointIn &cp)
-{
-    for (const auto &p : programs)
-        p->unserialize(cp);
+        p->checkpoint(cp);
 }
 
 std::unique_ptr<Workload>

@@ -111,8 +111,7 @@ class Workload : public sim::Serializable
     /** Default measured-transaction count (paper Table 3, scaled). */
     std::uint64_t defaultTxnCount() const { return defaultTxns; }
 
-    void serialize(sim::CheckpointOut &cp) const override;
-    void unserialize(sim::CheckpointIn &cp) override;
+    void checkpoint(sim::CheckpointIo &cp) override;
 
     // -- used by the per-kind builders --
 

@@ -4,7 +4,8 @@
  * disk archive must be bitwise indistinguishable from the simulation
  * that took the snapshot — same clock, same transaction count, and
  * (the strongest form) a byte-identical next snapshot — for every
- * workload family and both processor models. On top of that, the
+ * workload family, both processor models and both coherence
+ * protocols. On top of that, the
  * campaign engine must produce bit-identical stores whether warm-up
  * state came from re-simulation or from the library, and shards must
  * only pay for the configurations their stripe touches.
@@ -52,8 +53,17 @@ struct RtCase
     cpu::CpuConfig::Model model;
     std::uint32_t k;
     /** Nonzero: this many nodes instead of the test system's 4. */
-    std::uint32_t cpus = 0;
+    std::uint16_t cpus = 0;
+    /** A mem::CoherenceProtocol. Both fields are 16 bits wide, so a
+     *  case has no padding bytes: gtest prints a case's bytes into
+     *  its ctest name, which must stay stable. */
+    std::uint16_t protocol =
+        static_cast<std::uint16_t>(mem::CoherenceProtocol::Snooping);
 };
+static_assert(sizeof(RtCase) == 16, "RtCase bytes name the tests");
+
+constexpr auto kDirectory =
+    static_cast<std::uint16_t>(mem::CoherenceProtocol::Directory);
 
 class CkptRoundTrip : public ::testing::TestWithParam<RtCase>
 {};
@@ -65,6 +75,7 @@ TEST_P(CkptRoundTrip, DiskRestoreEqualsContinuingBitwise)
     sys.mem.perturbMaxNs = 4;
     if (c.cpus)
         sys.mem.numNodes = c.cpus;
+    sys.mem.protocol = static_cast<mem::CoherenceProtocol>(c.protocol);
     sys.cpu.model = c.model;
     workload::WorkloadParams wl;
     wl.kind = c.kind;
@@ -98,7 +109,8 @@ TEST_P(CkptRoundTrip, DiskRestoreEqualsContinuingBitwise)
         std::string(workload::kindName(c.kind)) +
         (c.model == cpu::CpuConfig::Model::Simple ? "_simple"
                                                   : "_ooo") +
-        "_" + std::to_string(sys.mem.numNodes));
+        "_" + std::to_string(sys.mem.numNodes) +
+        (c.protocol == kDirectory ? "_dir" : ""));
     std::string err;
     ASSERT_TRUE(sim::writeFileAtomic(
         dir, key.digestHex() + ".vckpt",
@@ -160,6 +172,13 @@ const RtCase rtCases[] = {
      0},
     {workload::WorkloadKind::Ocean,
      cpu::CpuConfig::Model::OutOfOrder, 0},
+    // The directory rebuilds its sharer sets from the tags on
+    // restore; its home-node queues, DRAM and counters are saved.
+    {workload::WorkloadKind::Oltp, cpu::CpuConfig::Model::OutOfOrder,
+     15, 0, kDirectory},
+    // sampled-apache's system: 16 OoO nodes on the directory.
+    {workload::WorkloadKind::Apache,
+     cpu::CpuConfig::Model::OutOfOrder, 15, 16, kDirectory},
 };
 
 INSTANTIATE_TEST_SUITE_P(
@@ -171,7 +190,8 @@ INSTANTIATE_TEST_SUITE_P(
                     : "_OutOfOrder") +
                (info.param.cpus == 0
                     ? ""
-                    : "_" + std::to_string(info.param.cpus) + "cpu");
+                    : "_" + std::to_string(info.param.cpus) + "cpu") +
+               (info.param.protocol == kDirectory ? "_directory" : "");
     });
 
 // The measured-run view of the same contract: every metric of a run

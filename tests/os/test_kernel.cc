@@ -31,19 +31,7 @@ class ScriptStream : public cpu::OpStream
     const Op &current() override { return ops_.at(pos); }
     void advance() override { ++pos; }
 
-    void
-    serialize(sim::CheckpointOut &cp) const override
-    {
-        cp.put<std::uint64_t>(pos);
-    }
-
-    void
-    unserialize(sim::CheckpointIn &cp) override
-    {
-        std::uint64_t p = 0;
-        cp.get(p);
-        pos = static_cast<std::size_t>(p);
-    }
+    void checkpoint(sim::CheckpointIo &cp) override { cp.field(pos); }
 
   private:
     std::vector<Op> ops_;

@@ -107,8 +107,9 @@ TEST(ServeScheduler, RunsOneCampaignToCompletion)
     // Events: a round announcement, one per run, then complete.
     std::vector<serve::Event> events;
     bool terminal = false;
+    std::uint64_t cursor = 0;
     ASSERT_TRUE(
-        sched.waitEvents("alice/one", 0, 0, events, &terminal));
+        sched.waitEvents("alice/one", cursor, 0, events, &terminal));
     ASSERT_TRUE(terminal);
     ASSERT_EQ(events.size(), 5u);
     EXPECT_EQ(events.front().kind, "round");
@@ -378,10 +379,16 @@ TEST(ServeScheduler, WaitEventsClampsOutOfRangeCursor)
     // keeping a watcher polling forever.
     std::vector<serve::Event> events;
     bool terminal = false;
+    std::uint64_t cursor = 9999;
     ASSERT_TRUE(
-        sched.waitEvents("t/one", 9999, 0, events, &terminal));
+        sched.waitEvents("t/one", cursor, 0, events, &terminal));
     EXPECT_TRUE(events.empty());
     EXPECT_TRUE(terminal);
+    std::vector<serve::Event> all;
+    std::uint64_t from = 0;
+    ASSERT_TRUE(sched.waitEvents("t/one", from, 0, all, &terminal));
+    EXPECT_EQ(cursor, all.size());
+    EXPECT_EQ(from, all.size());
 }
 
 TEST(ServeScheduler, CancelIsDurable)
@@ -436,7 +443,6 @@ TEST(ServeScheduler, CancelMidRoundEndsTheStreamWithCancelled)
         ASSERT_TRUE(
             sched.waitEvents("t/big", seen, 1000, batch, &terminal));
         ASSERT_FALSE(terminal);
-        seen += batch.size();
         if (std::any_of(batch.begin(), batch.end(), [](const auto &e) {
                 return e.kind == "run";
             }))
@@ -445,7 +451,9 @@ TEST(ServeScheduler, CancelMidRoundEndsTheStreamWithCancelled)
     ASSERT_TRUE(sched.cancel("t/big", &err)) << err;
     sched.drain();
 
-    ASSERT_TRUE(sched.waitEvents("t/big", 0, 0, events, &terminal));
+    std::uint64_t cursor = 0;
+    ASSERT_TRUE(
+        sched.waitEvents("t/big", cursor, 0, events, &terminal));
     ASSERT_TRUE(terminal);
     ASSERT_FALSE(events.empty());
     EXPECT_EQ(events.back().kind, "cancelled");
@@ -470,7 +478,8 @@ TEST(ServeScheduler, CancelMidRoundEndsTheStreamWithCancelled)
     // A second cancel is a no-op: acked, and no event follows.
     ASSERT_TRUE(sched.cancel("t/big", &err)) << err;
     std::vector<serve::Event> after;
-    ASSERT_TRUE(sched.waitEvents("t/big", 0, 0, after, &terminal));
+    cursor = 0;
+    ASSERT_TRUE(sched.waitEvents("t/big", cursor, 0, after, &terminal));
     EXPECT_EQ(after.size(), events.size());
 }
 

@@ -22,6 +22,7 @@
 #include "campaign/knobs.hh"
 #include "serve/client.hh"
 #include "serve/daemon.hh"
+#include "serve/protocol.hh"
 #include "sim/jsonl.hh"
 #include "sim/logging.hh"
 
@@ -198,6 +199,70 @@ TEST(ServeE2e, WatchFromTheEndSeesOnlyTheEndFrame)
         &err))
         << err;
     EXPECT_EQ(replayed, 0u);
+    daemon.shutdown();
+}
+
+TEST(ServeE2e, WatchEndFrameCountsOnlyEventsThatExist)
+{
+    const std::string root = freshRoot("watchcount");
+    serve::DaemonConfig cfg;
+    cfg.root = root;
+    cfg.addr = sockAddr(root);
+    cfg.workers = 1;
+    serve::Daemon daemon(cfg);
+    std::string err;
+    ASSERT_TRUE(daemon.start(&err)) << err;
+    serve::Client client(cfg.addr);
+
+    serve::Submission sub = makeSub("t", "a", smallFields());
+    ASSERT_TRUE(client.submit(sub, &err)) << err;
+    std::uint64_t count = 0;
+    ASSERT_TRUE(client.watch(
+        sub.id(), 0, [&](const serve::Event &) { ++count; }, &err))
+        << err;
+    ASSERT_GT(count, 0u);
+
+    // A raw request with a cursor far past the last event: the end
+    // frame counts the campaign's events, not the client's cursor.
+    const int fd = serve::connectTo(cfg.addr, &err);
+    ASSERT_GE(fd, 0) << err;
+    serve::FrameIo io(fd);
+    ASSERT_TRUE(io.send("{\"req\":\"watch\",\"id\":\"" + sub.id() +
+                        "\",\"after\":999}"));
+    std::string payload;
+    sim::JsonLine frame;
+    ASSERT_TRUE(io.recv(payload)) << io.errorText();
+    ASSERT_TRUE(frame.parse(payload)) << payload;
+    EXPECT_EQ(frame.str("type"), "end") << payload;
+    EXPECT_EQ(frame.num("count"), count) << payload;
+    EXPECT_EQ(frame.str("state"), "complete") << payload;
+    daemon.shutdown();
+}
+
+TEST(ServeE2e, TerminalEventCarriesItsRunCount)
+{
+    const std::string root = freshRoot("terminalcount");
+    serve::DaemonConfig cfg;
+    cfg.root = root;
+    cfg.addr = sockAddr(root);
+    cfg.workers = 1;
+    serve::Daemon daemon(cfg);
+    std::string err;
+    ASSERT_TRUE(daemon.start(&err)) << err;
+    serve::Client client(cfg.addr);
+
+    serve::Submission sub = makeSub("t", "a", smallFields(11, 3));
+    ASSERT_TRUE(client.submit(sub, &err)) << err;
+    serve::Event last;
+    ASSERT_TRUE(client.watch(
+        sub.id(), 0, [&](const serve::Event &ev) { last = ev; }, &err))
+        << err;
+    serve::CampaignInfo info;
+    ASSERT_TRUE(client.info(sub.id(), info, &err)) << err;
+    EXPECT_EQ(last.kind, "complete");
+    EXPECT_EQ(info.recorded, 3u);
+    EXPECT_EQ(last.recorded, info.recorded);
+    EXPECT_EQ(last.target, info.target);
     daemon.shutdown();
 }
 

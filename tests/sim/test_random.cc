@@ -111,10 +111,12 @@ TEST(Random, SerializeRoundTripContinuesSequence)
         a.next();
 
     CheckpointOut out;
-    a.serialize(out);
+    CheckpointIo save(out);
+    a.checkpoint(save);
     Random b(0);
     CheckpointIn in(out.bytes());
-    b.unserialize(in);
+    CheckpointIo restore(in);
+    b.checkpoint(restore);
 
     EXPECT_EQ(a, b);
     for (int i = 0; i < 100; ++i)

@@ -29,8 +29,8 @@ cmake --build "$build" -j "$jobs"
 # would silently drop one; assert the binaries this gate exists to
 # run (serialization and the JSONL parser, the cache image checks,
 # the result store and its segments, the persistent checkpoint
-# library, the statistics paths, the CPU engines and the sampling
-# engine) are actually present.
+# library and its round trips, the statistics paths, the CPU engines
+# and the sampling engine) are actually present.
 for t in test_sim test_stats test_mem test_core test_campaign \
          test_ckpt test_cpu test_sample; do
     [ -x "$build/tests/$t" ] || {
@@ -100,10 +100,23 @@ fi
 # read buffer and a cache image is copied straight out of the
 # snapshot, so ASan is what proves that every truncated or
 # bit-flipped archive, and a cache image with a short line vector, is
-# rejected without a read past the buffer.
-"$build/tests/test_ckpt" --gtest_filter='CkptArchive.*' >/dev/null &&
-"$build/tests/test_mem" --gtest_filter='CacheArray*' >/dev/null || {
-    echo "error: archive/cache-image suites failed under asan/ubsan" >&2
+# rejected without a read past the buffer. Every object states its
+# checkpoint layout in one function that saves and restores it, so
+# the round trips run that code in both directions: whole systems on
+# both fabrics (CkptRoundTrip, Checkpoint), the memory system and the
+# directory rebuilt from its caches, the archive primitives, and the
+# branch predictors.
+"$build/tests/test_ckpt" \
+    --gtest_filter='CkptArchive.*:*CkptRoundTrip.*' >/dev/null &&
+"$build/tests/test_sim" --gtest_filter='Checkpoint.*' >/dev/null &&
+"$build/tests/test_core" --gtest_filter='Checkpoint.*' >/dev/null &&
+"$build/tests/test_mem" \
+    --gtest_filter='CacheArray*:DirectoryTest.RestoreRebuildsDirectoryFromCaches:MemSystemTest.*' \
+    >/dev/null &&
+"$build/tests/test_cpu" --gtest_filter='*.SerializeRoundTrip' \
+    >/dev/null || {
+    echo "error: archive, cache-image or checkpoint round-trip" \
+        "suites failed under asan/ubsan" >&2
     exit 1
 }
 
