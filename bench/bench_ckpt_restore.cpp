@@ -14,7 +14,10 @@
  * tools/perfcmp.py can compare two emissions; ticks/txns of a
  * "restore" row are the warm-equivalent work delivered (the same
  * simulated distance as its "rewarm" twin), so ticks_per_sec reads
- * as warm-up ticks delivered per host second in both modes.
+ * as warm-up ticks delivered per host second in both modes. Every
+ * row also carries its cell's snapshot_bytes, the checkpoint
+ * payload's exact size, which two emissions compare without the
+ * walls' noise.
  *
  * Exits nonzero if any cell's snapshot mismatches or if restoring
  * the whole grid is not faster than re-warming it.
@@ -49,6 +52,7 @@ struct Row
     std::uint64_t simTicks;
     std::uint64_t txns;
     double wallSeconds;
+    std::uint64_t snapshotBytes; ///< the cell's checkpoint payload
 
     double ticksPerSec() const { return simTicks / wallSeconds; }
     double txnsPerSec() const { return txns / wallSeconds; }
@@ -78,7 +82,8 @@ rowJson(std::ostream &os, const Row &r)
        << ", \"txns\": " << r.txns
        << ", \"wall_seconds\": " << r.wallSeconds
        << ", \"ticks_per_sec\": " << r.ticksPerSec()
-       << ", \"txns_per_sec\": " << r.txnsPerSec();
+       << ", \"txns_per_sec\": " << r.txnsPerSec()
+       << ", \"snapshot_bytes\": " << r.snapshotBytes;
 }
 
 } // anonymous namespace
@@ -163,7 +168,8 @@ main(int argc, char **argv)
                 if (rep == 0 || w < wall)
                     wall = w;
             }
-            rows.push_back({cell, "rewarm", ticks, pos, wall});
+            rows.push_back(
+                {cell, "rewarm", ticks, pos, wall, cp.size()});
             rewarmWall += wall;
 
             ckpt::CheckpointKey key;
@@ -200,7 +206,8 @@ main(int argc, char **argv)
                                  cell.c_str());
                 }
             }
-            rows.push_back({cell, "restore", ticks, pos, wall});
+            rows.push_back(
+                {cell, "restore", ticks, pos, wall, cp.size()});
             restoreWall += wall;
 
             const Row &w0 = rows[rows.size() - 2];

@@ -59,10 +59,9 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
             break;
 
         // Warm (or restore) only the configurations this round's
-        // owned cells actually start from, before the round's batch
-        // (warm-up is serial; the batch then runs cells only).
-        for (const Cell &cell : work)
-            exec.prepareCell(cell);
+        // owned cells actually start from, concurrently, before the
+        // round's batch (the batch then runs cells only).
+        exec.prepareCells(work);
 
         if (opt.verbose) {
             const auto dec = exec.decisions();

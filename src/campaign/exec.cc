@@ -1,7 +1,10 @@
 #include "campaign/exec.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <mutex>
+#include <numeric>
 
 #include "ckpt/library.hh"
 #include "core/analysis.hh"
@@ -134,19 +137,23 @@ effectiveSpec(const CampaignSpec &spec, const PlanRecord &plan)
 /**
  * Lazy, library-backed supplier of warm-up checkpoints.
  *
- * A configuration is warmed only when ensureConfig() is called for
- * it — the scheduler calls it for exactly the configurations whose
- * cells this shard owns this round, so a shard whose stripe misses a
- * configuration never pays its warm-up, and a completed campaign's
- * re-invocation warms nothing at all.
+ * A configuration is warmed only when ensureConfigs() names it — the
+ * scheduler names exactly the configurations whose cells this shard
+ * owns this round, so a shard whose stripe misses a configuration
+ * never pays its warm-up, and a completed campaign's re-invocation
+ * warms nothing at all.
  *
  * With a library attached, every planned position is first looked up
  * on disk; the warmer only simulates from the last restorable
  * snapshot onward (a snapshot carries the perturbation RNG, so the
  * continued trajectory is bit-identical to the original warmer's)
  * and publishes whatever it had to build. The warmers are
- * deterministic, so all of this — lazily, from disk, or re-derived —
- * yields byte-identical starting states.
+ * deterministic, so all of this — lazily, from disk, or re-derived,
+ * on whichever thread — yields byte-identical starting states.
+ *
+ * Configurations warm independently: each has a once-guard, so a
+ * configuration warms once, on whichever thread first needs it, and
+ * threads that need others do not wait for it.
  */
 class CheckpointWarmer
 {
@@ -164,21 +171,60 @@ class CheckpointWarmer
             spec.checkpointStep * spec.numCheckpoints,
             spec.numCheckpoints, spec.baseSeed);
         cps.resize(spec.configs.size());
-        ready.assign(spec.configs.size(), 0);
+        once = std::make_unique<std::once_flag[]>(spec.configs.size());
     }
 
     /**
-     * Make config @p c's checkpoints available. Serial caller; the
-     * library fetches run on the pool with opt.hostThreads workers.
-     * The serve daemon passes hostThreads = 1, which keeps them
-     * inline on its own worker.
+     * Make the checkpoints of every configuration in @p configs
+     * (distinct) available, the configurations concurrently on the
+     * pool with opt.hostThreads workers. Verbose lines print in the
+     * order of @p configs once all are ready. Safe to call from many
+     * threads: a configuration another call is warming is waited
+     * for, and one already warmed costs nothing.
      */
     void
-    ensureConfig(std::size_t c)
+    ensureConfigs(const std::vector<std::size_t> &configs)
     {
-        if (!spec.numCheckpoints || ready[c])
+        if (!spec.numCheckpoints)
             return;
-        ready[c] = 1;
+        std::vector<std::string> lines(configs.size());
+        core::HostThreadPool::instance().parallelFor(
+            configs.size(), opt.hostThreads, [&](std::size_t k) {
+                std::call_once(once[configs[k]], [&] {
+                    lines[k] = warm(configs[k]);
+                });
+            });
+        if (opt.verbose)
+            for (const std::string &line : lines)
+                std::fputs(line.c_str(), stdout);
+    }
+
+    /** Checkpoint of (config, position); ensureConfigs'd first. */
+    const core::Checkpoint &
+    get(std::size_t config, std::size_t ck) const
+    {
+        VARSIM_ASSERT(!cps[config].empty(),
+                      "checkpoint for config %zu requested before "
+                      "it was warmed", config);
+        return cps[config][ck];
+    }
+
+    const ckpt::CheckpointLibrary *library() const { return lib.get(); }
+
+    std::size_t restoredCount() const { return restored.load(); }
+    std::size_t warmedCount() const { return warmed.load(); }
+
+  private:
+    /**
+     * Restore or re-simulate config @p c's checkpoints; runs once per
+     * configuration, under its once-guard. The library's fetches run
+     * on the pool too, and the re-entrant parallelFor's caller claims
+     * indices itself, so they finish even when every other worker is
+     * busy or waiting on a once-guard. Returns the verbose line.
+     */
+    std::string
+    warm(std::size_t c)
+    {
         const std::uint64_t warmSeed = spec.groupSeed(
             spec.numGroups() + kBudgetPilotGroups + c, 0);
         auto &dst = cps[c];
@@ -201,20 +247,12 @@ class CheckpointWarmer
                 ++prefix;
         }
         restored += prefix;
-        if (prefix == positions.size()) {
-            if (opt.verbose)
-                std::printf("campaign: restored %zu checkpoint(s) "
-                            "for %s from %s\n", prefix,
-                            spec.configs[c].name.c_str(),
-                            opt.ckptDir.c_str());
-            return;
-        }
+        if (prefix == positions.size())
+            return sim::format("campaign: restored %zu checkpoint(s) "
+                               "for %s from %s\n", prefix,
+                               spec.configs[c].name.c_str(),
+                               opt.ckptDir.c_str());
 
-        if (opt.verbose)
-            std::printf("campaign: warming %zu checkpoint(s) for "
-                        "%s (%zu restored)...\n",
-                        positions.size() - prefix,
-                        spec.configs[c].name.c_str(), prefix);
         std::unique_ptr<core::Simulation> warmer;
         std::uint64_t done = 0;
         if (prefix) {
@@ -234,24 +272,12 @@ class CheckpointWarmer
             if (lib)
                 lib->publish(keyFor(c, warmSeed, positions[i]), dst[i]);
         }
+        return sim::format("campaign: warming %zu checkpoint(s) for "
+                           "%s (%zu restored)...\n",
+                           positions.size() - prefix,
+                           spec.configs[c].name.c_str(), prefix);
     }
 
-    /** Checkpoint of (config, position); ensureConfig'd first. */
-    const core::Checkpoint &
-    get(std::size_t config, std::size_t ck) const
-    {
-        VARSIM_ASSERT(ready[config],
-                      "checkpoint for config %zu requested before "
-                      "it was warmed", config);
-        return cps[config][ck];
-    }
-
-    const ckpt::CheckpointLibrary *library() const { return lib.get(); }
-
-    std::size_t restoredCount() const { return restored; }
-    std::size_t warmedCount() const { return warmed; }
-
-  private:
     ckpt::CheckpointKey
     keyFor(std::size_t c, std::uint64_t warmSeed,
            std::uint64_t position) const
@@ -268,10 +294,10 @@ class CheckpointWarmer
     const CampaignOptions &opt;
     std::vector<std::uint64_t> positions;
     std::vector<std::vector<core::Checkpoint>> cps;
-    std::vector<char> ready;
+    std::unique_ptr<std::once_flag[]> once; ///< one per configuration
     std::unique_ptr<ckpt::CheckpointLibrary> lib;
-    std::size_t restored = 0;
-    std::size_t warmed = 0;
+    std::atomic<std::size_t> restored{0};
+    std::atomic<std::size_t> warmed{0};
 };
 
 WarmupResult
@@ -287,8 +313,9 @@ warmCampaignCheckpoints(const CampaignSpec &spec,
 
     CheckpointWarmer warmer(spec, opt,
                             ckpt::CheckpointLibrary::open(opt.ckptDir));
-    for (std::size_t c = 0; c < spec.configs.size(); ++c)
-        warmer.ensureConfig(c);
+    std::vector<std::size_t> configs(spec.configs.size());
+    std::iota(configs.begin(), configs.end(), std::size_t{0});
+    warmer.ensureConfigs(configs);
 
     WarmupResult r;
     r.restored = warmer.restoredCount();
@@ -414,10 +441,23 @@ Execution::decisions() const
 void
 Execution::prepareCell(const Cell &cell)
 {
+    prepareCells({cell});
+}
+
+void
+Execution::prepareCells(const std::vector<Cell> &cells)
+{
     if (!eff.numCheckpoints)
         return;
-    std::lock_guard<std::mutex> lk(warmMu);
-    warmer->ensureConfig(eff.configOf(cell.group));
+    // Each configuration once, in the order the cells first name it.
+    std::vector<std::size_t> configs;
+    for (const Cell &cell : cells) {
+        const std::size_t c = eff.configOf(cell.group);
+        if (std::find(configs.begin(), configs.end(), c) ==
+            configs.end())
+            configs.push_back(c);
+    }
+    warmer->ensureConfigs(configs);
 }
 
 RunRecord

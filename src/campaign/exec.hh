@@ -14,9 +14,10 @@
  * the same code against the same durable store.
  *
  * Thread contract: pendingCells()/complete()/outcome() may be called
- * from any thread; prepareCell() serializes internally (checkpoint
- * warm-up is not concurrent); runCell() may run concurrently from
- * many threads for *distinct* prepared cells.
+ * from any thread; prepareCell()/prepareCells() too (a configuration
+ * warms once, on the first thread that needs it; a thread preparing
+ * another configuration does not wait for it); runCell() may run
+ * concurrently from many threads for *distinct* prepared cells.
  */
 
 #ifndef VARSIM_CAMPAIGN_EXEC_HH
@@ -90,13 +91,21 @@ class Execution
 
     /**
      * Make @p cell runnable: restore or re-simulate its
-     * configuration's warm-up checkpoints. Serializes internally;
-     * cheap when already warmed or when the spec plans none. The
-     * configuration's library objects are fetched concurrently on
-     * HostThreadPool with options().hostThreads workers (1 keeps
-     * them on the calling thread).
+     * configuration's warm-up checkpoints. Cheap when already warmed
+     * or when the spec plans none. The configuration's library
+     * objects are fetched concurrently on HostThreadPool with
+     * options().hostThreads workers (1 keeps them on the calling
+     * thread).
      */
     void prepareCell(const Cell &cell);
+
+    /**
+     * prepareCell() for every cell of @p cells: the distinct
+     * configurations they start from warm concurrently on
+     * HostThreadPool with options().hostThreads workers, and their
+     * verbose lines print in configuration order.
+     */
+    void prepareCells(const std::vector<Cell> &cells);
 
     /**
      * Execute @p cell and durably record it. Returns the record
@@ -141,8 +150,6 @@ class Execution
     std::vector<GroupDecision> decisions_;
     std::size_t executed = 0;
     bool ckptRecorded = false;
-
-    std::mutex warmMu; ///< serializes prepareCell
 };
 
 } // namespace campaign

@@ -78,6 +78,13 @@ fnvBytes(const std::uint8_t *p, std::size_t n)
     return h;
 }
 
+std::string
+formatName(std::uint32_t version)
+{
+    return std::to_string(version) +
+           (version > kArchiveVersion ? " (newer build)" : "");
+}
+
 std::vector<std::uint8_t>
 buildArchive(const ArchiveMeta &meta,
              const std::vector<std::uint8_t> &payload)
@@ -110,10 +117,6 @@ parseArchive(std::vector<std::uint8_t> bytes)
     if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
         return failure("bad magic (not a varsim checkpoint archive)");
     const auto version = getLe<std::uint32_t>(bytes.data() + 8);
-    if (version < 1 || version > kArchiveVersion)
-        return failure(sim::format(
-            "unsupported format version %u (this build reads 1..%u)",
-            version, kArchiveVersion));
     const auto sections = getLe<std::uint32_t>(bytes.data() + 12);
     if (sections == 0 || sections > kMaxSections)
         return failure(sim::format("implausible section count %u",
@@ -163,6 +166,19 @@ parseArchive(std::vector<std::uint8_t> bytes)
             "checksum mismatch (stored %016llx, computed %016llx)",
             static_cast<unsigned long long>(want),
             static_cast<unsigned long long>(got)));
+
+    // The container checks above hold for every version, so a newer
+    // build's intact archive is told apart from a damaged one.
+    if (version < 1 || version > kArchiveVersion) {
+        LoadResult r = failure(sim::format(
+            "unsupported format version %u%s (this build reads 1..%u)",
+            version, version > kArchiveVersion ? " from a newer build"
+                                               : "",
+            kArchiveVersion));
+        r.version = version;
+        r.newer = version > kArchiveVersion;
+        return r;
+    }
 
     const Section *metaSec = nullptr;
     const Section *paySec = nullptr;
@@ -227,7 +243,7 @@ peekArchive(const std::string &path)
         std::memcmp(head, kMagic, sizeof(kMagic)) != 0)
         return fail("not a varsim checkpoint archive");
     r.version = getLe<std::uint32_t>(head + 8);
-    if (!in || r.version < 1 || r.version > kArchiveVersion)
+    if (!in || r.version < 1)
         return fail("unreadable header");
     const auto sections = getLe<std::uint32_t>(head + 12);
     if (sections == 0 || sections > kMaxSections)

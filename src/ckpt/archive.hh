@@ -6,7 +6,7 @@
  *
  *     offset  size  field
  *     0       8     magic "VSIMCKPT"
- *     8       4     format version (currently 2)
+ *     8       4     format version (currently 3)
  *     12      4     section count S
  *     16      12*S  section table: {u32 id, u64 length} per section
  *     ...           section payloads, in table order
@@ -15,13 +15,27 @@
  * Section 1 is the metadata (one JSON line holding the key's
  * canonical string, digest, position, and warm-up seed); section 2
  * is the raw core::Checkpoint payload, in the sim::CheckpointOut
- * layout the version names (sim::kCheckpointFormat). Version 2 is
- * the current one. Version 1 differs only in its cache images (24
- * bytes a line, with 64-bit LRU stamps); it is still read, the
- * version travelling with the payload as core::Checkpoint::format so
- * that mem::CacheArray decodes those lines and ranks them by stamp.
- * Objects are named by key digest, not by version, so a library
- * written before version 2 keeps serving restores unchanged.
+ * layout the version names (sim::kCheckpointFormat). The container
+ * above is the same in every version; the versions differ only in
+ * the payload's cache images:
+ *
+ *     1   every line of an array in 24 bytes (whole address, state,
+ *         aux, 64-bit LRU stamp)
+ *     2   every line in 8 bytes (tag, state, aux, LRU rank): dense
+ *     3   a validity bitmap (one u64 word per 64 lines), then only
+ *         the valid 8-byte lines
+ *
+ * This build writes version 3 and restores 1, 2 and 3, the version
+ * travelling with the payload as core::Checkpoint::format so that
+ * mem::CacheArray decodes the lines it names. Objects are named by
+ * key digest, not by version, so a library written by an older build
+ * keeps serving restores with no re-warm. An archive from a newer
+ * build is checked like any other (the checksum does not depend on
+ * the version); when intact, `ls` and `verify` name it "format N
+ * (newer build)", it is not corrupt, gc keeps it, and a fetch misses
+ * with a warning. Builds older than this one parse no version above
+ * their own: they count a version-3 object as corrupt in `verify`,
+ * delete it in gc, and re-warm instead of restoring it.
  *
  * The section table's lengths must exactly tile the file and the
  * trailing checksum must match, so a truncated or bit-flipped file
@@ -111,16 +125,31 @@ struct LoadResult
     /** Human-readable reason when !ok. */
     std::string error;
 
-    /** Format version from the header (1..kArchiveVersion). */
+    /** Format version from the header (1..kArchiveVersion when ok;
+     *  above it when newer). */
     std::uint32_t version = 0;
+
+    /**
+     * True when !ok only because the archive comes from a newer
+     * build: every container check passed, the checksum included,
+     * but its version is above kArchiveVersion. Not damage: such an
+     * object is kept, and a fetch of it misses.
+     */
+    bool newer = false;
 
     ArchiveMeta meta;
     std::vector<std::uint8_t> payload;
 };
 
 /**
- * Validate and unpack archive bytes: magic, version, section tiling,
- * whole-file checksum and metadata digest. On success the payload is
+ * How `ls` and `verify` name archive format @p version (nonzero): the
+ * number, with " (newer build)" above kArchiveVersion.
+ */
+std::string formatName(std::uint32_t version);
+
+/**
+ * Validate and unpack archive bytes: magic, section tiling,
+ * whole-file checksum, version and metadata digest. On success the payload is
  * handed out of @p bytes itself (moved, then trimmed to the payload
  * section), so pass an rvalue to unpack without a second
  * payload-sized allocation.
@@ -140,7 +169,8 @@ LoadResult loadArchiveFile(const std::string &path);
  * ok is false when the file is missing, does not start like an
  * archive, or its table or metadata cannot be read; version still
  * holds the header's raw version whenever the file starts with the
- * archive magic (0 otherwise). The payload is always empty. Only
+ * archive magic (0 otherwise); a version above kArchiveVersion is
+ * read like any other. The payload is always empty. Only
  * loadArchiveFile() vouches for an archive's bytes.
  */
 LoadResult peekArchive(const std::string &path);

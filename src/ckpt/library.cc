@@ -75,13 +75,14 @@ std::string
 VerifyReport::toString() const
 {
     std::string s = sim::format(
-        "checked %zu object(s): %zu ok, %zu corrupt; %zu in format "
-        "1 (this build writes format %u and reads both)\n",
-        checked, ok, corrupt, format1, kArchiveVersion);
+        "checked %zu object(s): %zu ok, %zu corrupt, %zu from a newer "
+        "build; %zu in format 1 (this build writes format %u and "
+        "reads 1..%u)\n",
+        checked, ok, corrupt, newer, format1, kArchiveVersion,
+        kArchiveVersion);
     for (const Object &o : objects)
         s += sim::format("  %s  format %s  %s\n", o.digestHex.c_str(),
-                         o.format ? std::to_string(o.format).c_str()
-                                  : "?",
+                         o.format ? formatName(o.format).c_str() : "?",
                          o.ok ? "ok" : "corrupt");
     for (const std::string &p : problems)
         s += "  " + p + "\n";
@@ -165,6 +166,8 @@ CheckpointLibrary::fetch(const CheckpointKey &key,
         return false;
     LoadResult r = loadArchiveFile(path);
     if (!r.ok) {
+        // A newer build's object is left alone: this build's publish
+        // of the same key finds it on disk and writes nothing.
         sim::warn("checkpoint library: %s — re-warming instead",
                   r.error.c_str());
         return false;
@@ -252,8 +255,13 @@ CheckpointLibrary::verify() const
         ++rep.checked;
         const LoadResult r = loadArchiveFile(o.path);
         rep.objects.push_back(
-            {o.digestHex, r.ok ? r.version : peekArchive(o.path).version,
-             r.ok});
+            {o.digestHex,
+             r.ok || r.newer ? r.version : peekArchive(o.path).version,
+             r.ok || r.newer});
+        if (r.newer) {
+            ++rep.newer;
+            continue;
+        }
         if (!r.ok) {
             ++rep.corrupt;
             rep.problems.push_back(r.error);
@@ -304,7 +312,8 @@ CheckpointLibrary::gc(std::uint64_t maxBytes)
     std::vector<ScannedObject> kept;
     std::uint64_t total = 0;
     for (ScannedObject &o : scanObjects(objectsDir())) {
-        if (!loadArchiveFile(o.path).ok) {
+        const LoadResult r = loadArchiveFile(o.path);
+        if (!r.ok && !r.newer) {
             rep.bytesFreed += o.bytes;
             fs::remove(o.path, ec);
             ++rep.removedCorrupt;

@@ -94,12 +94,20 @@ struct VerifyReport
      */
     std::size_t format1 = 0;
 
+    /**
+     * Intact objects a newer build wrote (format above
+     * kArchiveVersion): neither ok nor corrupt. This build cannot
+     * restore them, and gc keeps them.
+     */
+    std::size_t newer = 0;
+
     /** One object on disk, oldest first. */
     struct Object
     {
         std::string digestHex;
         /** Header version; 0 when the header is unreadable. */
         std::uint32_t format = 0;
+        /** Intact (a newer build's intact object included). */
         bool ok = false;
     };
     std::vector<Object> objects;
@@ -152,8 +160,9 @@ class CheckpointLibrary
 
     /**
      * Look up @p key; on a hit, fill @p cp with the stored snapshot
-     * and return true. A corrupt or mismatched object is a miss
-     * (with a warning), never an abort: the caller re-warms. Safe to
+     * and return true. A corrupt or mismatched object, or one from a
+     * newer build, is a miss (with a warning), never an abort: the
+     * caller re-warms. Safe to
      * call from many threads at once: objects are immutable once
      * published, so nothing is shared but the files.
      */
@@ -178,13 +187,15 @@ class CheckpointLibrary
 
     /**
      * Fully load every object on disk: counts intact and corrupt
-     * archives, and the intact ones still in format 1.
+     * archives, the intact ones still in format 1 and those from a
+     * newer build.
      */
     VerifyReport verify() const;
 
     /**
      * Sweep temporary debris from killed writers and corrupt
-     * objects; when @p maxBytes is nonzero, evict the oldest objects
+     * objects (a newer build's intact object is not corrupt, and
+     * stays); when @p maxBytes is nonzero, evict the oldest objects
      * until the library fits. Deletes an older build's
      * `index.jsonl`. Fatal when any other handle, in this process or
      * another, holds the library open (needs the exclusive `.lock`);

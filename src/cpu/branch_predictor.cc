@@ -102,7 +102,17 @@ YagsPredictor::update(sim::Addr pc, bool taken)
 void
 YagsPredictor::checkpoint(sim::CheckpointIo &cp)
 {
+    // choiceIndex() masks with the table's size, so a restored table
+    // must have the constructed one (the geometry is no campaign
+    // knob: no legitimate snapshot differs).
+    const std::size_t entries = choicePht.size();
+    const std::size_t at = cp.offset();
     cp.field(choicePht);
+    if (choicePht.size() != entries) {
+        sim::panic("checkpoint YAGS choice PHT at offset %zu holds %zu "
+                   "entries, this predictor has %zu",
+                   at, choicePht.size(), entries);
+    }
     cp.field(history);
     cp.field(numLookups);
     cp.field(numCorrect);
@@ -144,9 +154,24 @@ ReturnAddressStack::pop()
 void
 ReturnAddressStack::checkpoint(sim::CheckpointIo &cp)
 {
+    // push() and pop() index the stack with top and wrap modulo its
+    // size, so both must describe the constructed stack.
+    const std::size_t entries = stack.size();
+    const std::size_t at = cp.offset();
     cp.field(stack);
+    if (stack.size() != entries) {
+        sim::panic("checkpoint return address stack at offset %zu "
+                   "holds %zu entries, this stack has %zu",
+                   at, stack.size(), entries);
+    }
+    const std::size_t topAt = cp.offset();
     cp.field(top);
     cp.field(count);
+    if (top >= entries || count > entries) {
+        sim::panic("checkpoint return address stack at offset %zu has "
+                   "top %zu and count %zu, past its %zu entries",
+                   topAt, top, count, entries);
+    }
 }
 
 IndirectPredictor::IndirectPredictor(std::size_t entries,

@@ -1,6 +1,7 @@
 #include "mem/cache_array.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 
@@ -166,14 +167,14 @@ void
 CacheArray::checkpoint(sim::CheckpointIo &cp)
 {
     // A save writes this array's own geometry, in the current format,
-    // and a full line vector, so every check below is the restore's:
-    // the geometry match, the cold start, format 1 and a short vector.
+    // so every check below is the restore's: the geometry match, the
+    // cold start, the older formats and a malformed image.
     std::size_t ck_sets = sets, ck_ways = ways, ck_block = blockBytes;
     cp.field(ck_sets);
     cp.field(ck_ways);
     cp.field(ck_block);
-    const bool format1 = cp.format() == 1;
-    if (format1) {
+    const std::uint32_t format = cp.format();
+    if (format == 1) {
         std::uint64_t useCounter = 0; // format 1's next stamp
         cp.field(useCounter);
     }
@@ -186,33 +187,121 @@ CacheArray::checkpoint(sim::CheckpointIo &cp)
         // Cached contents are meaningless under the new index
         // function, so start cold; memory is then the owner of
         // every block, which keeps the coherence invariants intact.
-        if (format1) {
+        if (format == 1) {
             std::vector<Format1Line> other;
             cp.field(other);
-        } else {
+        } else if (format == 2) {
             std::vector<CacheLine> other;
             cp.field(other);
+        } else {
+            std::vector<std::uint64_t> bitmap;
+            std::vector<CacheLine> valid;
+            cp.field(bitmap);
+            cp.field(valid);
         }
         std::fill(lines.begin(), lines.end(), CacheLine{});
         return;
     }
-    // The header's geometry matched, so the image lands straight in
-    // `lines` without reallocating. The line vector carries its own
-    // length, though: a stream consistent everywhere else could still
-    // hold a short vector, and find() indexes sets * ways lines.
+    if (format >= 3) {
+        checkpointLive(cp);
+        return;
+    }
+    // The header's geometry matched, so an older dense image lands
+    // straight in `lines` without reallocating. The line vector
+    // carries its own length, though: a stream consistent everywhere
+    // else could still hold a short vector, and find() indexes sets *
+    // ways lines.
     const std::size_t at = cp.offset();
-    if (format1) {
+    if (format == 1) {
         restoreFormat1(cp, at);
         return;
     }
-    // A line has no padding and a free way is all-zero bytes, so the
-    // vector's bytes are a function of the simulated state alone.
     cp.field(lines);
     if (lines.size() != sets * ways) {
         sim::panic("checkpoint cache image at offset %zu holds %zu "
                    "lines, its %zu sets x %zu ways need %zu",
                    at, lines.size(), sets, ways, sets * ways);
     }
+}
+
+void
+CacheArray::checkpointLive(sim::CheckpointIo &cp)
+{
+    const std::size_t n = sets * ways;
+    const std::size_t words = (n + 63) / 64;
+    std::vector<std::uint64_t> bitmap;
+    std::vector<CacheLine> valid;
+    if (!cp.loading()) {
+        bitmap.assign(words, 0);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (lines[i].valid()) {
+                bitmap[i / 64] |= std::uint64_t{1} << (i % 64);
+                valid.push_back(lines[i]);
+            }
+        }
+    }
+    const std::size_t bitmapAt = cp.offset();
+    cp.field(bitmap);
+    const std::size_t validAt = cp.offset();
+    cp.field(valid);
+    if (!cp.loading())
+        return;
+
+    // Each check names the offset of what it refuses: a crafted
+    // image can be consistent everywhere else (and pass an archive
+    // checksum), and find() trusts every line it is handed.
+    if (bitmap.size() != words) {
+        sim::panic("checkpoint cache image bitmap at offset %zu holds "
+                   "%zu words, its %zu sets x %zu ways need %zu",
+                   bitmapAt, bitmap.size(), sets, ways, words);
+    }
+    if (n % 64 != 0 && bitmap.back() >> (n % 64) != 0) {
+        sim::panic("checkpoint cache image bitmap at offset %zu marks "
+                   "line %zu, past its %zu lines",
+                   bitmapAt,
+                   (words - 1) * 64 +
+                       static_cast<std::size_t>(
+                           std::countr_zero(bitmap.back() >> (n % 64))) +
+                       n % 64,
+                   n);
+    }
+    // The bit count is checked as the lines are placed: a separate
+    // popcount pass is a library call per word on the baseline
+    // target, which a restore pays for every array.
+    const auto countMismatch = [&]() {
+        std::size_t marked = 0;
+        for (std::uint64_t word : bitmap)
+            marked += static_cast<std::size_t>(std::popcount(word));
+        sim::panic("checkpoint cache image bitmap at offset %zu marks "
+                   "%zu valid lines, the image at offset %zu holds %zu",
+                   bitmapAt, marked, validAt, valid.size());
+    };
+
+    // Replace the contents: a free way is all-zero bytes and a line
+    // has no padding, so one memset clears the array, and each valid
+    // line then lands on its index.
+    std::memset(static_cast<void *>(lines.data()), 0,
+                n * sizeof(CacheLine));
+    // The lines follow their vector's tag byte and tagged u64 count.
+    const std::size_t first = validAt + 1 + 1 + sizeof(std::uint64_t);
+    std::size_t k = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = bitmap[w]; bits != 0;
+             bits &= bits - 1, ++k) {
+            if (k == valid.size())
+                countMismatch();
+            const CacheLine &line = valid[k];
+            if (!line.valid()) {
+                sim::panic("checkpoint cache image line at offset %zu "
+                           "is Invalid, but its bitmap marks it valid",
+                           first + k * sizeof(CacheLine));
+            }
+            lines[w * 64 + static_cast<std::size_t>(
+                               std::countr_zero(bits))] = line;
+        }
+    }
+    if (k != valid.size())
+        countMismatch();
 }
 
 void

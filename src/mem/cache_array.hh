@@ -12,10 +12,14 @@
  * A line is 8 bytes with no padding: the tag (the block address
  * above the set-index bits, so the array supplies the set), the
  * state, the owner's aux bits and the rank. A 16-node system's tag
- * state and every checkpoint of it are therefore a third of what
- * whole addresses and 64-bit use stamps took, and the image is the
- * line vector itself. Callers that need a line's block address get
- * it from allocate()'s Victim and from forEachValid().
+ * state is therefore a third of what whole addresses and 64-bit use
+ * stamps took. Callers that need a line's block address get it from
+ * allocate()'s Victim and from forEachValid().
+ *
+ * In memory the array stays dense (every probe indexes its set
+ * directly), but its checkpoint image holds only the valid lines and
+ * a validity bitmap: a warmed 16-node L2 holds a few hundred valid
+ * lines of 65,536, so the image follows the state, not the capacity.
  */
 
 #ifndef VARSIM_MEM_CACHE_ARRAY_HH
@@ -202,11 +206,16 @@ class CacheArray : public sim::Serializable
     }
 
     /**
-     * The geometry, then the line vector as it is in memory (format
-     * sim::kCheckpointFormat). A restore also reads format 1's 24-byte
-     * lines (whole address, state, aux, 64-bit use stamp), whose ranks
-     * follow from stamp order, and restores an image of a different
-     * geometry cold.
+     * The geometry, then (format 3, sim::kCheckpointFormat) a
+     * validity bitmap of one u64 word per 64 lines of the sets x ways
+     * vector and the valid lines in index order: never more than the
+     * dense vector plus 1/64. A restore replaces the contents and
+     * panics, naming the offset, on a bitmap of the wrong length, a
+     * bit past the last line, a bit count that differs from the line
+     * count or an Invalid line. It also reads format 2's dense line
+     * vector and format 1's 24-byte lines (whole address, state, aux,
+     * 64-bit use stamp), whose ranks follow from stamp order, and
+     * restores an image of a different geometry cold.
      */
     void checkpoint(sim::CheckpointIo &cp) override;
 
@@ -236,6 +245,9 @@ class CacheArray : public sim::Serializable
 
     /** Make valid @p line of @p set its MRU line (rank 0). */
     void promote(CacheLine *set, CacheLine &line);
+
+    /** The format-3 image: validity bitmap, then the valid lines. */
+    void checkpointLive(sim::CheckpointIo &cp);
 
     /** Restore a format-1 line vector starting at offset @p at. */
     void restoreFormat1(sim::CheckpointIo &cp, std::size_t at);

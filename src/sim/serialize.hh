@@ -37,12 +37,15 @@ namespace sim
 
 /**
  * Layout version of the snapshots CheckpointOut writes, and the
- * newest CheckpointIn reads. Format 1 stored each cache line in 24
- * bytes (whole block address, state, aux, 64-bit use stamp); format
- * 2 stores it in 8 (tag, state, aux, per-set LRU rank). Every other
- * object's layout is the same in both.
+ * newest CheckpointIn reads. The formats differ only in their cache
+ * images: format 1 stored every line of an array in 24 bytes (whole
+ * block address, state, aux, 64-bit use stamp); format 2 stored
+ * every line in 8 (tag, state, aux, per-set LRU rank); format 3
+ * stores a validity bitmap, one u64 word per 64 lines, and then only
+ * the valid 8-byte lines. Every other object's layout is the same in
+ * all three, and a restore reads each of them.
  */
-constexpr std::uint32_t kCheckpointFormat = 2;
+constexpr std::uint32_t kCheckpointFormat = 3;
 
 /** Output archive: values are appended to an in-memory byte buffer. */
 class CheckpointOut

@@ -206,8 +206,9 @@ withVersion(std::vector<std::uint8_t> bytes, std::uint32_t v)
 TEST(CkptArchive, ReadsEveryFormatUpToItsOwnAndNamesIt)
 {
     const auto bytes = ckpt::buildArchive(sampleMeta(), samplePayload());
-    EXPECT_EQ(ckpt::kArchiveVersion, 2u);
-    EXPECT_EQ(bytes[8], 2u) << "buildArchive writes format 2";
+    EXPECT_EQ(ckpt::kArchiveVersion, sim::kCheckpointFormat);
+    EXPECT_EQ(bytes[8], ckpt::kArchiveVersion)
+        << "buildArchive writes the payload's format";
 
     for (std::uint32_t v = 1; v <= ckpt::kArchiveVersion; ++v) {
         const auto r = ckpt::parseArchive(withVersion(bytes, v));
@@ -222,7 +223,24 @@ TEST(CkptArchive, ReadsEveryFormatUpToItsOwnAndNamesIt)
                                std::to_string(v)),
                   std::string::npos)
             << r.error;
+        // An intact archive a newer build wrote is not damage.
+        EXPECT_EQ(r.newer, v != 0) << v;
+        EXPECT_EQ(r.version, v);
     }
+    // The checksum is checked whatever the version says, so a newer
+    // archive that is damaged is damaged.
+    auto flipped = withVersion(bytes, ckpt::kArchiveVersion + 1);
+    flipped[flipped.size() / 2] ^= 0x10;
+    const auto bad = ckpt::parseArchive(flipped);
+    EXPECT_FALSE(bad.ok);
+    EXPECT_FALSE(bad.newer);
+    EXPECT_NE(bad.error.find("checksum mismatch"), std::string::npos)
+        << bad.error;
+    EXPECT_EQ(ckpt::formatName(ckpt::kArchiveVersion),
+              std::to_string(ckpt::kArchiveVersion));
+    EXPECT_EQ(ckpt::formatName(ckpt::kArchiveVersion + 1),
+              std::to_string(ckpt::kArchiveVersion + 1) +
+                  " (newer build)");
 
     // The header and metadata alone name the version, without a
     // full load.
@@ -235,6 +253,14 @@ TEST(CkptArchive, ReadsEveryFormatUpToItsOwnAndNamesIt)
     EXPECT_TRUE(v1.ok) << v1.error;
     EXPECT_EQ(v1.version, 1u);
     EXPECT_TRUE(v1.payload.empty());
+    ASSERT_TRUE(sim::writeFileAtomic(
+        dir, "newer.vckpt", withVersion(bytes, ckpt::kArchiveVersion + 1),
+        &err))
+        << err;
+    const auto newer = ckpt::peekArchive(dir + "/newer.vckpt");
+    EXPECT_TRUE(newer.ok) << newer.error;
+    EXPECT_EQ(newer.version, ckpt::kArchiveVersion + 1);
+    EXPECT_EQ(newer.meta.position, sampleMeta().position);
     EXPECT_EQ(ckpt::peekArchive(dir + "/none.vckpt").version, 0u);
     std::ofstream(dir + "/short.vckpt") << "VSIMCKPT";
     EXPECT_EQ(ckpt::peekArchive(dir + "/short.vckpt").version, 0u);

@@ -582,9 +582,61 @@ TEST(CkptLibrary, VerifyAndListNameEachObjectsFormat)
     EXPECT_EQ(damaged.corrupt, 1u);
     EXPECT_EQ(damaged.format1, 1u);
     EXPECT_NE(damaged.toString().find(
-                  newKey.digestHex() + "  format 2  corrupt"),
+                  newKey.digestHex() + "  format " +
+                  std::to_string(ckpt::kArchiveVersion) + "  corrupt"),
               std::string::npos)
         << damaged.toString();
+}
+
+TEST(CkptLibrary, NewerBuildsObjectIsKeptNotCorrupt)
+{
+    // An intact archive in a format above this build's is a newer
+    // build's object, not damage: it is named, kept by gc, and a
+    // fetch of it misses (this build re-warms and, finding the
+    // object on disk, publishes nothing over it).
+    const std::string dir = freshDir("newer");
+    auto lib = ckpt::CheckpointLibrary::open(dir);
+    const auto key = makeKey(45);
+    const auto mine = makeKey(60);
+    ASSERT_TRUE(lib->publish(key, makeSnapshot(0x33)));
+    ASSERT_TRUE(lib->publish(mine, makeSnapshot(0x44)));
+    const std::string path = objectPath(dir, key);
+    const std::uint32_t future = ckpt::kArchiveVersion + 1;
+    ASSERT_NO_FATAL_FAILURE(restampVersion(path, future));
+    const auto size = std::filesystem::file_size(path);
+
+    const auto entries = lib->entries();
+    ASSERT_EQ(entries.size(), 2u);
+    for (const auto &e : entries) {
+        EXPECT_EQ(e.format, e.digestHex == key.digestHex()
+                                ? future
+                                : ckpt::kArchiveVersion);
+        EXPECT_FALSE(e.key.empty());
+    }
+
+    const auto rep = lib->verify();
+    EXPECT_TRUE(rep.clean()) << rep.toString();
+    EXPECT_EQ(rep.corrupt, 0u);
+    EXPECT_EQ(rep.ok, 1u);
+    EXPECT_EQ(rep.newer, 1u);
+    const std::string text = rep.toString();
+    EXPECT_NE(text.find(key.digestHex() + "  format " +
+                        std::to_string(future) + " (newer build)  ok"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("1 from a newer build"), std::string::npos)
+        << text;
+
+    core::Checkpoint got;
+    EXPECT_FALSE(lib->fetch(key, got));
+    EXPECT_FALSE(lib->publish(key, makeSnapshot(0x33)));
+    EXPECT_TRUE(lib->fetch(mine, got));
+
+    const auto gc = lib->gc();
+    EXPECT_EQ(gc.removedCorrupt, 0u) << gc.toString();
+    ASSERT_TRUE(std::filesystem::exists(path));
+    EXPECT_EQ(std::filesystem::file_size(path), size);
+    EXPECT_EQ(lib->entries().size(), 2u);
 }
 
 TEST(CkptLibraryDeathTest, PublishingAnOlderFormatIsABug)

@@ -16,11 +16,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/campaign.hh"
 #include "campaign/exec.hh"
+#include "campaign/knobs.hh"
 #include "ckpt/archive.hh"
 #include "ckpt/library.hh"
 #include "core/varsim.hh"
@@ -353,6 +356,106 @@ TEST(CkptCampaign, PrewarmThenRunRestoresEverything)
     const auto rep = campaign::campaignReport(dir);
     EXPECT_NE(rep.text.find("served from library"),
               std::string::npos);
+}
+
+/** Every object file of the library at @p dir, by name. */
+std::map<std::string, std::vector<std::uint8_t>>
+libraryObjects(const std::string &dir)
+{
+    std::map<std::string, std::vector<std::uint8_t>> out;
+    for (const auto &e :
+         std::filesystem::directory_iterator(dir + "/objects")) {
+        std::vector<std::uint8_t> bytes;
+        std::string err;
+        EXPECT_TRUE(sim::readWholeFile(e.path().string(), bytes, &err))
+            << err;
+        out[e.path().filename().string()] = std::move(bytes);
+    }
+    return out;
+}
+
+TEST(CkptCampaign, ConcurrentWarmUpPublishesTheSerialObjects)
+{
+    // Configurations warm concurrently with several host threads; the
+    // objects, the counts and the verbose lines (in configuration
+    // order) are those of a one-thread warm-up.
+    auto spec = ckptSpec();
+    core::SystemConfig sysC = spec.configs.front().sys;
+    sysC.mem.l2Assoc *= 4;
+    spec.configs.push_back({"assoc-top", sysC});
+
+    std::map<std::string, std::vector<std::uint8_t>> objects[2];
+    std::string lines[2];
+    for (std::size_t threads : {1, 4}) {
+        const std::size_t k = threads == 1 ? 0 : 1;
+        campaign::CampaignOptions opt;
+        opt.ckptDir = freshDir("concurrent-lib" + std::to_string(k));
+        opt.hostThreads = threads;
+        opt.verbose = true;
+        ::testing::internal::CaptureStdout();
+        const auto w = campaign::warmCampaignCheckpoints(spec, opt);
+        lines[k] = ::testing::internal::GetCapturedStdout();
+        EXPECT_EQ(w.warmed, 6u) << threads;
+        EXPECT_EQ(w.restored, 0u) << threads;
+        EXPECT_EQ(w.libraryEntries, 6u) << threads;
+        objects[k] = libraryObjects(opt.ckptDir);
+    }
+    EXPECT_EQ(objects[0], objects[1]);
+    EXPECT_EQ(lines[0], lines[1]);
+    EXPECT_EQ(lines[0],
+              "campaign: warming 2 checkpoint(s) for assoc-lo (0 "
+              "restored)...\ncampaign: warming 2 checkpoint(s) for "
+              "assoc-hi (0 restored)...\ncampaign: warming 2 "
+              "checkpoint(s) for assoc-top (0 restored)...\n");
+}
+
+TEST(CkptCampaign, ConfigWarmsOnceUnderConcurrentPrepares)
+{
+    // Many threads preparing cells of both configurations at once,
+    // as daemon workers do: each configuration warms exactly once,
+    // and every thread then sees its checkpoints.
+    const auto spec = ckptSpec();
+    campaign::CampaignOptions opt;
+    opt.hostThreads = 1;
+    std::string err;
+    auto exec = campaign::Execution::tryCreate(
+        spec, freshDir("once-store"), opt, &err);
+    ASSERT_NE(exec, nullptr) << err;
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 8; ++t)
+        threads.emplace_back([&, t] {
+            exec->prepareCell({t % spec.numGroups(), 0});
+        });
+    for (auto &t : threads)
+        t.join();
+    EXPECT_EQ(exec->checkpointsWarmed(), 4u);
+    EXPECT_EQ(exec->checkpointsRestored(), 0u);
+    for (std::size_t g = 0; g < spec.numGroups(); ++g)
+        exec->runCell({g, 0});
+    EXPECT_EQ(exec->checkpointsWarmed(), 4u);
+}
+
+TEST(CkptSize, SixteenNodeApacheSnapshotIsUnderOneMiB)
+{
+    // sampled-apache's system (16 OoO nodes on the directory, 4 MiB
+    // L2s of 65,536 lines) holds a few hundred valid L2 lines per
+    // node after 300 transactions; its snapshot follows them, not
+    // the capacity (dense 8-byte images made it 9.4 MB).
+    campaign::SpecFields f;
+    f.workload = "apache";
+    f.base["model"] = "ooo";
+    f.base["protocol"] = "directory";
+    campaign::CampaignSpec spec;
+    std::string err;
+    ASSERT_TRUE(campaign::buildSpec(f, spec, &err)) << err;
+    const core::SystemConfig &sys = spec.configs.front().sys;
+    ASSERT_EQ(sys.mem.numNodes, 16u);
+    core::Simulation sim(sys, spec.wl);
+    sim.seedPerturbation(7);
+    sim.runTransactions(300);
+    const core::Checkpoint cp = sim.checkpoint();
+    EXPECT_LT(cp.size(), std::size_t{1} << 20);
+    EXPECT_GT(cp.size(), std::size_t{100} << 10);
 }
 
 TEST(CkptCampaign, ShardOnlyWarmsConfigsItsStripeTouches)

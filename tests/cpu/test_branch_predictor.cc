@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "cpu/branch_predictor.hh"
 
 namespace varsim
@@ -125,6 +129,109 @@ TEST(Ras, SerializeRoundTrip)
     b.unserialize(in);
     EXPECT_EQ(b.pop(), 0x222u);
     EXPECT_EQ(b.pop(), 0x111u);
+}
+
+// ---- restores of crafted, well-tagged images ----
+
+/** A YAGS image with a @p choice-entry choice PHT and the default
+ *  predictor's 2 x 1024 direction-cache entries. */
+std::vector<std::uint8_t>
+yagsImage(std::size_t choice)
+{
+    sim::CheckpointOut out;
+    out.put(std::vector<std::uint8_t>(choice, 1));
+    out.put(std::uint32_t{0});  // history
+    out.put(std::uint64_t{0});  // lookups
+    out.put(std::uint64_t{0});  // correct
+    for (int i = 0; i < 2 * 1024; ++i) {
+        out.put(std::uint16_t{0}); // tag
+        out.put(std::uint8_t{1});  // counter
+        out.put(false);            // valid
+    }
+    return out.bytes();
+}
+
+/** A RAS image of @p entries addresses with @p top and @p count. */
+std::vector<std::uint8_t>
+rasImage(std::size_t entries, std::size_t top, std::size_t count)
+{
+    sim::CheckpointOut out;
+    out.put(std::vector<sim::Addr>(entries, 0));
+    out.put(top);
+    out.put(count);
+    return out.bytes();
+}
+
+TEST(PredictorImages, CraftedImagesHaveTheSavedLayout)
+{
+    // The builders below write exactly what a fresh predictor saves,
+    // so the death tests differ from a real image only where they
+    // say.
+    sim::CheckpointOut yags, ras;
+    YagsPredictor().serialize(yags);
+    ReturnAddressStack().serialize(ras);
+    EXPECT_EQ(yags.bytes(), yagsImage(4096));
+    EXPECT_EQ(ras.bytes(), rasImage(64, 0, 0));
+}
+
+TEST(PredictorImagesDeathTest, YagsChoiceTableOfAnotherLengthDies)
+{
+    // An empty table makes choiceIndex() mask with SIZE_MAX, so
+    // predict() would read far past the buffer.
+    for (std::size_t entries : {std::size_t{0}, std::size_t{2048}}) {
+        const auto image = yagsImage(entries);
+        EXPECT_DEATH(
+            {
+                YagsPredictor p;
+                sim::CheckpointIn in(image);
+                p.unserialize(in);
+                p.update(0x4000, true);
+                (void)p.predict(0x4000);
+            },
+            "choice PHT at offset 0 holds " + std::to_string(entries) +
+                " entries, this predictor has 4096");
+    }
+}
+
+TEST(PredictorImagesDeathTest, RasStackOfAnotherLengthDies)
+{
+    // An empty stack makes push() divide by zero.
+    const auto image = rasImage(0, 0, 0);
+    EXPECT_DEATH(
+        {
+            ReturnAddressStack ras;
+            sim::CheckpointIn in(image);
+            ras.unserialize(in);
+            ras.push(0x100);
+        },
+        "return address stack at offset 0 holds 0 entries, this "
+        "stack has 64");
+}
+
+TEST(PredictorImagesDeathTest, RasTopOrCountPastTheStackDies)
+{
+    // top's tag follows the stack: its vector tag, its tagged count
+    // and 64 addresses.
+    const std::string at = "offset " + std::to_string(1 + 9 + 64 * 8);
+    const auto topPast = rasImage(64, 64, 1);
+    EXPECT_DEATH(
+        {
+            ReturnAddressStack ras;
+            sim::CheckpointIn in(topPast);
+            ras.unserialize(in);
+            (void)ras.pop();
+        },
+        at + " has top 64 and count 1, past its 64 entries");
+    const auto countPast = rasImage(64, 3, 65);
+    EXPECT_DEATH(
+        {
+            ReturnAddressStack ras;
+            sim::CheckpointIn in(countPast);
+            ras.unserialize(in);
+            while (ras.depth() > 0)
+                (void)ras.pop();
+        },
+        at + " has top 3 and count 65, past its 64 entries");
 }
 
 TEST(Indirect, LearnsStableTarget)

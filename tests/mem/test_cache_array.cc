@@ -347,7 +347,7 @@ TEST(CacheArray, Format1ImageRestoresSameFindsAndVictims)
         }
     }
     // The same rank state as the array that ran the ops natively,
-    // down to the format-2 image bytes...
+    // down to the current image's bytes...
     sim::CheckpointOut a, b;
     ranked.serialize(a);
     restored.serialize(b);
@@ -376,6 +376,169 @@ TEST(CacheArray, Format1EqualStampsEvictTheFirstWay)
     EXPECT_EQ(victim.blockAddr, 0x40u);
 }
 
+// ---- format 2: the dense 8-byte line vector ----
+
+/** The geometry and bitmap + valid lines of @p a's format-3 image. */
+struct LiveImage
+{
+    std::uint64_t sets = 0, ways = 0, block = 0;
+    std::vector<std::uint64_t> bitmap;
+    std::vector<CacheLine> valid;
+
+    explicit LiveImage(const CacheArray &a)
+    {
+        sim::CheckpointOut out;
+        a.serialize(out);
+        sim::CheckpointIn in(out.bytes());
+        in.get(sets);
+        in.get(ways);
+        in.get(block);
+        in.get(bitmap);
+        in.get(valid);
+        EXPECT_TRUE(in.exhausted());
+    }
+
+    /** The image's bytes, as a restore reads them. */
+    std::vector<std::uint8_t>
+    bytes() const
+    {
+        sim::CheckpointOut out;
+        out.put(sets);
+        out.put(ways);
+        out.put(block);
+        out.put(bitmap);
+        out.put(valid);
+        return out.bytes();
+    }
+
+    /** The same contents as a format-2 image: every line, in place. */
+    std::vector<std::uint8_t>
+    dense() const
+    {
+        std::vector<CacheLine> lines(sets * ways);
+        std::size_t k = 0;
+        for (std::size_t i = 0; i < lines.size(); ++i)
+            if (bitmap[i / 64] >> (i % 64) & 1)
+                lines[i] = valid.at(k++);
+        EXPECT_EQ(k, valid.size());
+        sim::CheckpointOut out;
+        out.put(sets);
+        out.put(ways);
+        out.put(block);
+        out.put(lines);
+        return out.bytes();
+    }
+};
+
+/** Where a format-3 image's bitmap and its first valid line start:
+ *  three tagged u64s, then each vector's tag and tagged count. */
+constexpr std::size_t kBitmapOffset = 3 * 9;
+
+constexpr std::size_t
+liveLineOffset(std::size_t words, std::size_t i)
+{
+    return kBitmapOffset + 10 + words * 8 + 10 + i * sizeof(CacheLine);
+}
+
+TEST(CacheArray, Format2ImageRestoresSameFindsAndVictims)
+{
+    CacheArray ranked(1024, 4, 64);
+    StampArray writer(1024, 4, 64);
+    sim::Random rng(5);
+    ASSERT_NO_FATAL_FAILURE(driveBoth(ranked, writer, rng, 3000, 40));
+
+    const std::vector<std::uint8_t> image = LiveImage(ranked).dense();
+    ASSERT_EQ(image.size(), 3 * 9 + 10 + 4 * 4 * sizeof(CacheLine));
+    CacheArray restored(1024, 4, 64);
+    sim::CheckpointIn in(image, 2);
+    restored.unserialize(in);
+    EXPECT_TRUE(in.exhausted());
+
+    for (sim::Addr b = 0; b < 40 * 64; b += 64) {
+        const CacheLine *r = restored.find(b);
+        const StampLine *s = writer.find(b);
+        ASSERT_EQ(r != nullptr, s != nullptr) << b;
+        if (r != nullptr) {
+            EXPECT_EQ(static_cast<std::uint8_t>(r->state), s->state);
+            EXPECT_EQ(r->aux, s->aux);
+        }
+    }
+    // The same rank state as the array that ran the ops natively,
+    // down to the current image's bytes...
+    sim::CheckpointOut a, b;
+    ranked.serialize(a);
+    restored.serialize(b);
+    EXPECT_EQ(a.bytes(), b.bytes());
+    // ...and the same victims as the writer from here on.
+    sim::Random more(6);
+    ASSERT_NO_FATAL_FAILURE(driveBoth(restored, writer, more, 3000, 40));
+}
+
+// ---- format 3: a validity bitmap and the valid lines ----
+
+TEST(CacheArray, LiveImageHoldsOnlyTheValidLines)
+{
+    // 64 sets x 4 ways = 256 lines, 4 bitmap words; 3 valid lines.
+    CacheArray a(64 * 4 * 64, 4, 64);
+    Victim victim;
+    for (sim::Addr b : {sim::Addr{0x40}, sim::Addr{0x1040},
+                        sim::Addr{0xfc0}}) {
+        auto [line, _] = a.allocate(b, victim);
+        line->state = LineState::Shared;
+    }
+    const LiveImage live(a);
+    EXPECT_EQ(live.bitmap.size(), 4u);
+    EXPECT_EQ(live.valid.size(), 3u);
+    // Set 1 holds 0x40 (way 0) then 0x1040 (way 1); set 63 holds
+    // 0xfc0: lines 4, 5 and 252, in index order.
+    EXPECT_EQ(live.bitmap[0], 0x30u);
+    EXPECT_EQ(live.bitmap[3], std::uint64_t{1} << (252 - 192));
+    EXPECT_EQ(live.valid[0].tag, 0u);
+    EXPECT_EQ(live.valid[1].tag, 1u);
+    sim::CheckpointOut out;
+    a.serialize(out);
+    EXPECT_EQ(out.size(), liveLineOffset(4, 3));
+
+    // A full array's image is the dense one plus its bitmap.
+    CacheArray full(1024, 2, 64);
+    for (sim::Addr b = 0; b < 1024; b += 64) {
+        auto [line, _] = full.allocate(b, victim);
+        line->state = LineState::Modified;
+    }
+    sim::CheckpointOut fullOut;
+    full.serialize(fullOut);
+    EXPECT_EQ(fullOut.size(),
+              LiveImage(full).dense().size() + 10 + 8);
+}
+
+TEST(CacheArray, LiveImageRestoreReplacesTheContents)
+{
+    // Restoring over an array that already holds lines leaves
+    // exactly the image's lines, ranks and all. The image's 6 blocks
+    // leave ways free that the restored-over array had filled.
+    CacheArray a(1024, 4, 64);
+    CacheArray b(1024, 4, 64);
+    StampArray unused(1024, 4, 64);
+    sim::Random ra(11), rb(12);
+    ASSERT_NO_FATAL_FAILURE(driveBoth(a, unused, ra, 500, 6));
+    StampArray unusedB(1024, 4, 64);
+    ASSERT_NO_FATAL_FAILURE(driveBoth(b, unusedB, rb, 500, 64));
+    ASSERT_GT(b.countValid(), a.countValid());
+
+    sim::CheckpointOut out;
+    a.serialize(out);
+    sim::CheckpointIn in(out.bytes());
+    b.unserialize(in);
+    EXPECT_TRUE(in.exhausted());
+    EXPECT_EQ(b.countValid(), a.countValid());
+    for (sim::Addr blk = 0; blk < 64 * 64; blk += 64)
+        EXPECT_EQ(a.find(blk) != nullptr, b.find(blk) != nullptr)
+            << blk;
+    sim::CheckpointOut again;
+    b.serialize(again);
+    EXPECT_EQ(again.bytes(), out.bytes());
+}
+
 TEST(CacheArray, MismatchedGeometryRestoresCold)
 {
     // Restoring into a different geometry (the paper's Experiment 1
@@ -395,11 +558,15 @@ TEST(CacheArray, MismatchedGeometryRestoresCold)
     fresh->state = static_cast<std::uint8_t>(LineState::Modified);
     const auto format1 = writer.image();
 
-    for (std::uint32_t format : {2u, 1u}) {
+    const auto format2 = LiveImage(a).dense();
+
+    for (std::uint32_t format : {sim::kCheckpointFormat, 2u, 1u}) {
         CacheArray b(1024, 1, 64); // same capacity, direct mapped
         auto [warm, unused] = b.allocate(0x80, victim);
         warm->state = LineState::Shared;
-        sim::CheckpointIn in(format == 2 ? out.bytes() : format1,
+        sim::CheckpointIn in(format == sim::kCheckpointFormat ? out.bytes()
+                             : format == 2                    ? format2
+                                                              : format1,
                              format);
         b.unserialize(in);
         EXPECT_EQ(b.countValid(), 0u) << "format " << format;
@@ -429,15 +596,14 @@ TEST(CacheArrayDeathTest, ShortLineVectorInImageDies)
     };
 
     CacheArray a(1024, 2, 64);
-    sim::CheckpointOut out;
-    a.serialize(out);
     const std::size_t lines = a.numSets() * a.numWays();
-    const auto format2 = shorten(out.bytes(), lines, sizeof(CacheLine));
+    const auto format2 =
+        shorten(LiveImage(a).dense(), lines, sizeof(CacheLine));
     const auto format1 = shorten(StampArray(1024, 2, 64).image(), lines,
                                  sizeof(StampLine));
 
     CacheArray b(1024, 2, 64);
-    sim::CheckpointIn in2(format2);
+    sim::CheckpointIn in2(format2, 2);
     EXPECT_DEATH(b.unserialize(in2), "holds 15 lines.*need 16");
     sim::CheckpointIn in1(format1, 1);
     EXPECT_DEATH(b.unserialize(in1), "holds 15 lines.*need 16");
@@ -481,6 +647,86 @@ TEST(CacheArrayDeathTest, Format1LineBeyondATagDies)
     EXPECT_DEATH(a.unserialize(in),
                  "offset " + std::to_string(format1LineOffset(0)) +
                      " holds block 0x20000000000.*32-bit tag");
+}
+
+/** A 16-line array (8 sets x 2 ways) holding blocks 0x40 and 0x80. */
+LiveImage
+twoLineImage()
+{
+    CacheArray a(1024, 2, 64);
+    Victim victim;
+    for (sim::Addr b : {sim::Addr{0x40}, sim::Addr{0x80}}) {
+        auto [line, _] = a.allocate(b, victim);
+        line->state = LineState::Owned;
+    }
+    LiveImage live(a);
+    EXPECT_EQ(live.bitmap, std::vector<std::uint64_t>{0x14});
+    return live;
+}
+
+TEST(CacheArrayDeathTest, LiveImageBitmapOfTheWrongLengthDies)
+{
+    // find() indexes every line the bitmap may mark, so the bitmap
+    // must cover exactly sets x ways lines: here one word.
+    for (std::size_t words : {0, 2}) {
+        LiveImage live = twoLineImage();
+        live.bitmap.resize(words);
+        if (words)
+            live.bitmap[0] = 0x14;
+        const auto image = live.bytes();
+        CacheArray b(1024, 2, 64);
+        sim::CheckpointIn in(image);
+        EXPECT_DEATH(b.unserialize(in),
+                     "bitmap at offset " + std::to_string(kBitmapOffset) +
+                         " holds " + std::to_string(words) +
+                         " words, its 8 sets x 2 ways need 1");
+    }
+}
+
+TEST(CacheArrayDeathTest, LiveImageBitPastTheLastLineDies)
+{
+    LiveImage live = twoLineImage();
+    live.bitmap[0] = 0x4 | std::uint64_t{1} << 20;
+    const auto image = live.bytes();
+    CacheArray b(1024, 2, 64);
+    sim::CheckpointIn in(image);
+    EXPECT_DEATH(b.unserialize(in),
+                 "bitmap at offset " + std::to_string(kBitmapOffset) +
+                     " marks line 20, past its 16 lines");
+}
+
+TEST(CacheArrayDeathTest, LiveImageBitCountUnlikeItsLinesDies)
+{
+    // One bit too few and one too many: either way a line would land
+    // nowhere, or a marked way would read past the valid lines.
+    for (std::uint64_t bits : {std::uint64_t{0x4}, std::uint64_t{0x15}}) {
+        LiveImage live = twoLineImage();
+        live.bitmap[0] = bits;
+        const auto image = live.bytes();
+        CacheArray b(1024, 2, 64);
+        sim::CheckpointIn in(image);
+        EXPECT_DEATH(b.unserialize(in),
+                     "bitmap at offset " + std::to_string(kBitmapOffset) +
+                         " marks " + (bits == 0x4 ? "1" : "3") +
+                         " valid lines, the image at offset " +
+                         std::to_string(kBitmapOffset + 10 + 8) +
+                         " holds 2");
+    }
+}
+
+TEST(CacheArrayDeathTest, LiveImageInvalidLineDies)
+{
+    // A marked line must be valid: an Invalid one would sit in the
+    // set with a rank, and the ranks of a set must be 0..n-1 over
+    // its valid lines.
+    LiveImage live = twoLineImage();
+    live.valid[1].state = LineState::Invalid;
+    const auto image = live.bytes();
+    CacheArray b(1024, 2, 64);
+    sim::CheckpointIn in(image);
+    EXPECT_DEATH(b.unserialize(in),
+                 "line at offset " + std::to_string(liveLineOffset(1, 1)) +
+                     " is Invalid, but its bitmap marks it valid");
 }
 
 TEST(CacheArrayDeathTest, BlockBeyondATagDies)

@@ -17,8 +17,12 @@ f="--workload oltp --cpus 2 --warmup 5 --txns 20 --runs 2 --seed 3
 
 $v ckpt create --dir "$lib" $f >"$d/create.log"
 $v ckpt ls --dir "$lib" >"$d/ls.before"
-[ "$(grep -c 'byte(s)  format 2$' "$d/ls.before")" = 4 ]
 $v ckpt verify --dir "$lib" >"$d/verify.before"
+# Every object is in the format this build writes.
+fmt=$(sed -n 's/.*this build writes format \([0-9]*\) .*/\1/p' \
+    "$d/verify.before")
+[ -n "$fmt" ]
+[ "$(grep -c "byte(s)  format $fmt\$" "$d/ls.before")" = 4 ]
 
 for c in a b; do
     $v campaign run --dir "$d/$c.camp" --ckpt-dir "$lib" $f >"$d/$c.log"

@@ -8,7 +8,10 @@ Accepts any emitter that follows the bench_sim_throughput schema
 (bench_sim_throughput, bench_ckpt_restore, bench_serve_throughput,
 ...); both files must come from the same emitter ("bench" fields
 must match). serve_throughput emissions additionally get a service
-report comparing submit / time-to-first-result latency percentiles.
+report comparing submit / time-to-first-result latency percentiles,
+and rows that carry "snapshot_bytes" in both files (ckpt_restore) a
+table of checkpoint sizes: an exact figure, where the wall times
+beside it are noisy.
 
 Prints a per-row table of ticks/host-second speedups (candidate over
 baseline) and the geometric-mean speedup. Rows are matched on
@@ -92,6 +95,25 @@ def service_report(base, cand, matched):
                   f"{camp_c / camp_b:>7.2f}x")
 
 
+def bytes_report(base, cand, matched):
+    """Snapshot sizes, for the matched rows that carry them in both
+    files (candidate/baseline ratio; below 1.0 is smaller)."""
+    rows = [key for key in matched
+            if "snapshot_bytes" in base[key] and
+            "snapshot_bytes" in cand[key]]
+    if not rows:
+        return
+    print("\nsnapshot bytes (candidate vs baseline; <1.00x is "
+          "smaller):")
+    print(f"{'workload':<12} {'mode':<8} {'base':>11} {'cand':>11} "
+          f"{'ratio':>8}")
+    for key in rows:
+        b = base[key]["snapshot_bytes"]
+        c = cand[key]["snapshot_bytes"]
+        ratio = f"{c / b:>7.3f}x" if b else f"{'n/a':>8}"
+        print(f"{key[0]:<12} {key[1]:<8} {b:>11} {c:>11} {ratio}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("baseline")
@@ -143,6 +165,7 @@ def main():
     print(f"{'geomean':<21} {'':>21} {geomean:>7.2f}x")
 
     service_report(base, cand, matched)
+    bytes_report(base, cand, matched)
 
     status = 0
     if failed:

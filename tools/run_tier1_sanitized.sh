@@ -97,23 +97,26 @@ fi
 
 # The checkpoint path's corruption claims, explicitly under
 # instrumented memory checking: an archive is unpacked inside its own
-# read buffer and a cache image is copied straight out of the
-# snapshot, so ASan is what proves that every truncated or
-# bit-flipped archive, and a cache image with a short line vector, is
-# rejected without a read past the buffer. Every object states its
-# checkpoint layout in one function that saves and restores it, so
-# the round trips run that code in both directions: whole systems on
-# both fabrics (CkptRoundTrip, Checkpoint), the memory system and the
-# directory rebuilt from its caches, the archive primitives, and the
-# branch predictors.
+# read buffer and a cache image's valid lines are placed by its
+# bitmap, so ASan is what proves that every truncated or bit-flipped
+# archive, a newer build's archive, a cache image with a short line
+# vector or a malformed bitmap, and a predictor image of the wrong
+# length are rejected without a read or write past a buffer. Every
+# object states its checkpoint layout in one function that saves and
+# restores it, so the round trips run that code in both directions:
+# whole systems on both fabrics (CkptRoundTrip, Checkpoint), the
+# memory system and the directory rebuilt from its caches, the
+# archive primitives, the library, and the branch predictors.
 "$build/tests/test_ckpt" \
-    --gtest_filter='CkptArchive.*:*CkptRoundTrip.*' >/dev/null &&
+    --gtest_filter='CkptArchive.*:CkptLibrary*:*CkptRoundTrip.*:CkptSize.*' \
+    >/dev/null &&
 "$build/tests/test_sim" --gtest_filter='Checkpoint.*' >/dev/null &&
 "$build/tests/test_core" --gtest_filter='Checkpoint.*' >/dev/null &&
 "$build/tests/test_mem" \
     --gtest_filter='CacheArray*:DirectoryTest.RestoreRebuildsDirectoryFromCaches:MemSystemTest.*' \
     >/dev/null &&
-"$build/tests/test_cpu" --gtest_filter='*.SerializeRoundTrip' \
+"$build/tests/test_cpu" \
+    --gtest_filter='*.SerializeRoundTrip:PredictorImages*' \
     >/dev/null || {
     echo "error: archive, cache-image or checkpoint round-trip" \
         "suites failed under asan/ubsan" >&2
@@ -205,8 +208,11 @@ echo "tier-1 suite clean under address,undefined sanitizers;" \
 # and the store's own synchronization — TSan proves the absence of
 # any side channel. The checkpoint path shares more: library fetches
 # run concurrently outside the library lock (CkptLibrary.*, and a
-# campaign fetching a configuration's positions on the pool), and
-# concurrent restores read one snapshot in place. The campaign death
+# campaign fetching a configuration's positions on the pool),
+# configurations warm concurrently behind one once-guard each (a
+# multi-threaded `ckpt create`, and threads preparing cells of one
+# campaign at once), and concurrent restores read one snapshot in
+# place. The campaign death
 # tests exit from a forked child; they finish because the process
 # pool is never destroyed, so exit() joins no threads the child does
 # not have.
@@ -229,7 +235,7 @@ done
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 ctest --test-dir "$tsan_build" --output-on-failure -j "$jobs" \
     --no-tests=error \
-    -R '^((HostThreadPool|RunManyBatch|RunManyExceptions|CkptLibrary|Campaign|CampaignDeathTest|ResultStore|ResultStoreDeathTest|StoreCompaction|StoreCompactionDeathTest|SegmentFormat)\.|GoldenDeterminism\.HostThreadCountInvariant$|CkptCampaign\.HoleInLibraryRestoresOnlyThePrefix$|Checkpoint\.ConcurrentRestoresReadTheSnapshotInPlace$)'
+    -R '^((HostThreadPool|RunManyBatch|RunManyExceptions|CkptLibrary|Campaign|CampaignDeathTest|ResultStore|ResultStoreDeathTest|StoreCompaction|StoreCompactionDeathTest|SegmentFormat)\.|GoldenDeterminism\.HostThreadCountInvariant$|CkptCampaign\.(HoleInLibraryRestoresOnlyThePrefix|ConcurrentWarmUpPublishesTheSerialObjects|ConfigWarmsOnceUnderConcurrentPrepares)$|Checkpoint\.ConcurrentRestoresReadTheSnapshotInPlace$)'
 
 echo "across-run executors, campaign store and checkpoint" \
     "fetch/restore clean under thread sanitizer"

@@ -127,8 +127,8 @@
  *                                      object's archive format
  *   verify: --dir <library>            integrity-check every object,
  *                                      name its format and count
- *                                      format-1 ones; exit 1 on
- *                                      damage
+ *                                      format-1 and newer-build
+ *                                      ones; exit 1 on damage
  *   gc:     --dir <library> [--max-bytes <n>]
  *                                      sweep debris/corruption and
  *                                      evict oldest over the cap
@@ -167,6 +167,7 @@
 
 #include "campaign/campaign.hh"
 #include "campaign/knobs.hh"
+#include "ckpt/archive.hh"
 #include "ckpt/library.hh"
 #include "core/varsim.hh"
 #include "serve/client.hh"
@@ -803,7 +804,7 @@ cmdCkpt(const std::string &action, const Args &args)
                         static_cast<unsigned long long>(
                             e.warmupSeed),
                         static_cast<unsigned long long>(e.bytes),
-                        e.format ? std::to_string(e.format).c_str()
+                        e.format ? ckpt::formatName(e.format).c_str()
                                  : "? (unreadable)");
         }
         return 0;
