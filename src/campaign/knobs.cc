@@ -1,7 +1,6 @@
 #include "campaign/knobs.hh"
 
-#include <cerrno>
-#include <cstdlib>
+#include "sim/number.hh"
 
 namespace varsim
 {
@@ -19,78 +18,76 @@ fail(std::string *err, std::string msg)
     return false;
 }
 
-/**
- * Digits only, like the CLI's unsigned flags: no sign, no blanks, no
- * trailing garbage, no overflow.
- */
-bool
-parseUnsigned(const std::string &text, std::uint64_t &out)
+using Sys = core::SystemConfig;
+using U = std::uint64_t;
+
+const Knob kKnobs[] = {
+    {"cpus", true, {}, [](Sys &s, U n) { s.mem.numNodes = n; }},
+    {"l2-assoc", false, {}, [](Sys &s, U n) { s.mem.l2Assoc = n; }},
+    {"l2-size", false, {}, [](Sys &s, U n) { s.mem.l2Size = n; }},
+    {"dram", false, {}, [](Sys &s, U n) { s.mem.dramLatency = n; }},
+    {"perturb", false, {}, [](Sys &s, U n) { s.mem.perturbMaxNs = n; }},
+    {"rob", false, {},
+     [](Sys &s, U n) { s.cpu.robEntries = static_cast<std::uint32_t>(n); }},
+    {"quantum", false, {}, [](Sys &s, U n) { s.os.quantum = n; }},
+    {"model", false, {"simple", "ooo"},
+     [](Sys &s, U w) {
+         s.cpu.model = w ? cpu::CpuConfig::Model::OutOfOrder
+                         : cpu::CpuConfig::Model::Simple;
+     }},
+    {"protocol", false, {"snooping", "directory"},
+     [](Sys &s, U w) {
+         s.mem.protocol = w ? mem::CoherenceProtocol::Directory
+                            : mem::CoherenceProtocol::Snooping;
+     }},
+    {"prefetch", false, {"on", "off"},
+     [](Sys &s, U w) { s.mem.l2NextLinePrefetch = w == 0; }},
+};
+
+const Knob *
+findKnob(const std::string &name)
 {
-    if (text.empty() ||
-        text.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    errno = 0;
-    out = std::strtoull(text.c_str(), nullptr, 10);
-    return errno != ERANGE;
+    for (const Knob &k : kKnobs)
+        if (name == k.name)
+            return &k;
+    return nullptr;
 }
 
-} // anonymous namespace
-
+/**
+ * Apply one configuration knob ("l2-assoc", "model", ...) to @p sys.
+ * Returns false and sets @p err on an unknown knob or a bad value.
+ */
 bool
 applyKnob(core::SystemConfig &sys, const std::string &knob,
           const std::string &value, std::string *err)
 {
-    std::uint64_t n = 0;
-    const bool numeric = knob == "cpus" || knob == "l2-assoc" ||
-                         knob == "l2-size" || knob == "dram" ||
-                         knob == "perturb" || knob == "rob" ||
-                         knob == "quantum";
-    if (numeric && !parseUnsigned(value, n))
-        return fail(err, knob + " wants an unsigned integer (got '" +
-                             value + "')");
-    if (knob == "cpus") {
-        sys.mem.numNodes = n;
-    } else if (knob == "l2-assoc") {
-        sys.mem.l2Assoc = n;
-    } else if (knob == "l2-size") {
-        sys.mem.l2Size = n;
-    } else if (knob == "dram") {
-        sys.mem.dramLatency = n;
-    } else if (knob == "perturb") {
-        sys.mem.perturbMaxNs = n;
-    } else if (knob == "rob") {
-        sys.cpu.robEntries = static_cast<std::uint32_t>(n);
-    } else if (knob == "quantum") {
-        sys.os.quantum = n;
-    } else if (knob == "model") {
-        if (value == "ooo")
-            sys.cpu.model = cpu::CpuConfig::Model::OutOfOrder;
-        else if (value == "simple")
-            sys.cpu.model = cpu::CpuConfig::Model::Simple;
-        else
-            return fail(err, "unknown CPU model '" + value +
-                                 "' (simple, ooo)");
-    } else if (knob == "protocol") {
-        if (value == "directory")
-            sys.mem.protocol = mem::CoherenceProtocol::Directory;
-        else if (value == "snooping")
-            sys.mem.protocol = mem::CoherenceProtocol::Snooping;
-        else
-            return fail(err, "unknown protocol '" + value +
-                                 "' (snooping, directory)");
-    } else if (knob == "prefetch") {
-        if (value != "on" && value != "off")
-            return fail(err, "prefetch wants on|off, got '" +
-                                 value + "'");
-        sys.mem.l2NextLinePrefetch = value == "on";
-    } else {
+    const Knob *k = findKnob(knob);
+    if (!k) {
+        std::string names;
+        for (const Knob &each : kKnobs)
+            names += std::string(names.empty() ? "" : " ") + each.name;
         return fail(err, "unknown configuration knob '" + knob +
-                             "' (cpus l2-assoc l2-size dram perturb "
-                             "rob quantum model protocol prefetch)");
+                             "' (" + names + ")");
     }
-    return true;
+    if (!k->words[0]) {
+        std::uint64_t n = 0;
+        if (!sim::parseInteger(value, n))
+            return fail(err, knob + " wants an unsigned integer (got '" +
+                                 value + "')");
+        k->set(sys, n);
+        return true;
+    }
+    for (std::uint64_t w = 0; w < 2; ++w) {
+        if (value == k->words[w]) {
+            k->set(sys, w);
+            return true;
+        }
+    }
+    return fail(err, knob + " wants " + k->words[0] + "|" +
+                         k->words[1] + ", got '" + value + "'");
 }
 
+/** Split one "knob=v1,v2,v3" axis; false on a malformed axis. */
 bool
 parseVary(const std::string &arg, std::string &knob,
           std::vector<std::string> &values, std::string *err)
@@ -118,6 +115,11 @@ parseVary(const std::string &arg, std::string &knob,
     return true;
 }
 
+/**
+ * Expand @p varyAxes ("knob=v1,v2" strings, cartesian) over @p base
+ * into named configuration variants. With no axes the grid is the
+ * single "base" variant.
+ */
 bool
 buildConfigGrid(const core::SystemConfig &base,
                 const std::vector<std::string> &varyAxes,
@@ -129,8 +131,9 @@ buildConfigGrid(const core::SystemConfig &base,
         std::vector<std::string> values;
         if (!parseVary(axis, knob, values, err))
             return false;
-        if (knob == "cpus")
-            return fail(err, "cpus cannot be a vary axis (the "
+        const Knob *k = findKnob(knob);
+        if (k && k->geometry)
+            return fail(err, knob + " cannot be a vary axis (the "
                              "workload geometry is part of the "
                              "campaign identity); submit separate "
                              "campaigns instead");
@@ -150,6 +153,14 @@ buildConfigGrid(const core::SystemConfig &base,
     }
     out = std::move(grid);
     return true;
+}
+
+} // anonymous namespace
+
+std::span<const Knob>
+knobs()
+{
+    return kKnobs;
 }
 
 bool
@@ -199,9 +210,9 @@ buildSpec(const SpecFields &fields, CampaignSpec &out,
     spec.stop.pilotRuns = fields.pilotRuns;
     spec.stop.maxRuns = fields.maxRuns;
     spec.stop.relativeError = fields.relativeError;
-    spec.stop.alpha = fields.alpha >= 0.0
-                          ? fields.alpha
-                          : (spec.configs.size() >= 2 ? 0.05 : 0.0);
+    spec.stop.alpha = fields.alpha < 0.0
+                          ? (spec.configs.size() >= 2 ? 0.05 : 0.0)
+                          : fields.alpha;
     spec.stop.confidence = fields.confidence;
     spec.budgetTxns = fields.budgetTxns;
 

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,30 +32,32 @@ namespace campaign
 {
 
 /**
- * Apply one configuration knob ("l2-assoc", "model", ...) to @p sys.
- * Returns false and sets @p err on an unknown knob or a bad value.
- * The knob set is the `--vary` vocabulary; "cpus" is additionally
- * accepted for base configurations.
+ * One configuration knob: a count (digits only) or one of two
+ * words, and where its value goes in a SystemConfig.
  */
-bool applyKnob(core::SystemConfig &sys, const std::string &knob,
-               const std::string &value, std::string *err);
+struct Knob
+{
+    const char *name;
+
+    /**
+     * The workload's geometry (cpus): part of a campaign's identity,
+     * so never a vary axis, and one value for both sides of `compare`.
+     */
+    bool geometry;
+
+    /** A word knob's two words; null for a count knob. */
+    const char *words[2];
+
+    /** Store the count, or the index of the word, in a config. */
+    void (*set)(core::SystemConfig &, std::uint64_t);
+};
 
 /**
- * Split one "knob=v1,v2,v3" axis description. Returns false and
- * sets @p err on a malformed axis (no '=', no values).
+ * Every configuration knob, in a fixed order: the vocabulary of the
+ * CLI's knob flags, of a submission's base knobs and (all but the
+ * geometry) of `--vary` axes.
  */
-bool parseVary(const std::string &arg, std::string &knob,
-               std::vector<std::string> &values, std::string *err);
-
-/**
- * Expand @p varyAxes ("knob=v1,v2" strings, cartesian) over @p base
- * into named configuration variants, exactly as the CLI's --vary
- * flags do. With no axes the grid is the single "base" variant.
- */
-bool buildConfigGrid(const core::SystemConfig &base,
-                     const std::vector<std::string> &varyAxes,
-                     std::vector<ConfigVariant> &out,
-                     std::string *err);
+std::span<const Knob> knobs();
 
 /**
  * Everything that determines a campaign spec, in the raw form the
@@ -100,6 +103,37 @@ struct SpecFields
     double confidence = 0.95;
     std::uint64_t budgetTxns = 0;
 };
+
+/**
+ * Call @p fn(flag, key, member) on each scalar member of @p f, in
+ * declaration (= wire) order, with its CLI flag (without "--"; null
+ * where no flag sets it) and its submission key. The one place those
+ * names are spelled: the CLI's readers, encodeSubmission and
+ * decodeSubmission all walk it.
+ */
+template <typename Fields, typename Fn>
+void
+forEachField(Fields &f, Fn &&fn)
+{
+    fn("workload", "workload", f.workload);
+    fn("workload-seed", "wl_seed", f.workloadSeed);
+    fn("threads-per-cpu", "tpc", f.threadsPerCpu);
+    fn("warmup", "warmup", f.warmupTxns);
+    fn("txns", "txns", f.measureTxns);
+    fn("sample", "sample", f.sample);
+    fn("sample-offset-seed", "sample_offset_seed", f.sampleOffsetSeed);
+    fn("seed", "seed", f.baseSeed);
+    fn("checkpoints", "checkpoints", f.numCheckpoints);
+    fn("step", "ckpt_step", f.checkpointStep);
+    fn("strategy", "strategy", f.strategy);
+    fn("runs", "fixed_runs", f.fixedRuns);
+    fn("pilot-runs", "pilot_runs", f.pilotRuns);
+    fn("max-runs", "max_runs", f.maxRuns);
+    fn("rel-err", "rel_err", f.relativeError);
+    fn("alpha", "alpha", f.alpha);
+    fn(nullptr, "confidence", f.confidence);
+    fn("budget", "budget", f.budgetTxns);
+}
 
 /**
  * Translate @p fields into a validated CampaignSpec. Returns false

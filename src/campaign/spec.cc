@@ -45,21 +45,21 @@ CampaignSpec::groupName(std::size_t group) const
 std::uint64_t
 CampaignSpec::groupSeed(std::size_t group, std::size_t runIdx) const
 {
-    VARSIM_ASSERT(runIdx < seedStride,
+    VARSIM_ASSERT(runIdx < kSeedStride,
                   "run index %zu exceeds the seed stride %llu: "
                   "group seed ranges would collide",
                   runIdx,
-                  static_cast<unsigned long long>(seedStride));
+                  static_cast<unsigned long long>(kSeedStride));
     const std::uint64_t offset =
-        static_cast<std::uint64_t>(group) * seedStride +
+        static_cast<std::uint64_t>(group) * kSeedStride +
         static_cast<std::uint64_t>(runIdx);
-    VARSIM_ASSERT(offset / seedStride ==
+    VARSIM_ASSERT(offset / kSeedStride ==
                           static_cast<std::uint64_t>(group) &&
                       baseSeed <= UINT64_MAX - offset,
                   "campaign seed space overflows 64 bits "
                   "(baseSeed %llu, group %zu, stride %llu)",
                   static_cast<unsigned long long>(baseSeed), group,
-                  static_cast<unsigned long long>(seedStride));
+                  static_cast<unsigned long long>(kSeedStride));
     return baseSeed + offset;
 }
 
@@ -89,7 +89,7 @@ CampaignSpec::fingerprint() const
     field(canon, "seed",
           static_cast<unsigned long long>(baseSeed));
     field(canon, "stride",
-          static_cast<unsigned long long>(seedStride));
+          static_cast<unsigned long long>(kSeedStride));
     field(canon, "fixed", stop.fixedRuns);
     field(canon, "pilot", stop.pilotRuns);
     field(canon, "max", stop.maxRuns);
@@ -180,17 +180,17 @@ CampaignSpec::check(std::string *why) const
         stop.fixedRuns ? stop.fixedRuns : stop.maxRuns;
     if (perGroup == 0)
         return bad("campaign would run zero runs per group");
-    if (perGroup > seedStride)
+    if (perGroup > kSeedStride)
         return bad(sim::format(
             "per-group run cap %zu exceeds the seed stride %llu; "
             "seeds would collide between groups", perGroup,
-            static_cast<unsigned long long>(seedStride)));
-    if (stop.relativeError < 0.0 || stop.alpha < 0.0 ||
-        stop.alpha >= 1.0)
+            static_cast<unsigned long long>(kSeedStride)));
+    if (!(stop.relativeError >= 0.0) ||
+        !(stop.alpha >= 0.0 && stop.alpha < 1.0))
         return bad(sim::format(
             "nonsensical stopping thresholds (relative error %g, "
             "alpha %g)", stop.relativeError, stop.alpha));
-    if (stop.confidence <= 0.0 || stop.confidence >= 1.0)
+    if (!(stop.confidence > 0.0 && stop.confidence < 1.0))
         return bad(sim::format("confidence must be in (0, 1), got "
                                "%g", stop.confidence));
     return true;

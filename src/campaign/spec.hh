@@ -29,6 +29,14 @@ namespace varsim
 namespace campaign
 {
 
+/**
+ * Seed distance between cell groups: run i of group g uses seed
+ * baseSeed + g * kSeedStride + i (overflow-checked), so seeds are
+ * unique across the whole campaign as long as every group's run
+ * count stays below the stride.
+ */
+constexpr std::uint64_t kSeedStride = 1u << 20;
+
 /** One named configuration point of the campaign grid. */
 struct ConfigVariant
 {
@@ -108,14 +116,6 @@ struct CampaignSpec
 
     /** Root of the campaign's seed space. */
     std::uint64_t baseSeed = 1000;
-
-    /**
-     * Seed distance between cell groups: run i of group g uses seed
-     * baseSeed + g * seedStride + i (overflow-checked), so seeds are
-     * unique across the whole campaign as long as every group's run
-     * count stays below the stride.
-     */
-    std::uint64_t seedStride = 1u << 20;
 
     StoppingRule stop;
 

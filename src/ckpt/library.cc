@@ -150,6 +150,13 @@ CheckpointLibrary::open(const std::string &dir)
     return lib;
 }
 
+bool
+CheckpointLibrary::exists(const std::string &dir)
+{
+    std::error_code ec;
+    return fs::is_directory(dir + "/objects", ec);
+}
+
 std::string
 CheckpointLibrary::objectPath(const std::string &digestHex) const
 {

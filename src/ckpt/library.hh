@@ -156,6 +156,9 @@ class CheckpointLibrary
     static std::unique_ptr<CheckpointLibrary>
     open(const std::string &dir);
 
+    /** True when @p dir holds a library (its `objects/`). */
+    static bool exists(const std::string &dir);
+
     const std::string &directory() const { return dir_; }
 
     /**

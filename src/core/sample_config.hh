@@ -15,9 +15,12 @@
 #define VARSIM_CORE_SAMPLE_CONFIG_HH
 
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "sim/logging.hh"
+#include "sim/number.hh"
 
 namespace varsim
 {
@@ -34,6 +37,10 @@ struct SampleConfig
         Stratified, ///< periodic windows, per-period random offset
         MatchedPair,///< periodic windows at seed-independent offsets
     };
+
+    /** Each Design's name, in enum order ("off" is never parsed). */
+    static constexpr const char *kDesignNames[] = {
+        "off", "systematic", "stratified", "matched"};
 
     Design design = Design::Off;
 
@@ -67,65 +74,27 @@ struct SampleConfig
     static bool
     parse(const std::string &text, SampleConfig &out)
     {
-        SampleConfig c;
-        std::size_t pos = 0;
-        auto nextField = [&](std::string &f) {
-            if (pos == std::string::npos)
-                return false;
-            const std::size_t colon = text.find(':', pos);
-            f = text.substr(pos, colon == std::string::npos
-                                     ? std::string::npos
-                                     : colon - pos);
-            pos = colon == std::string::npos ? std::string::npos
-                                             : colon + 1;
-            return !f.empty();
-        };
-
-        std::string f;
-        if (!nextField(f))
-            return false;
-        if (f == "systematic")
-            c.design = Design::Systematic;
-        else if (f == "stratified")
-            c.design = Design::Stratified;
-        else if (f == "matched")
-            c.design = Design::MatchedPair;
-        else
-            return false;
-
-        auto parseU64 = [](const std::string &s, std::uint64_t &v) {
-            try {
-                std::size_t used = 0;
-                v = std::stoull(s, &used);
-                return used == s.size();
-            } catch (...) {
-                return false;
-            }
-        };
-        if (!nextField(f) || !parseU64(f, c.periodTxns))
-            return false;
-        if (!nextField(f) || !parseU64(f, c.warmupTxns))
-            return false;
-        if (!nextField(f) || !parseU64(f, c.measureTxns))
-            return false;
-        if (pos != std::string::npos) {
-            if (!nextField(f))
-                return false;
-            try {
-                std::size_t used = 0;
-                c.confidence = std::stod(f, &used);
-                if (used != f.size())
-                    return false;
-            } catch (...) {
-                return false;
-            }
-            if (pos != std::string::npos)
-                return false; // trailing fields
+        std::vector<std::string> f;
+        for (std::size_t pos = 0, colon = 0; colon != std::string::npos;
+             pos = colon + 1) {
+            colon = text.find(':', pos);
+            f.push_back(text.substr(pos, colon - pos));
         }
+        SampleConfig c;
+        std::size_t d = 1;
+        while (d < std::size(kDesignNames) && f[0] != kDesignNames[d])
+            ++d;
+        if (d == std::size(kDesignNames) || f.size() < 4 ||
+            f.size() > 5 || !sim::parseInteger(f[1], c.periodTxns) ||
+            !sim::parseInteger(f[2], c.warmupTxns) ||
+            !sim::parseInteger(f[3], c.measureTxns) ||
+            (f.size() == 5 && !sim::parseReal(f[4], c.confidence)))
+            return false;
+        c.design = static_cast<Design>(d);
         if (c.periodTxns == 0 || c.measureTxns == 0 ||
             c.warmupTxns + c.measureTxns > c.periodTxns)
             return false;
-        if (c.confidence <= 0.0 || c.confidence >= 1.0)
+        if (!(c.confidence > 0.0 && c.confidence < 1.0))
             return false;
         out = c;
         return true;
@@ -134,12 +103,8 @@ struct SampleConfig
     std::string
     toString() const
     {
-        const char *d = design == Design::Systematic ? "systematic"
-                        : design == Design::Stratified
-                            ? "stratified"
-                        : design == Design::MatchedPair ? "matched"
-                                                        : "off";
-        return sim::format("%s:%llu:%llu:%llu", d,
+        return sim::format("%s:%llu:%llu:%llu",
+                           kDesignNames[static_cast<int>(design)],
                            static_cast<unsigned long long>(periodTxns),
                            static_cast<unsigned long long>(warmupTxns),
                            static_cast<unsigned long long>(

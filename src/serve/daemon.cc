@@ -241,18 +241,22 @@ Daemon::handleConnection(int fd)
         }
         // report: render through the same code path as `varsim
         // campaign report`. The read-only store open takes no lock,
-        // so this works even while the campaign is running; a
-        // campaign that has no store yet answers with an error, not
-        // the CLI's fatal.
+        // so this works even while the campaign is running. A
+        // confidence outside (0, 1) (NaN included), which the t
+        // quantile would abort on, and a campaign that has no store
+        // yet answer with an error, not the CLI's fatal.
+        const double confidence = obj.real("confidence", 0.95);
+        if (!(confidence > 0.0 && confidence < 1.0)) {
+            io.send(errorFrame(sim::format(
+                "confidence must be in (0, 1), got %g", confidence)));
+            return;
+        }
         const std::string dir = sched->storeDir(id);
         if (!campaign::ResultStore::exists(dir)) {
             io.send(errorFrame("campaign " + id + " is " + info.state +
                                " and has no results to report"));
             return;
         }
-        const double confidence = obj.has("confidence")
-                                      ? obj.real("confidence")
-                                      : 0.95;
         const std::string metric = obj.str("metric");
         const campaign::CampaignReport rep =
             metric.empty()

@@ -20,7 +20,8 @@
  *                end frame once the campaign is terminal
  *   req=cancel   id; reply ok/error
  *   req=report   id [confidence, metric]; reply ok with the same
- *                report text `varsim campaign report` prints
+ *                report text `varsim campaign report` prints, or
+ *                error for a confidence outside (0, 1)
  *   req=drain    finish every admitted campaign, then reply ok and
  *                shut the daemon down
  */

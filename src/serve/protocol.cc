@@ -14,6 +14,7 @@
 #include <cstring>
 
 #include "sim/logging.hh"
+#include "sim/number.hh"
 
 namespace varsim
 {
@@ -151,10 +152,8 @@ Address::parse(const std::string &text, Address &out,
             out.host = rest.substr(0, colon);
             rest = rest.substr(colon + 1);
         }
-        char *end = nullptr;
-        const long port = std::strtol(rest.c_str(), &end, 10);
-        if (end == rest.c_str() || *end != '\0' || port <= 0 ||
-            port > 65535)
+        std::uint64_t port = 0;
+        if (!sim::parseInteger(rest, port) || port == 0 || port > 65535)
             return failWith(err, "tcp address wants tcp:<port> or "
                                  "tcp:<host>:<port>");
         out.port = static_cast<int>(port);

@@ -1,8 +1,9 @@
 #include "serve/schema.hh"
 
-#include <cstdlib>
+#include <type_traits>
 
 #include "sim/logging.hh"
+#include "sim/number.hh"
 
 namespace varsim
 {
@@ -49,24 +50,10 @@ encodeSubmission(const Submission &sub)
     w.field("base", base);
     w.field("vary", f.vary);
 
-    w.field("workload", f.workload);
-    w.field("wl_seed", f.workloadSeed);
-    w.field("tpc", f.threadsPerCpu);
-    w.field("warmup", f.warmupTxns);
-    w.field("txns", f.measureTxns);
-    w.field("sample", f.sample);
-    w.field("sample_offset_seed", f.sampleOffsetSeed);
-    w.field("seed", f.baseSeed);
-    w.field("checkpoints", f.numCheckpoints);
-    w.field("ckpt_step", f.checkpointStep);
-    w.field("strategy", f.strategy);
-    w.field("fixed_runs", f.fixedRuns);
-    w.field("pilot_runs", f.pilotRuns);
-    w.field("max_runs", f.maxRuns);
-    w.field("rel_err", f.relativeError);
-    w.field("alpha", f.alpha);
-    w.field("confidence", f.confidence);
-    w.field("budget", f.budgetTxns);
+    campaign::forEachField(
+        f, [&](const char *, const char *key, const auto &v) {
+            w.field(key, v);
+        });
     return w.str();
 }
 
@@ -93,9 +80,10 @@ decodeSubmission(const JsonLine &obj, Submission &out,
         return failWith(err, "bad campaign name '" + out.name +
                                  "' (want [A-Za-z0-9_.-]{1,64}, no "
                                  "leading dot)");
-    out.priority =
-        static_cast<int>(std::strtol(obj.str("priority", "0")
-                                         .c_str(), nullptr, 10));
+    const std::string priority = obj.str("priority", "0");
+    if (!sim::parseInteger(priority, out.priority))
+        return failWith(err, "bad priority '" + priority +
+                                 "' (want an int)");
     out.fingerprintHex = obj.str("fingerprint");
     if (out.fingerprintHex.empty())
         return failWith(err, "submission carries no spec fingerprint");
@@ -109,25 +97,16 @@ decodeSubmission(const JsonLine &obj, Submission &out,
         f.base[kv.substr(0, eq)] = kv.substr(eq + 1);
     }
     f.vary = obj.list("vary");
-    f.workload = obj.str("workload", f.workload);
-    f.workloadSeed = obj.num("wl_seed", f.workloadSeed);
-    f.threadsPerCpu = obj.num("tpc", f.threadsPerCpu);
-    f.warmupTxns = obj.num("warmup", f.warmupTxns);
-    f.measureTxns = obj.num("txns", f.measureTxns);
-    f.sample = obj.str("sample", f.sample);
-    f.sampleOffsetSeed =
-        obj.num("sample_offset_seed", f.sampleOffsetSeed);
-    f.baseSeed = obj.num("seed", f.baseSeed);
-    f.numCheckpoints = obj.num("checkpoints", f.numCheckpoints);
-    f.checkpointStep = obj.num("ckpt_step", f.checkpointStep);
-    f.strategy = obj.str("strategy", f.strategy);
-    f.fixedRuns = obj.num("fixed_runs", f.fixedRuns);
-    f.pilotRuns = obj.num("pilot_runs", f.pilotRuns);
-    f.maxRuns = obj.num("max_runs", f.maxRuns);
-    f.relativeError = obj.real("rel_err", f.relativeError);
-    f.alpha = obj.real("alpha", f.alpha);
-    f.confidence = obj.real("confidence", f.confidence);
-    f.budgetTxns = obj.num("budget", f.budgetTxns);
+    campaign::forEachField(
+        f, [&](const char *, const char *key, auto &v) {
+            using T = std::remove_reference_t<decltype(v)>;
+            if constexpr (std::is_same_v<T, std::string>)
+                v = obj.str(key, v);
+            else if constexpr (std::is_same_v<T, double>)
+                v = obj.real(key, v);
+            else
+                v = obj.num(key, v);
+        });
     out.fields = std::move(f);
     return true;
 }
@@ -202,9 +181,8 @@ decodeInfo(const JsonLine &obj, CampaignInfo &out)
         return false;
     out.id = obj.str("id");
     out.state = obj.str("state");
-    out.priority = static_cast<int>(
-        std::strtol(obj.str("priority", "0").c_str(), nullptr,
-                    10));
+    if (!sim::parseInteger(obj.str("priority", "0"), out.priority))
+        return false;
     out.recorded = obj.num("recorded");
     out.target = obj.num("target");
     out.inFlight = obj.num("in_flight");

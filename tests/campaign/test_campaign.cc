@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 
 #include "campaign/campaign.hh"
 #include "campaign/knobs.hh"
@@ -352,6 +353,25 @@ TEST(Campaign, BuildSpecRefusesSystemsTheSimulatorCannotBuild)
     EXPECT_TRUE(campaign::buildSpec(widest, spec, &err)) << err;
     EXPECT_TRUE(core::SystemConfig::paperDefault().check(&err));
     EXPECT_TRUE(core::SystemConfig::testDefault().check(&err));
+}
+
+TEST(Campaign, BuildSpecRefusesNaNThresholds)
+{
+    // A raw submit frame can carry "nan" for any real (the wire reads
+    // it as strtod does); each of these passed the range checks, and
+    // a NaN confidence reached the t quantile's assertion.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double campaign::SpecFields::*field :
+         {&campaign::SpecFields::confidence,
+          &campaign::SpecFields::relativeError,
+          &campaign::SpecFields::alpha}) {
+        campaign::SpecFields f;
+        f.*field = nan;
+        campaign::CampaignSpec spec;
+        std::string err;
+        EXPECT_FALSE(campaign::buildSpec(f, spec, &err));
+        EXPECT_NE(err.find("nan"), std::string::npos) << err;
+    }
 }
 
 TEST(CampaignDeathTest, ResumeUnderDifferentSpecIsFatal)

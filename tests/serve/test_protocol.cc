@@ -129,6 +129,10 @@ TEST(ServeProtocol, AddressParsing)
     EXPECT_FALSE(serve::Address::parse("unix:", addr, &err));
     EXPECT_FALSE(serve::Address::parse("tcp:0", addr, &err));
     EXPECT_FALSE(serve::Address::parse("tcp:http", addr, &err));
+    // The port is a count: no sign, no blanks.
+    EXPECT_FALSE(serve::Address::parse("tcp:+7070", addr, &err));
+    EXPECT_FALSE(serve::Address::parse("tcp: 7070", addr, &err));
+    EXPECT_FALSE(serve::Address::parse("tcp:65536", addr, &err));
     EXPECT_FALSE(
         serve::Address::parse("/just/a/path", addr, &err));
     EXPECT_NE(err.find("unix:"), std::string::npos);

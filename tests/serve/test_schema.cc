@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "campaign/knobs.hh"
 #include "serve/schema.hh"
 #include "sim/logging.hh"
@@ -136,6 +138,99 @@ TEST(ServeSchema, OlderSubmissionWithEngineFieldsStillResumes)
                           static_cast<unsigned long long>(
                               fromOld.fingerprint())),
               old.fingerprintHex);
+}
+
+/** sampleSubmission() with every SpecFields member off its default. */
+serve::Submission
+everyFieldSet()
+{
+    serve::Submission sub = sampleSubmission();
+    sub.fields.base["model"] = "ooo";
+    sub.fields.base["protocol"] = "directory";
+    sub.fields.base["rob"] = "64";
+    sub.fields.workloadSeed = 77;
+    sub.fields.sample = "stratified:200:20:40:0.9";
+    sub.fields.sampleOffsetSeed = 99;
+    sub.fields.pilotRuns = 5;
+    sub.fields.maxRuns = 40;
+    sub.fields.confidence = 0.9;
+    sub.fields.budgetTxns = 5000;
+    return sub;
+}
+
+TEST(ServeSchema, SubmissionWireBytesArePinned)
+{
+    // The line and the fingerprint an earlier build produced for
+    // everyFieldSet(): submission.json files and a client of either
+    // build must keep reading the same fields under the same keys.
+    const serve::Submission sub = everyFieldSet();
+    serve::Submission dflt = sub;
+    dflt.fields = campaign::SpecFields();
+    sim::JsonLine set, unset;
+    ASSERT_TRUE(set.parse(serve::encodeSubmission(sub)));
+    ASSERT_TRUE(unset.parse(serve::encodeSubmission(dflt)));
+    campaign::forEachField(
+        dflt.fields, [&](const char *, const char *key, const auto &) {
+            EXPECT_NE(set.str(key), unset.str(key)) << key;
+        });
+
+    const std::string wire =
+        "{\"req\":\"submit\",\"schema\":1,\"tenant\":\"alice\","
+        "\"name\":\"assoc-sweep\",\"priority\":\"-3\","
+        "\"fingerprint\":\"00c0ffee00c0ffee\","
+        "\"base\":[\"cpus=4\",\"dram=120\",\"model=ooo\","
+        "\"protocol=directory\",\"rob=64\"],"
+        "\"vary\":[\"l2-assoc=1,2,4\",\"prefetch=on,off\"],"
+        "\"workload\":\"specjbb\",\"wl_seed\":77,\"tpc\":2,"
+        "\"warmup\":7,\"txns\":1000,"
+        "\"sample\":\"stratified:200:20:40:0.9\","
+        "\"sample_offset_seed\":99,\"seed\":4242,\"checkpoints\":3,"
+        "\"ckpt_step\":111,\"strategy\":\"random\",\"fixed_runs\":9,"
+        "\"pilot_runs\":5,\"max_runs\":40,"
+        "\"rel_err\":0.050000000000000003,\"alpha\":0.01,"
+        "\"confidence\":0.90000000000000002,\"budget\":5000}";
+    EXPECT_EQ(serve::encodeSubmission(sub), wire);
+
+    sim::JsonLine obj;
+    ASSERT_TRUE(obj.parse(wire));
+    serve::Submission got;
+    std::string err;
+    ASSERT_TRUE(serve::decodeSubmission(obj, got, &err)) << err;
+    EXPECT_EQ(serve::encodeSubmission(got), wire);
+
+    campaign::CampaignSpec spec;
+    ASSERT_TRUE(campaign::buildSpec(got.fields, spec, &err)) << err;
+    EXPECT_EQ(sim::format("%016llx", static_cast<unsigned long long>(
+                                         spec.fingerprint())),
+              "772c3c66982b16f9");
+}
+
+TEST(ServeSchema, PriorityMustBeAnInt)
+{
+    const std::string encoded =
+        serve::encodeSubmission(sampleSubmission());
+    const std::string at = "\"priority\":\"-3\"";
+    ASSERT_NE(encoded.find(at), std::string::npos);
+    for (const char *text :
+         {"-1", "5", "high", "99999999999", "1.5", "", " 2", "+2"}) {
+        std::string payload = encoded;
+        payload.replace(payload.find(at), at.size(),
+                        "\"priority\":\"" + std::string(text) + "\"");
+        sim::JsonLine obj;
+        ASSERT_TRUE(obj.parse(payload));
+        serve::Submission got;
+        std::string err;
+        const bool ok = serve::decodeSubmission(obj, got, &err);
+        if (std::string(text) == "-1" || std::string(text) == "5") {
+            EXPECT_TRUE(ok) << err;
+            EXPECT_EQ(got.priority, std::atoi(text));
+        } else {
+            EXPECT_FALSE(ok) << text;
+            EXPECT_NE(err.find("priority '" + std::string(text) + "'"),
+                      std::string::npos)
+                << err;
+        }
+    }
 }
 
 TEST(ServeSchema, UnsupportedVersionIsRejected)

@@ -348,6 +348,70 @@ TEST(ServeE2e, ReportOfACampaignWithoutAStoreIsAnError)
     daemon.shutdown();
 }
 
+/** Send @p payload as one raw frame; the reply's parsed frame. */
+sim::JsonLine
+rawExchange(const serve::Address &addr, const std::string &payload)
+{
+    std::string err;
+    const int fd = serve::connectTo(addr, &err);
+    EXPECT_GE(fd, 0) << err;
+    serve::FrameIo io(fd);
+    std::string reply;
+    EXPECT_TRUE(io.send(payload));
+    EXPECT_TRUE(io.recv(reply));
+    sim::JsonLine obj;
+    EXPECT_TRUE(obj.parse(reply)) << reply;
+    return obj;
+}
+
+TEST(ServeE2e, ReportConfidenceOutsideTheUnitIntervalIsAnError)
+{
+    // A client that skips the CLI's checks sends any confidence; the
+    // t quantile behind a report is defined only inside (0, 1), and
+    // outside it must be an error reply, not an abort of the daemon
+    // and of every tenant's campaign with it.
+    const std::string root = freshRoot("badconf");
+    serve::DaemonConfig cfg;
+    cfg.root = root;
+    cfg.addr = sockAddr(root);
+    cfg.workers = 1;
+    serve::Daemon daemon(cfg);
+    std::string err;
+    ASSERT_TRUE(daemon.start(&err)) << err;
+    serve::Client client(cfg.addr);
+
+    serve::Submission a = makeSub("t", "a", smallFields(11, 3));
+    ASSERT_TRUE(client.submit(a, &err)) << err;
+    ASSERT_TRUE(client.watch(a.id(), 0, [](const serve::Event &) {},
+                             &err))
+        << err;
+
+    for (const char *conf : {"1.5", "0", "1", "-0.5", "\"nan\""}) {
+        for (const char *metric : {"", ",\"metric\":\"cycles_per_txn\""}) {
+            const sim::JsonLine reply = rawExchange(
+                cfg.addr, std::string("{\"req\":\"report\",\"id\":\"") +
+                              a.id() + "\",\"confidence\":" + conf +
+                              metric + "}");
+            EXPECT_EQ(reply.str("type"), "error") << conf << metric;
+            EXPECT_NE(reply.str("message").find("confidence"),
+                      std::string::npos)
+                << reply.str("message");
+        }
+    }
+    ASSERT_TRUE(client.ping(&err)) << err;
+    std::string text;
+    ASSERT_TRUE(client.report(a.id(), 0.9, "", text, &err)) << err;
+
+    serve::Submission b = makeSub("u", "b", smallFields(12, 2));
+    ASSERT_TRUE(client.submit(b, &err)) << err;
+    ASSERT_TRUE(client.drain(&err)) << err;
+    serve::CampaignInfo info;
+    ASSERT_TRUE(daemon.scheduler().info(b.id(), info));
+    EXPECT_EQ(info.state, "complete");
+    daemon.wait();
+    daemon.shutdown();
+}
+
 /** Fields whose l2-assoc=3 variant has no power-of-two set count. */
 campaign::SpecFields
 unbuildableFields()
@@ -432,6 +496,51 @@ TEST(ServeE2e, RestartSkipsAStoredUnbuildableSubmission)
     std::string err;
     ASSERT_TRUE(daemon.start(&err)) << err;
     EXPECT_EQ(daemon.resumedCount(), 0u);
+
+    serve::Client client(cfg.addr);
+    serve::Submission good = makeSub("alice", "fine", smallFields());
+    ASSERT_TRUE(client.submit(good, &err)) << err;
+    ASSERT_TRUE(client.drain(&err)) << err;
+    const auto infos = daemon.scheduler().status();
+    ASSERT_EQ(infos.size(), 1u);
+    EXPECT_EQ(infos.front().id, "alice/fine");
+    EXPECT_EQ(infos.front().state, "complete");
+    daemon.wait();
+    daemon.shutdown();
+}
+
+TEST(ServeE2e, RestartSkipsAStoredNaNConfidenceSubmission)
+{
+    // An earlier daemon read the sample spec's confidence with
+    // stod, acked this submission and stored it; its first sampled
+    // run then aborted the daemon, and so did every restart that
+    // resumed it. Written here in that daemon's on-disk format.
+    const std::string root = freshRoot("nanresume");
+    campaign::SpecFields f = smallFields();
+    f.measureTxns = 200;
+    f.sample = "systematic:50:5:10:nan";
+    serve::Submission bad = makeSub("mallory", "nan", f);
+    bad.fingerprintHex = "0123456789abcdef";
+    const std::string dir = root + "/tenants/mallory/nan";
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/submission.json")
+        << serve::encodeSubmission(bad) << "\n";
+
+    serve::DaemonConfig cfg;
+    cfg.root = root;
+    cfg.addr = sockAddr(root);
+    cfg.workers = 2;
+    serve::Daemon daemon(cfg);
+    std::string err;
+    testing::internal::CaptureStderr();
+    const bool started = daemon.start(&err);
+    const std::string warned = testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(started) << err;
+    EXPECT_EQ(daemon.resumedCount(), 0u);
+    EXPECT_NE(warned.find("no longer builds (bad sample spec "
+                          "'systematic:50:5:10:nan'"),
+              std::string::npos)
+        << warned;
 
     serve::Client client(cfg.addr);
     serve::Submission good = makeSub("alice", "fine", smallFields());

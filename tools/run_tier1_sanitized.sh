@@ -328,6 +328,19 @@ fi
     cat "$soak_root/daemon2.log" >&2
     exit 1
 }
+# A report confidence outside (0, 1), which the t quantile would
+# abort on, is an error reply from the daemon too.
+! "$tsan_build/tools/varsim" client report --root "$soak_root" \
+    --id soak1/camp1 --confidence 1.5 >"$soak_root/report-conf.log" 2>&1 &&
+    grep -q "confidence must be in (0, 1)" "$soak_root/report-conf.log" &&
+    "$tsan_build/tools/varsim" client ping --root "$soak_root" \
+        >/dev/null || {
+    echo "error: report with confidence 1.5 not refused, or the" \
+        "daemon went down; logs:" >&2
+    cat "$soak_root/report-conf.log" "$soak_root/daemon2.log" >&2
+    kill "$daemon_pid" 2>/dev/null || true
+    exit 1
+}
 
 "$tsan_build/tools/varsim" client drain --root "$soak_root" || {
     echo "error: drain after restart failed" >&2
@@ -350,4 +363,5 @@ done
 
 echo "serve daemon clean under thread sanitizer (200-campaign" \
     "soak), kill-9/restart resumed all campaigns, and a report" \
-    "of a queued cancelled campaign left the daemon up"
+    "of a queued cancelled campaign and one with confidence 1.5" \
+    "left the daemon up"

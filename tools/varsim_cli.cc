@@ -32,9 +32,14 @@
  *                             or --root <dir> for the default
  *                             socket). submit takes the campaign
  *                             flags below plus --tenant/--name/
- *                             --priority (and --watch yes to stay
- *                             attached); watch/cancel/report take
- *                             --id <tenant>/<name>
+ *                             --priority <int> (and --watch yes to
+ *                             stay attached); watch/cancel/report
+ *                             take --id <tenant>/<name>; report
+ *                             also --confidence, in (0, 1)
+ *
+ * Numbers are read by one rule (src/sim/number.hh): a count is
+ * digits only (no sign, no blanks), a real is what strtod reads and
+ * finite (no nan, no inf), --priority is an int.
  *
  * Common options:
  *   --workload <name>      oltp|apache|specjbb|slashcode|ecperf|
@@ -132,6 +137,8 @@
  *   gc:     --dir <library> [--max-bytes <n>]
  *                                      sweep debris/corruption and
  *                                      evict oldest over the cap
+ *   ls, verify and gc refuse a directory without a library (no
+ *   objects/); create and campaign --ckpt-dir make one.
  *
  * Examples:
  *   varsim run --workload slashcode --runs 20
@@ -153,17 +160,15 @@
  */
 
 #include <algorithm>
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "campaign/campaign.hh"
 #include "campaign/knobs.hh"
@@ -172,6 +177,7 @@
 #include "core/varsim.hh"
 #include "serve/client.hh"
 #include "serve/daemon.hh"
+#include "sim/number.hh"
 
 using namespace varsim;
 
@@ -219,35 +225,45 @@ class Args
                                            : dflt;
     }
 
+    /** A count flag; @p dflt when absent. */
     std::uint64_t
     num(const std::string &key, std::uint64_t dflt) const
     {
-        if (!has(key))
-            return dflt;
-        return toUnsigned(key, str(key, ""));
+        return has(key) ? count(key, str(key, "")) : dflt;
     }
 
+    /** A real flag; @p dflt when absent. */
     double
     real(const std::string &key, double dflt) const
     {
-        if (!has(key))
-            return dflt;
         const std::string text = str(key, "");
-        char *end = nullptr;
-        const double v = std::strtod(text.c_str(), &end);
-        if (text.empty() || *end != '\0')
+        double v = dflt;
+        if (has(key) && !sim::parseReal(text, v))
             sim::fatal("--%s wants a number (got '%s')", key.c_str(),
                        text.c_str());
         return v;
     }
 
-    /** All values given for a repeatable flag. */
+    /** Read flag @p key into @p v, which an absent flag keeps. */
+    template <typename T>
+    void
+    read(const std::string &key, T &v) const
+    {
+        if constexpr (std::is_same_v<T, std::string>)
+            v = str(key, v);
+        else if constexpr (std::is_same_v<T, double>)
+            v = real(key, v);
+        else
+            v = num(key, v);
+    }
+
+    /** All values given for a repeatable count flag. */
     std::vector<std::uint64_t>
     all(const std::string &key) const
     {
         std::vector<std::uint64_t> out;
         for (const std::string &text : allStr(key))
-            out.push_back(toUnsigned(key, text));
+            out.push_back(count(key, text));
         return out;
     }
 
@@ -284,17 +300,11 @@ class Args
     }
 
   private:
-    /** Digits only: no sign, no blanks, no trailing garbage. */
     static std::uint64_t
-    toUnsigned(const std::string &key, const std::string &text)
+    count(const std::string &key, const std::string &text)
     {
-        errno = 0;
-        const bool digits =
-            !text.empty() &&
-            text.find_first_not_of("0123456789") == std::string::npos;
-        const std::uint64_t v =
-            digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
-        if (!digits || errno == ERANGE)
+        std::uint64_t v = 0;
+        if (!sim::parseInteger(text, v))
             sim::fatal("--%s wants an unsigned integer (got '%s')",
                        key.c_str(), text.c_str());
         return v;
@@ -304,36 +314,44 @@ class Args
     mutable std::set<std::string> queried;
 };
 
-/** The configuration knobs every front end accepts. */
-const char *const kKnobs[] = {"cpus",    "l2-assoc", "l2-size",
-                              "dram",    "perturb",  "rob",
-                              "quantum", "model",    "protocol",
-                              "prefetch"};
+/**
+ * Read into @p f the flag of each of its @p members, under the flag
+ * campaign::forEachField names it by; an absent flag keeps the
+ * member's value.
+ */
+void
+readFields(const Args &args, campaign::SpecFields &f,
+           std::initializer_list<const void *> members)
+{
+    campaign::forEachField(
+        f, [&](const char *flag, const char *, auto &v) {
+            if (std::find(members.begin(), members.end(), &v) !=
+                members.end())
+                args.read(flag, v);
+        });
+}
 
 /**
  * The spec fields naming a system and a workload: the knob flags,
- * suffixed for one side of `compare` ("-a"/"-b"; --cpus is shared
- * by both sides), and the workload flags. Every subcommand turns its
- * flags into campaign::SpecFields and translates them with
- * campaign::buildSpec, the path `varsim client submit` and the serve
- * daemon use too, so all front ends agree on what a flag means and
- * refuse the same bad values.
+ * suffixed for one side of `compare` ("-a"/"-b"; the geometry knob,
+ * --cpus, is shared by both sides), and the workload flags. Every
+ * subcommand turns its flags into campaign::SpecFields and
+ * translates them with campaign::buildSpec, the path `varsim client
+ * submit` and the serve daemon use too, so all front ends agree on
+ * what a flag means and refuse the same bad values.
  */
 campaign::SpecFields
 systemFieldsFromArgs(const Args &args,
                      const std::string &suffix = "")
 {
     campaign::SpecFields f;
-    for (const std::string knob : kKnobs) {
+    for (const campaign::Knob &knob : campaign::knobs()) {
         const std::string flag =
-            knob == "cpus" ? knob : knob + suffix;
+            knob.name + (knob.geometry ? "" : suffix);
         if (args.has(flag))
-            f.base[knob] = args.str(flag, "");
+            f.base[knob.name] = args.str(flag, "");
     }
-    f.workload = args.str("workload", f.workload);
-    f.workloadSeed = args.num("workload-seed", f.workloadSeed);
-    f.threadsPerCpu =
-        args.num("threads-per-cpu", f.threadsPerCpu);
+    readFields(args, f, {&f.workload, &f.workloadSeed, &f.threadsPerCpu});
     return f;
 }
 
@@ -341,31 +359,25 @@ systemFieldsFromArgs(const Args &args,
 void
 runFieldsFromArgs(const Args &args, campaign::SpecFields &f)
 {
-    f.warmupTxns = args.num("warmup", f.warmupTxns);
-    f.measureTxns = args.num("txns", f.measureTxns);
-    f.sample = args.str("sample", f.sample);
-    f.sampleOffsetSeed =
-        args.num("sample-offset-seed", f.sampleOffsetSeed);
+    readFields(args, f,
+               {&f.warmupTxns, &f.measureTxns, &f.sample,
+                &f.sampleOffsetSeed});
 }
 
-/** The spec fields of `campaign`, `ckpt create` and `client submit`. */
+/**
+ * The spec fields of `campaign`, `ckpt create` and `client submit`:
+ * the knobs, --vary and every field that has a flag.
+ */
 campaign::SpecFields
 specFieldsFromArgs(const Args &args)
 {
     campaign::SpecFields f = systemFieldsFromArgs(args);
-    runFieldsFromArgs(args, f);
+    campaign::forEachField(
+        f, [&](const char *flag, const char *, auto &v) {
+            if (flag)
+                args.read(flag, v);
+        });
     f.vary = args.allStr("vary");
-    f.baseSeed = args.num("seed", f.baseSeed);
-    f.numCheckpoints = args.num("checkpoints", f.numCheckpoints);
-    f.checkpointStep = args.num("step", f.checkpointStep);
-    f.strategy = args.str("strategy", f.strategy);
-    f.fixedRuns = args.num("runs", f.fixedRuns);
-    f.pilotRuns = args.num("pilot-runs", f.pilotRuns);
-    f.maxRuns = args.num("max-runs", f.maxRuns);
-    f.relativeError = args.real("rel-err", f.relativeError);
-    if (args.has("alpha"))
-        f.alpha = args.real("alpha", 0.0);
-    f.budgetTxns = args.num("budget", f.budgetTxns);
     return f;
 }
 
@@ -404,14 +416,15 @@ cmdRun(const Args &args)
 {
     campaign::SpecFields f = systemFieldsFromArgs(args);
     runFieldsFromArgs(args, f);
-    f.fixedRuns = args.num("runs", 10);
+    f.fixedRuns = 10;
+    readFields(args, f, {&f.fixedRuns, &f.baseSeed});
     const auto spec = buildSpecOrDie(f);
     const auto &sys = spec.configs.front().sys;
     const auto &wl = spec.wl;
     const auto &rc = spec.run;
     core::ExperimentConfig exp;
     exp.numRuns = spec.stop.fixedRuns;
-    exp.baseSeed = args.num("seed", 1000);
+    exp.baseSeed = spec.baseSeed;
     const std::string statsPath = args.str("stats", "");
     args.rejectUnread("varsim run");
 
@@ -501,9 +514,11 @@ cmdCompare(const Args &args)
 {
     campaign::SpecFields fa = systemFieldsFromArgs(args, "-a");
     campaign::SpecFields fb = systemFieldsFromArgs(args, "-b");
-    runFieldsFromArgs(args, fa);
-    runFieldsFromArgs(args, fb);
-    fa.fixedRuns = fb.fixedRuns = args.num("runs", 10);
+    for (campaign::SpecFields *f : {&fa, &fb}) {
+        runFieldsFromArgs(args, *f);
+        f->fixedRuns = 10;
+        readFields(args, *f, {&f->fixedRuns, &f->baseSeed});
+    }
     const auto specA = buildSpecOrDie(fa);
     const auto specB = buildSpecOrDie(fb);
     const auto &sysA = specA.configs.front().sys;
@@ -512,7 +527,7 @@ cmdCompare(const Args &args)
     const auto &rc = specA.run;
     core::ExperimentConfig exp;
     exp.numRuns = specA.stop.fixedRuns;
-    exp.baseSeed = args.num("seed", 1000);
+    exp.baseSeed = specA.baseSeed;
     args.rejectUnread("varsim compare");
     if (exp.numRuns < 2)
         sim::fatal("compare needs --runs >= 2 (a t-test needs two "
@@ -552,12 +567,12 @@ cmdAnova(const Args &args)
     // Every run restores a checkpoint: no warm-up, and anova's own
     // default run length and checkpoint count.
     f.warmupTxns = 0;
-    f.measureTxns = args.num("txns", 200);
-    f.numCheckpoints = args.num("checkpoints", 5);
-    f.checkpointStep = args.num("step", f.checkpointStep);
-    f.strategy = args.str("strategy", f.strategy);
-    f.baseSeed = args.num("seed", f.baseSeed);
-    f.fixedRuns = args.num("runs", 6);
+    f.measureTxns = 200;
+    f.numCheckpoints = 5;
+    f.fixedRuns = 6;
+    readFields(args, f,
+               {&f.measureTxns, &f.numCheckpoints, &f.checkpointStep,
+                &f.strategy, &f.baseSeed, &f.fixedRuns});
     const auto spec = buildSpecOrDie(f);
     const auto &sys = spec.configs.front().sys;
     const auto &wl = spec.wl;
@@ -606,8 +621,8 @@ int
 cmdPlan(const Args &args)
 {
     campaign::SpecFields f = systemFieldsFromArgs(args);
-    f.warmupTxns = args.num("warmup", f.warmupTxns);
-    f.fixedRuns = args.num("runs", 6);
+    f.fixedRuns = 6;
+    readFields(args, f, {&f.warmupTxns, &f.fixedRuns});
     const auto spec = buildSpecOrDie(f);
     const std::uint64_t budget = args.num("budget", 20000);
     std::vector<std::uint64_t> lengths = args.all("pilot");
@@ -651,10 +666,17 @@ cmdPlan(const Args &args)
 int
 cmdCampaign(const std::string &action, const Args &args)
 {
+    const std::set<std::string> actions = {
+        "run", "resume", "status", "report", "compact", "export"};
+    if (!actions.count(action))
+        sim::fatal("unknown campaign action '%s' (run, resume, "
+                   "status, report, compact, export)",
+                   action.c_str());
+    const std::string dir = args.str("dir", "");
+    if (dir.empty())
+        sim::fatal("campaign %s needs --dir", action.c_str());
+
     if (action == "status" || action == "report") {
-        const std::string dir = args.str("dir", "");
-        if (dir.empty())
-            sim::fatal("campaign %s needs --dir", action.c_str());
         // report: default is the cycles/txn methodology report;
         // --metric <name> reports any recorded registry metric, and
         // --metric list enumerates the available names.
@@ -679,9 +701,6 @@ cmdCampaign(const std::string &action, const Args &args)
         return 0;
     }
     if (action == "compact") {
-        const std::string dir = args.str("dir", "");
-        if (dir.empty())
-            sim::fatal("campaign compact needs --dir");
         args.rejectUnread("varsim campaign compact");
         auto store = campaign::ResultStore::open(dir);
         const auto res = store->compact();
@@ -697,9 +716,6 @@ cmdCampaign(const std::string &action, const Args &args)
     if (action == "export") {
         // Interchange escape hatch: re-emit any store — compacted
         // or not — as the pure JSONL any version-1 reader replays.
-        const std::string dir = args.str("dir", "");
-        if (dir.empty())
-            sim::fatal("campaign export needs --dir");
         const std::string out = args.str("out", "");
         args.rejectUnread("varsim campaign export");
         auto store = campaign::ResultStore::openReadOnly(dir);
@@ -713,16 +729,6 @@ cmdCampaign(const std::string &action, const Args &args)
         }
         return 0;
     }
-    if (action != "run" && action != "resume") {
-        sim::fatal("unknown campaign action '%s' (run, resume, "
-                   "status, report, compact, export)",
-                   action.c_str());
-    }
-
-    const std::string dir = args.str("dir", "");
-    if (dir.empty())
-        sim::fatal("campaign %s needs --dir", action.c_str());
-
     const auto spec = buildSpecOrDie(specFieldsFromArgs(args));
 
     campaign::CampaignOptions opt;
@@ -731,13 +737,16 @@ cmdCampaign(const std::string &action, const Args &args)
     opt.ckptDir = args.str("ckpt-dir", "");
     opt.verbose = true;
     const std::string shard = args.str("shard", "1/1");
-    if (std::sscanf(shard.c_str(), "%zu/%zu", &opt.shardIndex,
-                    &opt.shardCount) != 2 ||
-        opt.shardCount == 0 || opt.shardIndex < 1 ||
-        opt.shardIndex > opt.shardCount)
+    const auto slash = shard.find('/');
+    std::uint64_t index = 0, count = 0;
+    if (slash == std::string::npos ||
+        !sim::parseInteger(shard.substr(0, slash), index) ||
+        !sim::parseInteger(shard.substr(slash + 1), count) ||
+        index < 1 || index > count)
         sim::fatal("--shard wants i/N with 1 <= i <= N (got "
                    "'%s')", shard.c_str());
-    opt.shardIndex -= 1; // user-facing shards are 1-based
+    opt.shardIndex = index - 1; // user-facing shards are 1-based
+    opt.shardCount = count;
     args.rejectUnread("varsim campaign " + action);
 
     const auto outcome = campaign::runCampaign(spec, dir, opt);
@@ -763,6 +772,10 @@ cmdCampaign(const std::string &action, const Args &args)
 int
 cmdCkpt(const std::string &action, const Args &args)
 {
+    if (action != "create" && action != "ls" && action != "verify" &&
+        action != "gc")
+        sim::fatal("unknown ckpt action '%s' (create, ls, verify, gc)",
+                   action.c_str());
     const std::string dir = args.str("dir", "");
     if (dir.empty())
         sim::fatal("ckpt %s needs --dir", action.c_str());
@@ -791,6 +804,10 @@ cmdCkpt(const std::string &action, const Args &args)
     const std::uint64_t maxBytes =
         action == "gc" ? args.num("max-bytes", 0) : 0;
     args.rejectUnread("varsim ckpt " + action);
+    if (!ckpt::CheckpointLibrary::exists(dir))
+        sim::fatal("%s holds no checkpoint library (no objects/); "
+                   "ckpt create or campaign run --ckpt-dir makes one",
+                   dir.c_str());
     auto lib = ckpt::CheckpointLibrary::open(dir);
     if (action == "ls") {
         const auto entries = lib->entries();
@@ -814,14 +831,9 @@ cmdCkpt(const std::string &action, const Args &args)
         std::printf("%s", rep.toString().c_str());
         return rep.clean() ? 0 : 1;
     }
-    if (action == "gc") {
-        const auto rep = lib->gc(maxBytes);
-        std::printf("%s", rep.toString().c_str());
-        return 0;
-    }
-    sim::fatal("unknown ckpt action '%s' (create, ls, verify, gc)",
-               action.c_str());
-    return 1;
+    const auto rep = lib->gc(maxBytes);
+    std::printf("%s", rep.toString().c_str());
+    return 0;
 }
 
 volatile std::sig_atomic_t gSignals = 0;
@@ -976,8 +988,10 @@ cmdClient(const std::string &action, const Args &args)
         if (sub.name.empty())
             sim::fatal("client submit needs --name (and usually "
                        "--tenant)");
-        sub.priority = static_cast<int>(std::strtol(
-            args.str("priority", "0").c_str(), nullptr, 10));
+        const std::string priority = args.str("priority", "0");
+        if (!sim::parseInteger(priority, sub.priority))
+            sim::fatal("--priority wants an integer (got '%s')",
+                       priority.c_str());
         sub.fields = specFieldsFromArgs(args);
         const bool watch = args.str("watch", "") == "yes";
         const std::uint64_t after = watch ? args.num("after", 0) : 0;
